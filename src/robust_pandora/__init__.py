@@ -15,6 +15,7 @@ from .core import (
     IidBinary,
     NatureBelief,
     NeedleP,
+    SaddleReport,
     SeedError,
     SizeError,
     StationaryPolicy,
@@ -70,7 +71,6 @@ from .two_box import (
     verify_two_box,
 )
 from .verify import (
-    SaddleReport,
     interim_grid_oracle,
     nature_best_response_indep,
     saddle_check_corr,

@@ -4,11 +4,6 @@ Every command emits a machine-readable record (JSON object or CSV table)
 on stdout or to ``--out``, built deterministically so repeated runs are
 byte-identical.  Exit codes: 0 success, 1 usage error, 2 invalid model
 parameters, 3 verification gap above tolerance.
-
-The env var ``ROBUST_PANDORA_THREADS`` is accepted and validated for
-compatibility with deployments that cap worker counts; the current
-implementation evaluates its grids vectorized in-process, so the value does
-not change results or, in practice, timing.
 """
 
 from __future__ import annotations
@@ -26,11 +21,11 @@ from .core import (
     HomogeneousSpec,
     IidBinary,
     NeedleP,
+    SaddleReport,
     SeedError,
     SizeError,
     StationaryPolicy,
     regret_needle,
-    validate_spec,
 )
 from .corr import solve_corr_commitment, solve_corr_intrapersonal
 from .het import HeterogeneousSpec, cost_asymmetry_sweep, solve_het
@@ -52,10 +47,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.12g}"
-
-
 def _pyify(obj):
     if isinstance(obj, dict):
         return {k: _pyify(v) for k, v in obj.items()}
@@ -70,16 +61,6 @@ def _pyify(obj):
     return obj
 
 
-def _emit_json(command: str, params: dict, results: dict) -> str:
-    payload = {
-        "schema_version": _SCHEMA,
-        "command": command,
-        "params": _pyify(params),
-        "results": _pyify(results),
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 def _cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value)).lower()
@@ -89,10 +70,19 @@ def _cell(value) -> str:
         if any(ch in value for ch in ',"\n'):
             return '"' + value.replace('"', '""') + '"'
         return value
-    return _fmt(value)
+    return f"{float(value):.12g}"
 
 
-def _emit_kv_csv(results: dict) -> str:
+def _emit(args, command: str, params: dict, results: dict) -> str:
+    """The JSON record of one call, or its results as a ``field,value`` CSV."""
+    if args.format == "json":
+        payload = {
+            "schema_version": _SCHEMA,
+            "command": command,
+            "params": _pyify(params),
+            "results": _pyify(results),
+        }
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     lines = ["field,value"]
     for key, value in results.items():
         if isinstance(value, (list, tuple, np.ndarray)):
@@ -110,37 +100,43 @@ def _emit_table_csv(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_boxes(text: str):
-    boxes = []
-    for part in text.split(","):
-        try:
-            u, c = part.split(":")
-            boxes.append((float(u), float(c)))
-        except ValueError:
-            raise DomainError(f"cannot parse box {part!r}; expected 'ubar:cost'") from None
-    return tuple(boxes)
-
-
-def _homogeneous_from(args) -> HomogeneousSpec:
-    if args.ubar is None or args.c is None or args.n is None:
+def _spec_from(args):
+    """The spec named by the arguments, and the ``params`` its record echoes."""
+    if args.regime == "het":
+        if not args.boxes:
+            raise DomainError("--boxes is required for the het regime")
+        boxes = []
+        for part in args.boxes.split(","):
+            try:
+                u, c = part.split(":")
+                boxes.append((float(u), float(c)))
+            except ValueError:
+                raise DomainError(f"cannot parse box {part!r}; expected 'ubar:cost'") from None
+        return HeterogeneousSpec(tuple(boxes)), {"regime": args.regime, "boxes": args.boxes}
+    n = 2 if args.n is None and args.regime == "two-box" else args.n
+    if args.ubar is None or args.c is None or n is None:
         raise DomainError("--ubar, --c, and --n are required for this regime")
-    return validate_spec(HomogeneousSpec(args.ubar, args.c, args.n))
+    spec = HomogeneousSpec(args.ubar, args.c, n)
+    return spec, {"regime": args.regime, "ubar": spec.ubar, "c": spec.c, "n": spec.n}
+
+
+def _corr_solver(regime: str):
+    # built per call, so that a function replaced on this module at run time
+    # (a tracing wrapper, say) is the one called
+    return {"corr": solve_corr_commitment, "corr-intra": solve_corr_intrapersonal}[regime]
 
 
 def _cmd_solve(args):
+    spec, params = _spec_from(args)
     if args.regime == "indep":
-        spec = _homogeneous_from(args)
         sol = solve_indep(spec)
-        params = {"regime": args.regime, "ubar": spec.ubar, "c": spec.c, "n": spec.n}
         results = {
             "alpha": list(sol.alphas),
             "regret": sol.regret,
             "worst_case_p": sol.worst_case_p,
         }
     elif args.regime in ("corr", "corr-intra"):
-        spec = _homogeneous_from(args)
-        sol = solve_corr_commitment(spec) if args.regime == "corr" else solve_corr_intrapersonal(spec)
-        params = {"regime": args.regime, "ubar": spec.ubar, "c": spec.c, "n": spec.n}
+        sol = _corr_solver(args.regime)(spec)
         results = {
             "alpha": list(sol.policy.alphas),
             "regret": sol.regret,
@@ -152,12 +148,8 @@ def _cmd_solve(args):
         if args.regime == "corr-intra":
             results["searches_up_to"] = sol.searches_up_to
     elif args.regime == "het":
-        if not args.boxes:
-            raise DomainError("--boxes is required for the het regime")
-        spec = HeterogeneousSpec(_parse_boxes(args.boxes))
         sol = solve_het(spec)
         rule = sol.rule_for()
-        params = {"regime": args.regime, "boxes": args.boxes}
         results = {
             "open_probs": [rule.open_probs[i] for i in range(spec.n)],
             "optout": rule.optout,
@@ -165,9 +157,7 @@ def _cmd_solve(args):
             "regret": sol.regret(),
         }
     elif args.regime == "interim":
-        spec = _homogeneous_from(args)
         rep = solve_interim(spec)
-        params = {"regime": args.regime, "ubar": spec.ubar, "c": spec.c, "n": spec.n}
         results = {
             "m": rep.policy.m,
             "alpha": rep.policy.alpha,
@@ -176,12 +166,8 @@ def _cmd_solve(args):
             "residual": rep.residual,
             "degenerate_tie": rep.degenerate_tie,
         }
-    elif args.regime == "two-box":
-        if args.n is None:
-            args.n = 2
-        spec = _homogeneous_from(args)
+    else:
         policy, nature, regret = solve_two_box(spec)
-        params = {"regime": args.regime, "ubar": spec.ubar, "c": spec.c, "n": spec.n}
         results = {
             "regime": policy.regime,
             "alpha2_0": policy.alpha2_0,
@@ -193,12 +179,7 @@ def _cmd_solve(args):
             "s": nature.s,
             "regret": regret,
         }
-    else:  # pragma: no cover - argparse restricts choices
-        raise DomainError(f"unknown regime {args.regime!r}")
-
-    if args.format == "json":
-        return _emit_json("solve", params, results), 0
-    return _emit_kv_csv(results), 0
+    return _emit(args, "solve", params, results), 0
 
 
 def _cmd_sweep(args):
@@ -209,102 +190,87 @@ def _cmd_sweep(args):
         columns = ["n", "alpha_n", "regret"] + (["worst_case_P", "optout"] if args.regime == "corr" else [])
         rows = []
         for n in range(int(args.from_), int(args.to) + 1):
-            spec = validate_spec(HomogeneousSpec(args.ubar, args.c, n))
+            spec = HomogeneousSpec(args.ubar, args.c, n)
             if args.regime == "indep":
                 sol = solve_indep(spec)
                 rows.append((n, sol.alphas[-1], sol.regret))
             else:
                 sol = solve_corr_commitment(spec)
                 rows.append((n, sol.policy.alphas[-1], sol.regret, sol.worst_case_P[-1], sol.opts_out))
-        return _emit_table_csv(columns, rows), 0
-    if args.sweep == "q":
+    elif args.sweep == "q":
         if args.regime != "indep":
             raise DomainError("q-sweeps support the indep regime")
         if args.n is None:
             raise DomainError("--n (maximum menu size) is required for q-sweeps")
-        spec = validate_spec(HomogeneousSpec(args.ubar, args.c, args.n))
-        rows = []
-        for q in grid:
-            for n in range(1, args.n + 1):
-                rows.append((q, n, expected_search_count(float(q), n, spec)))
-        return _emit_table_csv(["q", "n", "expected_opened"], rows), 0
-    if args.sweep == "delta":
+        spec = HomogeneousSpec(args.ubar, args.c, args.n)
+        columns = ["q", "n", "expected_opened"]
+        rows = [(q, n, expected_search_count(float(q), n, spec)) for q in grid for n in range(1, args.n + 1)]
+    elif args.sweep == "delta":
         if args.regime != "het":
             raise DomainError("delta-sweeps support the het regime")
         if args.ctotal is None:
             raise DomainError("--ctotal is required for delta-sweeps")
-        rows = [
-            (r["delta"], r["open_costlier"], r["open_cheaper"], r["total_search"])
-            for r in cost_asymmetry_sweep(args.ubar, args.ctotal, grid)
-        ]
-        return _emit_table_csv(["delta", "open_costlier", "open_cheaper", "total_search"], rows), 0
-    if args.sweep == "ubar":
+        columns = ["delta", "open_costlier", "open_cheaper", "total_search"]
+        rows = [[r[key] for key in columns] for r in cost_asymmetry_sweep(args.ubar, args.ctotal, grid)]
+    else:
         if args.regime != "two-box":
             raise DomainError("ubar-sweeps support the two-box regime")
+        columns = ["ubar", "regime", "alpha2_0", "v_low", "v_hat", "regret"]
         rows = []
         for ubar in grid:
-            spec = validate_spec(HomogeneousSpec(float(ubar), args.c, 2))
-            policy, nature, regret = solve_two_box(spec)
+            policy, nature, regret = solve_two_box(HomogeneousSpec(float(ubar), args.c, 2))
             rows.append((ubar, policy.regime, policy.alpha2_0, policy.v_low, nature.v_hat, regret))
-        return _emit_table_csv(["ubar", "regime", "alpha2_0", "v_low", "v_hat", "regret"], rows), 0
-    raise DomainError(f"unknown sweep {args.sweep!r}")
+    return _emit_table_csv(columns, rows), 0
 
 
-def _report_payload(report):
-    return {
+def _check_policy_file(args, spec) -> SaddleReport:
+    """Nature's side only: the worst case of the file's policy against its claimed regret."""
+    with open(args.policy_file, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    policy = StationaryPolicy(np.asarray(payload["alpha"], dtype=float))
+    claimed = float(payload["regret"])
+    if args.regime == "indep":
+        p_star, worst = nature_best_response_indep(policy, spec, args.grid)
+        belief = IidBinary(p_star)
+    else:
+        grid = np.linspace(0.0, 1.0, args.grid)
+        values = regret_needle(policy, grid, spec)
+        worst = float(np.max(values))
+        belief = NeedleP(grid[int(np.argmax(values))])
+    gap = worst - claimed
+    return SaddleReport(
+        nature_gap=gap,
+        dm_gap=0.0,
+        worst_belief=belief,
+        tolerance=args.tol,
+        passed=bool(gap <= args.tol),
+        notes=(f"checked policy file {os.path.basename(args.policy_file)}",),
+    )
+
+
+def _cmd_verify(args):
+    spec, params = _spec_from(args)
+    params["tol"] = args.tol
+    if args.regime == "two-box":
+        del params["n"]
+        params["grid"] = args.grid
+        policy, nature, _ = solve_two_box(spec)
+        report = verify_two_box(policy, nature, spec, grid_size=args.grid, tolerance=args.tol)
+    elif args.policy_file is not None:
+        report = _check_policy_file(args, spec)
+    elif args.regime == "indep":
+        report = saddle_check_indep(spec, tol=args.tol, grid_points=args.grid)
+    else:
+        mode = "commitment" if args.regime == "corr" else "intrapersonal"
+        report = saddle_check_corr(spec, tol=args.tol, grid_points=args.grid, mode=mode)
+    results = {
         "nature_gap": report.nature_gap,
         "dm_gap": report.dm_gap,
         "tolerance": report.tolerance,
         "passed": report.passed,
         "notes": list(report.notes),
     }
-
-
-def _cmd_verify(args):
-    if args.regime == "two-box":
-        if args.n is None:
-            args.n = 2
-        spec = _homogeneous_from(args)
-        policy, nature, _ = solve_two_box(spec)
-        report = verify_two_box(policy, nature, spec, grid_size=args.grid, tolerance=args.tol)
-        params = {"regime": args.regime, "ubar": spec.ubar, "c": spec.c, "grid": args.grid, "tol": args.tol}
-    elif args.regime in ("indep", "corr", "corr-intra"):
-        spec = _homogeneous_from(args)
-        params = {"regime": args.regime, "ubar": spec.ubar, "c": spec.c, "n": spec.n, "tol": args.tol}
-        if args.policy_file is not None:
-            with open(args.policy_file, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            policy = StationaryPolicy(np.asarray(payload["alpha"], dtype=float))
-            claimed = float(payload["regret"])
-            if args.regime == "indep":
-                _, worst = nature_best_response_indep(policy, spec, args.grid)
-            else:
-                grid = np.linspace(0.0, 1.0, args.grid)
-                worst = float(np.max(regret_needle(policy, grid, spec)))
-            gap = worst - claimed
-            report_payload = {
-                "nature_gap": gap,
-                "dm_gap": 0.0,
-                "tolerance": args.tol,
-                "passed": bool(gap <= args.tol),
-                "notes": [f"checked policy file {os.path.basename(args.policy_file)}"],
-            }
-            status = 0 if report_payload["passed"] else 3
-            if args.format == "csv":
-                return _emit_kv_csv(report_payload), status
-            return _emit_json("verify", params, report_payload), status
-        if args.regime == "indep":
-            report = saddle_check_indep(spec, tol=args.tol, grid_points=args.grid)
-        else:
-            mode = "commitment" if args.regime == "corr" else "intrapersonal"
-            report = saddle_check_corr(spec, tol=args.tol, grid_points=args.grid, mode=mode)
-    else:
-        raise DomainError(f"verification not available for regime {args.regime!r}")
-    payload = _report_payload(report)
-    status = 0 if report.passed else 3
-    if args.format == "csv":
-        return _emit_kv_csv(payload), status
-    return _emit_json("verify", params, payload), status
+    return _emit(args, "verify", params, results), 0 if report.passed else 3
 
 
 def _parse_truth(text: str):
@@ -321,25 +287,10 @@ def _parse_truth(text: str):
 
 
 def _cmd_simulate(args):
-    spec = _homogeneous_from(args)
-    if args.regime == "indep":
-        policy = solve_indep(spec).policy
-    elif args.regime in ("corr", "corr-intra"):
-        sol = solve_corr_commitment(spec) if args.regime == "corr" else solve_corr_intrapersonal(spec)
-        policy = sol.policy
-    else:
-        raise DomainError(f"simulation not available for regime {args.regime!r}")
-    truth = _parse_truth(args.truth)
-    result = simulate(policy, truth, spec, args.episodes, args.seed)
-    params = {
-        "regime": args.regime,
-        "ubar": spec.ubar,
-        "c": spec.c,
-        "n": spec.n,
-        "truth": args.truth,
-        "episodes": args.episodes,
-        "seed": args.seed,
-    }
+    spec, params = _spec_from(args)
+    solver = solve_indep if args.regime == "indep" else _corr_solver(args.regime)
+    result = simulate(solver(spec).policy, _parse_truth(args.truth), spec, args.episodes, args.seed)
+    params.update(truth=args.truth, episodes=args.episodes, seed=args.seed)
     results = {
         "episodes": result.episodes,
         "mean_opened": result.mean_opened,
@@ -348,9 +299,7 @@ def _cmd_simulate(args):
         "se_regret": result.se_regret,
         "seed": result.seed,
     }
-    if args.format == "csv":
-        return _emit_kv_csv(results), 0
-    return _emit_json("simulate", params, results), 0
+    return _emit(args, "simulate", params, results), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,17 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_threads_env() -> None:
-    raw = os.environ.get("ROBUST_PANDORA_THREADS")
-    if raw is None:
-        return
-    try:
-        if int(raw) < 1:
-            raise ValueError
-    except ValueError:
-        raise DomainError(f"ROBUST_PANDORA_THREADS must be a positive integer, got {raw!r}") from None
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -416,7 +354,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _check_threads_env()
         output, status = args.func(args)
     except (DomainError, SizeError, SeedError, ConvergenceError) as exc:
         print(f"robust-pandora: {exc}", file=sys.stderr)

@@ -40,6 +40,7 @@ __all__ = [
     "HeteroPVector",
     "TwoPointMixture",
     "NatureBelief",
+    "SaddleReport",
     "validate_spec",
     "as_probability",
     "regret_indep",
@@ -90,26 +91,34 @@ def _probability_array(values, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HomogeneousSpec:
-    """Symmetric search problem: ``n`` boxes, high reward ``ubar``, cost ``c``."""
+    """Symmetric search problem: ``n`` boxes, high reward ``ubar``, cost ``c``.
+
+    Checked by :func:`validate_spec` on construction, so every instance
+    satisfies the standing assumptions; ``n`` is stored as an ``int``.
+    """
 
     ubar: float
     c: float
     n: int
+
+    def __post_init__(self):
+        validate_spec(self)
+        object.__setattr__(self, "n", int(self.n))
 
 
 def validate_spec(spec: HomogeneousSpec) -> HomogeneousSpec:
     """Return ``spec`` unchanged if it satisfies the standing assumptions.
 
     Raises :class:`DomainError` when ``ubar <= 0``, the cost is outside the
-    open interval ``(0, ubar)``, or ``n`` is not a positive integer.  The
-    cost bounds are strict: a free search or a search that can never pay for
-    itself both degenerate the problem.
+    open interval ``(0, ubar)``, or ``n`` is not a positive integer (a bool
+    is not a count).  The cost bounds are strict: a free search or a search
+    that can never pay for itself both degenerate the problem.
     """
     if not np.isfinite(spec.ubar) or spec.ubar <= 0.0:
         raise DomainError(f"high reward must be positive, got {spec.ubar!r}")
     if not np.isfinite(spec.c) or spec.c <= 0.0 or spec.c >= spec.ubar:
         raise DomainError(f"search cost must lie in (0, {spec.ubar}), got {spec.c!r}")
-    if int(spec.n) != spec.n or spec.n < 1:
+    if isinstance(spec.n, (bool, np.bool_)) or int(spec.n) != spec.n or spec.n < 1:
         raise DomainError(f"box count must be a positive integer, got {spec.n!r}")
     return spec
 
@@ -276,13 +285,31 @@ class TwoPointMixture:
 NatureBelief = Union[IidBinary, NeedleP, CountProfile, HeteroPVector, TwoPointMixture]
 
 
+@dataclass(frozen=True)
+class SaddleReport:
+    """Outcome of a numerical saddle-point check."""
+
+    nature_gap: float
+    dm_gap: float
+    worst_belief: NatureBelief
+    tolerance: float
+    passed: bool
+    notes: tuple = ()
+
+    def __str__(self):
+        status = "pass" if self.passed else "FAIL"
+        return (
+            f"SaddleReport({status}: nature_gap={self.nature_gap:.3e}, "
+            f"dm_gap={self.dm_gap:.3e}, tol={self.tolerance:.1e})"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Exact regret evaluators (binary rewards)
 # ---------------------------------------------------------------------------
 
 
 def _alphas_for(policy: StationaryPolicy, spec: HomogeneousSpec) -> np.ndarray:
-    validate_spec(spec)
     if policy.n != spec.n:
         raise DomainError(f"policy has {policy.n} stages but spec has n={spec.n}")
     return policy.alphas
@@ -384,7 +411,6 @@ def regret_count_profile(mixture: StoppingMixture, Q: CountProfile, spec: Homoge
     oracle; a success the plan never reaches costs ``ubar - c + m c``; and
     when no box is full the ``m`` openings are pure waste ``m c``.
     """
-    validate_spec(spec)
     if mixture.n != spec.n or Q.n != spec.n:
         raise DomainError("mixture, count profile, and spec must share the same n")
     ubar, c = spec.ubar, spec.c

@@ -28,7 +28,6 @@ from .core import (
     HomogeneousSpec,
     StationaryPolicy,
     first_success_probabilities,
-    validate_spec,
 )
 
 __all__ = [
@@ -98,7 +97,6 @@ def single_treasure_equivalent(Q: CountProfile) -> CountProfile:
 
 def optout_menu_size(spec: HomogeneousSpec) -> int:
     """Smallest integer n with n >= (2 ubar - c) / c (boundary opts out)."""
-    validate_spec(spec)
     t = (2.0 * spec.ubar - spec.c) / spec.c
     nearest = round(t)
     if abs(t - nearest) < 1e-9 * max(1.0, abs(t)):
@@ -118,7 +116,6 @@ def solve_corr_commitment(spec: HomogeneousSpec) -> CorrSolution:
     At or beyond the threshold the DM refuses to search and the regret is the
     full net reward ``ubar - c``.
     """
-    validate_spec(spec)
     ubar, c, n = spec.ubar, spec.c, spec.n
     nbar = optout_menu_size(spec)
     ks = np.arange(1, n + 1, dtype=float)
@@ -156,7 +153,6 @@ def solve_corr_intrapersonal(spec: HomogeneousSpec) -> CorrSolution:
     ``c + R_{k-1} <= k/(k-1) (ubar - c)`` (equality included).  Beyond the
     largest such stage the DM opts out: alpha = 0, R = ubar - c, P = 1.
     """
-    validate_spec(spec)
     ubar, c, n = spec.ubar, spec.c, spec.n
     # iterate far enough to locate the refusal point even when n is small;
     # it is bounded by the commitment opt-out size
@@ -192,7 +188,6 @@ def naive_trajectory(spec: HomogeneousSpec) -> np.ndarray:
     menu size.  Requires a menu below the opt-out threshold; above it the
     whole plan is the single decision not to search.
     """
-    validate_spec(spec)
     nbar = optout_menu_size(spec)
     if spec.n >= nbar:
         raise DomainError(

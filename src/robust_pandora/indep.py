@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, HomogeneousSpec, StationaryPolicy, validate_spec
+from .core import DomainError, HomogeneousSpec, StationaryPolicy
 
 __all__ = [
     "IndepSolution",
@@ -59,8 +59,8 @@ class SearchCountProfile:
 
 def weitzman_threshold(spec: HomogeneousSpec) -> float:
     """Success probability at which a Bayesian is indifferent about opening."""
-    validate_spec(spec)
     return spec.c / spec.ubar
+
 
 def _alpha_star(ks: np.ndarray, ubar: float, c: float) -> np.ndarray:
     # n (ubar-c)^n / ((n-1) (ubar-c)^n + ubar^n), numerically stabilized by
@@ -80,7 +80,6 @@ def solve_indep(spec: HomogeneousSpec) -> IndepSolution:
     ``(1 - ((ubar - c)/ubar)^n) (ubar - c)``.  The same plan is the unique
     dynamically consistent optimum, so no commitment flag is needed.
     """
-    validate_spec(spec)
     ks = np.arange(1, spec.n + 1, dtype=float)
     alphas = _alpha_star(ks, spec.ubar, spec.c)
     regret = (1.0 - ((spec.ubar - spec.c) / spec.ubar) ** spec.n) * (spec.ubar - spec.c)
@@ -98,7 +97,6 @@ def expected_search_count(q: float, n: int, spec: HomogeneousSpec) -> float:
     policy is re-solved at each remaining-box count, so the stage behavior
     does not depend on the menu size ``n`` except through the starting point.
     """
-    validate_spec(spec)
     if not 0.0 <= q <= 1.0:
         raise DomainError(f"q must lie in [0, 1], got {q!r}")
     if n < 1:
@@ -112,7 +110,6 @@ def expected_search_count(q: float, n: int, spec: HomogeneousSpec) -> float:
 
 def search_count_profile(q: float, n_max: int, spec: HomogeneousSpec) -> SearchCountProfile:
     """Table of expected opened-box counts for menu sizes 1..n_max."""
-    validate_spec(spec)
     if n_max < 2:
         raise DomainError("n_max must be at least 2")
     alphas = _alpha_star(np.arange(1, n_max + 1, dtype=float), spec.ubar, spec.c)
@@ -132,7 +129,6 @@ def eu_benchmark(p: float, spec: HomogeneousSpec, search_at_indifference: bool =
     belief, never search below it.  At exact indifference any behavior is
     optimal; the default resolves the tie toward searching.
     """
-    validate_spec(spec)
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p must lie in [0, 1], got {p!r}")
     phat = weitzman_threshold(spec)

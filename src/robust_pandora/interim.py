@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._optim import grid_then_golden_max
-from .core import ConvergenceError, DomainError, HomogeneousSpec, _probability_array, validate_spec
+from .core import ConvergenceError, DomainError, HomogeneousSpec, _probability_array
 from .indep import weitzman_threshold
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "InterimReport",
     "exhaustive_utility",
     "interim_regret",
-    "interim_regret_high_belief",
     "solve_interim",
     "interim_two_box_intrapersonal",
 ]
@@ -90,7 +89,6 @@ class InterimReport:
 
 def exhaustive_utility(p: float, n: int, spec: HomogeneousSpec) -> float:
     """Expected payoff of searching up to ``n`` boxes, stopping on success."""
-    validate_spec(spec)
     if n < 1:
         raise DomainError("n must be at least 1")
     ubar, c = spec.ubar, spec.c
@@ -116,7 +114,6 @@ def interim_regret(policy: InterimPolicy, p, spec: HomogeneousSpec):
     ``U(p, k)`` over her realized search depth.  ``p`` may be scalar or an
     array.
     """
-    validate_spec(spec)
     n = spec.n
     if policy.n != n:
         raise DomainError(f"policy has {policy.n} stages but spec has n={n}")
@@ -131,37 +128,24 @@ def interim_regret(policy: InterimPolicy, p, spec: HomogeneousSpec):
     return float(out) if out.ndim == 0 else out
 
 
-def interim_regret_high_belief(policy: InterimPolicy, p, spec: HomogeneousSpec):
-    """Algebraic twin of :func:`interim_regret`, valid for p at or above c/ubar.
+def _high_branch(m: int, alpha: float, spec: HomogeneousSpec):
+    """Worst high-belief regret of the plan (m, alpha), with its argmax.
 
-    Uses the telescoped form sum_j (1 - phi_{n-j}) (1-p)^j (p ubar - c);
-    the two routes agreeing is a correctness check on both.
+    Maximizes ((1 - alpha) (1-p)^m + sum_{i=m+1..n-1} (1-p)^i) (p ubar - c)
+    over p > p_hat; returns ``(p_star, value)``.
     """
-    validate_spec(spec)
-    n = spec.n
-    p = np.asarray(p, dtype=float)
-    base = p * spec.ubar - spec.c
-    out = np.zeros_like(base)
-    for j in range(n):
-        out = out + (1.0 - policy.phi[n - j - 1]) * (1 - p) ** j * base
-    return float(out) if out.ndim == 0 else out
-
-
-def _tail_objective(m: int, spec: HomogeneousSpec):
-    """max over p > p_hat of sum_{i=m+1..n-1} (1-p)^i (p ubar - c), plus argmax."""
     n, ubar, c = spec.n, spec.ubar, spec.c
-    lo = weitzman_threshold(spec) + _P_EDGE
-    if m + 1 > n - 1:
+    if alpha == 1.0 and m + 1 > n - 1:
         return 1.0, 0.0  # empty sum; report the harmless argmax p = 1
 
     def f(p):
         p = np.asarray(p, dtype=float)
-        total = np.zeros_like(p)
+        coeff = (1.0 - alpha) * (1 - p) ** m
         for i in range(m + 1, n):
-            total = total + (1 - p) ** i
-        return total * (p * ubar - c)
+            coeff = coeff + (1 - p) ** i
+        return coeff * (p * ubar - c)
 
-    return grid_then_golden_max(f, lo, 1.0, 2001)
+    return grid_then_golden_max(f, weitzman_threshold(spec) + _P_EDGE, 1.0, 2001)
 
 
 def solve_interim(spec: HomogeneousSpec, *, bisect_tol: float = 1e-12, max_iter: int = 200) -> InterimReport:
@@ -172,13 +156,12 @@ def solve_interim(spec: HomogeneousSpec, *, bisect_tol: float = 1e-12, max_iter:
     randomization weight until the no-reward branch (regret ``(m + alpha) c``)
     equals the maximized high-belief branch.
     """
-    validate_spec(spec)
-    n, ubar, c = spec.n, spec.ubar, spec.c
+    n, c = spec.n, spec.c
 
     m = 0
     degenerate = False
     for cand in range(n - 1, -1, -1):
-        _, tail = _tail_objective(cand, spec)
+        _, tail = _high_branch(cand, 1.0, spec)
         if abs(cand * c - tail) < 1e-12:
             degenerate = True
         if cand * c < tail:
@@ -186,24 +169,17 @@ def solve_interim(spec: HomogeneousSpec, *, bisect_tol: float = 1e-12, max_iter:
             break
 
     def residual_at(m: int, alpha: float):
-        def f(p):
-            p = np.asarray(p, dtype=float)
-            coeff = (1.0 - alpha) * (1 - p) ** m
-            for i in range(m + 1, n):
-                coeff = coeff + (1 - p) ** i
-            return coeff * (p * ubar - c)
-
-        p_star, worst = grid_then_golden_max(f, weitzman_threshold(spec) + _P_EDGE, 1.0, 2001)
+        p_star, worst = _high_branch(m, alpha, spec)
         return (m + alpha) * c - worst, p_star
 
     # the largest-m rule can land one segment short: if even alpha = 1 leaves
     # the high-belief branch dominant, the branches cross while the next box
     # is the randomized one
-    if m < n - 1 and residual_at(m, 1.0)[0] < 0.0:
-        m += 1
-
-    lo_res, _ = residual_at(m, 0.0)
     hi_res, _ = residual_at(m, 1.0)
+    if m < n - 1 and hi_res < 0.0:
+        m += 1
+        hi_res, _ = residual_at(m, 1.0)
+    lo_res, _ = residual_at(m, 0.0)
     if lo_res > 0.0 or hi_res < 0.0:
         raise ConvergenceError(
             f"no equalizing randomization in [0, 1] at m={m} (endpoints {lo_res:.3e}, {hi_res:.3e})"
@@ -241,7 +217,6 @@ def interim_two_box_intrapersonal(spec: HomogeneousSpec):
     first move is strictly less likely than the second, the overload pattern
     again.
     """
-    validate_spec(spec)
     ubar, c = spec.ubar, spec.c
     alpha_1 = (ubar - c) / ubar
     alpha_2 = (ubar - c) / (ubar + alpha_1 * c)

@@ -34,7 +34,6 @@ from .core import (
     NeedleP,
     SeedError,
     StationaryPolicy,
-    validate_spec,
 )
 from .het import HeterogeneousSpec, SelectionPolicy
 
@@ -189,7 +188,6 @@ def simulate(policy, truth, spec, episodes: int, seed: int) -> SimulationResult:
         raise SeedError("seed must fit in 64 bits")
 
     if isinstance(spec, HomogeneousSpec):
-        validate_spec(spec)
         if not isinstance(policy, StationaryPolicy) or policy.n != spec.n:
             raise DomainError("homogeneous simulation needs a StationaryPolicy of matching length")
         chunks = _homogeneous_chunks(policy, truth, spec, episodes, seed)

@@ -21,8 +21,7 @@ from math import sqrt
 
 import numpy as np
 
-from .core import DomainError, HomogeneousSpec, TwoPointMixture, validate_spec
-from .verify import SaddleReport
+from .core import DomainError, HomogeneousSpec, SaddleReport, TwoPointMixture
 
 __all__ = [
     "TwoBoxContinuousPolicy",
@@ -78,7 +77,6 @@ class TwoBoxNature:
 
 
 def _require_two_boxes(spec: HomogeneousSpec) -> HomogeneousSpec:
-    validate_spec(spec)
     if spec.n != 2:
         raise DomainError(f"continuous-support solver handles exactly 2 boxes, got n={spec.n}")
     return spec

@@ -15,8 +15,6 @@ A saddle point passes when both gaps stay within tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._optim import grid_then_golden_max
@@ -25,15 +23,14 @@ from .core import (
     DomainError,
     HomogeneousSpec,
     IidBinary,
-    NatureBelief,
     NeedleP,
+    SaddleReport,
     StationaryPolicy,
     StoppingMixture,
     _regret_indep_alphas,
     regret_count_profile,
     regret_indep,
     regret_needle,
-    validate_spec,
 )
 from .corr import single_treasure_equivalent, solve_corr_commitment, solve_corr_intrapersonal
 from .indep import solve_indep, weitzman_threshold
@@ -48,32 +45,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SaddleReport:
-    """Outcome of a numerical saddle-point check."""
-
-    nature_gap: float
-    dm_gap: float
-    worst_belief: NatureBelief
-    tolerance: float
-    passed: bool
-    notes: tuple = ()
-
-    def __str__(self):
-        status = "pass" if self.passed else "FAIL"
-        return (
-            f"SaddleReport({status}: nature_gap={self.nature_gap:.3e}, "
-            f"dm_gap={self.dm_gap:.3e}, tol={self.tolerance:.1e})"
-        )
-
-
 def nature_best_response_indep(policy: StationaryPolicy, spec: HomogeneousSpec, grid_points: int = 2001):
     """Worst i.i.d. success probability against a fixed policy.
 
     Grid scan over [0, 1] followed by golden-section refinement around the
     best bracket; returns ``(p_star, regret)``.
     """
-    validate_spec(spec)
     if grid_points < 2:
         raise DomainError("grid_points must be at least 2")
     return grid_then_golden_max(lambda p: regret_indep(policy, p, spec), 0.0, 1.0, grid_points)
@@ -154,7 +131,6 @@ def saddle_check_corr(
     commitment mode, and every one-step stage deviation in intrapersonal
     mode.
     """
-    validate_spec(spec)
     if spec.n > 8:
         raise DomainError("count-profile deviation scan is limited to n <= 8")
     if mode == "commitment":
@@ -219,7 +195,6 @@ def interim_grid_oracle(spec: HomogeneousSpec, m_range=None, alpha_grid=None, p_
     ``(m, alpha, worst_regret)``; the closed-form solver must land within
     one grid step of this.
     """
-    validate_spec(spec)
     n = spec.n
     if m_range is None:
         m_range = range(n)

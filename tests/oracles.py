@@ -142,3 +142,18 @@ def first_success_by_orders(Q):
                     q[pos] += prob / len(orders)
                     break
     return q
+
+
+def interim_regret_high_belief(policy, p, spec):
+    """Algebraic twin of ``interim_regret``, valid for p at or above c/ubar.
+
+    Uses the telescoped form sum_j (1 - phi_{n-j}) (1-p)^j (p ubar - c);
+    the two routes agreeing is a correctness check on both.
+    """
+    n = spec.n
+    p = np.asarray(p, dtype=float)
+    base = p * spec.ubar - spec.c
+    out = np.zeros_like(base)
+    for j in range(n):
+        out = out + (1.0 - policy.phi[n - j - 1]) * (1 - p) ** j * base
+    return float(out) if out.ndim == 0 else out

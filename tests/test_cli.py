@@ -259,13 +259,40 @@ class TestSimulate:
         assert code == 2
 
 
-class TestThreadsEnv:
-    def test_invalid_value_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("ROBUST_PANDORA_THREADS", "zero")
-        code = main(["solve", "--regime", "indep", "--ubar", "1", "--c", "0.3", "--n", "2"])
-        assert code == 2
+HOMOG = ("--ubar", "1", "--c", "0.25", "--n", "4")
+SPEC_KEYS = {"regime", "ubar", "c", "n"}
+SIM_KEYS = SPEC_KEYS | {"truth", "episodes", "seed"}
 
-    def test_valid_value_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("ROBUST_PANDORA_THREADS", "4")
-        code, doc = run_json(capsys, "solve", "--regime", "indep", "--ubar", "1", "--c", "0.3", "--n", "2")
+
+class TestParamsKeys:
+    """The key set of the echoed params, per command and regime (structure only)."""
+
+    @pytest.mark.parametrize(
+        "argv,keys",
+        [
+            (("solve", "--regime", "indep", *HOMOG), SPEC_KEYS),
+            (("solve", "--regime", "corr", *HOMOG), SPEC_KEYS),
+            (("solve", "--regime", "corr-intra", *HOMOG), SPEC_KEYS),
+            (("solve", "--regime", "interim", *HOMOG), SPEC_KEYS),
+            (("solve", "--regime", "two-box", "--ubar", "1", "--c", "0.2"), SPEC_KEYS),
+            (("solve", "--regime", "het", "--boxes", "1:0.2,1:0.4"), {"regime", "boxes"}),
+            (("verify", "--regime", "indep", *HOMOG), SPEC_KEYS | {"tol"}),
+            (("verify", "--regime", "corr", *HOMOG), SPEC_KEYS | {"tol"}),
+            (("verify", "--regime", "corr-intra", *HOMOG), SPEC_KEYS | {"tol"}),
+            (("verify", "--regime", "two-box", "--ubar", "1", "--c", "0.2", "--grid", "40"),
+             {"regime", "ubar", "c", "grid", "tol"}),
+            (("verify", "--regime", "indep", *HOMOG, "--policy-file", "POLICY"), SPEC_KEYS | {"tol"}),
+            (("simulate", "--regime", "indep", *HOMOG, "--truth", "iid:0.3", "--episodes", "100"), SIM_KEYS),
+            (("simulate", "--regime", "corr", *HOMOG, "--truth", "needle:0.5", "--episodes", "100"), SIM_KEYS),
+            (("simulate", "--regime", "corr-intra", *HOMOG, "--truth", "iid:0.3", "--episodes", "100"), SIM_KEYS),
+        ],
+    )
+    def test_params_keys(self, capsys, tmp_path, argv, keys):
+        if "POLICY" in argv:
+            sol = solve_indep(HomogeneousSpec(1.0, 0.25, 4))
+            path = tmp_path / "policy.json"
+            path.write_text(json.dumps({"alpha": [float(a) for a in sol.alphas], "regret": sol.regret}))
+            argv = tuple(str(path) if a == "POLICY" else a for a in argv)
+        code, doc = run_json(capsys, *argv)
         assert code == 0
+        assert set(doc["params"]) == keys

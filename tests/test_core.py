@@ -42,10 +42,18 @@ class TestValidateSpec:
         spec = HomogeneousSpec(ubar=2.0, c=0.5, n=1)
         assert validate_spec(spec) is spec
 
-    @pytest.mark.parametrize("ubar,c,n", [(0.0, 0.1, 1), (1.0, -0.1, 1), (1.0, 0.5, 0), (1.0, 0.5, 2.5)])
+    @pytest.mark.parametrize(
+        "ubar,c,n", [(0.0, 0.1, 1), (1.0, -0.1, 1), (1.0, 0.5, 0), (1.0, 0.5, 2.5), (1.0, 0.5, True)]
+    )
     def test_bad_parameters_rejected(self, ubar, c, n):
         with pytest.raises(DomainError):
             validate_spec(HomogeneousSpec(ubar=ubar, c=c, n=n))
+
+    def test_validated_on_construction(self):
+        spec = HomogeneousSpec(1.0, 0.3, 2.0)
+        assert spec.n == 2 and type(spec.n) is int
+        with pytest.raises(DomainError):
+            HomogeneousSpec(1.0, 1.5, 2)
 
 
 class TestRegretIndep:

@@ -6,10 +6,11 @@ from robust_pandora.interim import (
     InterimPolicy,
     exhaustive_utility,
     interim_regret,
-    interim_regret_high_belief,
     interim_two_box_intrapersonal,
     solve_interim,
 )
+
+from oracles import interim_regret_high_belief
 
 SPEC2 = HomogeneousSpec(1.0, 0.3, 2)
 
