@@ -3,7 +3,7 @@
 Every command emits a machine-readable record (JSON object or CSV table)
 on stdout or to ``--out``, built deterministically so repeated runs are
 byte-identical.  Exit codes: 0 success, 1 usage error, 2 invalid model
-parameters, 3 verification gap above tolerance.
+parameters or an unreadable policy file, 3 verification gap above tolerance.
 """
 
 from __future__ import annotations
@@ -182,11 +182,20 @@ def _cmd_solve(args):
     return _emit(args, "solve", params, results), 0
 
 
+def _require(args, *options):
+    if any(getattr(args, name) is None for name in options):
+        flags = " and ".join(f"--{name}" for name in options)
+        raise DomainError(f"{flags} {'is' if len(options) == 1 else 'are'} required for {args.sweep}-sweeps")
+
+
 def _cmd_sweep(args):
+    if args.steps < 0:
+        raise DomainError(f"--steps must be non-negative, got {args.steps}")
     grid = np.linspace(args.from_, args.to, args.steps)
     if args.sweep == "n":
         if args.regime not in ("indep", "corr"):
             raise DomainError("n-sweeps support the indep and corr regimes")
+        _require(args, "ubar", "c")
         columns = ["n", "alpha_n", "regret"] + (["worst_case_P", "optout"] if args.regime == "corr" else [])
         rows = []
         for n in range(int(args.from_), int(args.to) + 1):
@@ -202,6 +211,7 @@ def _cmd_sweep(args):
             raise DomainError("q-sweeps support the indep regime")
         if args.n is None:
             raise DomainError("--n (maximum menu size) is required for q-sweeps")
+        _require(args, "ubar", "c")
         spec = HomogeneousSpec(args.ubar, args.c, args.n)
         columns = ["q", "n", "expected_opened"]
         rows = [(q, n, expected_search_count(float(q), n, spec)) for q in grid for n in range(1, args.n + 1)]
@@ -210,11 +220,13 @@ def _cmd_sweep(args):
             raise DomainError("delta-sweeps support the het regime")
         if args.ctotal is None:
             raise DomainError("--ctotal is required for delta-sweeps")
+        _require(args, "ubar")
         columns = ["delta", "open_costlier", "open_cheaper", "total_search"]
         rows = [[r[key] for key in columns] for r in cost_asymmetry_sweep(args.ubar, args.ctotal, grid)]
     else:
         if args.regime != "two-box":
             raise DomainError("ubar-sweeps support the two-box regime")
+        _require(args, "c")
         columns = ["ubar", "regime", "alpha2_0", "v_low", "v_hat", "regret"]
         rows = []
         for ubar in grid:
@@ -225,10 +237,18 @@ def _cmd_sweep(args):
 
 def _check_policy_file(args, spec) -> SaddleReport:
     """Nature's side only: the worst case of the file's policy against its claimed regret."""
-    with open(args.policy_file, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    policy = StationaryPolicy(np.asarray(payload["alpha"], dtype=float))
-    claimed = float(payload["regret"])
+    try:
+        with open(args.policy_file, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        alpha = np.asarray(payload["alpha"], dtype=float)
+        claimed = float(payload["regret"])
+    except OSError as exc:
+        raise DomainError(f"cannot read policy file {args.policy_file}: {exc.strerror}") from None
+    except (ValueError, KeyError, TypeError):
+        raise DomainError(
+            f"policy file {args.policy_file} must hold a JSON object with numeric 'alpha' and 'regret'"
+        ) from None
+    policy = StationaryPolicy(alpha)
     if args.regime == "indep":
         p_star, worst = nature_best_response_indep(policy, spec, args.grid)
         belief = IidBinary(p_star)
@@ -252,6 +272,8 @@ def _cmd_verify(args):
     spec, params = _spec_from(args)
     params["tol"] = args.tol
     if args.regime == "two-box":
+        if args.policy_file is not None:
+            raise DomainError("--policy-file is not supported for the two-box regime")
         del params["n"]
         params["grid"] = args.grid
         policy, nature, _ = solve_two_box(spec)

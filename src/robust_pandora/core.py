@@ -21,6 +21,8 @@ concurrently.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -118,7 +120,9 @@ def validate_spec(spec: HomogeneousSpec) -> HomogeneousSpec:
         raise DomainError(f"high reward must be positive, got {spec.ubar!r}")
     if not np.isfinite(spec.c) or spec.c <= 0.0 or spec.c >= spec.ubar:
         raise DomainError(f"search cost must lie in (0, {spec.ubar}), got {spec.c!r}")
-    if isinstance(spec.n, (bool, np.bool_)) or int(spec.n) != spec.n or spec.n < 1:
+    n = spec.n
+    whole = isinstance(n, numbers.Real) and math.isfinite(n) and int(n) == n
+    if isinstance(n, (bool, np.bool_)) or not whole or n < 1:
         raise DomainError(f"box count must be a positive integer, got {spec.n!r}")
     return spec
 

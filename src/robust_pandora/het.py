@@ -18,13 +18,23 @@ with ``Delta_i = ubar_i - c_i`` and "above" meaning later in the ascending
 net-reward order.  The selection weights kill the adversary's first-order
 gain from moving any one belief, and the regret is multilinear in the
 beliefs, so every single-belief direction through that point is exactly
-flat.  All subset tables are built bottom-up and are read-only afterwards.
+flat.
+
+Array layout: a menu is a bitmask over input indices (bit ``i`` set while
+box ``i`` is unopened), and every per-menu table is an array indexed by it,
+``(2**n,)`` for scalars and ``(2**n, n)`` for per-box values, with 0.0 for
+boxes outside the menu.  The solver and the exact evaluator both run one
+popcount layer at a time, smallest menus first, each layer as elementwise
+array operations over all its menus; a menu reads only the layer below it.
+Within a menu, sums run left to right in ascending net-reward order, the
+order of the scalar recursion, so every entry is bit-identical to it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional
+from typing import FrozenSet, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -42,7 +52,10 @@ __all__ = [
     "cost_asymmetry_sweep",
 ]
 
-# Subset recursions are exponential; refuse instances past this size.
+# Subset tables are exponential; refuse instances past this size.  Wall
+# time and peak RSS (ru_maxrss, interpreter included) of solve_het plus one
+# regret_het, on a 2-vCPU x86-64 VM: n = 16 0.35 s / 66 MB, n = 18
+# 1.8 s / 176 MB, n = 20 11.6 s / 626 MB, under 1 GiB.
 MAX_BOXES = 20
 
 
@@ -114,39 +127,120 @@ class SubsetRule:
         return 1.0 - self.optout
 
 
-class SelectionPolicy:
-    """A subset rule for every menu the search process can reach."""
-
-    def __init__(self, n: int, rules: Dict[FrozenSet[int], SubsetRule]):
-        self.n = int(n)
-        self._rules = dict(rules)
-
-    def rule_for(self, subset: Iterable[int]) -> SubsetRule:
-        key = frozenset(int(i) for i in subset)
-        try:
-            return self._rules[key]
-        except KeyError:
-            raise DomainError(f"policy has no rule for subset {sorted(key)}") from None
-
-    def subsets(self):
-        return self._rules.keys()
-
-    @classmethod
-    def always_opt_out(cls, n: int) -> "SelectionPolicy":
-        rules = {}
-        for mask in range(1, 1 << n):
-            members = frozenset(i for i in range(n) if mask >> i & 1)
-            rules[members] = SubsetRule({i: 0.0 for i in members}, 1.0)
-        return cls(n, rules)
-
-
 def _check_size(n: int):
     if n > MAX_BOXES:
         raise SizeError(f"subset recursion limited to {MAX_BOXES} boxes, got {n}")
 
 
-def _sorted_members(spec: HeterogeneousSpec, subset: frozenset) -> list:
-    return [i for i in spec.order if i in subset]
+def _mask_of(subset: Iterable[int], n: int) -> int:
+    mask = 0
+    for i in subset:
+        i = int(i)
+        if not 0 <= i < n:
+            raise DomainError(f"box {i} is not among the {n} boxes")
+        mask |= 1 << i
+    return mask
+
+
+def _members(mask: int, n: int) -> list:
+    return [i for i in range(n) if mask >> i & 1]
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+class SelectionPolicy:
+    """A subset rule for every menu the search process can reach.
+
+    Stored as ``weights[mask, i]``, the chance of opening box ``i`` at menu
+    ``mask`` (0.0 outside the menu), and ``optout[mask]``, the quit weight,
+    NaN where the policy has no rule.  Both arrays are read-only.  The
+    constructor takes a rule per menu; entries for boxes outside their menu
+    are dropped.
+    """
+
+    def __init__(self, n: int, rules: Mapping[FrozenSet[int], SubsetRule]):
+        n = int(n)
+        _check_size(n)
+        weights = np.zeros((1 << n, n))
+        optout = np.full(1 << n, np.nan)
+        for subset, rule in rules.items():
+            mask = _mask_of(subset, n)
+            for i in _members(mask, n):
+                weights[mask, i] = rule.open_probs.get(i, 0.0)
+            optout[mask] = rule.optout
+        self._set(n, weights, optout)
+
+    def _set(self, n: int, weights: np.ndarray, optout: np.ndarray):
+        self.n = n
+        self.weights = _read_only(weights)
+        self.optout = _read_only(optout)
+
+    @classmethod
+    def _from_arrays(cls, n: int, weights: np.ndarray, optout: np.ndarray) -> "SelectionPolicy":
+        policy = cls.__new__(cls)
+        policy._set(n, weights, optout)
+        return policy
+
+    def rule_for(self, subset: Iterable[int]) -> SubsetRule:
+        mask = _mask_of(subset, self.n)
+        out = self.optout[mask]
+        members = _members(mask, self.n)
+        if np.isnan(out):
+            raise DomainError(f"policy has no rule for subset {members}")
+        return SubsetRule({i: float(self.weights[mask, i]) for i in members}, float(out))
+
+    def subsets(self) -> list:
+        """Every menu with a rule, as a frozenset of input indices."""
+        return [frozenset(_members(int(m), self.n)) for m in np.flatnonzero(~np.isnan(self.optout))]
+
+    @classmethod
+    def always_opt_out(cls, n: int) -> "SelectionPolicy":
+        _check_size(n)
+        optout = np.ones(1 << n)
+        optout[0] = np.nan
+        return cls._from_arrays(n, np.zeros((1 << n, n)), optout)
+
+
+@functools.lru_cache(maxsize=MAX_BOXES)
+def _layers(n: int) -> tuple:
+    """The menus of each popcount layer, in net-reward position space.
+
+    Entry ``s`` is ``(members, sub_rows)`` for the ``C`` menus of size
+    ``s``, with bit ``b`` of a menu meaning the box at position ``b`` of the
+    ascending net-reward order: ``members[C, s]`` lists the positions in
+    ascending order, and ``sub_rows[r, t]`` is the row in layer ``s - 1``
+    of menu ``r`` without its member ``t``.  One cached entry per ``n``,
+    read-only; int8 positions and int32 rows hold the n = 20 entry to about
+    50 MB.
+    """
+    masks = np.arange(1 << n)
+    size = np.zeros(1 << n, dtype=np.int64)
+    for b in range(n):
+        size += masks >> b & 1
+    rank = np.empty(1 << n, dtype=np.int64)
+    layers = []
+    for s in range(n + 1):
+        layer = masks[size == s]
+        rank[layer] = np.arange(layer.size)
+        members = np.empty((layer.size, s), dtype=np.int8)
+        filled = np.zeros(layer.size, dtype=np.intp)
+        for b in range(n):
+            has = np.flatnonzero(layer >> b & 1)
+            members[has, filled[has]] = b
+            filled[has] += 1
+        sub_rows = rank[layer[:, None] ^ (1 << members.astype(np.int64))].astype(np.int32)
+        layers.append((_read_only(members), _read_only(sub_rows)))
+    return tuple(layers)
+
+
+def _row_sums(x: np.ndarray):
+    """Row sums added strictly left to right, as Python's ``sum`` does."""
+    if x.shape[1] == 0:
+        return 0.0
+    return np.cumsum(x, axis=1)[:, -1]
 
 
 def psi(k: int, subset: Iterable[int], spec: HeterogeneousSpec) -> float:
@@ -160,7 +254,7 @@ def psi(k: int, subset: Iterable[int], spec: HeterogeneousSpec) -> float:
     if k not in members:
         raise DomainError(f"box {k} is not in the subset")
     p_hats = spec.p_hats
-    ordered = _sorted_members(spec, members)
+    ordered = [i for i in spec.order if i in members]
     pos = ordered.index(k)
     out = 1.0
     for j in ordered[pos + 1 :]:
@@ -168,29 +262,39 @@ def psi(k: int, subset: Iterable[int], spec: HeterogeneousSpec) -> float:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HetSolution:
-    """Selection weights, guaranteed regrets, and solver internals per menu."""
+    """Selection weights, guaranteed regrets and pseudo-indices per menu.
+
+    ``regrets[mask]`` and ``gammas[mask, i]`` follow the policy's bitmask
+    layout; the methods read them by menu.
+    """
 
     spec: HeterogeneousSpec
     policy: SelectionPolicy
-    regret_per_subset: dict  # frozenset -> float
-    gammas: dict  # frozenset -> {original index: gamma}
-    psi_cache: dict  # frozenset -> {original index: psi}
+    regrets: np.ndarray
+    gammas: np.ndarray
 
-    def _key(self, subset: Optional[Iterable[int]]) -> frozenset:
+    def _mask(self, subset: Optional[Iterable[int]]) -> int:
         if subset is None:
-            return self.spec.full_set()
-        return frozenset(int(i) for i in subset)
+            return (1 << self.spec.n) - 1
+        return _mask_of(subset, self.spec.n)
 
     def regret(self, subset: Optional[Iterable[int]] = None) -> float:
-        return self.regret_per_subset[self._key(subset)]
+        return float(self.regrets[self._mask(subset)])
 
     def rule_for(self, subset: Optional[Iterable[int]] = None) -> SubsetRule:
-        return self.policy.rule_for(self._key(subset))
+        return self.policy.rule_for(range(self.spec.n) if subset is None else subset)
 
     def gamma(self, i: int, subset: Optional[Iterable[int]] = None) -> float:
-        return self.gammas[self._key(subset)][int(i)]
+        i, mask = int(i), self._mask(subset)
+        if not (0 <= i < self.spec.n and mask >> i & 1):
+            raise DomainError(f"box {i} is not in the subset")
+        return float(self.gammas[mask, i])
+
+
+def _by_position(spec: HeterogeneousSpec, values) -> np.ndarray:
+    return np.asarray(values, dtype=float)[list(spec.order)]
 
 
 def solve_het(spec: HeterogeneousSpec) -> HetSolution:
@@ -209,81 +313,59 @@ def solve_het(spec: HeterogeneousSpec) -> HetSolution:
     """
     _check_size(spec.n)
     n = spec.n
-    deltas = spec.deltas
-    p_hats = spec.p_hats
-    costs = tuple(c for _, c in spec.boxes)
-    order = spec.order
+    perm = np.asarray(spec.order)
+    p_all = _by_position(spec, spec.p_hats)
+    d_all = _by_position(spec, spec.deltas)
+    c_all = _by_position(spec, [c for _, c in spec.boxes])
 
-    regret_star: Dict[int, float] = {0: 0.0}
-    psi_by_mask: Dict[int, Dict[int, float]] = {0: {}}
-    gammas_by_mask: Dict[int, Dict[int, float]] = {}
-    rules: Dict[FrozenSet[int], SubsetRule] = {}
+    weights = np.zeros((1 << n, n))
+    gammas = np.zeros((1 << n, n))
+    optout = np.full(1 << n, np.nan)
+    regrets = np.zeros(1 << n)
+    psi_below = np.ones((1, 0))
+    r_below = np.zeros(1)
 
-    # masks index positions in the sorted order; bit b set means box order[b]
-    # is still unopened
-    masks_by_size: Dict[int, list] = {s: [] for s in range(n + 1)}
-    for mask in range(1 << n):
-        masks_by_size[bin(mask).count("1")].append(mask)
+    # columns are members in ascending net-reward order; ``psi[:, t]`` is
+    # the chance that every member above ``t`` is empty at p_hat, and
+    # primed quantities belong to the menu without member ``t``
+    for members, sub_rows in _layers(n)[1:]:
+        rows, s = members.shape
+        p = p_all[members]
+        d = d_all[members]
+        psi = np.empty((rows, s))
+        psi[:, s - 1] = 1.0
+        for t in range(s - 2, -1, -1):
+            psi[:, t] = psi[:, t + 1] * (1.0 - p[:, t + 1])
+        r = _row_sums(p * d * psi)
+        p_psi = p * psi
 
-    for size in range(1, n + 1):
-        for mask in masks_by_size[size]:
-            members = [b for b in range(n) if mask >> b & 1]  # ascending positions
-            boxes_sorted = [order[b] for b in members]
+        gam = np.empty((rows, s))
+        for t in range(s):
+            sub = sub_rows[:, t]
+            above = _row_sums(p_psi[:, t + 1 :] * (d[:, t + 1 :] - d[:, t : t + 1]))
+            c_t = (c_all[members[:, t]] + r_below[sub]) - above
+            p_psi_sub = p[:, :t] * psi_below[sub, :t]
+            numer = psi[:, t] * d[:, t] - _row_sums(p_psi_sub * d[:, :t])
+            for l in range(t):
+                between = _row_sums(p_psi_sub[:, l + 1 :] * (d[:, l + 1 : t] - d[:, l : l + 1]))
+                b_lt = p[:, l] * (psi[:, t] * (d[:, t] - d[:, l]) - between)
+                numer = numer + gam[:, l] * b_lt
+            gam[:, t] = numer / c_t
 
-            psis = {}
-            tail = 1.0
-            for b in reversed(members):
-                psis[order[b]] = tail
-                tail *= 1.0 - p_hats[order[b]]
-            psi_by_mask[mask] = psis
+        total = 1.0 + _row_sums(gam)
+        boxes = perm[members]
+        menu = (1 << boxes).sum(axis=1)
+        gammas[menu[:, None], boxes] = gam
+        weights[menu[:, None], boxes] = gam / total[:, None]
+        optout[menu] = 1.0 / total
+        regrets[menu] = r
+        psi_below, r_below = psi, r
 
-            regret_star[mask] = sum(
-                p_hats[i] * deltas[i] * psis[i] for i in boxes_sorted
-            )
-
-            gammas: Dict[int, float] = {}
-            for t, b in enumerate(members):
-                i = order[b]
-                sub_mask = mask & ~(1 << b)
-                psis_sub = psi_by_mask[sub_mask]
-                above = [order[bb] for bb in members[t + 1 :]]
-                c_i = (
-                    costs[i]
-                    + regret_star[sub_mask]
-                    - sum(p_hats[k] * psis[k] * (deltas[k] - deltas[i]) for k in above)
-                )
-                # l = 0 is the outside option with p_hat 1 and net reward 0
-                below = [order[bb] for bb in members[:t]]
-                b0 = psis[i] * deltas[i] - sum(
-                    p_hats[k] * psis_sub[k] * deltas[k] for k in below
-                )
-                numer = b0
-                for s, l in enumerate(below):
-                    between = below[s + 1 :]
-                    b_li = p_hats[l] * (
-                        psis[i] * (deltas[i] - deltas[l])
-                        - sum(p_hats[k] * psis_sub[k] * (deltas[k] - deltas[l]) for k in between)
-                    )
-                    numer += gammas[l] * b_li
-                gammas[i] = numer / c_i
-
-            total = 1.0 + sum(gammas.values())
-            key = frozenset(boxes_sorted)
-            rules[key] = SubsetRule(
-                {i: gammas[i] / total for i in boxes_sorted}, 1.0 / total
-            )
-            gammas_by_mask[mask] = gammas
-
-    to_key = {
-        mask: frozenset(order[b] for b in range(n) if mask >> b & 1)
-        for mask in range(1 << n)
-    }
     return HetSolution(
         spec=spec,
-        policy=SelectionPolicy(n, rules),
-        regret_per_subset={to_key[m]: r for m, r in regret_star.items() if m},
-        gammas={to_key[m]: g for m, g in gammas_by_mask.items()},
-        psi_cache={to_key[m]: p for m, p in psi_by_mask.items() if m},
+        policy=SelectionPolicy._from_arrays(n, weights, optout),
+        regrets=_read_only(regrets),
+        gammas=_read_only(gammas),
     )
 
 
@@ -293,46 +375,52 @@ def regret_het(policy: SelectionPolicy, p, spec: HeterogeneousSpec) -> float:
     ``p`` gives each box's success probability (a ``HeteroPVector`` or any
     sequence).  Opening a box hurts in two ways: stopping on a success
     forgoes any higher net reward that was also available, and a failure
-    sinks the cost and passes to the shrunken menu.
+    sinks the cost and passes to the shrunken menu.  Menus the policy never
+    reaches, through nonzero opening weights, need no rule.
     """
     _check_size(spec.n)
     probs = tuple(as_probability(x, "p_i") for x in (p.p if hasattr(p, "p") else p))
     if len(probs) != spec.n:
         raise DomainError(f"need one probability per box, got {len(probs)} for n={spec.n}")
-    deltas = spec.deltas
-    costs = tuple(c for _, c in spec.boxes)
-    memo: Dict[frozenset, float] = {frozenset(): 0.0}
+    if policy.n != spec.n:
+        raise DomainError(f"policy covers {policy.n} boxes, the spec has {spec.n}")
+    perm = np.asarray(spec.order)
+    p_all = _by_position(spec, probs)
+    d_all = _by_position(spec, spec.deltas)
+    c_all = _by_position(spec, [c for _, c in spec.boxes])
 
-    def value(subset: frozenset) -> float:
-        got = memo.get(subset)
-        if got is not None:
-            return got
-        rule = policy.rule_for(subset)
-        ordered = _sorted_members(spec, subset)
-        m = len(ordered)
-        # chance that box k is the best success among those ranked above it
-        tail = np.empty(m + 1)
-        tail[m] = 1.0
-        for t in range(m - 1, -1, -1):
-            tail[t] = tail[t + 1] * (1.0 - probs[ordered[t]])
-        best = [probs[ordered[t]] * tail[t + 1] for t in range(m)]
-        suffix_bd = np.zeros(m + 1)
-        suffix_b = np.zeros(m + 1)
-        for t in range(m - 1, -1, -1):
-            suffix_bd[t] = suffix_bd[t + 1] + best[t] * deltas[ordered[t]]
-            suffix_b[t] = suffix_b[t + 1] + best[t]
-        total = rule.optout * suffix_bd[0]
-        for t, i in enumerate(ordered):
-            w = rule.open_probs.get(i, 0.0)
-            if w == 0.0:
-                continue
-            missed = probs[i] * (suffix_bd[t + 1] - deltas[i] * suffix_b[t + 1])
-            cont = (1.0 - probs[i]) * (costs[i] + value(subset - {i}))
-            total += w * (missed + cont)
-        memo[subset] = total
-        return total
+    # a menu without a rule is worth NaN, which reaches the full menu
+    # exactly when some path of nonzero weights leads to it
+    value_below = np.zeros(1)
+    for members, sub_rows in _layers(spec.n)[1:]:
+        rows, s = members.shape
+        pr = p_all[members]
+        d = d_all[members]
+        boxes = perm[members]
+        menu = (1 << boxes).sum(axis=1)
+        w = policy.weights[menu[:, None], boxes]
+        # best[:, t]: member t succeeds and every member above it fails
+        tail = np.empty((rows, s + 1))
+        tail[:, s] = 1.0
+        for t in range(s - 1, -1, -1):
+            tail[:, t] = tail[:, t + 1] * (1.0 - pr[:, t])
+        best = pr * tail[:, 1:]
+        suffix_bd = np.zeros((rows, s + 1))
+        suffix_b = np.zeros((rows, s + 1))
+        for t in range(s - 1, -1, -1):
+            suffix_bd[:, t] = suffix_bd[:, t + 1] + best[:, t] * d[:, t]
+            suffix_b[:, t] = suffix_b[:, t + 1] + best[:, t]
+        total = policy.optout[menu] * suffix_bd[:, 0]
+        for t in range(s):
+            missed = pr[:, t] * (suffix_bd[:, t + 1] - d[:, t] * suffix_b[:, t + 1])
+            cont = (1.0 - pr[:, t]) * (c_all[members[:, t]] + value_below[sub_rows[:, t]])
+            total = np.where(w[:, t] != 0.0, total + w[:, t] * (missed + cont), total)
+        value_below = total
 
-    return value(spec.full_set())
+    value = float(value_below[0])
+    if np.isnan(value):
+        raise DomainError("policy has no rule for a menu it can reach")
+    return value
 
 
 def cost_asymmetry_sweep(ubar: float, c_total: float, delta_grid) -> list:

@@ -123,51 +123,48 @@ def _homogeneous_chunks(policy: StationaryPolicy, truth, spec: HomogeneousSpec, 
 
 
 def _heterogeneous_chunks(policy: SelectionPolicy, truth: HeteroPVector, spec: HeterogeneousSpec, episodes: int, seed: int):
+    """Yield (opened, regret) arrays per chunk for a heterogeneous simulation."""
     n = spec.n
     if len(truth.p) != n:
         raise DomainError("truth needs one probability per box")
+    if policy.n != n:
+        raise DomainError(f"policy covers {policy.n} boxes, the spec has {n}")
     draws = _draws_per_episode(n)
     probs = np.asarray(truth.p)
-    deltas = spec.deltas
-    full = spec.full_set()
+    deltas = np.asarray(spec.deltas)
+    ubars = np.array([u for u, _ in spec.boxes])
+    costs = np.array([c for _, c in spec.boxes])
+    # box i opens when the draw falls below cum[mask, i] but not below the
+    # previous member's entry; non-members weigh 0.0, so they never match
+    cum = np.cumsum(policy.weights, axis=1)
 
     start = 0
     while start < episodes:
         rows = min(_CHUNK, episodes - start)
         U = _uniform_block(seed, start, rows, draws)
+        hits = U[:, 1 : n + 1] < probs
+        oracle = np.max(np.where(hits, deltas, 0.0), axis=1)
         opened = np.zeros(rows)
-        regret = np.zeros(rows)
-        for e in range(rows):
-            hits = U[e, 1 : n + 1] < probs
-            oracle = max([0.0] + [deltas[i] for i in range(n) if hits[i]])
-            subset = full
-            cost = 0.0
-            payoff = 0.0
-            steps = 0
-            for t in range(n):
-                rule = policy.rule_for(subset)
-                members = sorted(subset)
-                draw = U[e, n + 1 + t]
-                acc = 0.0
-                chosen = None  # outside option unless a box interval matches
-                for i in members:
-                    acc += rule.open_probs[i]
-                    if draw < acc:
-                        chosen = i
-                        break
-                if chosen is None:
-                    payoff = -cost
-                    break
-                cost += spec.boxes[chosen][1]
-                steps += 1
-                if hits[chosen]:
-                    payoff = spec.boxes[chosen][0] - cost
-                    break
-                subset = subset - {chosen}
-                payoff = -cost
-            opened[e] = steps
-            regret[e] = oracle - payoff
-        yield opened, regret
+        cost = np.zeros(rows)
+        payoff = np.zeros(rows)
+        menu = np.full(rows, (1 << n) - 1)
+        live = np.arange(rows)  # episodes still searching
+        for t in range(n):
+            if np.isnan(policy.optout[menu[live]]).any():
+                raise DomainError("policy has no rule for a menu it can reach")
+            below = U[live, n + 1 + t, None] < cum[menu[live]]
+            box = below.argmax(axis=1)
+            opens = below[np.arange(live.size), box]
+            payoff[live[~opens]] = -cost[live[~opens]]
+            live, box = live[opens], box[opens]
+            cost[live] += costs[box]
+            opened[live] += 1.0
+            hit = hits[live, box]
+            payoff[live[hit]] = ubars[box[hit]] - cost[live[hit]]
+            live, box = live[~hit], box[~hit]
+            payoff[live] = -cost[live]
+            menu[live] &= ~(1 << box)
+        yield opened, oracle - payoff
         start += rows
 
 

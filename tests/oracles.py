@@ -157,3 +157,161 @@ def interim_regret_high_belief(policy, p, spec):
     for j in range(n):
         out = out + (1.0 - policy.phi[n - j - 1]) * (1 - p) ** j * base
     return float(out) if out.ndim == 0 else out
+
+
+def het_lattice_dicts(spec):
+    """Per-menu weights, opt-outs, regrets and pseudo-indices, one dict each.
+
+    The frozenset-keyed loop the array solver replaced, kept as its
+    reference: each menu's sums run in the order the array solver must
+    reproduce exactly.  Returns ``(open_probs, optout, regret, gammas)``,
+    each keyed by the menu as a frozenset of input indices.
+    """
+    n = spec.n
+    deltas = spec.deltas
+    p_hats = spec.p_hats
+    costs = tuple(c for _, c in spec.boxes)
+    order = spec.order
+
+    regret_star = {0: 0.0}
+    psi_by_mask = {0: {}}
+    out_probs, out_optout, out_regret, out_gammas = {}, {}, {}, {}
+
+    # masks index positions in the sorted order; bit b set means box order[b]
+    # is still unopened
+    masks_by_size = {s: [] for s in range(n + 1)}
+    for mask in range(1 << n):
+        masks_by_size[bin(mask).count("1")].append(mask)
+
+    for size in range(1, n + 1):
+        for mask in masks_by_size[size]:
+            members = [b for b in range(n) if mask >> b & 1]
+            boxes_sorted = [order[b] for b in members]
+
+            psis = {}
+            tail = 1.0
+            for b in reversed(members):
+                psis[order[b]] = tail
+                tail *= 1.0 - p_hats[order[b]]
+            psi_by_mask[mask] = psis
+
+            regret_star[mask] = sum(p_hats[i] * deltas[i] * psis[i] for i in boxes_sorted)
+
+            gammas = {}
+            for t, b in enumerate(members):
+                i = order[b]
+                sub_mask = mask & ~(1 << b)
+                psis_sub = psi_by_mask[sub_mask]
+                above = [order[bb] for bb in members[t + 1 :]]
+                c_i = (
+                    costs[i]
+                    + regret_star[sub_mask]
+                    - sum(p_hats[k] * psis[k] * (deltas[k] - deltas[i]) for k in above)
+                )
+                below = [order[bb] for bb in members[:t]]
+                b0 = psis[i] * deltas[i] - sum(p_hats[k] * psis_sub[k] * deltas[k] for k in below)
+                numer = b0
+                for s, l in enumerate(below):
+                    between = below[s + 1 :]
+                    b_li = p_hats[l] * (
+                        psis[i] * (deltas[i] - deltas[l])
+                        - sum(p_hats[k] * psis_sub[k] * (deltas[k] - deltas[l]) for k in between)
+                    )
+                    numer += gammas[l] * b_li
+                gammas[i] = numer / c_i
+
+            total = 1.0 + sum(gammas.values())
+            key = frozenset(boxes_sorted)
+            out_probs[key] = {i: gammas[i] / total for i in boxes_sorted}
+            out_optout[key] = 1.0 / total
+            out_regret[key] = regret_star[mask]
+            out_gammas[key] = gammas
+    return out_probs, out_optout, out_regret, out_gammas
+
+
+def het_regret_memo(rule_for, probs, spec):
+    """Expected regret by the memoized recursion over reached menus.
+
+    The recursion the array evaluator replaced: only menus reached through
+    nonzero opening weights are visited, so ``rule_for`` is asked for
+    exactly those.
+    """
+    order = spec.order
+    deltas = spec.deltas
+    costs = tuple(c for _, c in spec.boxes)
+    memo = {frozenset(): 0.0}
+
+    def value(subset):
+        got = memo.get(subset)
+        if got is not None:
+            return got
+        rule = rule_for(subset)
+        ordered = [i for i in order if i in subset]
+        m = len(ordered)
+        tail = np.empty(m + 1)
+        tail[m] = 1.0
+        for t in range(m - 1, -1, -1):
+            tail[t] = tail[t + 1] * (1.0 - probs[ordered[t]])
+        best = [probs[ordered[t]] * tail[t + 1] for t in range(m)]
+        suffix_bd = np.zeros(m + 1)
+        suffix_b = np.zeros(m + 1)
+        for t in range(m - 1, -1, -1):
+            suffix_bd[t] = suffix_bd[t + 1] + best[t] * deltas[ordered[t]]
+            suffix_b[t] = suffix_b[t + 1] + best[t]
+        total = rule.optout * suffix_bd[0]
+        for t, i in enumerate(ordered):
+            w = rule.open_probs.get(i, 0.0)
+            if w == 0.0:
+                continue
+            missed = probs[i] * (suffix_bd[t + 1] - deltas[i] * suffix_b[t + 1])
+            cont = (1.0 - probs[i]) * (costs[i] + value(subset - {i}))
+            total += w * (missed + cont)
+        memo[subset] = total
+        return total
+
+    return value(spec.full_set())
+
+
+def het_episode_loop(rule_for, probs, spec, U):
+    """Opened boxes and regret per episode, one row of draws ``U`` each.
+
+    The per-episode loop the vectorized simulator replaced.  Row layout:
+    column 0 unused, columns ``1..n`` the box states, column ``n + 1 + t``
+    the decision draw of stage ``t``, which opens the first member (in
+    ascending input order) whose cumulative weight exceeds it.
+    """
+    n = spec.n
+    deltas = spec.deltas
+    rows = U.shape[0]
+    opened = np.zeros(rows)
+    regret = np.zeros(rows)
+    for e in range(rows):
+        hits = U[e, 1 : n + 1] < probs
+        oracle = max([0.0] + [deltas[i] for i in range(n) if hits[i]])
+        subset = spec.full_set()
+        cost = 0.0
+        payoff = 0.0
+        steps = 0
+        for t in range(n):
+            rule = rule_for(subset)
+            draw = U[e, n + 1 + t]
+            acc = 0.0
+            chosen = None
+            for i in sorted(subset):
+                acc += rule.open_probs[i]
+                if draw < acc:
+                    chosen = i
+                    break
+            if chosen is None:
+                payoff = -cost
+                break
+            cost += spec.boxes[chosen][1]
+            steps += 1
+            if hits[chosen]:
+                payoff = spec.boxes[chosen][0] - cost
+                break
+            subset = subset - {chosen}
+            payoff = -cost
+        opened[e] = steps
+        regret[e] = oracle - payoff
+    return opened, regret

@@ -296,3 +296,46 @@ class TestParamsKeys:
         code, doc = run_json(capsys, *argv)
         assert code == 0
         assert set(doc["params"]) == keys
+
+
+SWEEP = ("sweep", "--from", "1", "--to", "3")
+VERIFY_INDEP = ("verify", "--regime", "indep", *HOMOG, "--policy-file")
+
+
+class TestBadInputs:
+    """Invalid inputs exit 2 with one ``robust-pandora:`` line and no output."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (*SWEEP, "--regime", "indep", "--sweep", "n"),
+            (*SWEEP, "--regime", "corr", "--sweep", "n", "--ubar", "1"),
+            (*SWEEP, "--regime", "indep", "--sweep", "q", "--n", "3", "--c", "0.3"),
+            (*SWEEP, "--regime", "het", "--sweep", "delta", "--ctotal", "0.6"),
+            (*SWEEP, "--regime", "two-box", "--sweep", "ubar", "--ubar", "1"),
+            (*SWEEP, "--regime", "indep", "--sweep", "n", "--ubar", "1", "--c", "0.3", "--steps", "-1"),
+            (*VERIFY_INDEP, "MISSING"),
+            (*VERIFY_INDEP, "MALFORMED"),
+            (*VERIFY_INDEP, "KEYLESS"),
+            (*VERIFY_INDEP, "NOT_AN_OBJECT"),
+            ("verify", "--regime", "two-box", "--ubar", "1", "--c", "0.2", "--policy-file", "MISSING"),
+        ],
+    )
+    def test_exit_2_with_one_line(self, capsys, tmp_path, argv):
+        files = {
+            "MISSING": None,
+            "MALFORMED": '{"alpha": [0.5,',
+            "KEYLESS": '{"alpha": [0.5, 0.5, 0.5, 0.5]}',
+            "NOT_AN_OBJECT": "[0.5, 0.5]",
+        }
+        paths = {}
+        for name, text in files.items():
+            paths[name] = tmp_path / f"{name.lower()}.json"
+            if text is not None:
+                paths[name].write_text(text)
+        argv = [str(paths[a]) if a in paths else a for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("robust-pandora: ")
+        assert captured.err.count("\n") == 1

@@ -43,7 +43,16 @@ class TestValidateSpec:
         assert validate_spec(spec) is spec
 
     @pytest.mark.parametrize(
-        "ubar,c,n", [(0.0, 0.1, 1), (1.0, -0.1, 1), (1.0, 0.5, 0), (1.0, 0.5, 2.5), (1.0, 0.5, True)]
+        "ubar,c,n",
+        [
+            (0.0, 0.1, 1),
+            (1.0, -0.1, 1),
+            (1.0, 0.5, 0),
+            (1.0, 0.5, 2.5),
+            (1.0, 0.5, True),
+            (1.0, 0.3, float("nan")),
+            (1.0, 0.3, float("inf")),
+        ],
     )
     def test_bad_parameters_rejected(self, ubar, c, n):
         with pytest.raises(DomainError):

@@ -12,8 +12,9 @@ from robust_pandora.het import (
     solve_het,
 )
 from robust_pandora.indep import solve_indep
+from robust_pandora.simulate import simulate
 
-from oracles import het_enum_regret
+from oracles import het_enum_regret, het_lattice_dicts, het_regret_memo
 
 
 def random_het_spec(rng, n):
@@ -22,6 +23,12 @@ def random_het_spec(rng, n):
         u = rng.uniform(0.5, 2.0)
         boxes.append((u, u * rng.uniform(0.1, 0.9)))
     return HeterogeneousSpec(tuple(boxes))
+
+
+def tied_het_spec(rng, n):
+    # two rewards and two cost ratios, so net rewards tie within the menu
+    u = rng.choice([1.0, 1.5], n)
+    return HeterogeneousSpec(tuple(zip(u.tolist(), (u * rng.choice([0.2, 0.4], n)).tolist())))
 
 
 class TestSpec:
@@ -106,8 +113,9 @@ class TestSolveHet:
         for _ in range(20):
             spec = random_het_spec(rng, 4)
             sol = solve_het(spec)
-            for gam in sol.gammas.values():
-                assert all(g > 0.0 for g in gam.values())
+            for subset in sol.policy.subsets():
+                gam = [sol.gamma(i, subset) for i in subset]
+                assert all(g > 0.0 for g in gam)
 
     def test_equal_deltas_makes_cross_terms_vanish(self):
         # same net reward, different costs: the solution must not depend on
@@ -174,10 +182,92 @@ class TestSolveHet:
                     moved[i] = value
                     assert regret_het(sol.policy, moved, spec) == pytest.approx(base, abs=1e-10)
 
+    def test_regret_at_p_hat_n16(self):
+        spec = random_het_spec(np.random.default_rng(16), 16)
+        sol = solve_het(spec)
+        assert regret_het(sol.policy, spec.p_hats, spec) == pytest.approx(sol.regret(), abs=1e-9)
+
     def test_size_cap(self):
         spec = HeterogeneousSpec(tuple((1.0, 0.3) for _ in range(21)))
         with pytest.raises(SizeError):
             solve_het(spec)
+
+
+class TestBitIdentity:
+    """The array lattice against the scalar recursions it replaced, exactly."""
+
+    SPECS = [(seed, n) for n in range(1, 9) for seed in (0, 1)]
+
+    @pytest.mark.parametrize("seed,n", SPECS)
+    def test_every_menu_matches_dict_lattice(self, seed, n):
+        rng = np.random.default_rng([107, seed, n])
+        spec = (tied_het_spec if seed else random_het_spec)(rng, n)
+        sol = solve_het(spec)
+        probs, optout, regret, gammas = het_lattice_dicts(spec)
+        assert sorted(map(sorted, sol.policy.subsets())) == sorted(map(sorted, probs))
+        for menu in probs:
+            rule = sol.rule_for(menu)
+            assert rule.open_probs == probs[menu]
+            assert rule.optout == optout[menu]
+            assert sol.regret(menu) == regret[menu]
+            assert {i: sol.gamma(i, menu) for i in menu} == gammas[menu]
+
+    @pytest.mark.parametrize("seed,n", SPECS)
+    def test_regret_matches_memo_recursion(self, seed, n):
+        rng = np.random.default_rng([109, seed, n])
+        spec = (tied_het_spec if seed else random_het_spec)(rng, n)
+        sol = solve_het(spec)
+        for _ in range(3):
+            p = tuple(rng.random(n).tolist())
+            assert regret_het(sol.policy, p, spec) == het_regret_memo(sol.policy.rule_for, p, spec)
+
+
+class TestPolicyEdgeCases:
+    SPEC = HeterogeneousSpec(((1.0, 0.2), (1.5, 0.3), (2.0, 1.0)))
+
+    def full_rules(self):
+        sol = solve_het(self.SPEC)
+        return {menu: sol.policy.rule_for(menu) for menu in sol.policy.subsets()}
+
+    def test_missing_reachable_rule_raises(self):
+        rules = self.full_rules()
+        del rules[frozenset({0, 2})]  # reached by opening box 1 first
+        policy = SelectionPolicy(3, rules)
+        with pytest.raises(DomainError):
+            regret_het(policy, (0.3, 0.4, 0.5), self.SPEC)
+        with pytest.raises(DomainError):
+            simulate(policy, HeteroPVector((0.3, 0.4, 0.5)), self.SPEC, 1000, 0)
+
+    def test_missing_unreachable_rule_is_fine(self):
+        # box 1 is never opened, so no menu without it is reached
+        rules = {}
+        for menu, rule in self.full_rules().items():
+            if 1 in menu:
+                probs = {**rule.open_probs, 1: 0.0}
+                rules[menu] = SubsetRule(probs, rule.optout + rule.open_probs[1])
+        policy = SelectionPolicy(3, rules)
+        p = (0.3, 0.4, 0.5)
+        assert regret_het(policy, p, self.SPEC) == pytest.approx(
+            het_enum_regret(policy.rule_for, p, self.SPEC.boxes), abs=1e-12
+        )
+        simulate(policy, HeteroPVector(p), self.SPEC, 1000, 0)
+
+    def test_always_opt_out_reaches_no_smaller_menu(self):
+        policy = SelectionPolicy(3, {frozenset({0, 1, 2}): SubsetRule({0: 0.0, 1: 0.0, 2: 0.0}, 1.0)})
+        p = (0.3, 0.4, 0.5)
+        assert regret_het(policy, p, self.SPEC) == regret_het(SelectionPolicy.always_opt_out(3), p, self.SPEC)
+        res = simulate(policy, HeteroPVector(p), self.SPEC, 1000, 0)
+        assert res.mean_opened == 0.0
+
+    def test_rule_lookup_errors(self):
+        policy = SelectionPolicy.always_opt_out(3)
+        assert len(policy.subsets()) == 7
+        with pytest.raises(DomainError):
+            policy.rule_for(frozenset())
+        with pytest.raises(DomainError):
+            policy.rule_for({3})
+        with pytest.raises(DomainError):
+            solve_het(self.SPEC).gamma(1, {0, 2})
 
 
 class TestRegretHet:

@@ -18,7 +18,15 @@ from robust_pandora.core import (
 from robust_pandora.corr import solve_corr_commitment, solve_corr_intrapersonal
 from robust_pandora.het import HeterogeneousSpec, regret_het, solve_het
 from robust_pandora.indep import expected_search_count, solve_indep
-from robust_pandora.simulate import _homogeneous_chunks, simulate
+from robust_pandora.simulate import (
+    _draws_per_episode,
+    _heterogeneous_chunks,
+    _homogeneous_chunks,
+    _uniform_block,
+    simulate,
+)
+
+from oracles import het_episode_loop
 
 
 class TestTwoOutcomeProcess:
@@ -83,6 +91,21 @@ class TestAgainstClosedForms:
         want = regret_het(sol.policy, truth, spec)
         assert abs(res.mean_regret - want) <= 4 * res.se_regret
         assert 0.0 <= res.mean_opened <= 3.0
+
+
+    def test_heterogeneous_chunks_match_episode_loop(self):
+        # 70 000 episodes cross the 65 536-row chunk boundary
+        spec = HeterogeneousSpec(((1.0, 0.2), (1.5, 0.6), (0.9, 0.3), (1.2, 0.3)))
+        sol = solve_het(spec)
+        truth = HeteroPVector((0.3, 0.5, 0.2, 0.4))
+        chunks = list(_heterogeneous_chunks(sol.policy, truth, spec, 70_000, 41))
+        assert len(chunks) == 2
+        opened, regret = (np.concatenate(parts) for parts in zip(*chunks))
+        rules = {menu: sol.policy.rule_for(menu) for menu in sol.policy.subsets()}
+        U = _uniform_block(41, 0, 70_000, _draws_per_episode(spec.n))
+        want_opened, want_regret = het_episode_loop(rules.__getitem__, np.asarray(truth.p), spec, U)
+        assert np.array_equal(opened, want_opened)
+        assert np.array_equal(regret, want_regret)
 
 
 class TestDeterminism:
