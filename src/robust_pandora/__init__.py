@@ -73,6 +73,7 @@ from .two_box import (
 from .verify import (
     interim_grid_oracle,
     nature_best_response_indep,
+    nature_best_response_needle,
     saddle_check_corr,
     saddle_check_indep,
 )

@@ -25,7 +25,6 @@ from .core import (
     SeedError,
     SizeError,
     StationaryPolicy,
-    regret_needle,
 )
 from .corr import solve_corr_commitment, solve_corr_intrapersonal
 from .het import HeterogeneousSpec, cost_asymmetry_sweep, solve_het
@@ -33,7 +32,7 @@ from .indep import expected_search_count, solve_indep
 from .interim import solve_interim
 from .simulate import simulate
 from .two_box import solve_two_box, verify_two_box
-from .verify import nature_best_response_indep, saddle_check_corr, saddle_check_indep
+from .verify import nature_best_response_indep, nature_best_response_needle, saddle_check_corr, saddle_check_indep
 
 __all__ = ["main"]
 
@@ -253,10 +252,8 @@ def _check_policy_file(args, spec) -> SaddleReport:
         p_star, worst = nature_best_response_indep(policy, spec, args.grid)
         belief = IidBinary(p_star)
     else:
-        grid = np.linspace(0.0, 1.0, args.grid)
-        values = regret_needle(policy, grid, spec)
-        worst = float(np.max(values))
-        belief = NeedleP(grid[int(np.argmax(values))])
+        P_star, worst = nature_best_response_needle(policy, spec, args.grid)
+        belief = NeedleP(P_star)
     gap = worst - claimed
     return SaddleReport(
         nature_gap=gap,

@@ -108,21 +108,25 @@ class HomogeneousSpec:
         object.__setattr__(self, "n", int(self.n))
 
 
+def _finite_real(x) -> bool:
+    return isinstance(x, numbers.Real) and math.isfinite(x)
+
+
 def validate_spec(spec: HomogeneousSpec) -> HomogeneousSpec:
     """Return ``spec`` unchanged if it satisfies the standing assumptions.
 
-    Raises :class:`DomainError` when ``ubar <= 0``, the cost is outside the
-    open interval ``(0, ubar)``, or ``n`` is not a positive integer (a bool
-    is not a count).  The cost bounds are strict: a free search or a search
-    that can never pay for itself both degenerate the problem.
+    Raises :class:`DomainError` when ``ubar`` is not a positive number, the
+    cost is not a number in the open interval ``(0, ubar)``, or ``n`` is not
+    a positive integer (a bool is not a count).  The cost bounds are strict:
+    a free search or a search that can never pay for itself both degenerate
+    the problem.
     """
-    if not np.isfinite(spec.ubar) or spec.ubar <= 0.0:
+    if not _finite_real(spec.ubar) or spec.ubar <= 0.0:
         raise DomainError(f"high reward must be positive, got {spec.ubar!r}")
-    if not np.isfinite(spec.c) or spec.c <= 0.0 or spec.c >= spec.ubar:
+    if not _finite_real(spec.c) or spec.c <= 0.0 or spec.c >= spec.ubar:
         raise DomainError(f"search cost must lie in (0, {spec.ubar}), got {spec.c!r}")
     n = spec.n
-    whole = isinstance(n, numbers.Real) and math.isfinite(n) and int(n) == n
-    if isinstance(n, (bool, np.bool_)) or not whole or n < 1:
+    if isinstance(n, (bool, np.bool_)) or not _finite_real(n) or int(n) != n or n < 1:
         raise DomainError(f"box count must be a positive integer, got {spec.n!r}")
     return spec
 
@@ -361,23 +365,28 @@ def regret_needle(policy: StationaryPolicy, P, spec: HomogeneousSpec):
     a scalar or an array.
     """
     alphas = _alphas_for(policy, spec)
-    ubar, c = spec.ubar, spec.c
+    ubar, c, n = spec.ubar, spec.c, spec.n
+    P = _probability_array(P, "P")
+    # The backward pass reads the beliefs in reverse.  The forward pass keeps
+    # every step-th one (tops[k] has k boxes left) and each segment below a
+    # top is recomputed from it, so about 2 sqrt(n) arrays are alive, not n.
+    step = math.isqrt(n)
+    tops = {n - i: Pk for i, Pk in enumerate(_needle_beliefs(P, n, 1)) if i % step == 0}
+    r = np.zeros_like(P)  # R_0 = 0 (c + 0 = c on the last box)
+    for top in sorted(tops):
+        bottom = max(top - step + 1, 1)
+        for k, Pk in zip(range(bottom, top + 1), reversed(list(_needle_beliefs(tops[top], top, bottom)))):
+            a = alphas[k - 1]
+            r = (1.0 - a) * Pk * (ubar - c) + a * (1.0 - Pk / k) * (c + r)
+    return float(r) if r.ndim == 0 else r
 
-    def rec(k: int, Pk):
-        if k == 0:
-            return np.zeros_like(Pk)
-        a = alphas[k - 1]
-        miss = 1.0 - Pk / k
-        if k == 1:
-            cont = c  # no boxes left after the opening
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                Pnext = np.where(miss > 0.0, Pk * (k - 1) / (k - Pk), 0.0)
-            cont = c + rec(k - 1, Pnext)
-        return (1.0 - a) * Pk * (ubar - c) + a * miss * cont
 
-    out = rec(spec.n, _probability_array(P, "P"))
-    return float(out) if out.ndim == 0 else out
+def _needle_beliefs(Pk, top: int, bottom: int):
+    """Beliefs with top, top - 1, ..., bottom boxes left; k - P_k >= 1 for k >= 2."""
+    yield Pk
+    for k in range(top, bottom, -1):
+        Pk = Pk * (k - 1) / (k - Pk)
+        yield Pk
 
 
 def first_success_probabilities(Q) -> np.ndarray:
@@ -393,18 +402,29 @@ def first_success_probabilities(Q) -> np.ndarray:
     """
     Q = np.asarray(Q, dtype=float)
     n = Q.size - 1
-    q = np.zeros(n)
-    for k in range(1, n + 1):
-        acc = 0.0
-        for j in range(1, n + 1):
-            coeff = j / (n - k + 1)
-            for i in range(k - 1):
-                coeff *= (n - i - j) / (n - i)
-                if coeff == 0.0:
-                    break
-            acc += coeff * Q[j]
-        q[k - 1] = acc
-    return q
+    j = np.arange(n + 1)
+    # coeff[k - 1, j] = C_k^j, its factors multiplied in the order written;
+    # the j = 0 column is zero, so each row sum starts from 0.0
+    coeff = j / (n - np.arange(n)[:, None])
+    for i in range(n - 1):
+        coeff[i + 1 :] *= (n - i - j) / (n - i)
+    # rows added strictly left to right; a copy, so that later sums over
+    # slices of q see contiguous memory
+    return np.cumsum(coeff * Q, axis=1)[:, -1].copy()
+
+
+def _plan_regrets(Q: CountProfile, spec: HomogeneousSpec) -> np.ndarray:
+    """Conditional regret of each plan "stop after ``m`` failures", ``m = 0..n``."""
+    ubar, c = spec.ubar, spec.c
+    q = first_success_probabilities(Q.Q)
+    total = q.sum()
+    k = np.arange(1, spec.n + 1)
+    out = np.empty(spec.n + 1)
+    for m in range(spec.n + 1):
+        early = q[:m] @ ((k[:m] - 1) * c) if m else 0.0
+        late = q[m:].sum() * (ubar - c + m * c)
+        out[m] = early + late + (1.0 - total) * m * c
+    return out
 
 
 def regret_count_profile(mixture: StoppingMixture, Q: CountProfile, spec: HomogeneousSpec) -> float:
@@ -417,13 +437,5 @@ def regret_count_profile(mixture: StoppingMixture, Q: CountProfile, spec: Homoge
     """
     if mixture.n != spec.n or Q.n != spec.n:
         raise DomainError("mixture, count profile, and spec must share the same n")
-    ubar, c = spec.ubar, spec.c
-    q = first_success_probabilities(Q.Q)
-    total = q.sum()
-    k = np.arange(1, spec.n + 1)
-    value = 0.0
-    for m in range(spec.n + 1):
-        early = q[:m] @ ((k[:m] - 1) * c) if m else 0.0
-        late = q[m:].sum() * (ubar - c + m * c)
-        value += mixture.w[m] * (early + late + (1.0 - total) * m * c)
-    return float(value)
+    # the mixture's plans weighted and added strictly left to right
+    return float(np.cumsum(mixture.w * _plan_regrets(Q, spec))[-1])

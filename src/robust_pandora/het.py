@@ -72,7 +72,10 @@ class HeterogeneousSpec:
     boxes: tuple  # ((ubar_i, c_i), ...)
 
     def __post_init__(self):
-        boxes = tuple((float(u), float(c)) for u, c in self.boxes)
+        try:
+            boxes = tuple((float(u), float(c)) for u, c in self.boxes)
+        except (TypeError, ValueError):
+            raise DomainError(f"boxes must be (high reward, cost) pairs of numbers, got {self.boxes!r}") from None
         if not boxes:
             raise DomainError("need at least one box")
         for i, (u, c) in enumerate(boxes):
@@ -437,7 +440,7 @@ def cost_asymmetry_sweep(ubar: float, c_total: float, delta_grid) -> list:
         ci = (c_total + d) / 2.0
         cj = (c_total - d) / 2.0
         if not (0.0 < ci < ubar and 0.0 < cj < ubar):
-            raise DomainError(f"cost split {d!r} leaves a cost outside (0, {ubar})")
+            raise DomainError(f"cost split {float(d)!r} leaves a cost outside (0, {ubar})")
         sol = solve_het(HeterogeneousSpec(((ubar, ci), (ubar, cj))))
         rule = sol.rule_for()
         rows.append(

@@ -110,6 +110,8 @@ def expected_search_count(q: float, n: int, spec: HomogeneousSpec) -> float:
 
 def search_count_profile(q: float, n_max: int, spec: HomogeneousSpec) -> SearchCountProfile:
     """Table of expected opened-box counts for menu sizes 1..n_max."""
+    if not 0.0 <= q <= 1.0:
+        raise DomainError(f"q must lie in [0, 1], got {q!r}")
     if n_max < 2:
         raise DomainError("n_max must be at least 2")
     alphas = _alpha_star(np.arange(1, n_max + 1, dtype=float), spec.ubar, spec.c)

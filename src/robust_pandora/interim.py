@@ -12,12 +12,13 @@ opposite of the ex-post prediction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._optim import grid_then_golden_max
-from .core import ConvergenceError, DomainError, HomogeneousSpec, _probability_array
+from .core import ConvergenceError, DomainError, HomogeneousSpec
 from .indep import weitzman_threshold
 
 __all__ = [
@@ -36,7 +37,7 @@ _P_EDGE = 1e-9
 
 @dataclass(frozen=True)
 class InterimPolicy:
-    """Threshold plan: open ``m`` boxes for sure, one more with probability ``alpha``.
+    """Threshold plan: open ``m`` of the ``n`` boxes for sure, one more with probability ``alpha``.
 
     ``phi[j - 1]`` is the probability that at least ``n - j + 1`` boxes get
     opened (absent an early success), so the vector is a monotone staircase:
@@ -45,35 +46,24 @@ class InterimPolicy:
 
     m: int
     alpha: float
-    phi: np.ndarray
+    n: int
+    phi: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        phi = _probability_array(self.phi, "phi")
-        n = phi.size
-        if not 0 <= self.m <= n - 1:
-            raise DomainError(f"m must lie in 0..{n - 1}, got {self.m}")
-        want = np.zeros(n)
-        want[n - self.m - 1] = self.alpha
-        want[n - self.m :] = 1.0
-        if not np.allclose(phi, want, atol=1e-12):
-            raise DomainError("phi must be the zeros/alpha/ones staircase implied by (m, alpha)")
+        whole = isinstance(self.m, numbers.Integral) and isinstance(self.n, numbers.Integral)
+        if not whole or not 0 <= self.m <= self.n - 1:
+            raise DomainError(f"m must be a whole number in 0..{self.n - 1}, got {self.m!r}")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise DomainError(f"alpha must lie in [0, 1], got {self.alpha!r}")
+        phi = np.zeros(self.n)
+        phi[self.n - self.m - 1] = self.alpha
+        phi[self.n - self.m :] = 1.0
         phi.flags.writeable = False
         object.__setattr__(self, "phi", phi)
 
-    @property
-    def n(self) -> int:
-        return self.phi.size
-
     @classmethod
     def from_m_alpha(cls, m: int, alpha: float, n: int) -> "InterimPolicy":
-        if not 0 <= m <= n - 1:
-            raise DomainError(f"m must lie in 0..{n - 1}, got {m}")
-        if not 0.0 <= alpha <= 1.0:
-            raise DomainError(f"alpha must lie in [0, 1], got {alpha!r}")
-        phi = np.zeros(n)
-        phi[n - m - 1] = alpha
-        phi[n - m :] = 1.0
-        return cls(m=int(m), alpha=float(alpha), phi=phi)
+        return cls(m, alpha, n)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .core import (
     SaddleReport,
     StationaryPolicy,
     StoppingMixture,
+    _plan_regrets,
     _regret_indep_alphas,
     regret_count_profile,
     regret_indep,
@@ -39,6 +40,7 @@ from .interim import InterimPolicy, interim_regret
 __all__ = [
     "SaddleReport",
     "nature_best_response_indep",
+    "nature_best_response_needle",
     "saddle_check_indep",
     "saddle_check_corr",
     "interim_grid_oracle",
@@ -54,6 +56,19 @@ def nature_best_response_indep(policy: StationaryPolicy, spec: HomogeneousSpec, 
     if grid_points < 2:
         raise DomainError("grid_points must be at least 2")
     return grid_then_golden_max(lambda p: regret_indep(policy, p, spec), 0.0, 1.0, grid_points)
+
+
+def nature_best_response_needle(policy: StationaryPolicy, spec: HomogeneousSpec, grid_points: int = 1001):
+    """Worst single-treasure probability against a fixed policy.
+
+    Scan of an even grid over [0, 1]; returns ``(P_star, regret)``.
+    """
+    if grid_points < 2:
+        raise DomainError("grid_points must be at least 2")
+    grid = np.linspace(0.0, 1.0, int(grid_points))
+    values = regret_needle(policy, grid, spec)
+    worst = int(np.argmax(values))
+    return float(grid[worst]), float(values[worst])
 
 
 def saddle_check_indep(
@@ -101,19 +116,6 @@ def saddle_check_indep(
     )
 
 
-def _needle_profile(P: float, n: int) -> CountProfile:
-    Q = np.zeros(n + 1)
-    Q[0] = 1.0 - P
-    Q[1] = P
-    return CountProfile(Q)
-
-
-def _plan_regret_vs_needle(m: int, P: float, spec: HomogeneousSpec) -> float:
-    w = np.zeros(spec.n + 1)
-    w[m] = 1.0
-    return regret_count_profile(StoppingMixture(w), _needle_profile(P, spec.n), spec)
-
-
 def saddle_check_corr(
     spec: HomogeneousSpec,
     tol: float = 1e-9,
@@ -131,8 +133,8 @@ def saddle_check_corr(
     commitment mode, and every one-step stage deviation in intrapersonal
     mode.
     """
-    if spec.n > 8:
-        raise DomainError("count-profile deviation scan is limited to n <= 8")
+    if spec.n > 32:
+        raise DomainError("count-profile deviation scan is limited to n <= 32")
     if mode == "commitment":
         sol = solve_corr_commitment(spec)
     elif mode == "intrapersonal":
@@ -141,11 +143,8 @@ def saddle_check_corr(
         raise DomainError(f"unknown mode {mode!r}")
 
     n = spec.n
-    grid = np.linspace(0.0, 1.0, int(grid_points))
-    needle_values = regret_needle(sol.policy, grid, spec)
-    worst_idx = int(np.argmax(needle_values))
-    nature_gap = float(needle_values[worst_idx]) - sol.regret
-    worst_P = float(grid[worst_idx])
+    worst_P, worst = nature_best_response_needle(sol.policy, spec, grid_points)
+    nature_gap = worst - sol.regret
 
     rng = np.random.default_rng(seed)
     w = StoppingMixture.from_policy(sol.policy)
@@ -164,9 +163,10 @@ def saddle_check_corr(
         nature_gap = max(nature_gap, value - sol.regret)
 
     if mode == "commitment":
-        P_star = float(sol.worst_case_P[-1])
-        dm_best = min(_plan_regret_vs_needle(m, P_star, spec) for m in range(n + 1))
-        dm_gap = sol.regret - dm_best
+        # every pure stop-after-m plan against the worst needle [1 - P, P, 0, ...]
+        needle = np.zeros(n + 1)
+        needle[:2] = 1.0 - sol.worst_case_P[-1], sol.worst_case_P[-1]
+        dm_gap = sol.regret - _plan_regrets(CountProfile(needle), spec).min()
     else:
         dm_gap = -np.inf
         prev = 0.0
@@ -210,8 +210,9 @@ def interim_grid_oracle(spec: HomogeneousSpec, m_range=None, alpha_grid=None, p_
         # span the whole alpha axis
         at_zero = interim_regret(InterimPolicy.from_m_alpha(int(m), 0.0, n), p_grid, spec)
         at_one = interim_regret(InterimPolicy.from_m_alpha(int(m), 1.0, n), p_grid, spec)
-        values = np.outer(1.0 - alpha_grid, at_zero) + np.outer(alpha_grid, at_one)
-        worst = values.max(axis=1)
+        # 64 alpha rows at a time keep each alpha x p table near 1 MB
+        blocks = np.split(alpha_grid, range(64, alpha_grid.size, 64))
+        worst = np.concatenate([(np.outer(1.0 - a, at_zero) + np.outer(a, at_one)).max(axis=1) for a in blocks])
         idx = int(np.argmin(worst))
         if best is None or worst[idx] < best[2]:
             best = (int(m), float(alpha_grid[idx]), float(worst[idx]))

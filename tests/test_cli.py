@@ -319,6 +319,10 @@ class TestBadInputs:
             (*VERIFY_INDEP, "KEYLESS"),
             (*VERIFY_INDEP, "NOT_AN_OBJECT"),
             ("verify", "--regime", "two-box", "--ubar", "1", "--c", "0.2", "--policy-file", "MISSING"),
+            ("verify", "--regime", "corr", *HOMOG, "--grid", "0"),
+            ("verify", "--regime", "corr-intra", *HOMOG, "--grid", "-5"),
+            ("verify", "--regime", "corr", *HOMOG, "--grid", "-5", "--policy-file", "VALID"),
+            ("verify", "--regime", "corr-intra", *HOMOG, "--grid", "0", "--policy-file", "VALID"),
         ],
     )
     def test_exit_2_with_one_line(self, capsys, tmp_path, argv):
@@ -327,6 +331,7 @@ class TestBadInputs:
             "MALFORMED": '{"alpha": [0.5,',
             "KEYLESS": '{"alpha": [0.5, 0.5, 0.5, 0.5]}',
             "NOT_AN_OBJECT": "[0.5, 0.5]",
+            "VALID": '{"alpha": [1.0, 1.0, 1.0, 0.6], "regret": 0.55}',
         }
         paths = {}
         for name, text in files.items():
@@ -339,3 +344,10 @@ class TestBadInputs:
         assert captured.out == ""
         assert captured.err.startswith("robust-pandora: ")
         assert captured.err.count("\n") == 1
+
+    def test_cost_split_message(self, capsys):
+        argv = ["sweep", "--regime", "het", "--sweep", "delta", "--from", "0", "--to", "0.7", "--steps", "5"]
+        assert main([*argv, "--ubar", "1", "--ctotal", "0.6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "robust-pandora: cost split 0.7 leaves a cost outside (0, 1.0)\n"

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from robust_pandora.corr import solve_corr_commitment
 
 from robust_pandora.core import (
     CountProfile,
@@ -52,6 +56,10 @@ class TestValidateSpec:
             (1.0, 0.5, True),
             (1.0, 0.3, float("nan")),
             (1.0, 0.3, float("inf")),
+            (None, 0.3, 3),
+            ("1", 0.3, 3),
+            (1.0, None, 3),
+            (1.0, "0.3", 3),
         ],
     )
     def test_bad_parameters_rejected(self, ubar, c, n):
@@ -186,6 +194,27 @@ class TestRegretNeedle:
         r = regret_needle(policy, np.array([0.1, 0.45, 0.8]), spec)
         assert r[1] - r[0] == pytest.approx(r[2] - r[1], abs=1e-12)
 
+    def test_long_menu_has_no_depth_limit(self):
+        # c below 2 ubar / (n + 1), so the commitment plan still searches
+        spec = HomogeneousSpec(1.0, 5e-4, 3000)
+        sol = solve_corr_commitment(spec)
+        assert not sol.opts_out
+        r = regret_needle(sol.policy, np.linspace(0.0, 1.0, 1001), spec)
+        assert np.all(np.isfinite(r))
+        assert r.max() <= sol.regret + 1e-9
+
+    def test_long_menu_memory_is_sublinear(self):
+        # about 2 sqrt(n) beliefs of 8 kB are alive at once; all n take 24 MB
+        spec = HomogeneousSpec(1.0, 5e-4, 3000)
+        policy = solve_corr_commitment(spec).policy
+        tracemalloc.start()
+        try:
+            regret_needle(policy, np.linspace(0.0, 1.0, 1001), spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
 
 class TestCountProfile:
     def test_no_treasure_pure_cost(self):
@@ -274,6 +303,15 @@ class TestFirstSuccessProbabilities:
         Q = np.array([comb(n, j) * p**j * (1 - p) ** (n - j) for j in range(n + 1)])
         q = first_success_probabilities(Q)
         assert np.allclose(q, [0.4 * 0.6 ** (k - 1) for k in (1, 2, 3)], atol=1e-14)
+
+    def test_matches_hypergeometric_sum(self):
+        # q_k = sum_j Q_j C(n-k, j-1) / C(n, j): the first k-1 boxes empty, box k full
+        from math import comb
+
+        n = 60
+        Q = np.random.default_rng(5).dirichlet(np.ones(n + 1))
+        want = [sum(Q[j] * (comb(n - k, j - 1) / comb(n, j)) for j in range(1, n + 1)) for k in range(1, n + 1)]
+        np.testing.assert_allclose(first_success_probabilities(Q), want, rtol=1e-12, atol=0.0)
 
     def test_matches_permutation_enumeration(self):
         from oracles import first_success_by_orders

@@ -39,6 +39,8 @@ class TestSpec:
             HeterogeneousSpec(((0.0, 0.1),))
         with pytest.raises(DomainError):
             HeterogeneousSpec(())
+        with pytest.raises(DomainError):
+            HeterogeneousSpec(((None, 0.1),))
 
     def test_order_ascending_net_reward(self):
         spec = HeterogeneousSpec(((1.0, 0.2), (1.0, 0.6), (2.0, 0.5)))

@@ -116,6 +116,11 @@ class TestExpectedSearchCount:
 
 
 class TestSearchCountProfile:
+    @pytest.mark.parametrize("q", [1.5, float("nan")])
+    def test_rejects_bad_q(self, q):
+        with pytest.raises(DomainError):
+            search_count_profile(q, 10, SPEC)
+
     def test_interior_hump_for_rare_rewards(self):
         prof = search_count_profile(0.05, 100, SPEC)
         assert 1 < prof.argmax_n < 100

@@ -174,7 +174,15 @@ class TestPolicyConstruction:
     def test_bad_m_rejected(self):
         with pytest.raises(DomainError):
             InterimPolicy.from_m_alpha(3, 0.5, 3)
+        with pytest.raises(DomainError):
+            InterimPolicy.from_m_alpha(1.5, 0.5, 3)
 
     def test_bad_alpha_rejected(self):
         with pytest.raises(DomainError):
             InterimPolicy.from_m_alpha(0, 1.5, 3)
+
+    def test_staircase_built_from_fields(self):
+        policy = InterimPolicy(1, 0.25, 4)
+        assert policy.phi.tolist() == [0.0, 0.0, 0.25, 1.0]
+        assert policy == InterimPolicy.from_m_alpha(1, 0.25, 4)
+        assert not policy.phi.flags.writeable

@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from robust_pandora.core import HomogeneousSpec, IidBinary, NeedleP, StationaryPolicy
+from robust_pandora.core import DomainError, HomogeneousSpec, IidBinary, NeedleP, StationaryPolicy
+from robust_pandora.corr import solve_corr_commitment
 from robust_pandora.indep import solve_indep
 from robust_pandora.interim import solve_interim
 from robust_pandora.verify import (
     interim_grid_oracle,
     nature_best_response_indep,
+    nature_best_response_needle,
     saddle_check_corr,
     saddle_check_indep,
 )
@@ -97,6 +101,24 @@ class TestSaddleCheckCorr:
         assert report.passed
         assert not report.notes  # no flattening violation found
 
+    @pytest.mark.parametrize("mode", ["commitment", "intrapersonal"])
+    def test_sixteen_boxes_pass(self, mode):
+        report = saddle_check_corr(HomogeneousSpec(1.0, 0.05, 16), tol=1e-9, mode=mode)
+        assert report.passed, str(report)
+        assert not report.notes
+
+    def test_size_cap(self):
+        with pytest.raises(DomainError):
+            saddle_check_corr(HomogeneousSpec(1.0, 0.01, 33))
+
+    def test_needle_grid_needs_two_points(self):
+        sol = solve_corr_commitment(SPEC)
+        with pytest.raises(DomainError):
+            nature_best_response_needle(sol.policy, SPEC, 1)
+        P_star, worst = nature_best_response_needle(sol.policy, SPEC, 2)
+        assert P_star in (0.0, 1.0)
+        assert worst == pytest.approx(sol.regret, abs=1e-12)
+
     def test_rejects_unknown_mode(self):
         with pytest.raises(Exception):
             saddle_check_corr(SPEC, mode="bogus")
@@ -110,6 +132,16 @@ class TestInterimGridOracle:
         assert m == rep.policy.m
         assert abs(alpha - rep.policy.alpha) <= 1e-3
         assert worst == pytest.approx(rep.regret, abs=1e-3)
+
+    def test_table_is_built_in_row_blocks(self):
+        # the whole 1001 x 2001 alpha x p table takes 16 MB per array
+        tracemalloc.start()
+        try:
+            interim_grid_oracle(HomogeneousSpec(1.0, 0.3, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_single_box(self):
         spec = HomogeneousSpec(1.0, 0.3, 1)
