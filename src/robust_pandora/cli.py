@@ -104,6 +104,8 @@ def _spec_from(args):
     if args.regime == "het":
         if not args.boxes:
             raise DomainError("--boxes is required for the het regime")
+        if (args.ubar, args.c, args.n) != (None, None, None):
+            raise DomainError("--ubar, --c, and --n do not apply to the het regime; --boxes gives each box")
         boxes = []
         for part in args.boxes.split(","):
             try:
@@ -267,6 +269,8 @@ def _check_policy_file(args, spec) -> SaddleReport:
 
 def _cmd_verify(args):
     spec, params = _spec_from(args)
+    if not np.isfinite(args.tol) or args.tol < 0.0:
+        raise DomainError(f"--tol must be a finite non-negative number, got {args.tol!r}")
     params["tol"] = args.tol
     if args.regime == "two-box":
         if args.policy_file is not None:

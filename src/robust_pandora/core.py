@@ -54,6 +54,9 @@ __all__ = [
 # violations are treated as caller errors, not noise.
 PROB_SLACK = 1e-15
 
+# Safety cap on Newton iterations; the 1-D solvers converge in a few steps.
+_NEWTON_STEPS = 50
+
 
 class DomainError(ValueError):
     """Parameters violate the model's standing assumptions."""
@@ -109,7 +112,8 @@ class HomogeneousSpec:
 
 
 def _finite_real(x) -> bool:
-    return isinstance(x, numbers.Real) and math.isfinite(x)
+    """A finite real number; a bool is not one."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def validate_spec(spec: HomogeneousSpec) -> HomogeneousSpec:
@@ -117,7 +121,7 @@ def validate_spec(spec: HomogeneousSpec) -> HomogeneousSpec:
 
     Raises :class:`DomainError` when ``ubar`` is not a positive number, the
     cost is not a number in the open interval ``(0, ubar)``, or ``n`` is not
-    a positive integer (a bool is not a count).  The cost bounds are strict:
+    a positive integer (a bool is not a number).  The cost bounds are strict:
     a free search or a search that can never pay for itself both degenerate
     the problem.
     """
@@ -126,7 +130,7 @@ def validate_spec(spec: HomogeneousSpec) -> HomogeneousSpec:
     if not _finite_real(spec.c) or spec.c <= 0.0 or spec.c >= spec.ubar:
         raise DomainError(f"search cost must lie in (0, {spec.ubar}), got {spec.c!r}")
     n = spec.n
-    if isinstance(n, (bool, np.bool_)) or not _finite_real(n) or int(n) != n or n < 1:
+    if not _finite_real(n) or int(n) != n or n < 1:
         raise DomainError(f"box count must be a positive integer, got {spec.n!r}")
     return spec
 
@@ -356,37 +360,79 @@ def regret_indep(policy: StationaryPolicy, p, spec: HomogeneousSpec):
     return float(out) if out.ndim == 0 else out
 
 
+def _regret_indep_poly(policy: StationaryPolicy, spec: HomogeneousSpec) -> np.ndarray:
+    """:func:`regret_indep` as a polynomial in ``x = 1 - p``, highest degree first.
+
+    The same backward recursion, ``R_k = (1 - a_k) (ubar - c) (1 - x^k) +
+    a_k x (c + R_{k-1})``, carried out on coefficient vectors.
+    """
+    alphas = _alphas_for(policy, spec)
+    ubar, c = spec.ubar, spec.c
+    r = np.zeros(alphas.size + 1)
+    for k, a in enumerate(alphas.tolist(), start=1):
+        gain = (1.0 - a) * (ubar - c)
+        r[1 : k + 1] = a * r[:k]
+        r[0] = gain
+        r[1] += a * c
+        r[k] -= gain
+    return r[::-1]
+
+
+def _poly_max(coef: np.ndarray, lo: float, hi: float, grid_points: int):
+    """Maximum on ``[lo, hi]`` of the polynomial ``coef``, highest degree first: ``(x, value)``.
+
+    The best point of an even grid is polished by Newton's method on the
+    derivative while the curvature is negative, the steps shrink (after
+    that, rounding drives them) and the iterates stay in the two grid cells
+    around that point; an end point of the interval stays where it is.
+    """
+    xs = np.linspace(lo, hi, int(grid_points))
+    best = int(np.argmax(_polyval(coef, xs)))
+    left, right = xs[max(best - 1, 0)], xs[min(best + 1, xs.size - 1)]
+    slope = np.polyder(coef)
+    curvature = np.polyder(slope)
+    x = float(xs[best])
+    last = math.inf
+    for _ in range(_NEWTON_STEPS):
+        bend = _polyval(curvature, x)
+        if not bend < 0.0:
+            break
+        delta = float(_polyval(slope, x) / bend)
+        if not abs(delta) < last or not left <= x - delta <= right:
+            break
+        x, last = x - delta, abs(delta)
+    return x, float(_polyval(coef, x))
+
+
+def _polyval(coef, x):
+    """Horner's rule, as ``np.polyval`` but without its 0-d array cost for a scalar ``x``."""
+    out = 0.0
+    for a in coef:
+        out = out * x + a
+    return out
+
+
 def regret_needle(policy: StationaryPolicy, P, spec: HomogeneousSpec):
     """Expected regret when at most one box holds the high reward.
 
-    ``P`` is the probability that the treasure exists given ``n`` remaining
-    boxes.  A failed opening is good news: the belief updates to
-    ``P' = P (k-1) / (k - P)`` on the ``k-1`` remaining boxes.  ``P`` may be
-    a scalar or an array.
+    ``P`` (a scalar or an array) is the probability that the treasure
+    exists given ``n`` remaining boxes.  A failed opening updates it to
+    ``P (k-1) / (k - P)`` on the ``k-1`` remaining boxes, which keeps 0 and 1
+    fixed, and the regret is linear in the belief, so it is
+    ``(1 - P) R_empty + P R_treasure`` with ``R_0 = 0`` and
+
+        R_empty_k = a_k (c + R_empty_{k-1}),
+        R_treasure_k = (1 - a_k) (ubar - c) + a_k (1 - 1/k) (c + R_treasure_{k-1}).
     """
     alphas = _alphas_for(policy, spec)
-    ubar, c, n = spec.ubar, spec.c, spec.n
+    ubar, c = spec.ubar, spec.c
     P = _probability_array(P, "P")
-    # The backward pass reads the beliefs in reverse.  The forward pass keeps
-    # every step-th one (tops[k] has k boxes left) and each segment below a
-    # top is recomputed from it, so about 2 sqrt(n) arrays are alive, not n.
-    step = math.isqrt(n)
-    tops = {n - i: Pk for i, Pk in enumerate(_needle_beliefs(P, n, 1)) if i % step == 0}
-    r = np.zeros_like(P)  # R_0 = 0 (c + 0 = c on the last box)
-    for top in sorted(tops):
-        bottom = max(top - step + 1, 1)
-        for k, Pk in zip(range(bottom, top + 1), reversed(list(_needle_beliefs(tops[top], top, bottom)))):
-            a = alphas[k - 1]
-            r = (1.0 - a) * Pk * (ubar - c) + a * (1.0 - Pk / k) * (c + r)
+    empty = treasure = 0.0
+    for k, a in enumerate(alphas.tolist(), start=1):
+        empty = a * (c + empty)
+        treasure = (1.0 - a) * (ubar - c) + a * (1.0 - 1.0 / k) * (c + treasure)
+    r = (1.0 - P) * empty + P * treasure
     return float(r) if r.ndim == 0 else r
-
-
-def _needle_beliefs(Pk, top: int, bottom: int):
-    """Beliefs with top, top - 1, ..., bottom boxes left; k - P_k >= 1 for k >= 2."""
-    yield Pk
-    for k in range(top, bottom, -1):
-        Pk = Pk * (k - 1) / (k - Pk)
-        yield Pk
 
 
 def first_success_probabilities(Q) -> np.ndarray:

@@ -38,7 +38,7 @@ from typing import FrozenSet, Iterable, Mapping, Optional
 
 import numpy as np
 
-from .core import DomainError, SizeError, as_probability
+from .core import DomainError, SizeError, _finite_real, as_probability
 
 __all__ = [
     "MAX_BOXES",
@@ -73,16 +73,17 @@ class HeterogeneousSpec:
 
     def __post_init__(self):
         try:
-            boxes = tuple((float(u), float(c)) for u, c in self.boxes)
+            pairs = tuple((u, c) for u, c in self.boxes)
         except (TypeError, ValueError):
             raise DomainError(f"boxes must be (high reward, cost) pairs of numbers, got {self.boxes!r}") from None
-        if not boxes:
+        if not pairs:
             raise DomainError("need at least one box")
-        for i, (u, c) in enumerate(boxes):
-            if not np.isfinite(u) or u <= 0.0:
+        for i, (u, c) in enumerate(pairs):
+            if not _finite_real(u) or u <= 0.0:
                 raise DomainError(f"box {i}: high reward must be positive, got {u!r}")
-            if not np.isfinite(c) or c <= 0.0 or c >= u:
+            if not _finite_real(c) or c <= 0.0 or c >= u:
                 raise DomainError(f"box {i}: search cost must lie in (0, {u}), got {c!r}")
+        boxes = tuple((float(u), float(c)) for u, c in pairs)
         object.__setattr__(self, "boxes", boxes)
         deltas = tuple(u - c for u, c in boxes)
         object.__setattr__(self, "_deltas", deltas)

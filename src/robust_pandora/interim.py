@@ -7,7 +7,8 @@ order component: only search intensity matters.  The optimal plan then
 takes a threshold form, searching ``m`` boxes for sure and randomizing on
 one more, and ``m`` grows with the menu: with selection error gone, bigger
 menus raise the fear of missing out and push toward more search, the
-opposite of the ex-post prediction.
+opposite of the ex-post prediction.  :func:`solve_interim` finds the
+coin-flip weight, and the worst belief behind it, by Newton's method.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._optim import grid_then_golden_max
-from .core import ConvergenceError, DomainError, HomogeneousSpec
+from .core import _NEWTON_STEPS, ConvergenceError, DomainError, HomogeneousSpec, _poly_max, _probability_array
 from .indep import weitzman_threshold
 
 __all__ = [
@@ -29,11 +29,6 @@ __all__ = [
     "solve_interim",
     "interim_two_box_intrapersonal",
 ]
-
-# offset above the indifference belief for the inner maximizations; the
-# objective vanishes at the threshold itself so the exact value is immaterial
-_P_EDGE = 1e-9
-
 
 @dataclass(frozen=True)
 class InterimPolicy:
@@ -81,6 +76,7 @@ def exhaustive_utility(p: float, n: int, spec: HomogeneousSpec) -> float:
     """Expected payoff of searching up to ``n`` boxes, stopping on success."""
     if n < 1:
         raise DomainError("n must be at least 1")
+    p = _probability_array(p, "p")
     ubar, c = spec.ubar, spec.c
     i = np.arange(1, n + 1)
     return float(np.sum(p * (1 - p) ** (i - 1) * (ubar - i * c)) - (1 - p) ** n * n * c)
@@ -107,7 +103,7 @@ def interim_regret(policy: InterimPolicy, p, spec: HomogeneousSpec):
     n = spec.n
     if policy.n != n:
         raise DomainError(f"policy has {policy.n} stages but spec has n={n}")
-    p = np.asarray(p, dtype=float)
+    p = _probability_array(p, "p")
     U = _utilities_upto(p, n, spec)
     phi = policy.phi
     oracle = np.maximum(U[n - 1], 0.0)
@@ -119,34 +115,33 @@ def interim_regret(policy: InterimPolicy, p, spec: HomogeneousSpec):
 
 
 def _high_branch(m: int, alpha: float, spec: HomogeneousSpec):
-    """Worst high-belief regret of the plan (m, alpha), with its argmax.
+    """Worst high-belief regret of the plan (m, alpha), with its argmax in ``x = 1 - p``.
 
-    Maximizes ((1 - alpha) (1-p)^m + sum_{i=m+1..n-1} (1-p)^i) (p ubar - c)
-    over p > p_hat; returns ``(p_star, value)``.
+    Maximizes the polynomial ((1 - alpha) x^m + sum_{i=m+1..n-1} x^i)
+    ((ubar - c) - ubar x), the regret at p = 1 - x, over p >= p_hat, that
+    is x in [0, 1 - p_hat]; returns ``(x_star, value)``.
     """
     n, ubar, c = spec.n, spec.ubar, spec.c
-    if alpha == 1.0 and m + 1 > n - 1:
-        return 1.0, 0.0  # empty sum; report the harmless argmax p = 1
-
-    def f(p):
-        p = np.asarray(p, dtype=float)
-        coeff = (1.0 - alpha) * (1 - p) ** m
-        for i in range(m + 1, n):
-            coeff = coeff + (1 - p) ** i
-        return coeff * (p * ubar - c)
-
-    return grid_then_golden_max(f, weitzman_threshold(spec) + _P_EDGE, 1.0, 2001)
+    weights = np.zeros(n)  # x^(n-1), ..., x^0
+    weights[: n - m - 1] = 1.0
+    weights[n - m - 1] = 1.0 - alpha
+    return _poly_max(np.convolve(weights, (-ubar, ubar - c)), 0.0, 1.0 - weitzman_threshold(spec), 2001)
 
 
-def solve_interim(spec: HomogeneousSpec, *, bisect_tol: float = 1e-12, max_iter: int = 200) -> InterimReport:
+def solve_interim(spec: HomogeneousSpec) -> InterimReport:
     """Commitment plan minimizing worst-case interim regret.
 
     Picks the largest ``m`` whose sure-search cost still falls short of the
-    worst high-belief regret left after those ``m`` boxes, then bisects the
-    randomization weight until the no-reward branch (regret ``(m + alpha) c``)
-    equals the maximized high-belief branch.
+    worst high-belief regret left after those ``m`` boxes, then solves for
+    the randomization weight at which the no-reward branch (regret
+    ``(m + alpha) c``) equals the maximized high-belief branch.  That
+    maximum is convex in ``alpha`` (a maximum of affine functions), so the
+    residual is concave and increasing, and Newton's method from
+    ``alpha = 0`` rises monotonically to the root.  Its slope comes from the
+    envelope theorem: ``c + (1 - p*)^m (p* ubar - c)`` at the branch's
+    argmax ``p*``.
     """
-    n, c = spec.n, spec.c
+    n, ubar, c = spec.n, spec.ubar, spec.c
 
     m = 0
     degenerate = False
@@ -159,8 +154,8 @@ def solve_interim(spec: HomogeneousSpec, *, bisect_tol: float = 1e-12, max_iter:
             break
 
     def residual_at(m: int, alpha: float):
-        p_star, worst = _high_branch(m, alpha, spec)
-        return (m + alpha) * c - worst, p_star
+        x_star, worst = _high_branch(m, alpha, spec)
+        return (m + alpha) * c - worst, x_star
 
     # the largest-m rule can land one segment short: if even alpha = 1 leaves
     # the high-belief branch dominant, the branches cross while the next box
@@ -169,30 +164,24 @@ def solve_interim(spec: HomogeneousSpec, *, bisect_tol: float = 1e-12, max_iter:
     if m < n - 1 and hi_res < 0.0:
         m += 1
         hi_res, _ = residual_at(m, 1.0)
-    lo_res, _ = residual_at(m, 0.0)
-    if lo_res > 0.0 or hi_res < 0.0:
-        raise ConvergenceError(
-            f"no equalizing randomization in [0, 1] at m={m} (endpoints {lo_res:.3e}, {hi_res:.3e})"
-        )
-    lo, hi = 0.0, 1.0
-    for _ in range(max_iter):
-        mid = (lo + hi) / 2.0
-        res, _ = residual_at(m, mid)
-        if res < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= bisect_tol:
+    alpha = 0.0
+    res, x_star = residual_at(m, alpha)
+    if res > 0.0 or hi_res < 0.0:
+        raise ConvergenceError(f"no equalizing randomization in [0, 1] at m={m} (endpoints {res:.3e}, {hi_res:.3e})")
+    for _ in range(_NEWTON_STEPS):
+        slope = c + x_star**m * ((ubar - c) - ubar * x_star)
+        nxt = min(alpha - res / slope, 1.0)
+        if not nxt > alpha:
             break
-    alpha = (lo + hi) / 2.0
-    res, p_star = residual_at(m, alpha)
+        alpha = nxt
+        res, x_star = residual_at(m, alpha)
     if abs(res) > 1e-9:
-        raise ConvergenceError(f"equalization residual {res:.3e} after bisection")
+        raise ConvergenceError(f"equalization residual {res:.3e} after Newton's method")
     policy = InterimPolicy.from_m_alpha(m, alpha, n)
     return InterimReport(
         policy=policy,
         regret=(m + alpha) * c,
-        worst_p_high=p_star,
+        worst_p_high=1.0 - x_star,
         residual=abs(res),
         degenerate_tie=degenerate,
     )

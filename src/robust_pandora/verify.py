@@ -2,8 +2,9 @@
 
 Every solver in this package claims a saddle point: a policy whose worst
 case over beliefs equals a value no deviation can beat.  The checks here
-recompute both sides with grids, random probes, and refinement instead of
-the closed forms, and report the two one-sided gaps:
+recompute both sides with grids (Newton-polished where the regret is a
+polynomial), random probes and plan scans instead of the closed forms, and
+report the two one-sided gaps:
 
 * ``nature_gap``: best belief deviation found, minus the claimed value
   (positive means Nature can beat the claim);
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._optim import grid_then_golden_max
 from .core import (
     CountProfile,
     DomainError,
@@ -28,9 +28,10 @@ from .core import (
     StationaryPolicy,
     StoppingMixture,
     _plan_regrets,
+    _poly_max,
     _regret_indep_alphas,
+    _regret_indep_poly,
     regret_count_profile,
-    regret_indep,
     regret_needle,
 )
 from .corr import single_treasure_equivalent, solve_corr_commitment, solve_corr_intrapersonal
@@ -50,12 +51,14 @@ __all__ = [
 def nature_best_response_indep(policy: StationaryPolicy, spec: HomogeneousSpec, grid_points: int = 2001):
     """Worst i.i.d. success probability against a fixed policy.
 
-    Grid scan over [0, 1] followed by golden-section refinement around the
-    best bracket; returns ``(p_star, regret)``.
+    The regret is a polynomial of degree ``n`` in ``1 - p``; its best point
+    on an even grid over [0, 1] is polished by Newton's method on the
+    derivative.  Returns ``(p_star, regret)``.
     """
     if grid_points < 2:
         raise DomainError("grid_points must be at least 2")
-    return grid_then_golden_max(lambda p: regret_indep(policy, p, spec), 0.0, 1.0, grid_points)
+    x, worst = _poly_max(_regret_indep_poly(policy, spec), 0.0, 1.0, grid_points)
+    return 1.0 - x, worst
 
 
 def nature_best_response_needle(policy: StationaryPolicy, spec: HomogeneousSpec, grid_points: int = 1001):
@@ -80,11 +83,12 @@ def saddle_check_indep(
 ) -> SaddleReport:
     """Check the independent-rewards solution without using its closed forms.
 
-    Nature's side is a refined grid search over success probabilities.  The
-    DM's side exploits the saddle structure: at the worst-case belief the
-    value must be unimprovable, so random policies plus a coordinate descent
-    pass (the regret is linear in each stage probability, so descent only
-    needs the endpoints) hunt for anything cheaper.
+    Nature's side is :func:`nature_best_response_indep`, a grid over success
+    probabilities polished by Newton's method.  The DM's side exploits the
+    saddle structure: at the worst-case belief the value must be
+    unimprovable, so random policies plus a coordinate descent pass (the
+    regret is linear in each stage probability, so descent only needs the
+    endpoints) hunt for anything cheaper.
     """
     sol = solve_indep(spec)
     p_star, worst = nature_best_response_indep(sol.policy, spec, grid_points)

@@ -323,6 +323,14 @@ class TestBadInputs:
             ("verify", "--regime", "corr-intra", *HOMOG, "--grid", "-5"),
             ("verify", "--regime", "corr", *HOMOG, "--grid", "-5", "--policy-file", "VALID"),
             ("verify", "--regime", "corr-intra", *HOMOG, "--grid", "0", "--policy-file", "VALID"),
+            ("verify", "--regime", "indep", *HOMOG, "--tol", "nan"),
+            ("verify", "--regime", "corr", *HOMOG, "--tol", "inf"),
+            ("verify", "--regime", "corr", *HOMOG, "--tol", "-1"),
+            ("verify", "--regime", "two-box", "--ubar", "1", "--c", "0.2", "--tol", "nan"),
+            ("verify", "--regime", "indep", *HOMOG, "--tol", "-1", "--policy-file", "VALID"),
+            ("solve", "--regime", "het", "--boxes", "1:0.2", "--n", "3"),
+            ("solve", "--regime", "het", "--boxes", "1:0.2", "--ubar", "1"),
+            ("solve", "--regime", "het", "--boxes", "1:0.2", "--c", "0.2"),
         ],
     )
     def test_exit_2_with_one_line(self, capsys, tmp_path, argv):

@@ -60,6 +60,8 @@ class TestValidateSpec:
             ("1", 0.3, 3),
             (1.0, None, 3),
             (1.0, "0.3", 3),
+            (True, 0.3, 3),
+            (2.0, True, 3),
         ],
     )
     def test_bad_parameters_rejected(self, ubar, c, n):
@@ -204,7 +206,7 @@ class TestRegretNeedle:
         assert r.max() <= sol.regret + 1e-9
 
     def test_long_menu_memory_is_sublinear(self):
-        # about 2 sqrt(n) beliefs of 8 kB are alive at once; all n take 24 MB
+        # two scalar recursions; all n beliefs of 8 kB at once would take 24 MB
         spec = HomogeneousSpec(1.0, 5e-4, 3000)
         policy = solve_corr_commitment(spec).policy
         tracemalloc.start()

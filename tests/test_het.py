@@ -41,6 +41,9 @@ class TestSpec:
             HeterogeneousSpec(())
         with pytest.raises(DomainError):
             HeterogeneousSpec(((None, 0.1),))
+        for box in (("1", "0.1"), (1.0, "0.1"), (True, 0.1), (2.0, True), (1.0, 0.1, 0.2), 1.0):
+            with pytest.raises(DomainError):
+                HeterogeneousSpec((box,))
 
     def test_order_ascending_net_reward(self):
         spec = HeterogeneousSpec(((1.0, 0.2), (1.0, 0.6), (2.0, 0.5)))

@@ -82,6 +82,16 @@ class TestInterimRegret:
             b = interim_regret_high_belief(policy, p, spec)
             assert abs(a - b) <= 1e-12
 
+    def test_probability_outside_unit_interval_rejected(self):
+        policy = InterimPolicy.from_m_alpha(1, 0.4, 3)
+        spec = HomogeneousSpec(1.0, 0.3, 3)
+        for p in (1.5, -0.2, float("nan"), [0.5, 1.5]):
+            with pytest.raises(DomainError):
+                interim_regret(policy, p, spec)
+        for p in (1.5, -0.2, float("nan")):
+            with pytest.raises(DomainError):
+                exhaustive_utility(p, 3, spec)
+
     def test_vectorized_over_p(self):
         policy = InterimPolicy.from_m_alpha(1, 0.4, 3)
         spec = HomogeneousSpec(1.0, 0.3, 3)
@@ -99,6 +109,25 @@ class TestSolveInterim:
         assert rep.policy.alpha == pytest.approx(0.750806661517, abs=1e-9)
         assert rep.residual <= 1e-10
         assert 0.3 < rep.worst_p_high <= 1.0
+
+    def test_two_boxes_argmax_closed_form(self):
+        # m = 0: the high branch ((1 - alpha) + x)((ubar - c) - ubar x) peaks
+        # at p* = ((2 - alpha) ubar + c) / (2 ubar)
+        for ubar, c in [(1.0, 0.3), (2.0, 0.7)]:
+            rep = solve_interim(HomogeneousSpec(ubar, c, 2))
+            assert rep.policy.m == 0
+            want = ((2 - rep.policy.alpha) * ubar + c) / (2 * ubar)
+            assert rep.worst_p_high == pytest.approx(want, abs=1e-12)
+
+    def test_cost_next_to_reward(self):
+        # (ubar - c) / ubar = 1.0000000827e-10: the high branch peaks at p = 1,
+        # so alpha c = (1 - alpha)(ubar - c) and alpha = (ubar - c) / ubar
+        spec = HomogeneousSpec(1.0, 1.0 - 1e-10, 2)
+        rep = solve_interim(spec)
+        assert rep.policy.m == 0
+        assert rep.policy.alpha == pytest.approx((spec.ubar - spec.c) / spec.ubar, rel=1e-9)
+        assert rep.worst_p_high == 1.0
+        assert rep.residual <= 1e-14
 
     def test_single_box_matches_ex_post_case(self):
         rep = solve_interim(HomogeneousSpec(1.0, 0.3, 1))

@@ -37,6 +37,21 @@ class TestNatureBestResponse:
         assert p_star == pytest.approx(0.0, abs=1e-9)
         assert worst == pytest.approx(3 * 0.3, abs=1e-12)
 
+    def test_two_box_vertex_exact(self):
+        # with two boxes the regret is a quadratic in x = 1 - p:
+        # R = (1-a2) D (1-x^2) + a2 x (c + (1-a1) D (1-x) + a1 c x), D = ubar - c,
+        # whose vertex lies inside [0, 1] for these policies
+        ubar, c = 1.0, 0.3
+        spec = HomogeneousSpec(ubar, c, 2)
+        d = ubar - c
+        for a1, a2 in [(0.9, 0.2), (0.5, 0.5), (0.3, 0.8)]:
+            quad = -(1 - a2) * d + a2 * (a1 * c - (1 - a1) * d)
+            lin = a2 * (c + (1 - a1) * d)
+            x = -lin / (2 * quad)
+            p_star, worst = nature_best_response_indep(StationaryPolicy(np.array([a1, a2])), spec)
+            assert p_star == pytest.approx(1 - x, abs=1e-12)
+            assert worst == pytest.approx((1 - a2) * d + lin * x + quad * x * x, abs=1e-15)
+
 
 class TestSaddleCheckIndep:
     def test_reference_spec_passes(self):
