@@ -99,13 +99,18 @@ def _emit_table_csv(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _reject(args, names, message: str):
+    """Exit 2 with ``message`` when any of the flags ``names`` is given."""
+    if any(getattr(args, name, None) is not None for name in names):
+        raise DomainError(message)
+
+
 def _spec_from(args):
     """The spec named by the arguments, and the ``params`` its record echoes."""
     if args.regime == "het":
         if not args.boxes:
             raise DomainError("--boxes is required for the het regime")
-        if (args.ubar, args.c, args.n) != (None, None, None):
-            raise DomainError("--ubar, --c, and --n do not apply to the het regime; --boxes gives each box")
+        _reject(args, ("ubar", "c", "n"), "--ubar, --c, and --n do not apply to the het regime; --boxes gives each box")
         boxes = []
         for part in args.boxes.split(","):
             try:
@@ -114,6 +119,7 @@ def _spec_from(args):
             except ValueError:
                 raise DomainError(f"cannot parse box {part!r}; expected 'ubar:cost'") from None
         return HeterogeneousSpec(tuple(boxes)), {"regime": args.regime, "boxes": args.boxes}
+    _reject(args, ("boxes",), f"the {args.regime} regime does not read --boxes")
     n = 2 if args.n is None and args.regime == "two-box" else args.n
     if args.ubar is None or args.c is None or n is None:
         raise DomainError("--ubar, --c, and --n are required for this regime")
@@ -187,6 +193,8 @@ def _require(args, *options):
     if any(getattr(args, name) is None for name in options):
         flags = " and ".join(f"--{name}" for name in options)
         raise DomainError(f"{flags} {'is' if len(options) == 1 else 'are'} required for {args.sweep}-sweeps")
+    unread = {"n": ("n", "ctotal"), "q": ("ctotal",), "delta": ("c", "n"), "ubar": ("ubar", "n", "ctotal")}[args.sweep]
+    _reject(args, unread, f"{args.sweep}-sweeps do not read {', '.join('--' + name for name in unread)}")
 
 
 def _cmd_sweep(args):
@@ -236,7 +244,7 @@ def _cmd_sweep(args):
     return _emit_table_csv(columns, rows), 0
 
 
-def _check_policy_file(args, spec) -> SaddleReport:
+def _check_policy_file(args, spec, grid: int) -> SaddleReport:
     """Nature's side only: the worst case of the file's policy against its claimed regret."""
     try:
         with open(args.policy_file, "r", encoding="utf-8") as fh:
@@ -251,10 +259,10 @@ def _check_policy_file(args, spec) -> SaddleReport:
         ) from None
     policy = StationaryPolicy(alpha)
     if args.regime == "indep":
-        p_star, worst = nature_best_response_indep(policy, spec, args.grid)
+        p_star, worst = nature_best_response_indep(policy, spec, grid)
         belief = IidBinary(p_star)
     else:
-        P_star, worst = nature_best_response_needle(policy, spec, args.grid)
+        P_star, worst = nature_best_response_needle(policy, spec)
         belief = NeedleP(P_star)
     gap = worst - claimed
     return SaddleReport(
@@ -271,21 +279,24 @@ def _cmd_verify(args):
     spec, params = _spec_from(args)
     if not np.isfinite(args.tol) or args.tol < 0.0:
         raise DomainError(f"--tol must be a finite non-negative number, got {args.tol!r}")
+    if args.regime in ("corr", "corr-intra"):
+        _reject(args, ("grid",), f"the {args.regime} regime does not read --grid: its needle check is exact")
+    grid = 2001 if args.grid is None else args.grid
     params["tol"] = args.tol
     if args.regime == "two-box":
         if args.policy_file is not None:
             raise DomainError("--policy-file is not supported for the two-box regime")
         del params["n"]
-        params["grid"] = args.grid
+        params["grid"] = grid
         policy, nature, _ = solve_two_box(spec)
-        report = verify_two_box(policy, nature, spec, grid_size=args.grid, tolerance=args.tol)
+        report = verify_two_box(policy, nature, spec, grid_size=grid, tolerance=args.tol)
     elif args.policy_file is not None:
-        report = _check_policy_file(args, spec)
+        report = _check_policy_file(args, spec, grid)
     elif args.regime == "indep":
-        report = saddle_check_indep(spec, tol=args.tol, grid_points=args.grid)
+        report = saddle_check_indep(spec, tol=args.tol, grid_points=grid)
     else:
         mode = "commitment" if args.regime == "corr" else "intrapersonal"
-        report = saddle_check_corr(spec, tol=args.tol, grid_points=args.grid, mode=mode)
+        report = saddle_check_corr(spec, tol=args.tol, mode=mode)
     results = {
         "nature_gap": report.nature_gap,
         "dm_gap": report.dm_gap,
@@ -356,7 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(verify)
     verify.add_argument("--regime", required=True, choices=("indep", "corr", "corr-intra", "two-box"))
     verify.add_argument("--tol", type=float, default=1e-6)
-    verify.add_argument("--grid", type=int, default=2001, help="grid points (pairs per axis for two-box)")
+    verify.add_argument(
+        "--grid", type=int, default=None, help="indep belief grid, two-box pairs per axis (default 2001)"
+    )
     verify.add_argument("--policy-file", default=None, help="JSON file with 'alpha' and 'regret' to check")
     verify.set_defaults(func=_cmd_verify)
 

@@ -63,7 +63,7 @@ class DomainError(ValueError):
 
 
 class SizeError(ValueError):
-    """Instance is too large for the exponential subset recursion."""
+    """Instance or grid is too large to solve or check in reasonable time and memory."""
 
 
 class ConvergenceError(RuntimeError):

@@ -315,3 +315,69 @@ def het_episode_loop(rule_for, probs, spec, U):
         opened[e] = steps
         regret[e] = oracle - payoff
     return opened, regret
+
+
+def _two_box_acceptance_scalar(u, policy):
+    """Scalar continuation chance after a first reward ``u`` (tie stops)."""
+    ubar, c = policy.ubar, policy.c
+    if u >= policy.v_acc:
+        return 0.0
+    if policy.regime == "small" or u <= policy.v_low:
+        return 1.0
+    a = policy.alpha2_0
+    return (2.0 * (ubar - u) - a * (ubar - u + c)) / (a * (ubar - u))
+
+
+def _two_box_pair_regret_scalar(policy, u, v):
+    """Regret against the reward pair {u, v}, u >= v, one pair at a time."""
+    c = policy.c
+    oracle = max(0.0, u - c)
+    a1_u = _two_box_acceptance_scalar(u, policy)
+    a1_v = _two_box_acceptance_scalar(v, policy)
+    pay_first_v = (1.0 - a1_v) * (v - c) + a1_v * (u - 2.0 * c)
+    pay_first_u = (1.0 - a1_u) * (u - c) + a1_u * (u - 2.0 * c)
+    search_pay = 0.5 * (pay_first_v + pay_first_u)
+    return (1.0 - policy.alpha2_0) * oracle + policy.alpha2_0 * (oracle - search_pay)
+
+
+def _two_box_plan_regret(policy, nature, open_first, threshold):
+    """Regret of quitting, or of open-then-continue-up-to-threshold, against the mixture."""
+    ubar, c = policy.ubar, policy.c
+    pairs = [((0.0, 0.0), nature.q), ((nature.v_hat, 0.0), nature.r), ((ubar, nature.v_hat), nature.s)]
+    total = 0.0
+    for (u, v), w in pairs:
+        if w == 0.0:
+            continue
+        oracle = max(0.0, u - c)
+        if not open_first:
+            total += w * oracle
+            continue
+        pay = 0.0
+        for first, other in ((u, v), (v, u)):
+            if first > threshold:
+                pay += 0.5 * (first - c)
+            else:
+                pay += 0.5 * (max(first, other) - 2.0 * c)
+        total += w * (oracle - pay)
+    return total
+
+
+def two_box_grid_loop(policy, nature, spec, claimed, grid_size):
+    """Scalar double loop over the pair grid and a plan per grid threshold.
+
+    Returns ``(nature_gap, worst_pair, dm_gap)``: the first worst pair in
+    row-major order, and the DM's best plan among quitting and a
+    continue-up-to-t plan for every grid point t.
+    """
+    grid = np.linspace(0.0, spec.ubar, int(grid_size))
+    nature_gap = -np.inf
+    worst_pair = (0.0, 0.0)
+    for i, u in enumerate(grid):
+        for v in grid[: i + 1]:
+            gap = _two_box_pair_regret_scalar(policy, float(u), float(v)) - claimed
+            if gap > nature_gap:
+                nature_gap = gap
+                worst_pair = (float(u), float(v))
+    candidates = [_two_box_plan_regret(policy, nature, False, 0.0)]
+    candidates += [_two_box_plan_regret(policy, nature, True, float(t)) for t in grid]
+    return float(nature_gap), worst_pair, float(claimed - min(candidates))

@@ -165,6 +165,11 @@ class TestVerify:
         assert doc["results"]["passed"] is True
         assert any("q = 1 - r - s" in note for note in doc["results"]["notes"])
 
+    def test_two_box_below_optout_boundary(self, capsys):
+        code, doc = run_json(capsys, "verify", "--regime", "two-box", "--ubar", "1", "--c", "0.7", "--grid", "50")
+        assert code == 0
+        assert doc["results"]["passed"] is True
+
     def test_tampered_policy_file_exit_3(self, capsys, tmp_path):
         spec = HomogeneousSpec(1.0, 0.3, 3)
         sol = solve_indep(spec)
@@ -193,8 +198,7 @@ class TestVerify:
     def test_corr_modes_pass(self, capsys):
         for regime in ("corr", "corr-intra"):
             code, doc = run_json(
-                capsys, "verify", "--regime", regime, "--ubar", "1", "--c", "0.25", "--n", "5",
-                "--tol", "1e-9", "--grid", "1001",
+                capsys, "verify", "--regime", regime, "--ubar", "1", "--c", "0.25", "--n", "5", "--tol", "1e-9"
             )
             assert code == 0, regime
             assert doc["results"]["passed"] is True
@@ -300,6 +304,7 @@ class TestParamsKeys:
 
 SWEEP = ("sweep", "--from", "1", "--to", "3")
 VERIFY_INDEP = ("verify", "--regime", "indep", *HOMOG, "--policy-file")
+DELTA = ("sweep", "--regime", "het", "--sweep", "delta", "--from", "0", "--to", "0.2", "--ubar", "1", "--ctotal", "0.6")
 
 
 class TestBadInputs:
@@ -331,6 +336,22 @@ class TestBadInputs:
             ("solve", "--regime", "het", "--boxes", "1:0.2", "--n", "3"),
             ("solve", "--regime", "het", "--boxes", "1:0.2", "--ubar", "1"),
             ("solve", "--regime", "het", "--boxes", "1:0.2", "--c", "0.2"),
+            ("solve", "--regime", "indep", *HOMOG, "--boxes", "1:0.2"),
+            ("solve", "--regime", "two-box", "--ubar", "1", "--c", "0.2", "--boxes", "1:0.2"),
+            (*SWEEP, "--regime", "indep", "--sweep", "n", "--ubar", "1", "--c", "0.3", "--n", "7"),
+            (*SWEEP, "--regime", "corr", "--sweep", "n", "--ubar", "1", "--c", "0.3", "--ctotal", "3"),
+            ("sweep", "--from", "0", "--to", "1", "--regime", "indep", "--sweep", "q", *HOMOG, "--ctotal", "3"),
+            (*DELTA, "--c", "0.3"),
+            (*DELTA, "--n", "2"),
+            (*SWEEP, "--regime", "two-box", "--sweep", "ubar", "--c", "0.2", "--ubar", "1"),
+            (*SWEEP, "--regime", "two-box", "--sweep", "ubar", "--c", "0.2", "--n", "2"),
+            (*SWEEP, "--regime", "two-box", "--sweep", "ubar", "--c", "0.2", "--ctotal", "1"),
+            ("verify", "--regime", "corr", *HOMOG, "--grid", "1001"),
+            ("verify", "--regime", "corr-intra", *HOMOG, "--grid", "2001"),
+            ("verify", "--regime", "corr", *HOMOG, "--grid", "1001", "--policy-file", "VALID"),
+            ("verify", "--regime", "indep", *HOMOG, "--grid", "1000001"),
+            ("verify", "--regime", "indep", *HOMOG, "--grid", "1000001", "--policy-file", "VALID"),
+            ("verify", "--regime", "two-box", "--ubar", "1", "--c", "0.2", "--grid", "10001"),
         ],
     )
     def test_exit_2_with_one_line(self, capsys, tmp_path, argv):

@@ -1,14 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from robust_pandora.core import DomainError, HomogeneousSpec
+from robust_pandora.core import DomainError, HomogeneousSpec, SizeError
 from robust_pandora.corr import solve_corr_commitment
 from robust_pandora.two_box import (
+    MAX_PAIR_GRID,
     acceptance_probability,
     regret_against_pair,
     solve_two_box,
     verify_two_box,
 )
+
+from oracles import two_box_grid_loop
 
 LARGE = HomogeneousSpec(1.0, 0.2, 2)
 SMALL = HomogeneousSpec(1.0, 0.3, 2)
@@ -170,3 +177,84 @@ def test_regret_pair_handles_low_rewards():
     )
     # swapped arguments are reordered
     assert regret_against_pair(pol, 0.0, 0.1) == regret_against_pair(pol, 0.1, 0.0)
+
+
+def test_below_optout_boundary_quits():
+    # at ubar <= 1.5c two boxes reach the binary opt-out size: quitting is
+    # the saddle, against the certain pair {ubar, 0}
+    spec = HomogeneousSpec(1.0, 0.7, 2)
+    pol, nat, regret = solve_two_box(spec)
+    assert pol.alpha2_0 == 0.0
+    assert regret == 1.0 - 0.7 == solve_corr_commitment(spec).regret
+    assert (nat.q, nat.r, nat.s) == (0.0, 1.0, 0.0)
+    assert verify_two_box(pol, nat, spec, grid_size=50).passed
+    # the boundary ubar = 1.5c opts out too, as in the binary problem; both
+    # plans have the value ubar - c there
+    boundary = HomogeneousSpec(1.5, 1.0, 2)
+    pol, _, regret = solve_two_box(boundary)
+    assert pol.alpha2_0 == solve_corr_commitment(boundary).policy.alphas[-1] == 0.0
+    assert regret == 0.5
+
+
+@given(st.floats(1.0, 4.0, exclude_min=True), st.floats(0.5, 2.0))
+@settings(max_examples=60, deadline=None)
+def test_narrow_range_saddle(ratio, ubar):
+    # ubar/c in (1, 4]: from the c -> ubar end to the ubar = 4c regime boundary
+    c = ubar / ratio
+    assume(c < ubar)
+    spec = HomogeneousSpec(ubar, c, 2)
+    pol, nat, regret = solve_two_box(spec)
+    assert regret <= ubar - c
+    assert min(nat.q, nat.r, nat.s) >= 0.0
+    assert nat.q + nat.r + nat.s == pytest.approx(1.0, abs=1e-12)
+    assert verify_two_box(pol, nat, spec, grid_size=50).passed
+
+
+class TestPairScan:
+    def test_matches_scalar_loop(self):
+        # the array scan and the three atom thresholds against the scalar pair
+        # loop and a plan per grid threshold: bit for bit, except that a grid
+        # with no point in [v_hat, ubar) misses one plan the atoms include
+        rng = np.random.default_rng(20)
+        cases = [(15.0, 1000), (1.5, 8), (4.0, 200), (40.0, 8)]
+        cases += [(rng.uniform(1.5, 40.0), int(np.exp(rng.uniform(np.log(8), np.log(1000))))) for _ in range(40)]
+        for ratio, grid in cases:
+            ubar = float(rng.uniform(0.5, 2.0))
+            spec = HomogeneousSpec(ubar, ubar / ratio, 2)
+            pol, nat, claimed = solve_two_box(spec)
+            report = verify_two_box(pol, nat, spec, grid_size=grid)
+            nature_gap, worst_pair, dm_gap = two_box_grid_loop(pol, nat, spec, claimed, grid)
+            assert report.nature_gap == nature_gap
+            assert report.notes[1] == f"worst grid pair {worst_pair}"
+            points = np.linspace(0.0, ubar, grid)
+            if np.any((points >= nat.v_hat) & (points < ubar)):
+                assert report.dm_gap == dm_gap
+            else:
+                assert report.dm_gap >= dm_gap
+
+    def test_memory_is_linear_in_the_grid(self):
+        # row blocks of 0.5 MB per temporary; one float64 table of all pairs
+        # would take 32 MB
+        spec = HomogeneousSpec(1.0, 1.0 / 15.0, 2)
+        pol, nat, _ = solve_two_box(spec)
+        tracemalloc.start()
+        try:
+            verify_two_box(pol, nat, spec, grid_size=2001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    def test_grid_cap(self):
+        pol, nat, _ = solve_two_box(LARGE)
+        with pytest.raises(SizeError):
+            verify_two_box(pol, nat, LARGE, grid_size=MAX_PAIR_GRID + 1)
+
+    def test_array_input_matches_scalar(self):
+        pol, _, _ = solve_two_box(LARGE)
+        u = np.linspace(0.0, 1.0, 37)
+        assert np.array_equal(acceptance_probability(u, pol), [acceptance_probability(float(x), pol) for x in u])
+        pairs = regret_against_pair(pol, u[:, None], u[None, :])
+        assert pairs.shape == (37, 37)
+        scalar = [[regret_against_pair(pol, float(a), float(b)) for b in u] for a in u]
+        assert np.array_equal(pairs, scalar)

@@ -2,12 +2,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from robust_pandora.core import DomainError, HomogeneousSpec, IidBinary, NeedleP, StationaryPolicy
+from robust_pandora.core import (
+    DomainError,
+    HomogeneousSpec,
+    IidBinary,
+    NeedleP,
+    SizeError,
+    StationaryPolicy,
+    regret_needle,
+)
 from robust_pandora.corr import solve_corr_commitment
 from robust_pandora.indep import solve_indep
 from robust_pandora.interim import solve_interim
 from robust_pandora.verify import (
+    MAX_GRID_POINTS,
     interim_grid_oracle,
     nature_best_response_indep,
     nature_best_response_needle,
@@ -84,6 +95,12 @@ class TestSaddleCheckIndep:
         _, worst = nature_best_response_indep(sol.policy, spec)
         assert worst == pytest.approx(0.21, abs=1e-12)
 
+    def test_grid_cap(self):
+        with pytest.raises(SizeError):
+            nature_best_response_indep(solve_indep(SPEC).policy, SPEC, MAX_GRID_POINTS + 1)
+        with pytest.raises(SizeError):
+            saddle_check_indep(SPEC, grid_points=MAX_GRID_POINTS + 1)
+
     def test_grid_refinement_sane(self):
         coarse = saddle_check_indep(SPEC, tol=1e-6, grid_points=501)
         fine = saddle_check_indep(SPEC, tol=1e-6, grid_points=1001)
@@ -126,13 +143,15 @@ class TestSaddleCheckCorr:
         with pytest.raises(DomainError):
             saddle_check_corr(HomogeneousSpec(1.0, 0.01, 33))
 
-    def test_needle_grid_needs_two_points(self):
+    def test_needle_two_endpoints(self):
+        # the regret is affine in P, so P = 0 or P = 1 is a worst case; the
+        # saddle line is flat and reports P = 0
         sol = solve_corr_commitment(SPEC)
-        with pytest.raises(DomainError):
-            nature_best_response_needle(sol.policy, SPEC, 1)
-        P_star, worst = nature_best_response_needle(sol.policy, SPEC, 2)
-        assert P_star in (0.0, 1.0)
-        assert worst == pytest.approx(sol.regret, abs=1e-12)
+        assert nature_best_response_needle(sol.policy, SPEC) == (0.0, pytest.approx(sol.regret, abs=1e-12))
+        never = StationaryPolicy(np.zeros(3))
+        assert nature_best_response_needle(never, SPEC) == (1.0, pytest.approx(0.7, abs=1e-15))
+        always = StationaryPolicy(np.ones(3))
+        assert nature_best_response_needle(always, SPEC) == (0.0, pytest.approx(0.9, abs=1e-15))
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(Exception):
@@ -171,3 +190,15 @@ class TestInterimGridOracle:
             m, alpha, _ = interim_grid_oracle(spec)
             assert m == rep.policy.m, f"n={n}"
             assert abs(alpha - rep.policy.alpha) <= 1e-3, f"n={n}"
+
+
+@given(st.integers(1, 6), st.floats(0.01, 0.3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_needle_endpoints_dominate_grid(n, c, data):
+    # every regret here stays below 2, so 1e-15 allows a few ulp of rounding
+    # in (1 - P) R(0) + P R(1) at the interior grid points
+    alphas = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    spec = HomogeneousSpec(1.0, c, n)
+    policy = StationaryPolicy(np.array(alphas))
+    _, worst = nature_best_response_needle(policy, spec)
+    assert worst >= regret_needle(policy, np.linspace(0.0, 1.0, 1001), spec).max() - 1e-15
