@@ -246,17 +246,29 @@ class CountProfile:
     Q: np.ndarray
 
     def __post_init__(self):
-        arr = _probability_array(self.Q, "Q")
-        if arr.ndim != 1 or arr.size < 2:
+        arr = _count_profiles(self.Q)
+        if arr.ndim != 1:
             raise DomainError("count profile needs entries for j = 0..n")
-        if abs(arr.sum() - 1.0) > 1e-12:
-            raise DomainError("count profile must sum to 1")
         arr.flags.writeable = False
         object.__setattr__(self, "Q", arr)
 
     @property
     def n(self) -> int:
         return self.Q.size - 1
+
+
+def _count_profiles(values) -> np.ndarray:
+    """Count profiles stacked along leading axes, ``(..., n + 1)``, validated and clamped.
+
+    Every entry must lie in [0, 1] (up to ``PROB_SLACK``) and every row must
+    sum to 1 within 1e-12.
+    """
+    arr = _probability_array(values, "Q")
+    if arr.ndim < 1 or arr.shape[-1] < 2:
+        raise DomainError("count profile needs entries for j = 0..n")
+    if np.any(np.abs(arr.sum(axis=-1) - 1.0) > 1e-12):
+        raise DomainError("count profile must sum to 1")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -445,32 +457,39 @@ def first_success_probabilities(Q) -> np.ndarray:
 
         q_k = sum_j C_k^j Q_j,
         C_k^j = j / (n - k + 1) * prod_{i=0..k-2} (n - i - j) / (n - i).
+
+    ``Q`` may stack profiles along leading axes, ``(..., n + 1) -> (..., n)``;
+    each row is computed exactly as it would be on its own.
     """
     Q = np.asarray(Q, dtype=float)
-    n = Q.size - 1
+    n = Q.shape[-1] - 1
     j = np.arange(n + 1)
     # coeff[k - 1, j] = C_k^j, its factors multiplied in the order written;
     # the j = 0 column is zero, so each row sum starts from 0.0
     coeff = j / (n - np.arange(n)[:, None])
     for i in range(n - 1):
         coeff[i + 1 :] *= (n - i - j) / (n - i)
-    # rows added strictly left to right; a copy, so that later sums over
-    # slices of q see contiguous memory
-    return np.cumsum(coeff * Q, axis=1)[:, -1].copy()
+    # rows added strictly left to right; a copy, so that the result does not
+    # keep the whole (..., n, n + 1) table of partial sums alive
+    return np.cumsum(coeff * Q[..., None, :], axis=-1)[..., -1].copy()
 
 
-def _plan_regrets(Q: CountProfile, spec: HomogeneousSpec) -> np.ndarray:
-    """Conditional regret of each plan "stop after ``m`` failures", ``m = 0..n``."""
-    ubar, c = spec.ubar, spec.c
-    q = first_success_probabilities(Q.Q)
-    total = q.sum()
-    k = np.arange(1, spec.n + 1)
-    out = np.empty(spec.n + 1)
-    for m in range(spec.n + 1):
-        early = q[:m] @ ((k[:m] - 1) * c) if m else 0.0
-        late = q[m:].sum() * (ubar - c + m * c)
-        out[m] = early + late + (1.0 - total) * m * c
-    return out
+def _plan_regrets(Q: np.ndarray, spec: HomogeneousSpec) -> np.ndarray:
+    """Conditional regret of each plan "stop after ``m`` failures", ``m = 0..n``.
+
+    ``Q`` holds count profiles along leading axes, ``(..., n + 1) -> (..., n + 1)``.
+    Every sum runs left to right, so a row's values do not depend on the
+    rows stacked with it.
+    """
+    ubar, c, n = spec.ubar, spec.c, spec.n
+    q = first_success_probabilities(Q)
+    m = np.arange(n + 1)
+    # early[..., m] = sum_{k <= m} q_k (k - 1) c, starting from 0.0 at m = 0
+    early = np.cumsum(np.concatenate([np.zeros(q.shape[:-1] + (1,)), q * (m[:-1] * c)], axis=-1), axis=-1)
+    # reached[..., m] = sum_{k > m} q_k, the mass beyond the plan's m openings
+    reached = np.cumsum(np.where(m[1:] > m[:, None], q[..., None, :], 0.0), axis=-1)[..., -1]
+    total = reached[..., :1]
+    return early + reached * (ubar - c + m * c) + (1.0 - total) * m * c
 
 
 def regret_count_profile(mixture: StoppingMixture, Q: CountProfile, spec: HomogeneousSpec) -> float:
@@ -483,5 +502,10 @@ def regret_count_profile(mixture: StoppingMixture, Q: CountProfile, spec: Homoge
     """
     if mixture.n != spec.n or Q.n != spec.n:
         raise DomainError("mixture, count profile, and spec must share the same n")
+    return float(_mixture_regrets(mixture.w, Q.Q, spec))
+
+
+def _mixture_regrets(w: np.ndarray, Q: np.ndarray, spec: HomogeneousSpec) -> np.ndarray:
+    """:func:`regret_count_profile` for stopping weights ``w`` and profiles ``Q`` of shape ``(..., n + 1)``."""
     # the mixture's plans weighted and added strictly left to right
-    return float(np.cumsum(mixture.w * _plan_regrets(Q, spec))[-1])
+    return np.cumsum(w * _plan_regrets(Q, spec), axis=-1)[..., -1]

@@ -191,10 +191,12 @@ def verify_two_box(
     threshold t only depends on which atoms {0, v_hat, ubar} exceed t, so
     quitting and t at each atom are all the plans (stopping even on an
     empty first box lies outside this family and is not priced).
-    The report also quantifies how far the standalone closed form for the
-    no-reward weight q drifts from the normalization 1 - r - s actually
-    used (they disagree in the large regime; the indifference conditions
-    pin r and s, and q must absorb the rest).
+    In the large regime (ubar > 4c) the report also quantifies how far the
+    standalone closed form for the no-reward weight q drifts from the
+    normalization 1 - r - s actually used (they disagree there; the
+    indifference conditions pin r and s, and q must absorb the rest).  That
+    closed form does not describe the small regime's binary worst case, so
+    no such note is made there.
     """
     _require_two_boxes(spec)
     if grid_size < 2:
@@ -225,17 +227,19 @@ def verify_two_box(
     plans += [TwoBoxContinuousPolicy("small", ubar, c, 1.0, cut, cut) for cut in (nature.v_hat, ubar, np.inf)]
     dm_gap = claimed - min(sum(weights * regret_against_pair(plan, *pairs)) for plan in plans)
 
-    q_closed_form = (2.0 * (ubar - nature.v_hat) * (nature.v_hat - 2.0 * c) + c**2) / (
-        2.0 * (ubar - nature.v_hat) * (nature.v_hat + c) + c**2
-    )
-    q_discrepancy = nature.q - q_closed_form
     notes = (
-        "no-reward weight uses q = 1 - r - s; the standalone closed form "
-        f"for q differs from it by {q_discrepancy:.6e} here",
         f"worst grid pair {worst_pair}",
         "dm candidates are continue-up-to-threshold plans; the plan that "
         "stops even on an empty first box is not priced by this mixture",
     )
+    if ubar > 4.0 * c:
+        q_closed_form = (2.0 * (ubar - nature.v_hat) * (nature.v_hat - 2.0 * c) + c**2) / (
+            2.0 * (ubar - nature.v_hat) * (nature.v_hat + c) + c**2
+        )
+        notes = (
+            "no-reward weight uses q = 1 - r - s; the standalone closed form "
+            f"for q differs from it by {nature.q - q_closed_form:.6e} here",
+        ) + notes
     return SaddleReport(
         nature_gap=float(nature_gap),
         dm_gap=float(dm_gap),

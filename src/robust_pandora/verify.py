@@ -4,8 +4,10 @@ Every solver in this package claims a saddle point: a policy whose worst
 case over beliefs equals a value no deviation can beat.  The checks here
 recompute both sides instead of the closed forms: exactly where the regret
 is affine in the belief (at its extreme points), with Newton-polished grids
-where it is a polynomial, and with random probes and plan scans.  They
-report the two one-sided gaps:
+where it is a polynomial, with seeded random policies plus a coordinate
+descent on the DM side of the independent check, with seeded Dirichlet
+count profiles scored as array batches, and with plan scans.  They report
+the two one-sided gaps:
 
 * ``nature_gap``: best belief deviation found, minus the claimed value
   (positive means Nature can beat the claim);
@@ -17,10 +19,12 @@ A saddle point passes when both gaps stay within tolerance.
 
 from __future__ import annotations
 
+import itertools
+import numbers
+
 import numpy as np
 
 from .core import (
-    CountProfile,
     DomainError,
     HomogeneousSpec,
     IidBinary,
@@ -29,14 +33,15 @@ from .core import (
     SizeError,
     StationaryPolicy,
     StoppingMixture,
+    _count_profiles,
+    _mixture_regrets,
     _plan_regrets,
     _poly_max,
     _regret_indep_alphas,
     _regret_indep_poly,
-    regret_count_profile,
     regret_needle,
 )
-from .corr import single_treasure_equivalent, solve_corr_commitment, solve_corr_intrapersonal
+from .corr import solve_corr_commitment, solve_corr_intrapersonal
 from .indep import solve_indep, weitzman_threshold
 from .interim import InterimPolicy, interim_regret
 
@@ -54,6 +59,15 @@ __all__ = [
 # saddle_check_indep at n = 20 on a 2-vCPU x86-64 VM: 1e6 points 0.05 s /
 # 53 MB, 1e7 points 0.74 s / 259 MB.
 MAX_GRID_POINTS = 1_000_000
+
+_PROFILE_BLOCK = 1 << 16  # count-profile table entries scored at once, 0.5 MB per float temporary
+
+
+def _require_count(value, what: str, least: int) -> int:
+    """``value`` as an ``int`` if it is an integer (not a bool) of at least ``least``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        raise DomainError(f"{what} must be an integer of at least {least}, got {value!r}")
+    return int(value)
 
 
 def nature_best_response_indep(policy: StationaryPolicy, spec: HomogeneousSpec, grid_points: int = 2001):
@@ -99,6 +113,8 @@ def saddle_check_indep(
     regret is linear in each stage probability, so descent only needs the
     endpoints) hunt for anything cheaper.
     """
+    dm_probes = _require_count(dm_probes, "dm_probes", 1)
+    seed = _require_count(seed, "seed", 0)
     sol = solve_indep(spec)
     p_star, worst = nature_best_response_indep(sol.policy, spec, grid_points)
     nature_gap = worst - sol.regret
@@ -139,12 +155,17 @@ def saddle_check_corr(
     """Check a correlated-rewards solution against belief and plan deviations.
 
     Nature's deviations cover the single-treasure probabilities (exactly,
-    by :func:`nature_best_response_needle`) plus random and degenerate
-    count profiles (whose flattened versions must dominate them, confirming
-    the hidden-treasure reduction).  The DM's deviations are every pure
-    stop-after-m plan against the worst belief in commitment mode, and every
-    one-step stage deviation in intrapersonal mode.
+    by :func:`nature_best_response_needle`) plus ``q_draws`` seeded
+    Dirichlet count profiles and the ``n + 1`` degenerate ones, whose
+    flattened versions must dominate them (confirming the hidden-treasure
+    reduction).  The profiles and their flattenings are scored as array
+    batches in row blocks of a fixed size, so memory does not grow with
+    ``q_draws``.  The DM's deviations are every pure stop-after-m plan
+    against the worst belief in commitment mode, and every one-step stage
+    deviation in intrapersonal mode.
     """
+    q_draws = _require_count(q_draws, "q_draws", 0)
+    seed = _require_count(seed, "seed", 0)
     if spec.n > 32:
         raise DomainError("count-profile deviation scan is limited to n <= 32")
     if mode == "commitment":
@@ -158,27 +179,27 @@ def saddle_check_corr(
     worst_P, worst = nature_best_response_needle(sol.policy, spec)
     nature_gap = worst - sol.regret
 
+    # the draws in row blocks (the same stream as one draw at a time), then
+    # the n + 1 vertices; a flattening keeps Q[0] and puts the rest on j = 1
     rng = np.random.default_rng(seed)
-    w = StoppingMixture.from_policy(sol.policy)
-    profiles = [rng.dirichlet(np.ones(n + 1)) for _ in range(q_draws)]
-    for j in range(n + 1):
-        vertex = np.zeros(n + 1)
-        vertex[j] = 1.0
-        profiles.append(vertex)
+    w = StoppingMixture.from_policy(sol.policy).w
+    rows = max(1, _PROFILE_BLOCK // (n * (n + 1)))
+    draws = (rng.dirichlet(np.ones(n + 1), size=min(rows, q_draws - start)) for start in range(0, q_draws, rows))
     flattening_ok = True
-    for Q_raw in profiles:
-        Q = CountProfile(Q_raw)
-        value = regret_count_profile(w, Q, spec)
-        flattened = regret_count_profile(w, single_treasure_equivalent(Q), spec)
-        if value > flattened + 1e-12:
-            flattening_ok = False
-        nature_gap = max(nature_gap, value - sol.regret)
+    for Q_raw in itertools.chain(draws, [np.eye(n + 1)]):
+        Q = _count_profiles(Q_raw)
+        flat = np.zeros_like(Q)
+        flat[:, 0] = Q[:, 0]
+        flat[:, 1] = 1.0 - Q[:, 0]
+        values = _mixture_regrets(w, Q, spec)
+        flattening_ok &= not np.any(values > _mixture_regrets(w, flat, spec) + 1e-12)
+        nature_gap = max(nature_gap, (values - sol.regret).max())
 
     if mode == "commitment":
         # every pure stop-after-m plan against the worst needle [1 - P, P, 0, ...]
         needle = np.zeros(n + 1)
         needle[:2] = 1.0 - sol.worst_case_P[-1], sol.worst_case_P[-1]
-        dm_gap = sol.regret - _plan_regrets(CountProfile(needle), spec).min()
+        dm_gap = sol.regret - _plan_regrets(needle, spec).min()
     else:
         dm_gap = -np.inf
         prev = 0.0

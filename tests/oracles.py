@@ -381,3 +381,62 @@ def two_box_grid_loop(policy, nature, spec, claimed, grid_size):
     candidates = [_two_box_plan_regret(policy, nature, False, 0.0)]
     candidates += [_two_box_plan_regret(policy, nature, True, float(t)) for t in grid]
     return float(nature_gap), worst_pair, float(claimed - min(candidates))
+
+
+def corr_profile_loop(spec, tol=1e-9, q_draws=1000, mode="commitment", seed=0):
+    """``saddle_check_corr`` scoring one count profile at a time.
+
+    The per-profile loop the batched scan replaced: each Dirichlet draw (one
+    draw per call) and each vertex becomes a ``CountProfile``, and the
+    profile and its ``single_treasure_equivalent`` are scored by two
+    ``regret_count_profile`` calls.  Returns the same ``SaddleReport``.
+    """
+    from robust_pandora.core import CountProfile, NeedleP, SaddleReport, StoppingMixture, _plan_regrets
+    from robust_pandora.core import regret_count_profile
+    from robust_pandora.corr import single_treasure_equivalent, solve_corr_commitment, solve_corr_intrapersonal
+    from robust_pandora.verify import nature_best_response_needle
+
+    sol = solve_corr_commitment(spec) if mode == "commitment" else solve_corr_intrapersonal(spec)
+    n = spec.n
+    worst_P, worst = nature_best_response_needle(sol.policy, spec)
+    nature_gap = worst - sol.regret
+
+    rng = np.random.default_rng(seed)
+    w = StoppingMixture.from_policy(sol.policy)
+    profiles = [rng.dirichlet(np.ones(n + 1)) for _ in range(q_draws)]
+    for j in range(n + 1):
+        vertex = np.zeros(n + 1)
+        vertex[j] = 1.0
+        profiles.append(vertex)
+    flattening_ok = True
+    for Q_raw in profiles:
+        Q = CountProfile(Q_raw)
+        value = regret_count_profile(w, Q, spec)
+        flattened = regret_count_profile(w, single_treasure_equivalent(Q), spec)
+        if value > flattened + 1e-12:
+            flattening_ok = False
+        nature_gap = max(nature_gap, value - sol.regret)
+
+    if mode == "commitment":
+        needle = np.zeros(n + 1)
+        needle[:2] = 1.0 - sol.worst_case_P[-1], sol.worst_case_P[-1]
+        dm_gap = sol.regret - _plan_regrets(needle, spec).min()
+    else:
+        dm_gap = -np.inf
+        prev = 0.0
+        for k in range(1, n + 1):
+            P_k = float(sol.worst_case_P[k - 1])
+            stay_out = P_k * (spec.ubar - spec.c)
+            open_once = (1.0 - P_k / k) * (spec.c + prev)
+            dm_gap = max(dm_gap, float(sol.regret_per_k[k - 1]) - min(stay_out, open_once))
+            prev = float(sol.regret_per_k[k - 1])
+
+    notes = () if flattening_ok else ("a correlated profile beat its single-treasure flattening",)
+    return SaddleReport(
+        nature_gap=float(nature_gap),
+        dm_gap=float(dm_gap),
+        worst_belief=NeedleP(worst_P),
+        tolerance=tol,
+        passed=bool(nature_gap <= tol and dm_gap <= tol and flattening_ok),
+        notes=notes,
+    )

@@ -30,7 +30,7 @@ from robust_pandora.indep import expected_search_count, search_count_profile, so
 from robust_pandora.interim import interim_two_box_intrapersonal, solve_interim
 from robust_pandora.simulate import simulate
 from robust_pandora.two_box import solve_two_box, verify_two_box
-from robust_pandora.verify import interim_grid_oracle, saddle_check_indep
+from robust_pandora.verify import interim_grid_oracle, saddle_check_corr, saddle_check_indep
 
 from robust_pandora.core import IidBinary
 
@@ -109,7 +109,17 @@ def test_criterion_4_success_order_and_flattening():
         assert regret_count_profile(w, Q, spec) <= regret_count_profile(
             w, single_treasure_equivalent(Q), spec
         ) + 1e-12
-    _report(4, "first-success probabilities decrease and single-treasure flattening dominates (1000 draws each)")
+    t0 = time.perf_counter()
+    for mode in ("commitment", "intrapersonal"):
+        report = saddle_check_corr(HomogeneousSpec(1.0, 0.02, 32), tol=1e-9, mode=mode)
+        assert report.passed and not report.notes, f"{mode}: {report}"
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 0.5
+    _report(
+        4,
+        "first-success probabilities decrease and single-treasure flattening dominates (1000 draws each); "
+        f"both n=32 correlated saddle checks in {elapsed:.2f}s",
+    )
 
 
 def test_criterion_5_correlation_commitment_and_sophistication():

@@ -165,6 +165,14 @@ class TestVerify:
         assert doc["results"]["passed"] is True
         assert any("q = 1 - r - s" in note for note in doc["results"]["notes"])
 
+    def test_two_box_small_regime_has_no_q_note(self, capsys):
+        # the standalone q closed form only holds for ubar > 4c
+        code, doc = run_json(capsys, "verify", "--regime", "two-box", "--ubar", "1", "--c", "0.3", "--grid", "50")
+        assert code == 0
+        notes = doc["results"]["notes"]
+        assert len(notes) == 2
+        assert notes[0].startswith("worst grid pair") and notes[1].startswith("dm candidates")
+
     def test_two_box_below_optout_boundary(self, capsys):
         code, doc = run_json(capsys, "verify", "--regime", "two-box", "--ubar", "1", "--c", "0.7", "--grid", "50")
         assert code == 0

@@ -16,6 +16,7 @@ from robust_pandora.core import (
     StationaryPolicy,
     StoppingMixture,
     TwoPointMixture,
+    _mixture_regrets,
     first_success_probabilities,
     regret_count_profile,
     regret_indep,
@@ -322,6 +323,28 @@ class TestFirstSuccessProbabilities:
         for n in (2, 3, 4):
             Q = rng.dirichlet(np.ones(n + 1))
             assert np.allclose(first_success_probabilities(Q), first_success_by_orders(Q), atol=1e-12)
+
+    def test_stacked_rows_equal_single_calls(self):
+        # leading axes: each row bit for bit what a call on that row alone gives
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 7, 8, 9, 32, 60):
+            stack = rng.dirichlet(np.ones(n + 1), size=(3, 4))
+            stack[0, 0] = np.eye(n + 1)[-1]
+            q = first_success_probabilities(stack)
+            assert q.shape == (3, 4, n)
+            for i in range(3):
+                for j in range(4):
+                    assert np.array_equal(q[i, j], first_success_probabilities(stack[i, j]))
+
+    def test_stacked_plan_regrets_equal_public_evaluator(self):
+        # the batch path behind the profile scan against one regret_count_profile call per row
+        rng = np.random.default_rng(43)
+        for n in (1, 5, 9, 32):
+            spec = HomogeneousSpec(1.0, 0.3 / n, n)
+            w = StoppingMixture.from_policy(StationaryPolicy(rng.random(n)))
+            stack = rng.dirichlet(np.ones(n + 1), size=50)
+            values = _mixture_regrets(w.w, stack, spec)
+            assert values.tolist() == [regret_count_profile(w, CountProfile(Q), spec) for Q in stack]
 
 
 @given(st.integers(2, 6), st.data())

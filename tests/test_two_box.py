@@ -122,6 +122,19 @@ class TestVerifyTwoBox:
         drift = float(note.split("by ")[1].split(" here")[0])
         assert abs(drift) > 1e-3  # the standalone q expression really is off
 
+    def test_q_note_only_in_large_regime(self):
+        # the standalone q closed form is a large-regime formula; in the small
+        # regime q = 1 - P of the binary worst case, and at ubar = 1, c = 0.3
+        # the formula would report a drift of -P = -0.5217...
+        for spec in (SMALL, HomogeneousSpec(1.0, 0.25, 2), HomogeneousSpec(1.0, 0.7, 2)):
+            pol, nat, _ = solve_two_box(spec)
+            report = verify_two_box(pol, nat, spec, grid_size=50)
+            assert not any("q = 1 - r - s" in note for note in report.notes)
+            assert len(report.notes) == 2 and report.notes[0].startswith("worst grid pair")
+        pol, nat, _ = solve_two_box(LARGE)
+        report = verify_two_box(pol, nat, LARGE, grid_size=50)
+        assert "q = 1 - r - s" in report.notes[0] and len(report.notes) == 3
+
     def test_small_regime_boundary_pair_value(self):
         # the binding no-stop pair approaches (ubar - c, ubar - c); its regret
         # limit is (5 ubar - 8 c) c / (2 ubar + c), within the claimed value
@@ -225,7 +238,7 @@ class TestPairScan:
             report = verify_two_box(pol, nat, spec, grid_size=grid)
             nature_gap, worst_pair, dm_gap = two_box_grid_loop(pol, nat, spec, claimed, grid)
             assert report.nature_gap == nature_gap
-            assert report.notes[1] == f"worst grid pair {worst_pair}"
+            assert report.notes[-2] == f"worst grid pair {worst_pair}"
             points = np.linspace(0.0, ubar, grid)
             if np.any((points >= nat.v_hat) & (points < ubar)):
                 assert report.dm_gap == dm_gap

@@ -26,6 +26,8 @@ from robust_pandora.verify import (
     saddle_check_indep,
 )
 
+from oracles import corr_profile_loop
+
 SPEC = HomogeneousSpec(1.0, 0.3, 3)
 
 
@@ -101,6 +103,14 @@ class TestSaddleCheckIndep:
         with pytest.raises(SizeError):
             saddle_check_indep(SPEC, grid_points=MAX_GRID_POINTS + 1)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"dm_probes": 0}, {"dm_probes": -1}, {"dm_probes": 2.0}, {"dm_probes": True}, {"seed": -1}, {"seed": None}],
+    )
+    def test_rejects_bad_sampling_arguments(self, kwargs):
+        with pytest.raises(DomainError):
+            saddle_check_indep(SPEC, **kwargs)
+
     def test_grid_refinement_sane(self):
         coarse = saddle_check_indep(SPEC, tol=1e-6, grid_points=501)
         fine = saddle_check_indep(SPEC, tol=1e-6, grid_points=1001)
@@ -156,6 +166,52 @@ class TestSaddleCheckCorr:
     def test_rejects_unknown_mode(self):
         with pytest.raises(Exception):
             saddle_check_corr(SPEC, mode="bogus")
+
+    def test_batched_scan_matches_profile_loop(self):
+        # every field bit for bit against the loop that scored one profile at
+        # a time: n = 1..32, both modes, no, one and 1000 Dirichlet draws
+        rng = np.random.default_rng(2024)
+        cases = [(n, q_draws, n + 40 * q_draws) for n in range(1, 33) for q_draws in (0, 1)]
+        cases += [(n, 1000, n) for n in (1, 3, 8, 32)]
+        for n, q_draws, seed in cases:
+            for mode in ("commitment", "intrapersonal"):
+                ubar = float(rng.uniform(0.5, 2.0))
+                spec = HomogeneousSpec(ubar, ubar * float(rng.uniform(0.02, 0.6)), n)
+                got = saddle_check_corr(spec, q_draws=q_draws, mode=mode, seed=seed)
+                assert got == corr_profile_loop(spec, q_draws=q_draws, mode=mode, seed=seed), (spec, mode, q_draws)
+
+    def test_scan_memory_does_not_grow_with_draws(self):
+        # 10 000 profiles of 33 entries take 2.6 MB, and the (n, n + 1)
+        # tables of all 10 033 profiles at once 85 MB per float temporary
+        spec = HomogeneousSpec(1.0, 0.05, 32)
+        for q_draws in (1000, 10_000):
+            tracemalloc.start()
+            try:
+                saddle_check_corr(spec, q_draws=q_draws)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2e6, q_draws
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"q_draws": 2.5},
+            {"q_draws": -3},
+            {"q_draws": True},
+            {"q_draws": "10"},
+            {"seed": -1},
+            {"seed": 1.0},
+            {"seed": False},
+        ],
+    )
+    def test_rejects_bad_sampling_arguments(self, kwargs):
+        with pytest.raises(DomainError):
+            saddle_check_corr(SPEC, **kwargs)
+
+    def test_accepts_numpy_integers(self):
+        want = saddle_check_corr(SPEC, q_draws=5, seed=4)
+        assert saddle_check_corr(SPEC, q_draws=np.int64(5), seed=np.uint32(4)) == want
 
 
 class TestInterimGridOracle:
