@@ -396,24 +396,25 @@ def _poly_max(coef: np.ndarray, lo: float, hi: float, grid_points: int):
     The best point of an even grid is polished by Newton's method on the
     derivative while the curvature is negative, the steps shrink (after
     that, rounding drives them) and the iterates stay in the two grid cells
-    around that point; an end point of the interval stays where it is.
+    around that point; an end point of the interval stays where it is.  The
+    grid is one array pass; the polish runs Horner's rule on Python floats.
     """
-    xs = np.linspace(lo, hi, int(grid_points))
+    xs = np.linspace(lo, hi, grid_points)
     best = int(np.argmax(_polyval(coef, xs)))
-    left, right = xs[max(best - 1, 0)], xs[min(best + 1, xs.size - 1)]
-    slope = np.polyder(coef)
-    curvature = np.polyder(slope)
+    left, right = float(xs[max(best - 1, 0)]), float(xs[min(best + 1, xs.size - 1)])
+    slope = np.polyder(coef).tolist()
+    curvature = np.polyder(coef, 2).tolist()
     x = float(xs[best])
     last = math.inf
     for _ in range(_NEWTON_STEPS):
         bend = _polyval(curvature, x)
         if not bend < 0.0:
             break
-        delta = float(_polyval(slope, x) / bend)
+        delta = _polyval(slope, x) / bend
         if not abs(delta) < last or not left <= x - delta <= right:
             break
         x, last = x - delta, abs(delta)
-    return x, float(_polyval(coef, x))
+    return x, _polyval(coef.tolist(), x)
 
 
 def _polyval(coef, x):
@@ -462,16 +463,22 @@ def first_success_probabilities(Q) -> np.ndarray:
     each row is computed exactly as it would be on its own.
     """
     Q = np.asarray(Q, dtype=float)
-    n = Q.shape[-1] - 1
-    j = np.arange(n + 1)
-    # coeff[k - 1, j] = C_k^j, its factors multiplied in the order written;
-    # the j = 0 column is zero, so each row sum starts from 0.0
-    coeff = j / (n - np.arange(n)[:, None])
-    for i in range(n - 1):
-        coeff[i + 1 :] *= (n - i - j) / (n - i)
-    # rows added strictly left to right; a copy, so that the result does not
-    # keep the whole (..., n, n + 1) table of partial sums alive
+    coeff = _first_success_table(Q.shape[-1] - 1)
+    # rows added strictly left to right (the j = 0 column is zero, so each
+    # sum starts from 0.0); a copy, so that the result does not keep the
+    # whole (..., n, n + 1) table of partial sums alive
     return np.cumsum(coeff * Q[..., None, :], axis=-1)[..., -1].copy()
+
+
+def _first_success_table(n: int) -> np.ndarray:
+    """The ``(n, n + 1)`` table of ``C_k^j`` (row ``k - 1``), in O(n^2) work.
+
+    One running product down the rows from ``C_1^j = j / n``, since
+    ``C_{k+1}^j = C_k^j (n - k + 1 - j) / (n - k)``.
+    """
+    j = np.arange(n + 1)
+    k = np.arange(1, n)[:, None]
+    return np.cumprod(np.concatenate([j[None] / n, (n - k + 1 - j) / (n - k)]), axis=0)
 
 
 def _plan_regrets(Q: np.ndarray, spec: HomogeneousSpec) -> np.ndarray:

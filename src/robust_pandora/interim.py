@@ -132,7 +132,10 @@ def solve_interim(spec: HomogeneousSpec) -> InterimReport:
     """Commitment plan minimizing worst-case interim regret.
 
     Picks the largest ``m`` whose sure-search cost still falls short of the
-    worst high-belief regret left after those ``m`` boxes, then solves for
+    worst high-belief regret left after those ``m`` boxes (the shortfall
+    shrinks as ``m`` grows, so a bisection finds it in O(log n)
+    maximizations; ``degenerate_tie`` flags a shortfall within 1e-12 of zero
+    on either side of the crossing), then solves for
     the randomization weight at which the no-reward branch (regret
     ``(m + alpha) c``) equals the maximized high-belief branch.  That
     maximum is convex in ``alpha`` (a maximum of affine functions), so the
@@ -143,15 +146,21 @@ def solve_interim(spec: HomogeneousSpec) -> InterimReport:
     """
     n, ubar, c = spec.n, spec.ubar, spec.c
 
-    m = 0
-    degenerate = False
-    for cand in range(n - 1, -1, -1):
-        _, tail = _high_branch(cand, 1.0, spec)
-        if abs(cand * c - tail) < 1e-12:
-            degenerate = True
-        if cand * c < tail:
-            m = cand
-            break
+    # g(cand) = cand c - tail(cand) rises with cand: the high-belief factor
+    # (ubar - c) - ubar x is >= 0 on the branch, so tail sums fewer
+    # nonnegative powers as cand grows; bisect for the largest g < 0
+    g = {}
+    lo, hi = -1, n  # g(lo) < 0 <= g(hi), the ends standing for -inf and +inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        g[mid] = mid * c - _high_branch(mid, 1.0, spec)[1]
+        if g[mid] < 0:
+            lo = mid
+        else:
+            hi = mid
+    m = max(lo, 0)
+    # a tie next to the crossing: the run of |g| < 1e-12 reaches lo or hi
+    degenerate = any(abs(g[cand]) < 1e-12 for cand in (lo, hi) if cand in g)
 
     def residual_at(m: int, alpha: float):
         x_star, worst = _high_branch(m, alpha, spec)

@@ -4,10 +4,11 @@ Every solver in this package claims a saddle point: a policy whose worst
 case over beliefs equals a value no deviation can beat.  The checks here
 recompute both sides instead of the closed forms: exactly where the regret
 is affine in the belief (at its extreme points), with Newton-polished grids
-where it is a polynomial, with seeded random policies plus a coordinate
-descent on the DM side of the independent check, with seeded Dirichlet
-count profiles scored as array batches, and with plan scans.  They report
-the two one-sided gaps:
+where it is a polynomial, with seeded random policies (scored as array
+batches in row blocks) plus a coordinate descent on Python floats on the DM
+side of the independent check, with seeded Dirichlet count profiles scored
+as array batches, and with plan scans.  They report the two one-sided
+gaps:
 
 * ``nature_gap``: best belief deviation found, minus the claimed value
   (positive means Nature can beat the claim);
@@ -20,6 +21,7 @@ A saddle point passes when both gaps stay within tolerance.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 
 import numpy as np
@@ -37,6 +39,7 @@ from .core import (
     _mixture_regrets,
     _plan_regrets,
     _poly_max,
+    _probability_array,
     _regret_indep_alphas,
     _regret_indep_poly,
     regret_needle,
@@ -60,7 +63,7 @@ __all__ = [
 # 53 MB, 1e7 points 0.74 s / 259 MB.
 MAX_GRID_POINTS = 1_000_000
 
-_PROFILE_BLOCK = 1 << 16  # count-profile table entries scored at once, 0.5 MB per float temporary
+_PROFILE_BLOCK = 1 << 16  # count-profile table or probe entries scored at once, 0.5 MB per float temporary
 
 
 def _require_count(value, what: str, least: int) -> int:
@@ -77,8 +80,7 @@ def nature_best_response_indep(policy: StationaryPolicy, spec: HomogeneousSpec, 
     on an even grid over [0, 1] is polished by Newton's method on the
     derivative.  Returns ``(p_star, regret)``.
     """
-    if grid_points < 2:
-        raise DomainError("grid_points must be at least 2")
+    grid_points = _require_count(grid_points, "grid_points", 2)
     if grid_points > MAX_GRID_POINTS:
         raise SizeError(f"belief grid limited to {MAX_GRID_POINTS} points, got {grid_points}")
     x, worst = _poly_max(_regret_indep_poly(policy, spec), 0.0, 1.0, grid_points)
@@ -109,9 +111,14 @@ def saddle_check_indep(
     Nature's side is :func:`nature_best_response_indep`, a grid over success
     probabilities polished by Newton's method.  The DM's side exploits the
     saddle structure: at the worst-case belief the value must be
-    unimprovable, so random policies plus a coordinate descent pass (the
-    regret is linear in each stage probability, so descent only needs the
-    endpoints) hunt for anything cheaper.
+    unimprovable, so ``dm_probes`` random policies plus three coordinate
+    descent passes (the regret is linear in each stage probability, so
+    descent only needs the endpoints) hunt for anything cheaper.  The
+    probes are drawn and scored in row blocks of a fixed size, so memory
+    does not grow with ``dm_probes``.  A descent trial at stage ``k``
+    resumes the backward recursion from the cached regret with ``k - 1``
+    boxes left, which the move leaves untouched, so a pass costs O(n^2)
+    float operations.
     """
     dm_probes = _require_count(dm_probes, "dm_probes", 1)
     seed = _require_count(seed, "seed", 0)
@@ -119,21 +126,47 @@ def saddle_check_indep(
     p_star, worst = nature_best_response_indep(sol.policy, spec, grid_points)
     nature_gap = worst - sol.regret
 
+    # the probes in row blocks (the same stream as one draw), keeping the
+    # first of equal minima
+    n, ubar, c = spec.n, spec.ubar, spec.c
     rng = np.random.default_rng(seed)
     phat = weitzman_threshold(spec)
-    probes = rng.random((dm_probes, spec.n))
-    values = _regret_indep_alphas(probes, phat, spec)
-    best = float(values.min())
-    alphas = probes[int(np.argmin(values))].copy()
+    rows = max(1, _PROFILE_BLOCK // n)
+    best = math.inf
+    for start in range(0, dm_probes, rows):
+        probes = rng.random((min(rows, dm_probes - start), n))
+        values = _regret_indep_alphas(probes, phat, spec)
+        idx = int(np.argmin(values))
+        if values[idx] < best:
+            best, alphas = float(values[idx]), probes[idx].tolist()
+
+    # coordinate descent on Python floats.  With i + 1 boxes left the regret
+    # is R[i + 1] = u[i] + v[i] (c + R[i]), u[i] = (1 - a) (1 - fail^(i+1))
+    # (ubar - c) and v[i] = a fail, in the operation order of
+    # _regret_indep_alphas; a trial at stage i resumes from R[i], which
+    # moving that stage leaves untouched
+    fail = 1.0 - _probability_array(phat, "p")
+    hit = [float(1.0 - fail**k) for k in range(1, n + 1)]
+    fail = float(fail)
+
+    def stage(i, a):
+        return (1.0 - a) * hit[i] * (ubar - c), a * fail
+
+    u, v = map(list, zip(*(stage(i, a) for i, a in enumerate(alphas))))
+    R = [0.0]
+    for ui, vi in zip(u, v):
+        R.append(ui + vi * (c + R[-1]))
     for _ in range(3):
-        for k in range(spec.n):
+        for i in range(n):
             for endpoint in (0.0, 1.0):
-                trial = alphas.copy()
-                trial[k] = endpoint
-                val = float(_regret_indep_alphas(trial, phat, spec))
-                if val < best:
-                    best = val
-                    alphas = trial
+                ui, vi = stage(i, endpoint)
+                r = ui + vi * (c + R[i])
+                for uj, vj in zip(u[i + 1 :], v[i + 1 :]):
+                    r = uj + vj * (c + r)
+                if r < best:
+                    best, u[i], v[i] = r, ui, vi
+                    for j in range(i, n):
+                        R[j + 1] = u[j] + v[j] * (c + R[j])
     dm_gap = sol.regret - best
 
     return SaddleReport(

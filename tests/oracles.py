@@ -440,3 +440,110 @@ def corr_profile_loop(spec, tol=1e-9, q_draws=1000, mode="commitment", seed=0):
         passed=bool(nature_gap <= tol and dm_gap <= tol and flattening_ok),
         notes=notes,
     )
+
+
+def indep_descent_loop(spec, tol=1e-6, grid_points=2001, dm_probes=10_000, seed=0):
+    """``saddle_check_indep`` with every descent trial scored by a full recursion.
+
+    The loop the resumed float descent replaced: all probes drawn at once,
+    then 6n calls of ``_regret_indep_alphas`` per pass on a fresh copy of
+    the policy.  Returns the same ``SaddleReport``.
+    """
+    from robust_pandora.core import IidBinary, SaddleReport, _regret_indep_alphas
+    from robust_pandora.indep import solve_indep, weitzman_threshold
+    from robust_pandora.verify import nature_best_response_indep
+
+    sol = solve_indep(spec)
+    p_star, worst = nature_best_response_indep(sol.policy, spec, grid_points)
+    nature_gap = worst - sol.regret
+
+    rng = np.random.default_rng(seed)
+    phat = weitzman_threshold(spec)
+    probes = rng.random((dm_probes, spec.n))
+    values = _regret_indep_alphas(probes, phat, spec)
+    best = float(values.min())
+    alphas = probes[int(np.argmin(values))].copy()
+    for _ in range(3):
+        for k in range(spec.n):
+            for endpoint in (0.0, 1.0):
+                trial = alphas.copy()
+                trial[k] = endpoint
+                val = float(_regret_indep_alphas(trial, phat, spec))
+                if val < best:
+                    best = val
+                    alphas = trial
+    dm_gap = sol.regret - best
+
+    return SaddleReport(
+        nature_gap=float(nature_gap),
+        dm_gap=float(dm_gap),
+        worst_belief=IidBinary(p_star),
+        tolerance=tol,
+        passed=bool(nature_gap <= tol and dm_gap <= tol),
+    )
+
+
+def interim_linear_scan(spec):
+    """``solve_interim`` scanning the sure-search count ``m`` from ``n - 1`` down.
+
+    The scan the bisection replaced: one high-branch maximization per
+    candidate, flagging ``degenerate_tie`` at every candidate it passes with
+    ``|cand c - tail| < 1e-12``.  The Newton step for the randomization
+    weight is the solver's own.  Returns the same ``InterimReport``.
+    """
+    from robust_pandora.core import _NEWTON_STEPS, ConvergenceError
+    from robust_pandora.interim import InterimPolicy, InterimReport, _high_branch
+
+    n, ubar, c = spec.n, spec.ubar, spec.c
+    m = 0
+    degenerate = False
+    for cand in range(n - 1, -1, -1):
+        _, tail = _high_branch(cand, 1.0, spec)
+        if abs(cand * c - tail) < 1e-12:
+            degenerate = True
+        if cand * c < tail:
+            m = cand
+            break
+
+    def residual_at(m, alpha):
+        x_star, worst = _high_branch(m, alpha, spec)
+        return (m + alpha) * c - worst, x_star
+
+    hi_res, _ = residual_at(m, 1.0)
+    if m < n - 1 and hi_res < 0.0:
+        m += 1
+        hi_res, _ = residual_at(m, 1.0)
+    alpha = 0.0
+    res, x_star = residual_at(m, alpha)
+    if res > 0.0 or hi_res < 0.0:
+        raise ConvergenceError(f"no equalizing randomization in [0, 1] at m={m}")
+    for _ in range(_NEWTON_STEPS):
+        slope = c + x_star**m * ((ubar - c) - ubar * x_star)
+        nxt = min(alpha - res / slope, 1.0)
+        if not nxt > alpha:
+            break
+        alpha = nxt
+        res, x_star = residual_at(m, alpha)
+    if abs(res) > 1e-9:
+        raise ConvergenceError(f"equalization residual {res:.3e} after Newton's method")
+    return InterimReport(
+        policy=InterimPolicy.from_m_alpha(m, alpha, n),
+        regret=(m + alpha) * c,
+        worst_p_high=1.0 - x_star,
+        residual=abs(res),
+        degenerate_tie=degenerate,
+    )
+
+
+def first_success_table_loop(n):
+    """The ``(n, n + 1)`` table ``C_k^j`` of ``first_success_probabilities``, one slice product per factor.
+
+    Row ``k - 1`` starts from ``j / (n - k + 1)`` and is multiplied by the
+    factor rows ``(n - i - j) / (n - i)``, ``i = 0..k-2``, one at a time:
+    O(n^3) work.
+    """
+    j = np.arange(n + 1)
+    coeff = j / (n - np.arange(n)[:, None])
+    for i in range(n - 1):
+        coeff[i + 1 :] *= (n - i - j) / (n - i)
+    return coeff

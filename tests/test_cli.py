@@ -8,6 +8,51 @@ from robust_pandora.core import HomogeneousSpec
 from robust_pandora.indep import expected_search_count, solve_indep
 
 
+# --format json stdout pinned byte for byte: the bisected m-scan and the
+# resumed descent must not move a bit
+SOLVE_INTERIM_100 = """\
+{
+  "command": "solve",
+  "params": {
+    "c": 0.05,
+    "n": 100,
+    "regime": "interim",
+    "ubar": 1.0
+  },
+  "results": {
+    "alpha": 0.6675951303238123,
+    "degenerate_tie": false,
+    "m": 5,
+    "regret": 0.28337975651619063,
+    "residual": 5.551115123125783e-17,
+    "worst_p_high": 0.11695247218482496
+  },
+  "schema_version": "1"
+}
+"""
+
+VERIFY_INDEP_60 = """\
+{
+  "command": "verify",
+  "params": {
+    "c": 0.3,
+    "n": 60,
+    "regime": "indep",
+    "tol": 1e-06,
+    "ubar": 1.0
+  },
+  "results": {
+    "dm_gap": 3.3306690738754696e-16,
+    "nature_gap": 1.1102230246251565e-16,
+    "notes": [],
+    "passed": true,
+    "tolerance": 1e-06
+  },
+  "schema_version": "1"
+}
+"""
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -57,6 +102,14 @@ class TestSolve:
         assert code == 0
         assert doc["results"]["m"] == 0
         assert doc["results"]["residual"] <= 1e-10
+
+    def test_interim_golden_bytes(self, capsys):
+        # n = 100, m = 5: the bisected m-scan reports what the linear scan did
+        code, out = run(
+            capsys, "solve", "--regime", "interim", "--ubar", "1", "--c", "0.05", "--n", "100", "--format", "json"
+        )
+        assert code == 0
+        assert out == SOLVE_INTERIM_100
 
     def test_two_box_solve_defaults_n(self, capsys):
         code, doc = run_json(capsys, "solve", "--regime", "two-box", "--ubar", "1", "--c", "0.2")
@@ -156,6 +209,15 @@ class TestVerify:
         )
         assert code == 0
         assert doc["results"]["passed"] is True
+
+    def test_indep_golden_bytes(self, capsys):
+        # n = 60: the probe blocks and the resumed descent leave every bit in place
+        code, out = run(
+            capsys, "verify", "--regime", "indep", "--ubar", "1", "--c", "0.3", "--n", "60", "--tol", "1e-6",
+            "--format", "json",
+        )
+        assert code == 0
+        assert out == VERIFY_INDEP_60
 
     def test_two_box_reports_discrepancy_note(self, capsys):
         code, doc = run_json(

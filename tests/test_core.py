@@ -16,6 +16,7 @@ from robust_pandora.core import (
     StationaryPolicy,
     StoppingMixture,
     TwoPointMixture,
+    _first_success_table,
     _mixture_regrets,
     first_success_probabilities,
     regret_count_profile,
@@ -26,6 +27,7 @@ from robust_pandora.core import (
 
 from oracles import (
     count_profile_states,
+    first_success_table_loop,
     iid_states,
     mixture_regret,
     needle_states,
@@ -323,6 +325,15 @@ class TestFirstSuccessProbabilities:
         for n in (2, 3, 4):
             Q = rng.dirichlet(np.ones(n + 1))
             assert np.allclose(first_success_probabilities(Q), first_success_by_orders(Q), atol=1e-12)
+
+    def test_table_matches_slice_products(self):
+        # the running product down the rows against one slice product per
+        # factor (O(n^3)): different association, within 64 ulps
+        for n in range(1, 301):
+            want = first_success_table_loop(n)
+            got = _first_success_table(n)
+            assert np.array_equal(got == 0.0, want == 0.0), n
+            assert np.all(np.abs(got - want) <= 64 * np.spacing(np.abs(want))), n
 
     def test_stacked_rows_equal_single_calls(self):
         # leading axes: each row bit for bit what a call on that row alone gives

@@ -10,7 +10,7 @@ from robust_pandora.interim import (
     solve_interim,
 )
 
-from oracles import interim_regret_high_belief
+from oracles import interim_linear_scan, interim_regret_high_belief
 
 SPEC2 = HomogeneousSpec(1.0, 0.3, 2)
 
@@ -128,6 +128,31 @@ class TestSolveInterim:
         assert rep.policy.alpha == pytest.approx((spec.ubar - spec.c) / spec.ubar, rel=1e-9)
         assert rep.worst_p_high == 1.0
         assert rep.residual <= 1e-14
+
+    def test_bisection_matches_linear_scan(self):
+        # the whole report, degenerate_tie included, against the scan from
+        # m = n - 1 down, n = 1..120 and the cost next to the reward
+        rng = np.random.default_rng(2027)
+        specs = [HomogeneousSpec(1.0, 1.0 - 1e-10, n) for n in (1, 2, 5)]
+        for n in range(1, 121):
+            ubar = float(rng.uniform(0.5, 2.0))
+            specs.append(HomogeneousSpec(ubar, ubar * float(rng.uniform(0.005, 0.9)), n))
+        for spec in specs:
+            assert solve_interim(spec) == interim_linear_scan(spec), spec
+
+    def test_near_tie_flagged_like_linear_scan(self):
+        # n = 3, m = 1: the shortfall c - max_x x^2 ((1 - c) - x) vanishes
+        # at c = 4 (1 - c)^3 / 27; the costs around that root put the
+        # shortfall within 1e-12 of zero on either side of the crossing
+        lo, hi = 0.0, 1.0
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if mid < 4 * (1 - mid) ** 3 / 27 else (lo, mid)
+        for c in (lo, hi, lo * (1 - 1e-13), hi * (1 + 1e-13)):
+            spec = HomogeneousSpec(1.0, c, 3)
+            rep = solve_interim(spec)
+            assert rep.degenerate_tie, c
+            assert rep == interim_linear_scan(spec), c
 
     def test_single_box_matches_ex_post_case(self):
         rep = solve_interim(HomogeneousSpec(1.0, 0.3, 1))

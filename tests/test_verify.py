@@ -26,7 +26,7 @@ from robust_pandora.verify import (
     saddle_check_indep,
 )
 
-from oracles import corr_profile_loop
+from oracles import corr_profile_loop, indep_descent_loop
 
 SPEC = HomogeneousSpec(1.0, 0.3, 3)
 
@@ -110,6 +110,41 @@ class TestSaddleCheckIndep:
     def test_rejects_bad_sampling_arguments(self, kwargs):
         with pytest.raises(DomainError):
             saddle_check_indep(SPEC, **kwargs)
+
+    @pytest.mark.parametrize("grid_points", [2.5, 2.0, np.float64(3.0), True, 1, 0, "3", None])
+    def test_rejects_bad_grid_points(self, grid_points):
+        # a float used to be truncated (2.5 ran a 2-point grid)
+        with pytest.raises(DomainError):
+            nature_best_response_indep(solve_indep(SPEC).policy, SPEC, grid_points)
+        with pytest.raises(DomainError):
+            saddle_check_indep(SPEC, grid_points=grid_points)
+
+    def test_accepts_numpy_integer_grid_points(self):
+        assert saddle_check_indep(SPEC, grid_points=np.int64(501)) == saddle_check_indep(SPEC, grid_points=501)
+
+    def test_resumed_descent_matches_full_recursions(self):
+        # every field bit for bit against the descent that rescored each
+        # trial with a full _regret_indep_alphas call, n = 1..60
+        rng = np.random.default_rng(2026)
+        for n in range(1, 61):
+            ubar = float(rng.uniform(0.5, 2.0))
+            spec = HomogeneousSpec(ubar, ubar * float(rng.uniform(0.01, 0.9)), n)
+            kwargs = {"dm_probes": (1, 7, 300, 2000)[n % 4], "seed": int(rng.integers(0, 1000))}
+            assert saddle_check_indep(spec, **kwargs) == indep_descent_loop(spec, **kwargs), (spec, kwargs)
+        spec = HomogeneousSpec(1.0, 0.3, 60)
+        assert saddle_check_indep(spec) == indep_descent_loop(spec)
+
+    def test_probe_memory_does_not_grow_with_probes(self):
+        # 100 000 probes at n = 60 take 48 MB drawn at once
+        spec = HomogeneousSpec(1.0, 0.3, 60)
+        for dm_probes in (10_000, 100_000):
+            tracemalloc.start()
+            try:
+                saddle_check_indep(spec, dm_probes=dm_probes)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2e6, dm_probes
 
     def test_grid_refinement_sane(self):
         coarse = saddle_check_indep(SPEC, tol=1e-6, grid_points=501)
