@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -249,15 +250,20 @@ def _check_policy_file(args, spec, grid: int) -> SaddleReport:
     try:
         with open(args.policy_file, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        alpha = np.asarray(payload["alpha"], dtype=float)
-        claimed = float(payload["regret"])
+        alpha, claimed = payload["alpha"], payload["regret"]
+        # JSON numbers only: no bool, no string, no NaN or infinity
+        entries = [*alpha, claimed] if isinstance(alpha, list) else [None]
+        if not all(type(v) in (int, float) and math.isfinite(v) for v in entries):
+            raise ValueError
     except OSError as exc:
         raise DomainError(f"cannot read policy file {args.policy_file}: {exc.strerror}") from None
-    except (ValueError, KeyError, TypeError):
+    except (ValueError, KeyError, TypeError, OverflowError):
         raise DomainError(
-            f"policy file {args.policy_file} must hold a JSON object with numeric 'alpha' and 'regret'"
+            f"policy file {args.policy_file} must hold a JSON object with a list of finite numbers"
+            " 'alpha' and a finite number 'regret'"
         ) from None
-    policy = StationaryPolicy(alpha)
+    policy = StationaryPolicy(np.asarray(alpha, dtype=float))
+    claimed = float(claimed)
     if args.regime == "indep":
         p_star, worst = nature_best_response_indep(policy, spec, grid)
         belief = IidBinary(p_star)

@@ -2,13 +2,13 @@
 
 Every solver in this package claims a saddle point: a policy whose worst
 case over beliefs equals a value no deviation can beat.  The checks here
-recompute both sides instead of the closed forms: exactly where the regret
-is affine in the belief (at its extreme points), with Newton-polished grids
-where it is a polynomial, with seeded random policies (scored as array
-batches in row blocks) plus a coordinate descent on Python floats on the DM
-side of the independent check, with seeded Dirichlet count profiles scored
-as array batches, and with plan scans.  They report the two one-sided
-gaps:
+recompute both sides instead of the closed forms, and sample nothing.
+For a fixed policy the regret is linear in Nature's belief, so her best
+response over a convex family sits at an extreme point (the needle
+endpoints, the degenerate count profiles), or, where it is a polynomial in
+one belief, on a grid polished by Newton's method.  Against a fixed belief
+the DM's best response is a backward induction or a scan of pure plans.
+They report the two one-sided gaps:
 
 * ``nature_gap``: best belief deviation found, minus the claimed value
   (positive means Nature can beat the claim);
@@ -20,8 +20,6 @@ A saddle point passes when both gaps stay within tolerance.
 
 from __future__ import annotations
 
-import itertools
-import math
 import numbers
 
 import numpy as np
@@ -35,12 +33,9 @@ from .core import (
     SizeError,
     StationaryPolicy,
     StoppingMixture,
-    _count_profiles,
     _mixture_regrets,
     _plan_regrets,
     _poly_max,
-    _probability_array,
-    _regret_indep_alphas,
     _regret_indep_poly,
     regret_needle,
 )
@@ -63,7 +58,8 @@ __all__ = [
 # 53 MB, 1e7 points 0.74 s / 259 MB.
 MAX_GRID_POINTS = 1_000_000
 
-_PROFILE_BLOCK = 1 << 16  # count-profile table or probe entries scored at once, 0.5 MB per float temporary
+# the beliefs against which interim_grid_oracle prices each plan
+_P_GRID = np.linspace(0.0, 1.0, 2001)
 
 
 def _require_count(value, what: str, least: int) -> int:
@@ -103,70 +99,30 @@ def saddle_check_indep(
     spec: HomogeneousSpec,
     tol: float = 1e-6,
     grid_points: int = 2001,
-    dm_probes: int = 10_000,
     seed: int = 0,
 ) -> SaddleReport:
     """Check the independent-rewards solution without using its closed forms.
 
     Nature's side is :func:`nature_best_response_indep`, a grid over success
-    probabilities polished by Newton's method.  The DM's side exploits the
-    saddle structure: at the worst-case belief the value must be
-    unimprovable, so ``dm_probes`` random policies plus three coordinate
-    descent passes (the regret is linear in each stage probability, so
-    descent only needs the endpoints) hunt for anything cheaper.  The
-    probes are drawn and scored in row blocks of a fixed size, so memory
-    does not grow with ``dm_probes``.  A descent trial at stage ``k``
-    resumes the backward recursion from the cached regret with ``k - 1``
-    boxes left, which the move leaves untouched, so a pass costs O(n^2)
-    float operations.
+    probabilities polished by Newton's method.  The DM's side is exact: her
+    best response to the worst-case (threshold) belief, an O(n) backward
+    induction, must not beat the value.  ``seed`` is validated and ignored:
+    nothing is sampled, and it stays only so that callers passing it keep
+    working.
     """
-    dm_probes = _require_count(dm_probes, "dm_probes", 1)
-    seed = _require_count(seed, "seed", 0)
+    _require_count(seed, "seed", 0)
     sol = solve_indep(spec)
     p_star, worst = nature_best_response_indep(sol.policy, spec, grid_points)
     nature_gap = worst - sol.regret
 
-    # the probes in row blocks (the same stream as one draw), keeping the
-    # first of equal minima
-    n, ubar, c = spec.n, spec.ubar, spec.c
-    rng = np.random.default_rng(seed)
-    phat = weitzman_threshold(spec)
-    rows = max(1, _PROFILE_BLOCK // n)
-    best = math.inf
-    for start in range(0, dm_probes, rows):
-        probes = rng.random((min(rows, dm_probes - start), n))
-        values = _regret_indep_alphas(probes, phat, spec)
-        idx = int(np.argmin(values))
-        if values[idx] < best:
-            best, alphas = float(values[idx]), probes[idx].tolist()
-
-    # coordinate descent on Python floats.  With i + 1 boxes left the regret
-    # is R[i + 1] = u[i] + v[i] (c + R[i]), u[i] = (1 - a) (1 - fail^(i+1))
-    # (ubar - c) and v[i] = a fail, in the operation order of
-    # _regret_indep_alphas; a trial at stage i resumes from R[i], which
-    # moving that stage leaves untouched
-    fail = 1.0 - _probability_array(phat, "p")
-    hit = [float(1.0 - fail**k) for k in range(1, n + 1)]
-    fail = float(fail)
-
-    def stage(i, a):
-        return (1.0 - a) * hit[i] * (ubar - c), a * fail
-
-    u, v = map(list, zip(*(stage(i, a) for i, a in enumerate(alphas))))
-    R = [0.0]
-    for ui, vi in zip(u, v):
-        R.append(ui + vi * (c + R[-1]))
-    for _ in range(3):
-        for i in range(n):
-            for endpoint in (0.0, 1.0):
-                ui, vi = stage(i, endpoint)
-                r = ui + vi * (c + R[i])
-                for uj, vj in zip(u[i + 1 :], v[i + 1 :]):
-                    r = uj + vj * (c + r)
-                if r < best:
-                    best, u[i], v[i] = r, ui, vi
-                    for j in range(i, n):
-                        R[j + 1] = u[j] + v[j] * (c + R[j])
+    # backward induction: the regret is linear in each stage probability and
+    # R_{k-1} enters with a nonnegative weight, so each stage takes the better
+    # pure choice; the branches are regret_indep's recursion at a_k = 0 and 1
+    ubar, c = spec.ubar, spec.c
+    fail = 1.0 - weitzman_threshold(spec)
+    best = 0.0
+    for k in range(1, spec.n + 1):
+        best = min((1.0 - fail**k) * (ubar - c), fail * (c + best))
     dm_gap = sol.regret - best
 
     return SaddleReport(
@@ -181,24 +137,23 @@ def saddle_check_indep(
 def saddle_check_corr(
     spec: HomogeneousSpec,
     tol: float = 1e-9,
-    q_draws: int = 1000,
     mode: str = "commitment",
     seed: int = 0,
 ) -> SaddleReport:
     """Check a correlated-rewards solution against belief and plan deviations.
 
-    Nature's deviations cover the single-treasure probabilities (exactly,
-    by :func:`nature_best_response_needle`) plus ``q_draws`` seeded
-    Dirichlet count profiles and the ``n + 1`` degenerate ones, whose
-    flattened versions must dominate them (confirming the hidden-treasure
-    reduction).  The profiles and their flattenings are scored as array
-    batches in row blocks of a fixed size, so memory does not grow with
-    ``q_draws``.  The DM's deviations are every pure stop-after-m plan
-    against the worst belief in commitment mode, and every one-step stage
-    deviation in intrapersonal mode.
+    Nature's side is exact: the single-treasure probabilities by
+    :func:`nature_best_response_needle`, and the ``n + 1`` degenerate count
+    profiles in one batch.  A profile's regret and its single-treasure
+    flattening's are linear in the profile, so these are every extreme
+    point, for the gap and for the check that no profile beats its
+    flattening (the hidden-treasure reduction).  The DM's deviations are
+    every pure stop-after-m plan against the worst belief in commitment
+    mode, and every one-step stage deviation in intrapersonal mode.
+    ``seed`` is validated and ignored: nothing is sampled, and it stays only
+    so that callers passing it keep working.
     """
-    q_draws = _require_count(q_draws, "q_draws", 0)
-    seed = _require_count(seed, "seed", 0)
+    _require_count(seed, "seed", 0)
     if spec.n > 32:
         raise DomainError("count-profile deviation scan is limited to n <= 32")
     if mode == "commitment":
@@ -212,21 +167,12 @@ def saddle_check_corr(
     worst_P, worst = nature_best_response_needle(sol.policy, spec)
     nature_gap = worst - sol.regret
 
-    # the draws in row blocks (the same stream as one draw at a time), then
-    # the n + 1 vertices; a flattening keeps Q[0] and puts the rest on j = 1
-    rng = np.random.default_rng(seed)
+    # the n + 1 vertices; flattening keeps Q[0] and moves the rest to j = 1
     w = StoppingMixture.from_policy(sol.policy).w
-    rows = max(1, _PROFILE_BLOCK // (n * (n + 1)))
-    draws = (rng.dirichlet(np.ones(n + 1), size=min(rows, q_draws - start)) for start in range(0, q_draws, rows))
-    flattening_ok = True
-    for Q_raw in itertools.chain(draws, [np.eye(n + 1)]):
-        Q = _count_profiles(Q_raw)
-        flat = np.zeros_like(Q)
-        flat[:, 0] = Q[:, 0]
-        flat[:, 1] = 1.0 - Q[:, 0]
-        values = _mixture_regrets(w, Q, spec)
-        flattening_ok &= not np.any(values > _mixture_regrets(w, flat, spec) + 1e-12)
-        nature_gap = max(nature_gap, (values - sol.regret).max())
+    Q = np.eye(n + 1)
+    values = _mixture_regrets(w, Q, spec)
+    flattening_ok = not np.any(values > _mixture_regrets(w, Q[np.minimum(np.arange(n + 1), 1)], spec) + 1e-12)
+    nature_gap = max(nature_gap, (values - sol.regret).max())
 
     if mode == "commitment":
         # every pure stop-after-m plan against the worst needle [1 - P, P, 0, ...]
@@ -254,32 +200,42 @@ def saddle_check_corr(
     )
 
 
-def interim_grid_oracle(spec: HomogeneousSpec, m_range=None, alpha_grid=None, p_grid=None):
-    """Brute-force min-max over discretized interim plans.
+def interim_grid_oracle(spec: HomogeneousSpec):
+    """Exact min-max over interim plans ``(m, alpha)`` against the beliefs of ``_P_GRID``.
 
-    Scans every staircase plan on the grids and returns the minimizing
-    ``(m, alpha, worst_regret)``; the closed-form solver must land within
-    one grid step of this.
+    At every ``p`` the regret is linear in ``alpha``, so for each ``m`` the
+    worst regret is the upper envelope of one line per grid point: convex
+    and piecewise linear in ``alpha``, with its minimum where two lines
+    cross.  Returns the minimizing ``(m, alpha, worst_regret)``.  It calls
+    neither ``solve_interim`` nor its polynomial maximizer: the grid is its
+    only approximation.
     """
     n = spec.n
-    if m_range is None:
-        m_range = range(n)
-    if alpha_grid is None:
-        alpha_grid = np.linspace(0.0, 1.0, 1001)
-    if p_grid is None:
-        p_grid = np.linspace(0.0, 1.0, 2001)
-    p_grid = np.asarray(p_grid, dtype=float)
-    alpha_grid = np.asarray(alpha_grid, dtype=float)
     best = None
-    for m in m_range:
-        # regret is linear in alpha at every p, so the two endpoint policies
-        # span the whole alpha axis
-        at_zero = interim_regret(InterimPolicy.from_m_alpha(int(m), 0.0, n), p_grid, spec)
-        at_one = interim_regret(InterimPolicy.from_m_alpha(int(m), 1.0, n), p_grid, spec)
-        # 64 alpha rows at a time keep each alpha x p table near 1 MB
-        blocks = np.split(alpha_grid, range(64, alpha_grid.size, 64))
-        worst = np.concatenate([(np.outer(1.0 - a, at_zero) + np.outer(a, at_one)).max(axis=1) for a in blocks])
-        idx = int(np.argmin(worst))
-        if best is None or worst[idx] < best[2]:
-            best = (int(m), float(alpha_grid[idx]), float(worst[idx]))
+    for m in range(n):
+        at_zero = interim_regret(InterimPolicy.from_m_alpha(m, 0.0, n), _P_GRID, spec)
+        slope = interim_regret(InterimPolicy.from_m_alpha(m, 1.0, n), _P_GRID, spec) - at_zero
+
+        def active(alpha):
+            return int(np.argmax(at_zero + alpha * slope))
+
+        lo, hi = 0.0, 1.0
+        i, j = active(lo), active(hi)
+        alpha = lo if slope[i] > 0.0 else hi
+        # bisect on the sign of the active line's slope: while slope[i] <= 0 <
+        # slope[j] a minimum lies in [lo, hi], at the crossing of lines i and j
+        # once no other line is above them there
+        while slope[i] <= 0.0 < slope[j]:
+            alpha = min(max(float((at_zero[i] - at_zero[j]) / (slope[j] - slope[i])), lo), hi)
+            if active(alpha) in (i, j) or hi - lo <= 1e-12:
+                break
+            mid = 0.5 * (lo + hi)
+            k = active(mid)
+            if slope[k] > 0.0:
+                hi, j = mid, k
+            else:
+                lo, i = mid, k
+        worst = float((at_zero + alpha * slope).max())
+        if best is None or worst < best[2]:
+            best = (m, alpha, worst)
     return best

@@ -384,12 +384,13 @@ def two_box_grid_loop(policy, nature, spec, claimed, grid_size):
 
 
 def corr_profile_loop(spec, tol=1e-9, q_draws=1000, mode="commitment", seed=0):
-    """``saddle_check_corr`` scoring one count profile at a time.
+    """``saddle_check_corr`` scoring ``q_draws`` Dirichlet profiles and the vertices one at a time.
 
-    The per-profile loop the batched scan replaced: each Dirichlet draw (one
-    draw per call) and each vertex becomes a ``CountProfile``, and the
-    profile and its ``single_treasure_equivalent`` are scored by two
-    ``regret_count_profile`` calls.  Returns the same ``SaddleReport``.
+    Each Dirichlet draw (one draw per call) and each vertex becomes a
+    ``CountProfile``, and the profile and its ``single_treasure_equivalent``
+    are scored by two ``regret_count_profile`` calls.  With ``q_draws=0``
+    it is the vertex scan of ``saddle_check_corr``, one profile at a time;
+    returns the same kind of ``SaddleReport``.
     """
     from robust_pandora.core import CountProfile, NeedleP, SaddleReport, StoppingMixture, _plan_regrets
     from robust_pandora.core import regret_count_profile
@@ -443,11 +444,11 @@ def corr_profile_loop(spec, tol=1e-9, q_draws=1000, mode="commitment", seed=0):
 
 
 def indep_descent_loop(spec, tol=1e-6, grid_points=2001, dm_probes=10_000, seed=0):
-    """``saddle_check_indep`` with every descent trial scored by a full recursion.
+    """``saddle_check_indep`` with a sampled DM side: random probes, then coordinate descent.
 
-    The loop the resumed float descent replaced: all probes drawn at once,
-    then 6n calls of ``_regret_indep_alphas`` per pass on a fresh copy of
-    the policy.  Returns the same ``SaddleReport``.
+    The search the exact backward induction replaced: all probes drawn at
+    once, then 6n calls of ``_regret_indep_alphas`` per pass on a fresh copy
+    of the policy.  Returns the same kind of ``SaddleReport``.
     """
     from robust_pandora.core import IidBinary, SaddleReport, _regret_indep_alphas
     from robust_pandora.indep import solve_indep, weitzman_threshold
@@ -547,3 +548,40 @@ def first_success_table_loop(n):
     for i in range(n - 1):
         coeff[i + 1 :] *= (n - i - j) / (n - i)
     return coeff
+
+
+def indep_pure_plan_min(spec):
+    """Least regret of any 0/1 stage plan against the threshold belief, by enumeration.
+
+    Walks every one of the 2^n pure plans through every reward state at
+    ``p_hat = c / ubar``; only feasible for small n.
+    """
+    states = iid_states(spec.n, spec.c / spec.ubar)
+    return min(walk_regret(plan, states, spec.ubar, spec.c) for plan in product((0.0, 1.0), repeat=spec.n))
+
+
+def interim_alpha_grid_oracle(spec):
+    """Brute-force min-max over interim plans on an alpha grid and a p grid.
+
+    The scan the bisected envelope of ``interim_grid_oracle`` replaced:
+    every plan ``(m, alpha)`` with ``alpha`` on a 1001-point grid is priced
+    at every ``p`` of a 2001-point grid, 64 alpha rows at a time.  Returns
+    the minimizing ``(m, alpha, worst_regret)``, the first of equal minima.
+    """
+    from robust_pandora.interim import InterimPolicy, interim_regret
+
+    n = spec.n
+    alpha_grid = np.linspace(0.0, 1.0, 1001)
+    p_grid = np.linspace(0.0, 1.0, 2001)
+    best = None
+    for m in range(n):
+        # regret is linear in alpha at every p, so the two endpoint policies
+        # span the whole alpha axis
+        at_zero = interim_regret(InterimPolicy.from_m_alpha(m, 0.0, n), p_grid, spec)
+        at_one = interim_regret(InterimPolicy.from_m_alpha(m, 1.0, n), p_grid, spec)
+        blocks = np.split(alpha_grid, range(64, alpha_grid.size, 64))
+        worst = np.concatenate([(np.outer(1.0 - a, at_zero) + np.outer(a, at_one)).max(axis=1) for a in blocks])
+        idx = int(np.argmin(worst))
+        if best is None or worst[idx] < best[2]:
+            best = (m, float(alpha_grid[idx]), float(worst[idx]))
+    return best

@@ -211,9 +211,7 @@ def test_criterion_7_interim_solution():
         spec = HomogeneousSpec(1.0, 0.3, n)
         rep = solve_interim(spec)
         assert rep.residual <= 1e-10
-        m, alpha, _ = interim_grid_oracle(
-            spec, alpha_grid=np.linspace(0.0, 1.0, 1001), p_grid=np.linspace(0.0, 1.0, 2001)
-        )
+        m, alpha, _ = interim_grid_oracle(spec)
         assert rep.policy.m == m, f"n={n}"
         assert abs(rep.policy.alpha - alpha) <= 1e-3, f"n={n}"
 

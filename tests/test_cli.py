@@ -8,8 +8,8 @@ from robust_pandora.core import HomogeneousSpec
 from robust_pandora.indep import expected_search_count, solve_indep
 
 
-# --format json stdout pinned byte for byte: the bisected m-scan and the
-# resumed descent must not move a bit
+# --format json stdout pinned byte for byte: the interim solver's bisected
+# m-scan and the indep check's exact backward induction on the DM side
 SOLVE_INTERIM_100 = """\
 {
   "command": "solve",
@@ -42,7 +42,7 @@ VERIFY_INDEP_60 = """\
     "ubar": 1.0
   },
   "results": {
-    "dm_gap": 3.3306690738754696e-16,
+    "dm_gap": 1.1102230246251565e-16,
     "nature_gap": 1.1102230246251565e-16,
     "notes": [],
     "passed": true,
@@ -209,9 +209,11 @@ class TestVerify:
         )
         assert code == 0
         assert doc["results"]["passed"] is True
+        # the DM's exact best response is the solved value itself
+        assert doc["results"]["dm_gap"] == 0.0
 
     def test_indep_golden_bytes(self, capsys):
-        # n = 60: the probe blocks and the resumed descent leave every bit in place
+        # n = 60: the DM side's backward induction leaves only rounding in the gaps
         code, out = run(
             capsys, "verify", "--regime", "indep", "--ubar", "1", "--c", "0.3", "--n", "60", "--tol", "1e-6",
             "--format", "json",
@@ -422,6 +424,16 @@ class TestBadInputs:
             ("verify", "--regime", "indep", *HOMOG, "--grid", "1000001"),
             ("verify", "--regime", "indep", *HOMOG, "--grid", "1000001", "--policy-file", "VALID"),
             ("verify", "--regime", "two-box", "--ubar", "1", "--c", "0.2", "--grid", "10001"),
+            (*VERIFY_INDEP, "REGRET_TRUE"),
+            (*VERIFY_INDEP, "REGRET_STRING"),
+            (*VERIFY_INDEP, "REGRET_NAN"),
+            (*VERIFY_INDEP, "REGRET_NAN_STRING"),
+            (*VERIFY_INDEP, "REGRET_INFINITE"),
+            (*VERIFY_INDEP, "ALPHA_BOOL"),
+            (*VERIFY_INDEP, "ALPHA_STRING"),
+            (*VERIFY_INDEP, "ALPHA_NAN"),
+            (*VERIFY_INDEP, "ALPHA_NUMBER"),
+            ("verify", "--regime", "corr", *HOMOG, "--policy-file", "REGRET_NAN"),
         ],
     )
     def test_exit_2_with_one_line(self, capsys, tmp_path, argv):
@@ -431,6 +443,16 @@ class TestBadInputs:
             "KEYLESS": '{"alpha": [0.5, 0.5, 0.5, 0.5]}',
             "NOT_AN_OBJECT": "[0.5, 0.5]",
             "VALID": '{"alpha": [1.0, 1.0, 1.0, 0.6], "regret": 0.55}',
+            # JSON numbers only: float() used to coerce these, and NaN printed bare
+            "REGRET_TRUE": '{"alpha": [1.0, 1.0, 1.0, 0.6], "regret": true}',
+            "REGRET_STRING": '{"alpha": [1.0, 1.0, 1.0, 0.6], "regret": "0.2"}',
+            "REGRET_NAN": '{"alpha": [1.0, 1.0, 1.0, 0.6], "regret": NaN}',
+            "REGRET_NAN_STRING": '{"alpha": [1.0, 1.0, 1.0, 0.6], "regret": "nan"}',
+            "REGRET_INFINITE": '{"alpha": [1.0, 1.0, 1.0, 0.6], "regret": 1e999}',
+            "ALPHA_BOOL": '{"alpha": [true, 1.0, 1.0, 0.6], "regret": 0.55}',
+            "ALPHA_STRING": '{"alpha": [1.0, "1", 1.0, 0.6], "regret": 0.55}',
+            "ALPHA_NAN": '{"alpha": [1.0, 1.0, NaN, 0.6], "regret": 0.55}',
+            "ALPHA_NUMBER": '{"alpha": 0.5, "regret": 0.55}',
         }
         paths = {}
         for name, text in files.items():

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -6,15 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robust_pandora.core import (
+    CountProfile,
     DomainError,
     HomogeneousSpec,
     IidBinary,
     NeedleP,
     SizeError,
     StationaryPolicy,
+    StoppingMixture,
+    _regret_indep_alphas,
+    regret_count_profile,
     regret_needle,
 )
-from robust_pandora.corr import solve_corr_commitment
+from robust_pandora.corr import single_treasure_equivalent, solve_corr_commitment
 from robust_pandora.indep import solve_indep
 from robust_pandora.interim import solve_interim
 from robust_pandora.verify import (
@@ -26,7 +31,7 @@ from robust_pandora.verify import (
     saddle_check_indep,
 )
 
-from oracles import corr_profile_loop, indep_descent_loop
+from oracles import corr_profile_loop, indep_descent_loop, indep_pure_plan_min, interim_alpha_grid_oracle
 
 SPEC = HomogeneousSpec(1.0, 0.3, 3)
 
@@ -105,9 +110,10 @@ class TestSaddleCheckIndep:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"dm_probes": 0}, {"dm_probes": -1}, {"dm_probes": 2.0}, {"dm_probes": True}, {"seed": -1}, {"seed": None}],
+        [{"seed": -1}, {"seed": None}, {"seed": 2.0}, {"seed": True}, {"seed": "3"}, {"seed": np.float64(1.0)}],
     )
     def test_rejects_bad_sampling_arguments(self, kwargs):
+        # nothing is sampled, but the ignored seed is still validated
         with pytest.raises(DomainError):
             saddle_check_indep(SPEC, **kwargs)
 
@@ -122,29 +128,35 @@ class TestSaddleCheckIndep:
     def test_accepts_numpy_integer_grid_points(self):
         assert saddle_check_indep(SPEC, grid_points=np.int64(501)) == saddle_check_indep(SPEC, grid_points=501)
 
-    def test_resumed_descent_matches_full_recursions(self):
-        # every field bit for bit against the descent that rescored each
-        # trial with a full _regret_indep_alphas call, n = 1..60
+    def test_exact_dm_side_matches_descent_loop(self):
+        # the sampled probes plus descent found the same best response up to
+        # rounding, n = 1..60
         rng = np.random.default_rng(2026)
         for n in range(1, 61):
             ubar = float(rng.uniform(0.5, 2.0))
             spec = HomogeneousSpec(ubar, ubar * float(rng.uniform(0.01, 0.9)), n)
-            kwargs = {"dm_probes": (1, 7, 300, 2000)[n % 4], "seed": int(rng.integers(0, 1000))}
-            assert saddle_check_indep(spec, **kwargs) == indep_descent_loop(spec, **kwargs), (spec, kwargs)
-        spec = HomogeneousSpec(1.0, 0.3, 60)
-        assert saddle_check_indep(spec) == indep_descent_loop(spec)
+            got, want = saddle_check_indep(spec), indep_descent_loop(spec, dm_probes=(1, 7, 300, 2000)[n % 4])
+            assert abs(got.dm_gap - want.dm_gap) <= 2e-15, spec
+            assert (got.nature_gap, got.worst_belief, got.passed) == (want.nature_gap, want.worst_belief, want.passed)
 
-    def test_probe_memory_does_not_grow_with_probes(self):
-        # 100 000 probes at n = 60 take 48 MB drawn at once
-        spec = HomogeneousSpec(1.0, 0.3, 60)
-        for dm_probes in (10_000, 100_000):
-            tracemalloc.start()
-            try:
-                saddle_check_indep(spec, dm_probes=dm_probes)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 2e6, dm_probes
+    @pytest.mark.parametrize("ratio", [1e-6, 1e-3, 0.05, 0.3, 0.7, 0.99])
+    def test_dm_side_is_the_pure_plan_minimum(self, ratio):
+        # the backward induction against the enumeration of all 2^n plans
+        # walked through all 2^n reward states
+        for n in range(1, 9):
+            spec = HomogeneousSpec(1.5, 1.5 * ratio, n)
+            best = solve_indep(spec).regret - saddle_check_indep(spec).dm_gap
+            assert abs(best - indep_pure_plan_min(spec)) <= 1e-12, n
+
+    @pytest.mark.parametrize("ratio", [1e-6, 0.01, 0.3, 0.99])
+    def test_dm_side_equals_plan_matrix_minimum(self, ratio):
+        # bit for bit the least of the 2^n pure plans through the library's
+        # recursion, so the check's dm_gap is the exact one
+        for n in range(1, 13):
+            spec = HomogeneousSpec(1.0, ratio, n)
+            plans = np.array(list(itertools.product((0.0, 1.0), repeat=n)))
+            least = float(_regret_indep_alphas(plans, spec.c / spec.ubar, spec).min())
+            assert saddle_check_indep(spec).dm_gap == solve_indep(spec).regret - least, n
 
     def test_grid_refinement_sane(self):
         coarse = saddle_check_indep(SPEC, tol=1e-6, grid_points=501)
@@ -174,9 +186,20 @@ class TestSaddleCheckCorr:
             assert report.passed, f"n={n}: {report}"
 
     def test_flattening_brute_force(self):
-        report = saddle_check_corr(HomogeneousSpec(1.0, 0.25, 6), tol=1e-9, q_draws=1000, seed=3)
+        # 1000 seeded Dirichlet profiles, one at a time: none beats its
+        # flattening or the vertices' worst case that the check reports
+        spec = HomogeneousSpec(1.0, 0.25, 6)
+        report = saddle_check_corr(spec, tol=1e-9)
         assert report.passed
         assert not report.notes  # no flattening violation found
+        sol = solve_corr_commitment(spec)
+        w = StoppingMixture.from_policy(sol.policy)
+        rng = np.random.default_rng(3)
+        for _ in range(1000):
+            Q = CountProfile(rng.dirichlet(np.ones(7)))
+            value = regret_count_profile(w, Q, spec)
+            assert value <= regret_count_profile(w, single_treasure_equivalent(Q), spec) + 1e-12
+            assert value - sol.regret <= report.nature_gap + 1e-15
 
     @pytest.mark.parametrize("mode", ["commitment", "intrapersonal"])
     def test_sixteen_boxes_pass(self, mode):
@@ -203,50 +226,47 @@ class TestSaddleCheckCorr:
             saddle_check_corr(SPEC, mode="bogus")
 
     def test_batched_scan_matches_profile_loop(self):
-        # every field bit for bit against the loop that scored one profile at
-        # a time: n = 1..32, both modes, no, one and 1000 Dirichlet draws
+        # every field bit for bit against the loop that scores the n + 1
+        # vertices one profile at a time, n = 1..32, both modes
         rng = np.random.default_rng(2024)
-        cases = [(n, q_draws, n + 40 * q_draws) for n in range(1, 33) for q_draws in (0, 1)]
-        cases += [(n, 1000, n) for n in (1, 3, 8, 32)]
-        for n, q_draws, seed in cases:
+        for n in range(1, 33):
             for mode in ("commitment", "intrapersonal"):
                 ubar = float(rng.uniform(0.5, 2.0))
                 spec = HomogeneousSpec(ubar, ubar * float(rng.uniform(0.02, 0.6)), n)
-                got = saddle_check_corr(spec, q_draws=q_draws, mode=mode, seed=seed)
-                assert got == corr_profile_loop(spec, q_draws=q_draws, mode=mode, seed=seed), (spec, mode, q_draws)
+                assert saddle_check_corr(spec, mode=mode) == corr_profile_loop(spec, q_draws=0, mode=mode), (spec, mode)
 
-    def test_scan_memory_does_not_grow_with_draws(self):
-        # 10 000 profiles of 33 entries take 2.6 MB, and the (n, n + 1)
-        # tables of all 10 033 profiles at once 85 MB per float temporary
-        spec = HomogeneousSpec(1.0, 0.05, 32)
-        for q_draws in (1000, 10_000):
-            tracemalloc.start()
-            try:
-                saddle_check_corr(spec, q_draws=q_draws)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 2e6, q_draws
+    @pytest.mark.parametrize("mode", ["commitment", "intrapersonal"])
+    def test_vertices_dominate_dirichlet_draws(self, mode):
+        # the regret is linear in the profile, so 1000 Dirichlet draws on top
+        # of the vertices find nothing worse (up to the rounding of the sums)
+        rng = np.random.default_rng(7)
+        for n in (1, 3, 8, 32):
+            ubar = float(rng.uniform(0.5, 2.0))
+            spec = HomogeneousSpec(ubar, ubar * float(rng.uniform(0.02, 0.6)), n)
+            got, want = saddle_check_corr(spec, mode=mode), corr_profile_loop(spec, q_draws=1000, mode=mode, seed=n)
+            assert (got.passed, got.notes) == (want.passed, want.notes), spec
+            assert got.nature_gap >= want.nature_gap - 4.5e-16, spec
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"q_draws": 2.5},
-            {"q_draws": -3},
-            {"q_draws": True},
-            {"q_draws": "10"},
+            {"seed": 2.5},
+            {"seed": -3},
+            {"seed": True},
+            {"seed": "10"},
             {"seed": -1},
             {"seed": 1.0},
             {"seed": False},
         ],
     )
     def test_rejects_bad_sampling_arguments(self, kwargs):
+        # nothing is sampled, but the ignored seed is still validated
         with pytest.raises(DomainError):
             saddle_check_corr(SPEC, **kwargs)
 
     def test_accepts_numpy_integers(self):
-        want = saddle_check_corr(SPEC, q_draws=5, seed=4)
-        assert saddle_check_corr(SPEC, q_draws=np.int64(5), seed=np.uint32(4)) == want
+        assert saddle_check_corr(SPEC, seed=np.uint32(4)) == saddle_check_corr(SPEC, seed=4)
+        assert saddle_check_indep(SPEC, seed=np.int64(4)) == saddle_check_indep(SPEC, seed=4)
 
 
 class TestInterimGridOracle:
@@ -259,7 +279,8 @@ class TestInterimGridOracle:
         assert worst == pytest.approx(rep.regret, abs=1e-3)
 
     def test_table_is_built_in_row_blocks(self):
-        # the whole 1001 x 2001 alpha x p table takes 16 MB per array
+        # no alpha x p table at all: each bisection step prices one alpha on
+        # the p grid (the whole 1001 x 2001 table took 16 MB per array)
         tracemalloc.start()
         try:
             interim_grid_oracle(HomogeneousSpec(1.0, 0.3, 2))
@@ -282,6 +303,30 @@ class TestInterimGridOracle:
             assert m == rep.policy.m, f"n={n}"
             assert abs(alpha - rep.policy.alpha) <= 1e-3, f"n={n}"
 
+    def test_matches_alpha_grid_scan(self):
+        # the bisected envelope against the scan of the 1001-point alpha grid
+        rng = np.random.default_rng(11)
+        for n in (1, 1, 2, 2, 3, 3, 4, 4, 5, 6):
+            ubar = float(rng.uniform(0.5, 2.0))
+            spec = HomogeneousSpec(ubar, ubar * float(rng.uniform(0.05, 0.6)), n)
+            m, alpha, _ = interim_grid_oracle(spec)
+            grid_m, grid_alpha, _ = interim_alpha_grid_oracle(spec)
+            assert m == grid_m, spec
+            assert abs(alpha - grid_alpha) <= 1e-3, spec
+
+    def test_alpha_close_to_solver(self):
+        # exact in alpha, the oracle differs from the solver only through its
+        # p grid
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6):
+            ubar = float(rng.uniform(0.5, 2.0))
+            spec = HomogeneousSpec(ubar, ubar * float(rng.uniform(0.05, 0.6)), n)
+            rep = solve_interim(spec)
+            m, alpha, worst = interim_grid_oracle(spec)
+            assert m == rep.policy.m, spec
+            assert abs(alpha - rep.policy.alpha) <= 1e-5, spec
+            assert worst == pytest.approx(rep.regret, abs=1e-5), spec
+
 
 @given(st.integers(1, 6), st.floats(0.01, 0.3), st.data())
 @settings(max_examples=100, deadline=None)
@@ -293,3 +338,18 @@ def test_needle_endpoints_dominate_grid(n, c, data):
     policy = StationaryPolicy(np.array(alphas))
     _, worst = nature_best_response_needle(policy, spec)
     assert worst >= regret_needle(policy, np.linspace(0.0, 1.0, 1001), spec).max() - 1e-15
+
+
+@given(st.integers(1, 12), st.floats(1e-6, 0.99), st.data())
+@settings(max_examples=100, deadline=None)
+def test_dm_side_unbeaten_by_stage_vectors(n, ratio, data):
+    # the least regret stays below ubar - c < 1, so 1e-15 allows a few ulp of
+    # rounding near it
+    spec = HomogeneousSpec(1.0, ratio, n)
+    report = saddle_check_indep(spec)
+    assert report.passed
+    # the gap is a few ulp, so this subtraction recovers the DP's value exactly
+    best = solve_indep(spec).regret - report.dm_gap
+    alphas = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    value = float(_regret_indep_alphas(np.array(alphas), spec.c / spec.ubar, spec))
+    assert value >= best - 1e-15
