@@ -29,7 +29,7 @@ from .core import (
 )
 from .corr import solve_corr_commitment, solve_corr_intrapersonal
 from .het import HeterogeneousSpec, cost_asymmetry_sweep, solve_het
-from .indep import expected_search_count, solve_indep
+from .indep import search_count_profile, solve_indep
 from .interim import solve_interim
 from .simulate import simulate
 from .two_box import solve_two_box, verify_two_box
@@ -47,20 +47,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _pyify(obj):
-    if isinstance(obj, dict):
-        return {k: _pyify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_pyify(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def _cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value)).lower()
@@ -76,28 +62,19 @@ def _cell(value) -> str:
 def _emit(args, command: str, params: dict, results: dict) -> str:
     """The JSON record of one call, or its results as a ``field,value`` CSV."""
     if args.format == "json":
-        payload = {
-            "schema_version": _SCHEMA,
-            "command": command,
-            "params": _pyify(params),
-            "results": _pyify(results),
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    lines = ["field,value"]
+        payload = {"schema_version": _SCHEMA, "command": command, "params": params, "results": results}
+        return json.dumps(payload, sort_keys=True, indent=2, default=lambda obj: obj.tolist()) + "\n"
+    rows = []
     for key, value in results.items():
         if isinstance(value, (list, tuple, np.ndarray)):
-            for i, v in enumerate(value, start=1):
-                lines.append(f"{key}_{i},{_cell(v)}")
+            rows += [(f"{key}_{i}", v) for i, v in enumerate(value, start=1)]
         else:
-            lines.append(f"{key},{_cell(value)}")
-    return "\n".join(lines) + "\n"
+            rows.append((key, value))
+    return _emit_table_csv(("field", "value"), rows)
 
 
 def _emit_table_csv(columns, rows) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_cell(value) for value in row))
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(map(_cell, row)) + "\n" for row in (columns, *rows))
 
 
 def _reject(args, names, message: str):
@@ -224,7 +201,8 @@ def _cmd_sweep(args):
         _require(args, "ubar", "c")
         spec = HomogeneousSpec(args.ubar, args.c, args.n)
         columns = ["q", "n", "expected_opened"]
-        rows = [(q, n, expected_search_count(float(q), n, spec)) for q in grid for n in range(1, args.n + 1)]
+        profiles = [(q, search_count_profile(float(q), args.n, spec).values) for q in grid]
+        rows = [(q, n, s) for q, values in profiles for n, s in enumerate(values, start=1)]
     elif args.sweep == "delta":
         if args.regime != "het":
             raise DomainError("delta-sweeps support the het regime")

@@ -74,19 +74,33 @@ class SeedError(ValueError):
     """Simulation request exceeds the reproducible substream space."""
 
 
+def _finite_real(x) -> bool:
+    """A finite real number; a bool is not one."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def as_probability(x: float, what: str = "probability") -> float:
-    """Clamp ``x`` to [0, 1], tolerating drift up to ``PROB_SLACK``."""
-    x = float(x)
-    if not np.isfinite(x) or x < -PROB_SLACK or x > 1.0 + PROB_SLACK:
+    """Clamp the number ``x`` (not a bool) to [0, 1], tolerating drift up to ``PROB_SLACK``."""
+    if not _finite_real(x) or x < -PROB_SLACK or x > 1.0 + PROB_SLACK:
         raise DomainError(f"{what} must lie in [0, 1], got {x!r}")
-    return min(max(x, 0.0), 1.0)
+    return min(max(float(x), 0.0), 1.0)
+
+
+def _require_count(value, what: str, least: int) -> int:
+    """``value`` as an ``int`` if it is an integer (not a bool) of at least ``least``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        raise DomainError(f"{what} must be an integer of at least {least}, got {value!r}")
+    return int(value)
 
 
 def _probability_array(values, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.size and (not np.all(np.isfinite(arr)) or arr.min() < -PROB_SLACK or arr.max() > 1.0 + PROB_SLACK):
+    """:func:`as_probability` entrywise, as a float array; strings and bools are rejected."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf" or (
+        arr.size and (not np.all(np.isfinite(arr)) or arr.min() < -PROB_SLACK or arr.max() > 1.0 + PROB_SLACK)
+    ):
         raise DomainError(f"every entry of {what} must lie in [0, 1]")
-    return np.clip(arr, 0.0, 1.0)
+    return np.clip(arr, 0.0, 1.0, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +125,12 @@ class HomogeneousSpec:
         object.__setattr__(self, "n", int(self.n))
 
 
-def _finite_real(x) -> bool:
-    """A finite real number; a bool is not one."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+def _check_box(ubar, c, where: str = "") -> None:
+    """Raise :class:`DomainError`, prefixed by ``where``, unless ``0 < c < ubar`` are finite numbers."""
+    if not _finite_real(ubar) or ubar <= 0.0:
+        raise DomainError(f"{where}high reward must be positive, got {ubar!r}")
+    if not _finite_real(c) or c <= 0.0 or c >= ubar:
+        raise DomainError(f"{where}search cost must lie in (0, {ubar}), got {c!r}")
 
 
 def validate_spec(spec: HomogeneousSpec) -> HomogeneousSpec:
@@ -125,10 +142,7 @@ def validate_spec(spec: HomogeneousSpec) -> HomogeneousSpec:
     a free search or a search that can never pay for itself both degenerate
     the problem.
     """
-    if not _finite_real(spec.ubar) or spec.ubar <= 0.0:
-        raise DomainError(f"high reward must be positive, got {spec.ubar!r}")
-    if not _finite_real(spec.c) or spec.c <= 0.0 or spec.c >= spec.ubar:
-        raise DomainError(f"search cost must lie in (0, {spec.ubar}), got {spec.c!r}")
+    _check_box(spec.ubar, spec.c)
     n = spec.n
     if not _finite_real(n) or int(n) != n or n < 1:
         raise DomainError(f"box count must be a positive integer, got {spec.n!r}")
@@ -293,6 +307,8 @@ class TwoPointMixture:
     atoms: tuple  # ((u, v), weight), ...
 
     def __post_init__(self):
+        if not all(_finite_real(x) for (u, v), w in self.atoms for x in (u, v, w)):
+            raise DomainError(f"mixture atoms must be ((u, v), weight) with finite numbers, got {self.atoms!r}")
         atoms = tuple(((float(u), float(v)), float(w)) for (u, v), w in self.atoms)
         if not atoms:
             raise DomainError("mixture needs at least one atom")

@@ -38,7 +38,7 @@ from typing import FrozenSet, Iterable, Mapping, Optional
 
 import numpy as np
 
-from .core import DomainError, SizeError, _finite_real, as_probability
+from .core import DomainError, SizeError, _check_box, as_probability
 
 __all__ = [
     "MAX_BOXES",
@@ -79,10 +79,7 @@ class HeterogeneousSpec:
         if not pairs:
             raise DomainError("need at least one box")
         for i, (u, c) in enumerate(pairs):
-            if not _finite_real(u) or u <= 0.0:
-                raise DomainError(f"box {i}: high reward must be positive, got {u!r}")
-            if not _finite_real(c) or c <= 0.0 or c >= u:
-                raise DomainError(f"box {i}: search cost must lie in (0, {u}), got {c!r}")
+            _check_box(u, c, f"box {i}: ")
         boxes = tuple((float(u), float(c)) for u, c in pairs)
         object.__setattr__(self, "boxes", boxes)
         deltas = tuple(u - c for u, c in boxes)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, HomogeneousSpec, StationaryPolicy
+from .core import HomogeneousSpec, StationaryPolicy, _require_count, as_probability
 
 __all__ = [
     "IndepSolution",
@@ -93,27 +93,20 @@ def solve_indep(spec: HomogeneousSpec) -> IndepSolution:
 def expected_search_count(q: float, n: int, spec: HomogeneousSpec) -> float:
     """Expected number of boxes the robust rule opens against an i.i.d. truth.
 
-    Evaluates S(k) = alpha_k (1 + (1 - q) S(k-1)) upward from S(0) = 0; the
-    policy is re-solved at each remaining-box count, so the stage behavior
-    does not depend on the menu size ``n`` except through the starting point.
+    The last entry of :func:`search_count_profile` up to menu size ``n``.
     """
-    if not 0.0 <= q <= 1.0:
-        raise DomainError(f"q must lie in [0, 1], got {q!r}")
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    alphas = _alpha_star(np.arange(1, n + 1, dtype=float), spec.ubar, spec.c)
-    s = 0.0
-    for k in range(1, n + 1):
-        s = alphas[k - 1] * (1.0 + (1.0 - q) * s)
-    return float(s)
+    return float(search_count_profile(q, n, spec).values[-1])
 
 
 def search_count_profile(q: float, n_max: int, spec: HomogeneousSpec) -> SearchCountProfile:
-    """Table of expected opened-box counts for menu sizes 1..n_max."""
-    if not 0.0 <= q <= 1.0:
-        raise DomainError(f"q must lie in [0, 1], got {q!r}")
-    if n_max < 2:
-        raise DomainError("n_max must be at least 2")
+    """Table of expected opened-box counts for menu sizes 1..n_max.
+
+    Evaluates S(k) = alpha_k (1 + (1 - q) S(k-1)) upward from S(0) = 0; the
+    policy is re-solved at each remaining-box count, so the stage behavior
+    does not depend on the menu size except through the starting point.
+    """
+    q = as_probability(q, "q")
+    n_max = _require_count(n_max, "n_max", 1)
     alphas = _alpha_star(np.arange(1, n_max + 1, dtype=float), spec.ubar, spec.c)
     values = np.empty(n_max)
     s = 0.0
@@ -131,8 +124,7 @@ def eu_benchmark(p: float, spec: HomogeneousSpec, search_at_indifference: bool =
     belief, never search below it.  At exact indifference any behavior is
     optimal; the default resolves the tie toward searching.
     """
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must lie in [0, 1], got {p!r}")
+    p = as_probability(p, "p")
     phat = weitzman_threshold(spec)
     if p > phat or (p == phat and search_at_indifference):
         return StationaryPolicy(np.ones(spec.n))

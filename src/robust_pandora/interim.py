@@ -13,12 +13,20 @@ coin-flip weight, and the worst belief behind it, by Newton's method.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _NEWTON_STEPS, ConvergenceError, DomainError, HomogeneousSpec, _poly_max, _probability_array
+from .core import (
+    _NEWTON_STEPS,
+    ConvergenceError,
+    DomainError,
+    HomogeneousSpec,
+    _poly_max,
+    _probability_array,
+    _require_count,
+    as_probability,
+)
 from .indep import weitzman_threshold
 
 __all__ = [
@@ -45,14 +53,13 @@ class InterimPolicy:
     phi: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        whole = isinstance(self.m, numbers.Integral) and isinstance(self.n, numbers.Integral)
-        if not whole or not 0 <= self.m <= self.n - 1:
-            raise DomainError(f"m must be a whole number in 0..{self.n - 1}, got {self.m!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise DomainError(f"alpha must lie in [0, 1], got {self.alpha!r}")
-        phi = np.zeros(self.n)
-        phi[self.n - self.m - 1] = self.alpha
-        phi[self.n - self.m :] = 1.0
+        n = _require_count(self.n, "n", 1)
+        if _require_count(self.m, "m", 0) >= n:
+            raise DomainError(f"m must be a whole number in 0..{n - 1}, got {self.m!r}")
+        object.__setattr__(self, "alpha", as_probability(self.alpha, "alpha"))
+        phi = np.zeros(n)
+        phi[n - self.m - 1] = self.alpha
+        phi[n - self.m :] = 1.0
         phi.flags.writeable = False
         object.__setattr__(self, "phi", phi)
 
@@ -74,8 +81,7 @@ class InterimReport:
 
 def exhaustive_utility(p: float, n: int, spec: HomogeneousSpec) -> float:
     """Expected payoff of searching up to ``n`` boxes, stopping on success."""
-    if n < 1:
-        raise DomainError("n must be at least 1")
+    n = _require_count(n, "n", 1)
     p = _probability_array(p, "p")
     ubar, c = spec.ubar, spec.c
     i = np.arange(1, n + 1)

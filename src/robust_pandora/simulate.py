@@ -34,6 +34,7 @@ from .core import (
     NeedleP,
     SeedError,
     StationaryPolicy,
+    _require_count,
 )
 from .het import HeterogeneousSpec, SelectionPolicy
 
@@ -177,11 +178,11 @@ def simulate(policy, truth, spec, episodes: int, seed: int) -> SimulationResult:
     :class:`HeteroPVector`.  Episodes are independent; the DM stops on the
     first high reward.
     """
-    if episodes < 1:
-        raise DomainError("need at least one episode")
+    episodes = _require_count(episodes, "episodes", 1)
     if episodes > MAX_EPISODES:
         raise SeedError(f"episode count {episodes} exceeds the substream space ({MAX_EPISODES})")
-    if not 0 <= int(seed) < 2**64:
+    seed = _require_count(seed, "seed", 0)
+    if seed >= 2**64:
         raise SeedError("seed must fit in 64 bits")
 
     if isinstance(spec, HomogeneousSpec):
@@ -223,5 +224,5 @@ def simulate(policy, truth, spec, episodes: int, seed: int) -> SimulationResult:
         se_opened=se(total_o2, mean_o),
         mean_regret=mean_r,
         se_regret=se(total_r2, mean_r),
-        seed=int(seed),
+        seed=seed,
     )

@@ -22,7 +22,7 @@ from math import sqrt
 
 import numpy as np
 
-from .core import DomainError, HomogeneousSpec, SaddleReport, SizeError, TwoPointMixture
+from .core import DomainError, HomogeneousSpec, SaddleReport, SizeError, TwoPointMixture, _require_count
 from .corr import optout_menu_size
 
 __all__ = [
@@ -199,14 +199,13 @@ def verify_two_box(
     no such note is made there.
     """
     _require_two_boxes(spec)
-    if grid_size < 2:
-        raise DomainError("grid_size must be at least 2")
+    grid_size = _require_count(grid_size, "grid_size", 2)
     if grid_size > MAX_PAIR_GRID:
         raise SizeError(f"pair grid limited to {MAX_PAIR_GRID} points per axis, got {grid_size}")
     ubar, c = spec.ubar, spec.c
     _, _, claimed = solve_two_box(spec)
 
-    grid = np.linspace(0.0, ubar, int(grid_size))
+    grid = np.linspace(0.0, ubar, grid_size)
     nature_gap, worst_pair = -np.inf, (0.0, 0.0)
     step = max(1, _PAIR_BLOCK // grid.size)
     for start in range(0, grid.size, step):

@@ -20,8 +20,6 @@ A saddle point passes when both gaps stay within tolerance.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 from .core import (
@@ -37,6 +35,7 @@ from .core import (
     _plan_regrets,
     _poly_max,
     _regret_indep_poly,
+    _require_count,
     regret_needle,
 )
 from .corr import solve_corr_commitment, solve_corr_intrapersonal
@@ -58,15 +57,15 @@ __all__ = [
 # 53 MB, 1e7 points 0.74 s / 259 MB.
 MAX_GRID_POINTS = 1_000_000
 
+# saddle_check_corr scores the n + 1 vertex profiles in (n + 1, n, n + 1)
+# arrays.  Wall time and peak RSS (ru_maxrss, interpreter included) of one
+# check, solve included, on a 2-vCPU x86-64 VM, commitment / intrapersonal:
+# n = 100 0.05 s / 45 MB, n = 200 0.42 / 0.32 s / 155 MB, n = 300
+# 1.7 / 1.5 s / 449 MB.
+_MAX_CORR_BOXES = 200
+
 # the beliefs against which interim_grid_oracle prices each plan
 _P_GRID = np.linspace(0.0, 1.0, 2001)
-
-
-def _require_count(value, what: str, least: int) -> int:
-    """``value`` as an ``int`` if it is an integer (not a bool) of at least ``least``."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
-        raise DomainError(f"{what} must be an integer of at least {least}, got {value!r}")
-    return int(value)
 
 
 def nature_best_response_indep(policy: StationaryPolicy, spec: HomogeneousSpec, grid_points: int = 2001):
@@ -154,8 +153,8 @@ def saddle_check_corr(
     so that callers passing it keep working.
     """
     _require_count(seed, "seed", 0)
-    if spec.n > 32:
-        raise DomainError("count-profile deviation scan is limited to n <= 32")
+    if spec.n > _MAX_CORR_BOXES:
+        raise SizeError(f"count-profile vertex scan limited to {_MAX_CORR_BOXES} boxes, got {spec.n}")
     if mode == "commitment":
         sol = solve_corr_commitment(spec)
     elif mode == "intrapersonal":

@@ -1,0 +1,56 @@
+"""The README commands and the demos print the same bytes, pinned by the SHA-256 of their stdout."""
+
+import hashlib
+import runpy
+import shlex
+from pathlib import Path
+
+import pytest
+
+from robust_pandora.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+README_STDOUT = {
+    "solve --regime indep --ubar 1 --c 0.3 --n 3 --format json": "1da7c4a25be5c3d427fd60a7ff31929b32e291bffe97be3ce01154a3dc274f30",
+    "solve --regime het --boxes 1:0.2,1:0.4": "1da2d79ab24a1fc707ffe9a1ab6e2e6413194d49e654304388d10044dfebf0fc",
+    "sweep --regime indep --sweep n --from 1 --to 50 --ubar 1 --c 0.3": "45596402470eeea2d861a573d44e2e7f0596e675e1930a80a7b6826e062eb14c",
+    "sweep --regime het --sweep delta --from 0 --to 0.5 --steps 30 --ubar 1 --ctotal 0.6": "475118c1adef4f93687f28cd52cff26ef43d9361cd70f264c510e6155dd577e3",
+    "verify --regime indep --ubar 1 --c 0.3 --n 4 --tol 1e-6": "fa663a6a3721527bddc09628dbca92cb515846ab86ce44121f440a76b8addc19",
+    "verify --regime two-box --ubar 1 --c 0.2 --grid 200": "fd4e834f4ace90f6a919e7ebbb949a1a841d6e31616cfe990af6d4898eeb877a",
+    "simulate --regime indep --ubar 1 --c 0.3 --n 5 --truth iid:0.3 --episodes 1000000 --seed 42": "990760b391ba5baf5bbff44b5ec163ed8d56f3e781e5d8b3e90034796710d043",
+}
+
+DEMO_STDOUT = {
+    "01_choice_overload.py": "a4e2c86fce7f0683ba920437aaf03940e7ff8aac2e91856482e670de21f41edf",
+    "02_hidden_treasure.py": "98e03633c7123208824481fca4a20c08274114c1379c7990a0aa8af5b7f8b6b1",
+    "03_steering_with_costs.py": "c34a197fb622ae40f58e9f66ee1ce7da356770036272db594f7b0a7822669e8a",
+    "04_fear_of_missing_out.py": "495fa3b6cf34d3dcfd32d488b4a7694ce1206f528e6a6fcf1d426fd185a31c38",
+    "05_randomized_thresholds.py": "26834e55eb1878eefe48e525950e497801c3d88b1d396087ddc05c4bf04c53b8",
+    "06_reproducible_simulation.py": "9ca05d7592bf75fff64dd740ab666bbe392e1e19c7e2d94ed5da227c92d7e974",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _readme_commands():
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    return [" ".join(shlex.split(line)[1:]) for line in lines if line.startswith("robust-pandora ")]
+
+
+def test_readme_commands_are_pinned():
+    assert _readme_commands() == list(README_STDOUT)
+
+
+@pytest.mark.parametrize("command", README_STDOUT)
+def test_readme_command_stdout(capsys, command):
+    assert main(shlex.split(command)) == 0
+    assert _sha256(capsys.readouterr().out) == README_STDOUT[command]
+
+
+@pytest.mark.parametrize("demo", DEMO_STDOUT)
+def test_demo_stdout(capsys, demo):
+    runpy.run_path(str(ROOT / "demos" / demo), run_name="__main__")
+    assert _sha256(capsys.readouterr().out) == DEMO_STDOUT[demo]

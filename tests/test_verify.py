@@ -23,6 +23,7 @@ from robust_pandora.corr import single_treasure_equivalent, solve_corr_commitmen
 from robust_pandora.indep import solve_indep
 from robust_pandora.interim import solve_interim
 from robust_pandora.verify import (
+    _MAX_CORR_BOXES,
     MAX_GRID_POINTS,
     interim_grid_oracle,
     nature_best_response_indep,
@@ -208,8 +209,12 @@ class TestSaddleCheckCorr:
         assert not report.notes
 
     def test_size_cap(self):
-        with pytest.raises(DomainError):
-            saddle_check_corr(HomogeneousSpec(1.0, 0.01, 33))
+        # the cap bounds time and memory only: a 33-box menu checks out in both modes
+        for mode in ("commitment", "intrapersonal"):
+            report = saddle_check_corr(HomogeneousSpec(1.0, 0.01, 33), tol=1e-9, mode=mode)
+            assert report.passed, str(report)
+        with pytest.raises(SizeError):
+            saddle_check_corr(HomogeneousSpec(1.0, 0.01, _MAX_CORR_BOXES + 1))
 
     def test_needle_two_endpoints(self):
         # the regret is affine in P, so P = 0 or P = 1 is a worst case; the
