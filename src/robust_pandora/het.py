@@ -38,7 +38,7 @@ from typing import FrozenSet, Iterable, Mapping, Optional
 
 import numpy as np
 
-from .core import DomainError, SizeError, _check_box, as_probability
+from .core import DomainError, SizeError, _check_box, _finite_real, _require_count, as_probability
 
 __all__ = [
     "MAX_BOXES",
@@ -116,7 +116,9 @@ class SubsetRule:
     optout: float
 
     def __post_init__(self):
-        probs = {int(i): as_probability(w, f"open weight of box {i}") for i, w in self.open_probs.items()}
+        probs = {
+            _require_count(i, "box", 0): as_probability(w, f"open weight of box {i}") for i, w in self.open_probs.items()
+        }
         out = as_probability(self.optout, "opt-out weight")
         if abs(sum(probs.values()) + out - 1.0) > 1e-9:
             raise DomainError("subset rule weights must sum to 1")
@@ -136,8 +138,8 @@ def _check_size(n: int):
 def _mask_of(subset: Iterable[int], n: int) -> int:
     mask = 0
     for i in subset:
-        i = int(i)
-        if not 0 <= i < n:
+        i = _require_count(i, "box", 0)
+        if i >= n:
             raise DomainError(f"box {i} is not among the {n} boxes")
         mask |= 1 << i
     return mask
@@ -251,7 +253,8 @@ def psi(k: int, subset: Iterable[int], spec: HeterogeneousSpec) -> float:
     over menu members strictly later than ``k`` in the net-reward order.
     The top-ranked member gets the empty product, 1.
     """
-    members = frozenset(int(i) for i in subset)
+    k = _require_count(k, "box", 0)
+    members = frozenset(_require_count(i, "box", 0) for i in subset)
     if k not in members:
         raise DomainError(f"box {k} is not in the subset")
     p_hats = spec.p_hats
@@ -288,8 +291,8 @@ class HetSolution:
         return self.policy.rule_for(range(self.spec.n) if subset is None else subset)
 
     def gamma(self, i: int, subset: Optional[Iterable[int]] = None) -> float:
-        i, mask = int(i), self._mask(subset)
-        if not (0 <= i < self.spec.n and mask >> i & 1):
+        i, mask = _require_count(i, "box", 0), self._mask(subset)
+        if not (i < self.spec.n and mask >> i & 1):
             raise DomainError(f"box {i} is not in the subset")
         return float(self.gammas[mask, i])
 
@@ -431,10 +434,13 @@ def cost_asymmetry_sweep(ubar: float, c_total: float, delta_grid) -> list:
     Each row reports the opening probabilities of the costlier box ``i`` and
     the cheaper box ``j`` plus the total search probability ``1 - a(0)``.
     """
-    if not 0.0 < c_total < 2.0 * ubar:
+    if not _finite_real(c_total) or not 0.0 < c_total < 2.0 * ubar:
         raise DomainError(f"total cost must lie in (0, {2 * ubar}), got {c_total!r}")
+    deltas = np.asarray(delta_grid)
+    if deltas.dtype.kind not in "iuf":
+        raise DomainError(f"cost splits must be numbers, got {delta_grid!r}")
     rows = []
-    for d in np.asarray(delta_grid, dtype=float):
+    for d in deltas.astype(float):
         ci = (c_total + d) / 2.0
         cj = (c_total - d) / 2.0
         if not (0.0 < ci < ubar and 0.0 < cj < ubar):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,9 +34,10 @@ __all__ = [
     "verify_two_box",
 ]
 
-# The pair grid costs grid^2 / 2 regret evaluations.  Wall time and peak RSS
-# (ru_maxrss, interpreter included) of verify_two_box at ubar/c = 15 on a
-# 2-vCPU x86-64 VM: grid 2001 0.08 s, 5000 0.38 s, 10000 1.6 s, each < 36 MB.
+# The pair grid costs grid^2 / 2 pair regrets.  Wall time and peak RSS
+# (ru_maxrss, interpreter included) of verify_two_box at ubar/c = 15 in a
+# fresh process on a 2-vCPU x86-64 VM: grid 2001 0.05 s, 5000 0.21 s,
+# 10000 0.7 s, each < 34 MB.
 MAX_PAIR_GRID = 10_000
 _PAIR_BLOCK = 1 << 16  # pairs scored at once, 0.5 MB per float temporary
 
@@ -135,6 +137,17 @@ def solve_two_box(spec: HomogeneousSpec):
     return policy, TwoBoxNature(v_hat=v_hat, q=q, r=r, s=s), regret
 
 
+def _rewards(u, policy: TwoBoxContinuousPolicy) -> np.ndarray:
+    """``u`` as a float array of rewards in [0, ubar]; strings and bools are rejected."""
+    x = np.asarray(u)
+    if x.dtype.kind not in "iuf":
+        raise DomainError(f"reward must be a number, got {u!r}")
+    x = x.astype(float)
+    if not np.all((-1e-12 <= x) & (x <= policy.ubar + 1e-12)):
+        raise DomainError(f"reward must lie in [0, {policy.ubar}], got {x.tolist()!r}")
+    return x
+
+
 def acceptance_probability(u, policy: TwoBoxContinuousPolicy):
     """Probability of opening the second box after a first reward of ``u``.
 
@@ -143,15 +156,40 @@ def acceptance_probability(u, policy: TwoBoxContinuousPolicy):
     the value is 0 at ``u = ubar - c`` exactly.
     """
     ubar, c = policy.ubar, policy.c
-    x = np.asarray(u, dtype=float)
-    if not np.all((-1e-12 <= x) & (x <= ubar + 1e-12)):
-        raise DomainError(f"reward must lie in [0, {ubar}], got {x.tolist()!r}")
+    x = _rewards(u, policy)
     a = policy.alpha2_0
     with np.errstate(divide="ignore", invalid="ignore"):
         mixed = (2.0 * (ubar - x) - a * (ubar - x + c)) / (a * (ubar - x))
     sure = (policy.regime == "small") | (x <= policy.v_low)
     p = np.where(x >= policy.v_acc, 0.0, np.where(sure, 1.0, mixed))
     return float(p) if p.ndim == 0 else p
+
+
+class _RewardTerms(NamedTuple):
+    """The parts of the pair regret that depend on one reward ``x`` alone."""
+
+    accept: np.ndarray  # a(x), the continuation chance after a first box x
+    oracle: np.ndarray  # max(0, x - c), the oracle's pay when x is the higher reward
+    stop: np.ndarray  # (1 - a)(x - c), the pay of stopping at a first box x
+    first_high: np.ndarray  # stop + a (x - 2c), the search pay when x is the higher reward and opened first
+    less_2c: np.ndarray  # x - 2c, the pay of finding x in the second box
+
+
+def _reward_terms(x, policy: TwoBoxContinuousPolicy) -> _RewardTerms:
+    a = acceptance_probability(x, policy)
+    c = policy.c
+    stop = (1.0 - a) * (x - c)
+    less_2c = x - 2.0 * c
+    return _RewardTerms(a, np.maximum(0.0, x - c), stop, stop + a * less_2c, less_2c)
+
+
+def _pair_regret(policy: TwoBoxContinuousPolicy, high: _RewardTerms, low: _RewardTerms):
+    """Regret against the pair {u, v}, u >= v, from the terms of u (``high``) and of v (``low``)."""
+    # first box v: stop at v - c or continue to find u; first box u: stop at
+    # u - c or waste c more
+    pay_first_v = low.stop + low.accept * high.less_2c
+    search_pay = 0.5 * (pay_first_v + high.first_high)
+    return (1.0 - policy.alpha2_0) * high.oracle + policy.alpha2_0 * (high.oracle - search_pay)
 
 
 def regret_against_pair(policy: TwoBoxContinuousPolicy, u, v):
@@ -161,17 +199,9 @@ def regret_against_pair(policy: TwoBoxContinuousPolicy, u, v):
     order.  The oracle opens the better box only, earning ``max(0, u - c)``;
     the DM opens a uniformly random box first and follows her cutoff rule.
     """
-    u, v = np.maximum(u, v), np.minimum(u, v)
-    c = policy.c
-    oracle = np.maximum(0.0, u - c)
-    a1_u = acceptance_probability(u, policy)
-    a1_v = acceptance_probability(v, policy)
-    # first box v: stop at v - c or continue to find u; first box u: stop at
-    # u - c or waste c more
-    pay_first_v = (1.0 - a1_v) * (v - c) + a1_v * (u - 2.0 * c)
-    pay_first_u = (1.0 - a1_u) * (u - c) + a1_u * (u - 2.0 * c)
-    search_pay = 0.5 * (pay_first_v + pay_first_u)
-    regret = (1.0 - policy.alpha2_0) * oracle + policy.alpha2_0 * (oracle - search_pay)
+    u, v = _rewards(u, policy), _rewards(v, policy)
+    high, low = np.maximum(u, v), np.minimum(u, v)
+    regret = _pair_regret(policy, _reward_terms(high, policy), _reward_terms(low, policy))
     return float(regret) if np.ndim(regret) == 0 else regret
 
 
@@ -205,18 +235,22 @@ def verify_two_box(
     ubar, c = spec.ubar, spec.c
     _, _, claimed = solve_two_box(spec)
 
+    # the per-reward terms once on the grid; a row block u is scored against
+    # every grid point v up to its last row, and the pairs with v > u are masked
     grid = np.linspace(0.0, ubar, grid_size)
+    terms = _reward_terms(grid, policy)
     nature_gap, worst_pair = -np.inf, (0.0, 0.0)
     step = max(1, _PAIR_BLOCK // grid.size)
     for start in range(0, grid.size, step):
-        rows = np.arange(start, min(start + step, grid.size))
-        cols = np.arange(rows[-1] + 1)
-        gaps = regret_against_pair(policy, grid[rows, None], grid[cols]) - claimed
-        gaps[cols > rows[:, None]] = -np.inf
+        end = min(start + step, grid.size)
+        high = _RewardTerms(*(t[start:end, None] for t in terms))
+        low = _RewardTerms(*(t[:end] for t in terms))
+        gaps = _pair_regret(policy, high, low) - claimed
+        gaps[np.arange(end) > np.arange(start, end)[:, None]] = -np.inf
         i, j = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
         if gaps[i, j] > nature_gap:
             nature_gap = gaps[i, j]
-            worst_pair = (float(grid[rows[i]]), float(grid[j]))
+            worst_pair = (float(grid[start + i]), float(grid[j]))
 
     # quitting, and continuing up to t for t = 0, v_hat, ubar, which on the
     # atoms is continuing below a cutoff at v_hat, at ubar and past ubar

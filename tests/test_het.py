@@ -274,6 +274,15 @@ class TestPolicyEdgeCases:
         with pytest.raises(DomainError):
             solve_het(self.SPEC).gamma(1, {0, 2})
 
+    def test_numpy_integer_box_indices(self):
+        # box indices must be integers, and numpy integers are integers
+        sol = solve_het(self.SPEC)
+        menu = np.array([0, 2])
+        assert sol.rule_for(menu) == sol.rule_for([0, 2])
+        assert sol.gamma(np.int64(2), menu) == sol.gamma(2, [0, 2])
+        assert psi(np.int32(0), menu, self.SPEC) == psi(0, [0, 2], self.SPEC)
+        assert SubsetRule({np.int64(1): 1.0}, 0.0).open_probs == {1: 1.0}
+
 
 class TestRegretHet:
     def test_always_opt_out_formula(self):

@@ -15,7 +15,7 @@ from robust_pandora.two_box import (
     verify_two_box,
 )
 
-from oracles import two_box_grid_loop
+from oracles import _two_box_pair_regret_scalar, two_box_grid_loop
 
 LARGE = HomogeneousSpec(1.0, 0.2, 2)
 SMALL = HomogeneousSpec(1.0, 0.3, 2)
@@ -244,6 +244,21 @@ class TestPairScan:
                 assert report.dm_gap == dm_gap
             else:
                 assert report.dm_gap >= dm_gap
+
+    def test_every_pair_matches_scalar_oracle(self):
+        # each lower-triangle pair of the grid, given high reward first and
+        # low reward first, == the scalar formula; the last case puts grid
+        # points on v_acc = 0.75 exactly
+        cases = [(1.0, 1.0 / ratio, 120) for ratio in (1.5, 4.0, 15.0, 40.0)] + [(1.0, 0.25, 5)]
+        for ubar, c, grid in cases:
+            pol, _, _ = solve_two_box(HomogeneousSpec(ubar, c, 2))
+            points = np.linspace(0.0, ubar, grid)
+            rows, cols = np.tril_indices(grid)
+            expected = [_two_box_pair_regret_scalar(pol, float(points[i]), float(points[j])) for i, j in zip(rows, cols)]
+            high_first = regret_against_pair(pol, points[:, None], points[None, :])
+            low_first = regret_against_pair(pol, points[None, :], points[:, None])
+            assert np.array_equal(high_first[rows, cols], expected)
+            assert np.array_equal(low_first[rows, cols], expected)
 
     def test_memory_is_linear_in_the_grid(self):
         # row blocks of 0.5 MB per temporary; one float64 table of all pairs

@@ -4,23 +4,31 @@ import pytest
 
 from robust_pandora import (
     DomainError,
+    HeterogeneousSpec,
     HomogeneousSpec,
     IidBinary,
     InterimPolicy,
     StationaryPolicy,
+    SubsetRule,
     TwoPointMixture,
+    acceptance_probability,
+    cost_asymmetry_sweep,
     expected_search_count,
     exhaustive_utility,
+    psi,
     regret_indep,
     search_count_profile,
     simulate,
+    solve_het,
     solve_indep,
     solve_two_box,
     verify_two_box,
 )
+from robust_pandora.two_box import regret_against_pair
 
 SPEC = HomogeneousSpec(1.0, 0.3, 3)
 TWO = HomogeneousSpec(1.0, 0.2, 2)
+HET = HeterogeneousSpec(((1.0, 0.2), (1.0, 0.4)))
 
 
 def _simulate(episodes=10, seed=0):
@@ -30,6 +38,10 @@ def _simulate(episodes=10, seed=0):
 def _verify_two_box(grid_size):
     policy, nature, _ = solve_two_box(TWO)
     return verify_two_box(policy, nature, TWO, grid_size=grid_size)
+
+
+def _two_box_policy():
+    return solve_two_box(TWO)[0]
 
 
 BAD_CALLS = {
@@ -54,6 +66,19 @@ BAD_CALLS = {
     "regret-p-string": lambda: regret_indep(solve_indep(SPEC).policy, "0.3", SPEC),
     "policy-alphas-bool": lambda: StationaryPolicy([True, False, True]),
     "mixture-weight-string": lambda: TwoPointMixture((((0.5, 0.2), "1"),)),
+    "acceptance-reward-string": lambda: acceptance_probability("0.5", _two_box_policy()),
+    "acceptance-reward-bool": lambda: acceptance_probability(True, _two_box_policy()),
+    "pair-reward-string": lambda: regret_against_pair(_two_box_policy(), "0.5", 0.1),
+    "sweep-c-total-string": lambda: cost_asymmetry_sweep(1.0, "0.6", [0.0]),
+    "sweep-c-total-bool": lambda: cost_asymmetry_sweep(1.0, True, [0.0]),
+    "sweep-delta-string": lambda: cost_asymmetry_sweep(1.0, 0.6, ["0.1"]),
+    "het-rule-box-float": lambda: solve_het(HET).rule_for([0.7, 1]),
+    "het-rule-box-string": lambda: solve_het(HET).rule_for(["0"]),
+    "het-gamma-box-float": lambda: solve_het(HET).gamma(1.5),
+    "het-gamma-box-bool": lambda: solve_het(HET).gamma(True),
+    "subset-rule-box-float": lambda: SubsetRule({0.5: 0.5}, 0.5),
+    "psi-member-float": lambda: psi(0, [0.0, 1.2], HET),
+    "psi-k-bool": lambda: psi(True, [0, 1], HET),
 }
 
 
