@@ -21,13 +21,17 @@ beliefs, so every single-belief direction through that point is exactly
 flat.
 
 Array layout: a menu is a bitmask over input indices (bit ``i`` set while
-box ``i`` is unopened), and every per-menu table is an array indexed by it,
-``(2**n,)`` for scalars and ``(2**n, n)`` for per-box values, with 0.0 for
-boxes outside the menu.  The solver and the exact evaluator both run one
-popcount layer at a time, smallest menus first, each layer as elementwise
-array operations over all its menus; a menu reads only the layer below it.
-Within a menu, sums run left to right in ascending net-reward order, the
-order of the scalar recursion, so every entry is bit-identical to it.
+box ``i`` is unopened), and every per-menu result is an array indexed by
+it, ``(2**n,)`` for scalars and ``(2**n, n)`` for per-box values, with 0.0
+for boxes outside the menu.  The solver and the exact evaluator both run
+one popcount layer at a time, smallest menus first; a menu reads only the
+layer below it.  Within a layer the working tables are position-major,
+``(s, C)`` for the ``C`` menus of size ``s``: row ``t`` holds member ``t``
+of every menu in ascending net-reward order, so each step of the recursion
+is an operation on whole contiguous rows.  A sum over members adds whole
+rows one at a time, left to right in ascending net-reward order as the
+scalar recursion does, so every entry is bit-identical to it.  No working
+table spans two member axes, so a layer needs O(s C) memory.
 """
 
 from __future__ import annotations
@@ -54,8 +58,8 @@ __all__ = [
 
 # Subset tables are exponential; refuse instances past this size.  Wall
 # time and peak RSS (ru_maxrss, interpreter included) of solve_het plus one
-# regret_het, on a 2-vCPU x86-64 VM: n = 16 0.35 s / 66 MB, n = 18
-# 1.8 s / 176 MB, n = 20 11.6 s / 626 MB, under 1 GiB.
+# regret_het in a fresh process, on a 2-vCPU x86-64 VM: n = 16 0.15 s /
+# 67 MB, n = 18 0.73 s / 178 MB, n = 20 4.0 s / 644 MB, under 1 GiB.
 MAX_BOXES = 20
 
 
@@ -165,7 +169,7 @@ class SelectionPolicy:
     """
 
     def __init__(self, n: int, rules: Mapping[FrozenSet[int], SubsetRule]):
-        n = int(n)
+        n = _require_count(n, "box count", 0)
         _check_size(n)
         weights = np.zeros((1 << n, n))
         optout = np.full(1 << n, np.nan)
@@ -201,6 +205,7 @@ class SelectionPolicy:
 
     @classmethod
     def always_opt_out(cls, n: int) -> "SelectionPolicy":
+        n = _require_count(n, "box count", 0)
         _check_size(n)
         optout = np.ones(1 << n)
         optout[0] = np.nan
@@ -209,15 +214,18 @@ class SelectionPolicy:
 
 @functools.lru_cache(maxsize=MAX_BOXES)
 def _layers(n: int) -> tuple:
-    """The menus of each popcount layer, in net-reward position space.
+    """The menus of each popcount layer, position-major.
 
     Entry ``s`` is ``(members, sub_rows)`` for the ``C`` menus of size
     ``s``, with bit ``b`` of a menu meaning the box at position ``b`` of the
-    ascending net-reward order: ``members[C, s]`` lists the positions in
-    ascending order, and ``sub_rows[r, t]`` is the row in layer ``s - 1``
-    of menu ``r`` without its member ``t``.  One cached entry per ``n``,
-    read-only; int8 positions and int32 rows hold the n = 20 entry to about
-    50 MB.
+    ascending net-reward order.  Both tables are ``(s, C)``, one contiguous
+    row per member rank: ``members[t, r]`` is the position of the ``t``-th
+    member of menu ``r`` (ranks ascend with position), and
+    ``sub_rows[t, r]`` is the row in layer ``s - 1`` of menu ``r`` without
+    that member.  Removing member ``t`` keeps the ranks of the members below
+    it, so row ``k < t`` of a layer ``s - 1`` table, read at ``sub_rows[t]``,
+    is the same member.  One cached entry per ``n``, read-only; int8
+    positions and int32 rows hold the n = 20 entry to about 50 MB.
     """
     masks = np.arange(1 << n)
     size = np.zeros(1 << n, dtype=np.int64)
@@ -228,22 +236,23 @@ def _layers(n: int) -> tuple:
     for s in range(n + 1):
         layer = masks[size == s]
         rank[layer] = np.arange(layer.size)
-        members = np.empty((layer.size, s), dtype=np.int8)
+        members = np.empty((s, layer.size), dtype=np.int8)
         filled = np.zeros(layer.size, dtype=np.intp)
         for b in range(n):
             has = np.flatnonzero(layer >> b & 1)
-            members[has, filled[has]] = b
+            members[filled[has], has] = b
             filled[has] += 1
-        sub_rows = rank[layer[:, None] ^ (1 << members.astype(np.int64))].astype(np.int32)
+        sub_rows = rank[layer ^ (1 << members.astype(np.int64))].astype(np.int32)
         layers.append((_read_only(members), _read_only(sub_rows)))
     return tuple(layers)
 
 
-def _row_sums(x: np.ndarray):
-    """Row sums added strictly left to right, as Python's ``sum`` does."""
-    if x.shape[1] == 0:
-        return 0.0
-    return np.cumsum(x, axis=1)[:, -1]
+def _add_rows(rows):
+    """Elementwise sum of ``rows``, added left to right as Python's ``sum`` does; 0.0 for none."""
+    total = 0.0
+    for k, row in enumerate(rows):
+        total = row if k == 0 else total + row
+    return total
 
 
 def psi(k: int, subset: Iterable[int], spec: HeterogeneousSpec) -> float:
@@ -326,43 +335,50 @@ def solve_het(spec: HeterogeneousSpec) -> HetSolution:
     gammas = np.zeros((1 << n, n))
     optout = np.full(1 << n, np.nan)
     regrets = np.zeros(1 << n)
-    psi_below = np.ones((1, 0))
+    psi_below = np.ones((0, 1))
     r_below = np.zeros(1)
 
-    # columns are members in ascending net-reward order; ``psi[:, t]`` is
-    # the chance that every member above ``t`` is empty at p_hat, and
-    # primed quantities belong to the menu without member ``t``
+    # row ``t`` of each table is member ``t`` in ascending net-reward order,
+    # one column per menu; ``psi[t]`` is the chance that every member above
+    # ``t`` is empty at p_hat, and ``*_sub`` rows belong to the menu without
+    # member ``t``
     for members, sub_rows in _layers(n)[1:]:
-        rows, s = members.shape
-        p = p_all[members]
-        d = d_all[members]
-        psi = np.empty((rows, s))
-        psi[:, s - 1] = 1.0
+        s = members.shape[0]
+        p = p_all.take(members)
+        d = d_all.take(members)
+        psi = np.empty_like(p)
+        psi[s - 1] = 1.0
         for t in range(s - 2, -1, -1):
-            psi[:, t] = psi[:, t + 1] * (1.0 - p[:, t + 1])
-        r = _row_sums(p * d * psi)
-        p_psi = p * psi
+            psi[t] = psi[t + 1] * (1.0 - p[t + 1])
+        r = _add_rows(p * d * psi)
+        # c_gam[t] = (c_t + R without t) - above[t], where above[t] sums
+        # p_psi[k] (d[k] - d[t]) over k > t, k ascending
+        above = np.zeros_like(p)
+        for k in range(1, s):
+            above[:k] += p[k] * psi[k] * (d[k] - d[:k])
+        c_gam = c_all.take(members)
+        c_gam += r_below.take(sub_rows)
+        c_gam = np.subtract(c_gam, above, out=above)
 
-        gam = np.empty((rows, s))
+        gam = np.empty_like(p)
         for t in range(s):
-            sub = sub_rows[:, t]
-            above = _row_sums(p_psi[:, t + 1 :] * (d[:, t + 1 :] - d[:, t : t + 1]))
-            c_t = (c_all[members[:, t]] + r_below[sub]) - above
-            p_psi_sub = p[:, :t] * psi_below[sub, :t]
-            numer = psi[:, t] * d[:, t] - _row_sums(p_psi_sub * d[:, :t])
-            for l in range(t):
-                between = _row_sums(p_psi_sub[:, l + 1 :] * (d[:, l + 1 : t] - d[:, l : l + 1]))
-                b_lt = p[:, l] * (psi[:, t] * (d[:, t] - d[:, l]) - between)
-                numer = numer + gam[:, l] * b_lt
-            gam[:, t] = numer / c_t
+            p_psi_sub = p[:t] * psi_below[:t].take(sub_rows[t], axis=1)
+            # between[l] = sum over l < k < t of p_psi_sub[k] (d[k] - d[l])
+            between = np.zeros_like(p_psi_sub)
+            for k in range(1, t):
+                between[:k] += p_psi_sub[k] * (d[k] - d[:k])
+            b_lt = p[:t] * (psi[t] * (d[t] - d[:t]) - between)
+            numer = psi[t] * d[t] - _add_rows(p_psi_sub * d[:t])
+            gam[t] = _add_rows([numer, *(gam[:t] * b_lt)]) / c_gam[t]
 
-        total = 1.0 + _row_sums(gam)
-        boxes = perm[members]
-        menu = (1 << boxes).sum(axis=1)
-        gammas[menu[:, None], boxes] = gam
-        weights[menu[:, None], boxes] = gam / total[:, None]
-        optout[menu] = 1.0 / total
-        regrets[menu] = r
+        total = 1.0 + _add_rows(gam)
+        cells = perm.take(members)
+        menu = _add_rows(1 << box for box in cells)
+        cells += menu * n
+        gammas.put(cells, gam)
+        weights.put(cells, gam / total)
+        optout.put(menu, 1.0 / total)
+        regrets.put(menu, r)
         psi_below, r_below = psi, r
 
     return HetSolution(
@@ -397,28 +413,29 @@ def regret_het(policy: SelectionPolicy, p, spec: HeterogeneousSpec) -> float:
     # exactly when some path of nonzero weights leads to it
     value_below = np.zeros(1)
     for members, sub_rows in _layers(spec.n)[1:]:
-        rows, s = members.shape
-        pr = p_all[members]
-        d = d_all[members]
-        boxes = perm[members]
-        menu = (1 << boxes).sum(axis=1)
-        w = policy.weights[menu[:, None], boxes]
-        # best[:, t]: member t succeeds and every member above it fails
-        tail = np.empty((rows, s + 1))
-        tail[:, s] = 1.0
+        s = members.shape[0]
+        pr = p_all.take(members)
+        d = d_all.take(members)
+        cells = perm.take(members)
+        menu = _add_rows(1 << box for box in cells)
+        cells += menu * spec.n
+        w = policy.weights.take(cells)
+        # best[t]: member t succeeds and every member above it fails
+        best = np.empty_like(pr)
+        tail = 1.0
         for t in range(s - 1, -1, -1):
-            tail[:, t] = tail[:, t + 1] * (1.0 - pr[:, t])
-        best = pr * tail[:, 1:]
-        suffix_bd = np.zeros((rows, s + 1))
-        suffix_b = np.zeros((rows, s + 1))
+            best[t] = pr[t] * tail
+            tail = tail * (1.0 - pr[t])
+        suffix_bd = [0.0] * (s + 1)
+        suffix_b = [0.0] * (s + 1)
         for t in range(s - 1, -1, -1):
-            suffix_bd[:, t] = suffix_bd[:, t + 1] + best[:, t] * d[:, t]
-            suffix_b[:, t] = suffix_b[:, t + 1] + best[:, t]
-        total = policy.optout[menu] * suffix_bd[:, 0]
+            suffix_bd[t] = suffix_bd[t + 1] + best[t] * d[t]
+            suffix_b[t] = suffix_b[t + 1] + best[t]
+        total = policy.optout.take(menu) * suffix_bd[0]
         for t in range(s):
-            missed = pr[:, t] * (suffix_bd[:, t + 1] - d[:, t] * suffix_b[:, t + 1])
-            cont = (1.0 - pr[:, t]) * (c_all[members[:, t]] + value_below[sub_rows[:, t]])
-            total = np.where(w[:, t] != 0.0, total + w[:, t] * (missed + cont), total)
+            missed = pr[t] * (suffix_bd[t + 1] - d[t] * suffix_b[t + 1])
+            cont = (1.0 - pr[t]) * (c_all.take(members[t]) + value_below.take(sub_rows[t]))
+            total = np.where(w[t] != 0.0, total + w[t] * (missed + cont), total)
         value_below = total
 
     value = float(value_below[0])
@@ -434,6 +451,8 @@ def cost_asymmetry_sweep(ubar: float, c_total: float, delta_grid) -> list:
     Each row reports the opening probabilities of the costlier box ``i`` and
     the cheaper box ``j`` plus the total search probability ``1 - a(0)``.
     """
+    if not _finite_real(ubar):
+        raise DomainError(f"high reward must be a finite number, got {ubar!r}")
     if not _finite_real(c_total) or not 0.0 < c_total < 2.0 * ubar:
         raise DomainError(f"total cost must lie in (0, {2 * ubar}), got {c_total!r}")
     deltas = np.asarray(delta_grid)

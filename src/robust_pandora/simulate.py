@@ -135,37 +135,42 @@ def _heterogeneous_chunks(policy: SelectionPolicy, truth: HeteroPVector, spec: H
     deltas = np.asarray(spec.deltas)
     ubars = np.array([u for u, _ in spec.boxes])
     costs = np.array([c for _, c in spec.boxes])
-    # box i opens when the draw falls below cum[mask, i] but not below the
-    # previous member's entry; non-members weigh 0.0, so they never match
-    cum = np.cumsum(policy.weights, axis=1)
+    # at menu m the stage draw opens the first box i with draw < cum[i, m]
+    # and opts out when there is none; cum never falls along i, so that box
+    # is the number of entries at or below the draw, and n means opt out
+    cum = np.cumsum(policy.weights.T, axis=0, out=np.empty((n, 1 << n)))
+    no_rule = np.isnan(policy.optout)
 
     start = 0
     while start < episodes:
         rows = min(_CHUNK, episodes - start)
         U = _uniform_block(seed, start, rows, draws)
         hits = U[:, 1 : n + 1] < probs
-        oracle = np.max(np.where(hits, deltas, 0.0), axis=1)
+        oracle = np.zeros(rows)
+        for i in range(n):
+            oracle = np.maximum(oracle, np.where(hits[:, i], deltas[i], 0.0))
         opened = np.zeros(rows)
         cost = np.zeros(rows)
-        payoff = np.zeros(rows)
+        won = np.zeros(rows)  # high reward of the box that ended the search
         menu = np.full(rows, (1 << n) - 1)
         live = np.arange(rows)  # episodes still searching
         for t in range(n):
-            if np.isnan(policy.optout[menu[live]]).any():
+            at = menu[live]
+            if no_rule.take(at).any():
                 raise DomainError("policy has no rule for a menu it can reach")
-            below = U[live, n + 1 + t, None] < cum[menu[live]]
-            box = below.argmax(axis=1)
-            opens = below[np.arange(live.size), box]
-            payoff[live[~opens]] = -cost[live[~opens]]
+            draw = U[live, n + 1 + t]
+            box = np.zeros(live.size, dtype=np.intp)
+            for i in range(n):
+                box += cum[i].take(at) <= draw
+            opens = box < n
             live, box = live[opens], box[opens]
             cost[live] += costs[box]
             opened[live] += 1.0
             hit = hits[live, box]
-            payoff[live[hit]] = ubars[box[hit]] - cost[live[hit]]
+            won[live[hit]] = ubars[box[hit]]
             live, box = live[~hit], box[~hit]
-            payoff[live] = -cost[live]
             menu[live] &= ~(1 << box)
-        yield opened, oracle - payoff
+        yield opened, oracle - (won - cost)
         start += rows
 
 

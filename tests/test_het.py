@@ -226,6 +226,17 @@ class TestBitIdentity:
             p = tuple(rng.random(n).tolist())
             assert regret_het(sol.policy, p, spec) == het_regret_memo(sol.policy.rule_for, p, spec)
 
+    # one random and one tied spec whose middle layers hold hundreds of menus
+    LARGE = [(0, 11), (1, 11)]
+
+    @pytest.mark.parametrize("seed,n", LARGE)
+    def test_large_layers_match_dict_lattice(self, seed, n):
+        self.test_every_menu_matches_dict_lattice(seed, n)
+
+    @pytest.mark.parametrize("seed,n", LARGE)
+    def test_large_layers_match_memo_recursion(self, seed, n):
+        self.test_regret_matches_memo_recursion(seed, n)
+
 
 class TestPolicyEdgeCases:
     SPEC = HeterogeneousSpec(((1.0, 0.2), (1.5, 0.3), (2.0, 1.0)))

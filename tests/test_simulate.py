@@ -16,7 +16,7 @@ from robust_pandora.core import (
     regret_needle,
 )
 from robust_pandora.corr import solve_corr_commitment, solve_corr_intrapersonal
-from robust_pandora.het import HeterogeneousSpec, regret_het, solve_het
+from robust_pandora.het import HeterogeneousSpec, SelectionPolicy, SubsetRule, regret_het, solve_het
 from robust_pandora.indep import expected_search_count, solve_indep
 from robust_pandora.simulate import (
     _draws_per_episode,
@@ -103,6 +103,29 @@ class TestAgainstClosedForms:
         opened, regret = (np.concatenate(parts) for parts in zip(*chunks))
         rules = {menu: sol.policy.rule_for(menu) for menu in sol.policy.subsets()}
         U = _uniform_block(41, 0, 70_000, _draws_per_episode(spec.n))
+        want_opened, want_regret = het_episode_loop(rules.__getitem__, np.asarray(truth.p), spec, U)
+        assert np.array_equal(opened, want_opened)
+        assert np.array_equal(regret, want_regret)
+
+    def test_hand_built_policy_chunks_match_episode_loop(self):
+        # the full menu gives box 2 no weight and never opts out; every other
+        # menu weighs member i by 1 + i, or 0 where (i + size) % 3 == 0, and
+        # opts out with weight 0.2 at odd sizes (1 where no member weighs)
+        spec = HeterogeneousSpec(((1.0, 0.2), (1.5, 0.6), (0.9, 0.3), (1.2, 0.3)))
+        rules = {}
+        for mask in range(1, 16):
+            menu = frozenset(i for i in range(4) if mask >> i & 1)
+            raw = {i: 0.0 if (i + len(menu)) % 3 == 0 else 1.0 + i for i in menu}
+            total = sum(raw.values())
+            optout = 1.0 if total == 0.0 else 0.2 * (len(menu) % 2)
+            rules[menu] = SubsetRule({i: w * (1.0 - optout) / (total or 1.0) for i, w in raw.items()}, optout)
+        assert rules[frozenset(range(4))].optout == 0.0 and rules[frozenset(range(4))].open_probs[2] == 0.0
+        policy = SelectionPolicy(4, rules)
+        truth = HeteroPVector((0.3, 0.5, 0.2, 0.4))
+        chunks = list(_heterogeneous_chunks(policy, truth, spec, 70_000, 43))
+        assert len(chunks) == 2
+        opened, regret = (np.concatenate(parts) for parts in zip(*chunks))
+        U = _uniform_block(43, 0, 70_000, _draws_per_episode(spec.n))
         want_opened, want_regret = het_episode_loop(rules.__getitem__, np.asarray(truth.p), spec, U)
         assert np.array_equal(opened, want_opened)
         assert np.array_equal(regret, want_regret)

@@ -8,6 +8,7 @@ from robust_pandora import (
     HomogeneousSpec,
     IidBinary,
     InterimPolicy,
+    SelectionPolicy,
     StationaryPolicy,
     SubsetRule,
     TwoPointMixture,
@@ -79,6 +80,13 @@ BAD_CALLS = {
     "subset-rule-box-float": lambda: SubsetRule({0.5: 0.5}, 0.5),
     "psi-member-float": lambda: psi(0, [0.0, 1.2], HET),
     "psi-k-bool": lambda: psi(True, [0, 1], HET),
+    "selection-policy-n-float": lambda: SelectionPolicy(2.5, {}),
+    "selection-policy-n-bool": lambda: SelectionPolicy(True, {}),
+    "selection-policy-n-negative": lambda: SelectionPolicy(-1, {}),
+    "opt-out-policy-n-float": lambda: SelectionPolicy.always_opt_out(2.5),
+    "opt-out-policy-n-bool": lambda: SelectionPolicy.always_opt_out(True),
+    "opt-out-policy-n-negative": lambda: SelectionPolicy.always_opt_out(-1),
+    "sweep-ubar-string": lambda: cost_asymmetry_sweep("1", 0.6, [0.0]),
 }
 
 
