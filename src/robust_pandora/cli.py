@@ -26,6 +26,7 @@ from .core import (
     SeedError,
     SizeError,
     StationaryPolicy,
+    _require_tolerance,
 )
 from .corr import solve_corr_commitment, solve_corr_intrapersonal
 from .het import HeterogeneousSpec, cost_asymmetry_sweep, solve_het
@@ -261,8 +262,7 @@ def _check_policy_file(args, spec, grid: int) -> SaddleReport:
 
 def _cmd_verify(args):
     spec, params = _spec_from(args)
-    if not np.isfinite(args.tol) or args.tol < 0.0:
-        raise DomainError(f"--tol must be a finite non-negative number, got {args.tol!r}")
+    _require_tolerance(args.tol, "--tol")
     if args.regime in ("corr", "corr-intra"):
         _reject(args, ("grid",), f"the {args.regime} regime does not read --grid: its needle check is exact")
     grid = 2001 if args.grid is None else args.grid

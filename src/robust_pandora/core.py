@@ -93,10 +93,21 @@ def _require_count(value, what: str, least: int) -> int:
     return int(value)
 
 
+def _require_tolerance(value, what: str) -> float:
+    """``value`` as a ``float`` if it is a finite number (not a bool) of at least 0."""
+    if not _finite_real(value) or value < 0.0:
+        raise DomainError(f"{what} must be a finite non-negative number, got {value!r}")
+    return float(value)
+
+
 def _probability_array(values, what: str) -> np.ndarray:
-    """:func:`as_probability` entrywise, as a float array; strings and bools are rejected."""
+    """:func:`as_probability` entrywise, as a float array.
+
+    Strings and bools are rejected, also among the items of a list or tuple.
+    """
     arr = np.asarray(values)
-    if arr.dtype.kind not in "iuf" or (
+    has_bool = isinstance(values, (list, tuple)) and any(isinstance(x, (bool, np.bool_)) for x in values)
+    if has_bool or arr.dtype.kind not in "iuf" or (
         arr.size and (not np.all(np.isfinite(arr)) or arr.min() < -PROB_SLACK or arr.max() > 1.0 + PROB_SLACK)
     ):
         raise DomainError(f"every entry of {what} must lie in [0, 1]")
@@ -292,8 +303,10 @@ class HeteroPVector:
     p: tuple
 
     def __post_init__(self):
-        probs = tuple(as_probability(x, "p_i") for x in self.p)
-        object.__setattr__(self, "p", probs)
+        probs = _probability_array(self.p, "p_i")
+        if probs.ndim != 1:
+            raise DomainError(f"p_i must be a vector of probabilities, got {self.p!r}")
+        object.__setattr__(self, "p", tuple(probs.tolist()))
 
 
 @dataclass(frozen=True)
@@ -464,6 +477,15 @@ def regret_needle(policy: StationaryPolicy, P, spec: HomogeneousSpec):
     return float(r) if r.ndim == 0 else r
 
 
+# The count-profile path (first_success_probabilities, and _plan_regrets on
+# top of it) holds a few (n, n + 1) tables per profile, about 23 n^2 bytes at
+# its peak.  Wall time and peak RSS (ru_maxrss, interpreter included) of one
+# regret_count_profile in a fresh process on a 2-vCPU x86-64 VM: n = 1000
+# 0.07 s / 52 MB, 2000 0.26 s / 120 MB, 3000 0.51 s / 235 MB, 4000 0.96 s /
+# 395 MB; n = 5000 extrapolates to about 600 MB, under 1 GiB.
+_MAX_COUNT_BOXES = 5000
+
+
 def first_success_probabilities(Q) -> np.ndarray:
     """First-success probabilities under a uniformly random opening order.
 
@@ -476,9 +498,12 @@ def first_success_probabilities(Q) -> np.ndarray:
         C_k^j = j / (n - k + 1) * prod_{i=0..k-2} (n - i - j) / (n - i).
 
     ``Q`` may stack profiles along leading axes, ``(..., n + 1) -> (..., n)``;
-    each row is computed exactly as it would be on its own.
+    each row is computed exactly as it would be on its own.  More than
+    5 000 boxes raise :class:`SizeError`.
     """
     Q = np.asarray(Q, dtype=float)
+    if Q.shape[-1] - 1 > _MAX_COUNT_BOXES:
+        raise SizeError(f"count-profile tables limited to {_MAX_COUNT_BOXES} boxes, got {Q.shape[-1] - 1}")
     coeff = _first_success_table(Q.shape[-1] - 1)
     # rows added strictly left to right (the j = 0 column is zero, so each
     # sum starts from 0.0); a copy, so that the result does not keep the

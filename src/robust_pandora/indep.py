@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HomogeneousSpec, StationaryPolicy, _require_count, as_probability
+from .core import DomainError, HomogeneousSpec, StationaryPolicy, _require_count, as_probability
 
 __all__ = [
     "IndepSolution",
@@ -125,6 +125,8 @@ def eu_benchmark(p: float, spec: HomogeneousSpec, search_at_indifference: bool =
     optimal; the default resolves the tie toward searching.
     """
     p = as_probability(p, "p")
+    if not isinstance(search_at_indifference, (bool, np.bool_)):
+        raise DomainError(f"search_at_indifference must be a bool, got {search_at_indifference!r}")
     phat = weitzman_threshold(spec)
     if p > phat or (p == phat and search_at_indifference):
         return StationaryPolicy(np.ones(spec.n))

@@ -102,20 +102,18 @@ def _utilities_upto(p, n: int, spec: HomogeneousSpec):
 def interim_regret(policy: InterimPolicy, p, spec: HomogeneousSpec):
     """Exact interim regret of a threshold plan at success probability ``p``.
 
-    The oracle earns ``max(U(p, n), 0)``; the DM earns the mixture of
-    ``U(p, k)`` over her realized search depth.  ``p`` may be scalar or an
-    array.
+    The oracle earns ``max(U(p, n), 0)``; the DM searches ``m`` boxes, or
+    ``m + 1`` with probability ``alpha``, and earns
+    ``(1 - alpha) U(p, m) + alpha U(p, m + 1)``, with ``U(p, 0) = 0``.
+    ``p`` may be scalar or an array.
     """
-    n = spec.n
+    n, m, alpha = spec.n, policy.m, policy.alpha
     if policy.n != n:
         raise DomainError(f"policy has {policy.n} stages but spec has n={n}")
     p = _probability_array(p, "p")
     U = _utilities_upto(p, n, spec)
-    phi = policy.phi
     oracle = np.maximum(U[n - 1], 0.0)
-    dm = phi[0] * U[n - 1]
-    for k in range(1, n):
-        dm = dm + (phi[n - k] - phi[n - k - 1]) * U[k - 1]
+    dm = alpha * U[m] if m == 0 else (1.0 - alpha) * U[m - 1] + alpha * U[m]
     out = oracle - dm
     return float(out) if out.ndim == 0 else out
 

@@ -9,13 +9,15 @@ Reproducibility contract: all randomness comes from a Philox-4x64 counter
 stream keyed by ``seed``.  With ``d`` the smallest multiple of 4 at or above
 ``2 (n + 1)`` (counter blocks hold four 64-bit words), episode ``e`` owns
 the ``d`` float64 draws starting at word offset ``e * d``; each float64 is
-one word, ``word >> 11`` scaled by ``2**-53``.  Within a block, draws are
-spent in a fixed order: one state column for the existence or count draw,
-one per box, then one decision column per stage (heterogeneous stage draws
-select by cumulative weight over boxes in ascending input order, with the
-outside option last); the tail padding is never read.  Results are
-therefore bit-identical for a given ``(policy, truth, spec, episodes,
-seed)`` no matter how the work is chunked or threaded.
+one word, ``word >> 11`` scaled by ``2**-53``.  ``_blocks`` is the one
+source of draws: both simulators read each chunk's episodes as the rows of
+one ``(rows, d)`` array, in episode order.  Within a row, draws are spent in
+a fixed order: one state column for the existence or count draw, one per
+box, then one decision column per stage (heterogeneous stage draws select
+by cumulative weight over boxes in ascending input order, with the outside
+option last); the tail padding is never read.  Results are therefore
+bit-identical for a given ``(policy, truth, spec, episodes, seed)`` no
+matter how the work is chunked or threaded.
 """
 
 from __future__ import annotations
@@ -57,22 +59,19 @@ class SimulationResult:
     seed: int
 
 
-def _draws_per_episode(n: int) -> int:
-    need = 2 * (n + 1)
-    return -(-need // 4) * 4
-
-
-def _uniform_block(seed: int, start_episode: int, rows: int, draws_per_episode: int) -> np.ndarray:
-    # Philox.advance counts 256-bit counter blocks, i.e. four 64-bit draws
-    bg = np.random.Philox(key=seed)
-    bg.advance(start_episode * draws_per_episode // 4)
-    return np.random.Generator(bg).random((rows, draws_per_episode))
+def _blocks(seed: int, episodes: int, n: int):
+    """Yield the draws of each chunk of ``episodes`` in episode order, one ``(rows, d)`` array per chunk."""
+    draws = -(-2 * (n + 1) // 4) * 4
+    for start in range(0, episodes, _CHUNK):
+        # Philox.advance counts 256-bit counter blocks, i.e. four 64-bit draws
+        bg = np.random.Philox(key=seed)
+        bg.advance(start * draws // 4)
+        yield np.random.Generator(bg).random((min(_CHUNK, episodes - start), draws))
 
 
 def _homogeneous_chunks(policy: StationaryPolicy, truth, spec: HomogeneousSpec, episodes: int, seed: int):
     """Yield (opened, regret) arrays per chunk for a homogeneous simulation."""
     n, ubar, c = spec.n, spec.ubar, spec.c
-    draws = _draws_per_episode(n)
     alphas_by_stage = policy.alphas[::-1].copy()  # stage j opens box j+1, k = n - j remain
 
     if isinstance(truth, CountProfile):
@@ -80,10 +79,7 @@ def _homogeneous_chunks(policy: StationaryPolicy, truth, spec: HomogeneousSpec, 
             raise DomainError("count profile length must match the spec")
         cum = np.cumsum(truth.Q)
 
-    start = 0
-    while start < episodes:
-        rows = min(_CHUNK, episodes - start)
-        U = _uniform_block(seed, start, rows, draws)
+    for U in _blocks(seed, episodes, n):
         state = U[:, : n + 1]
         dec = U[:, n + 1 : 2 * n + 1]
 
@@ -100,8 +96,8 @@ def _homogeneous_chunks(policy: StationaryPolicy, truth, spec: HomogeneousSpec, 
             count = np.minimum(count, n)
             any_treasure = count > 0
             remaining = count.astype(np.float64)
-            first = np.full(rows, n + 1, dtype=np.int64)
-            undecided = np.full(rows, True)
+            first = np.full(len(U), n + 1, dtype=np.int64)
+            undecided = np.full(len(U), True)
             for i in range(n):
                 take = undecided & (state[:, 1 + i] * (n - i) < remaining)
                 first[take] = i + 1
@@ -120,7 +116,6 @@ def _homogeneous_chunks(policy: StationaryPolicy, truth, spec: HomogeneousSpec, 
         payoff = np.where(found, ubar - first * c, -willing * c)
         oracle = np.where(any_treasure, ubar - c, 0.0)
         yield opened.astype(np.float64), oracle - payoff
-        start += rows
 
 
 def _heterogeneous_chunks(policy: SelectionPolicy, truth: HeteroPVector, spec: HeterogeneousSpec, episodes: int, seed: int):
@@ -130,21 +125,17 @@ def _heterogeneous_chunks(policy: SelectionPolicy, truth: HeteroPVector, spec: H
         raise DomainError("truth needs one probability per box")
     if policy.n != n:
         raise DomainError(f"policy covers {policy.n} boxes, the spec has {n}")
-    draws = _draws_per_episode(n)
     probs = np.asarray(truth.p)
     deltas = np.asarray(spec.deltas)
-    ubars = np.array([u for u, _ in spec.boxes])
-    costs = np.array([c for _, c in spec.boxes])
+    ubars, costs = np.array(spec.boxes).T
     # at menu m the stage draw opens the first box i with draw < cum[i, m]
     # and opts out when there is none; cum never falls along i, so that box
     # is the number of entries at or below the draw, and n means opt out
     cum = np.cumsum(policy.weights.T, axis=0, out=np.empty((n, 1 << n)))
     no_rule = np.isnan(policy.optout)
 
-    start = 0
-    while start < episodes:
-        rows = min(_CHUNK, episodes - start)
-        U = _uniform_block(seed, start, rows, draws)
+    for U in _blocks(seed, episodes, n):
+        rows = U.shape[0]
         hits = U[:, 1 : n + 1] < probs
         oracle = np.zeros(rows)
         for i in range(n):
@@ -171,7 +162,6 @@ def _heterogeneous_chunks(policy: SelectionPolicy, truth: HeteroPVector, spec: H
             live, box = live[~hit], box[~hit]
             menu[live] &= ~(1 << box)
         yield opened, oracle - (won - cost)
-        start += rows
 
 
 def simulate(policy, truth, spec, episodes: int, seed: int) -> SimulationResult:
@@ -203,17 +193,9 @@ def simulate(policy, truth, spec, episodes: int, seed: int) -> SimulationResult:
     else:
         raise DomainError(f"unsupported spec type {type(spec).__name__}")
 
-    sums_o, sums_o2, sums_r, sums_r2 = [], [], [], []
-    for opened, regret in chunks:
-        sums_o.append(float(np.sum(opened)))
-        sums_o2.append(float(np.sum(opened * opened)))
-        sums_r.append(float(np.sum(regret)))
-        sums_r2.append(float(np.sum(regret * regret)))
-
-    total_o = math.fsum(sums_o)
-    total_o2 = math.fsum(sums_o2)
-    total_r = math.fsum(sums_r)
-    total_r2 = math.fsum(sums_r2)
+    # one row of sums per chunk, added exactly across chunks
+    sums = np.array([(np.sum(o), np.sum(o * o), np.sum(r), np.sum(r * r)) for o, r in chunks])
+    total_o, total_o2, total_r, total_r2 = map(math.fsum, sums.T)
     mean_o = total_o / episodes
     mean_r = total_r / episodes
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DomainError, HomogeneousSpec, SaddleReport, SizeError, TwoPointMixture, _require_count
+from .core import DomainError, HomogeneousSpec, SaddleReport, SizeError, TwoPointMixture, _require_count, _require_tolerance
 from .corr import optout_menu_size
 
 __all__ = [
@@ -230,6 +230,7 @@ def verify_two_box(
     """
     _require_two_boxes(spec)
     grid_size = _require_count(grid_size, "grid_size", 2)
+    tolerance = _require_tolerance(tolerance, "tolerance")
     if grid_size > MAX_PAIR_GRID:
         raise SizeError(f"pair grid limited to {MAX_PAIR_GRID} points per axis, got {grid_size}")
     ubar, c = spec.ubar, spec.c

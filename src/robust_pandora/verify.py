@@ -36,6 +36,7 @@ from .core import (
     _poly_max,
     _regret_indep_poly,
     _require_count,
+    _require_tolerance,
     regret_needle,
 )
 from .corr import solve_corr_commitment, solve_corr_intrapersonal
@@ -110,6 +111,7 @@ def saddle_check_indep(
     working.
     """
     _require_count(seed, "seed", 0)
+    tol = _require_tolerance(tol, "tol")
     sol = solve_indep(spec)
     p_star, worst = nature_best_response_indep(sol.policy, spec, grid_points)
     nature_gap = worst - sol.regret
@@ -153,6 +155,7 @@ def saddle_check_corr(
     so that callers passing it keep working.
     """
     _require_count(seed, "seed", 0)
+    tol = _require_tolerance(tol, "tol")
     if spec.n > _MAX_CORR_BOXES:
         raise SizeError(f"count-profile vertex scan limited to {_MAX_CORR_BOXES} boxes, got {spec.n}")
     if mode == "commitment":

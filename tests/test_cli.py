@@ -434,6 +434,8 @@ class TestBadInputs:
             (*VERIFY_INDEP, "ALPHA_NAN"),
             (*VERIFY_INDEP, "ALPHA_NUMBER"),
             ("verify", "--regime", "corr", *HOMOG, "--policy-file", "REGRET_NAN"),
+            ("solve", "--regime", "corr-intra", "--ubar", "1", "--c", "1e-9", "--n", "5"),
+            ("verify", "--regime", "corr-intra", "--ubar", "1", "--c", "1e-9", "--n", "5"),
         ],
     )
     def test_exit_2_with_one_line(self, capsys, tmp_path, argv):

@@ -13,9 +13,11 @@ from robust_pandora.core import (
     HomogeneousSpec,
     IidBinary,
     NeedleP,
+    SizeError,
     StationaryPolicy,
     StoppingMixture,
     TwoPointMixture,
+    _MAX_COUNT_BOXES,
     _first_success_table,
     _mixture_regrets,
     first_success_probabilities,
@@ -293,6 +295,18 @@ class TestStoppingMixture:
 
 
 class TestFirstSuccessProbabilities:
+    def test_size_cap(self):
+        # refused before any (n, n + 1) table is built
+        n = _MAX_COUNT_BOXES + 1
+        Q = np.zeros(n + 1)
+        Q[1] = 1.0
+        with pytest.raises(SizeError):
+            first_success_probabilities(Q)
+        w = np.zeros(n + 1)
+        w[n] = 1.0
+        with pytest.raises(SizeError):
+            regret_count_profile(StoppingMixture(w), CountProfile(Q), HomogeneousSpec(1.0, 1e-5, n))
+
     def test_single_treasure_uniform(self):
         q = first_success_probabilities(np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
         assert np.allclose(q, 0.25)

@@ -7,6 +7,7 @@ from robust_pandora.core import (
     CountProfile,
     DomainError,
     HomogeneousSpec,
+    SizeError,
     StationaryPolicy,
     StoppingMixture,
     regret_count_profile,
@@ -115,6 +116,14 @@ class TestIntrapersonal:
         # the refusal point is found even when the menu is smaller
         small = solve_corr_intrapersonal(HomogeneousSpec(1.0, 0.25, 2))
         assert small.searches_up_to == 5
+
+    def test_size_cap_on_optout_menu(self):
+        # c/ubar = 1e-5 runs the recursion for about 1.7e5 stages and stores
+        # three; 1e-7 (an opt-out menu of about 2e7) is refused
+        sol = solve_corr_intrapersonal(HomogeneousSpec(1.0, 1e-5, 3))
+        assert sol.regret_per_k.size == 3 and sol.optout_threshold > 100_000
+        with pytest.raises(SizeError):
+            solve_corr_intrapersonal(HomogeneousSpec(1.0, 1e-7, 3))
 
     def test_refusal_below_commitment_bound(self):
         rng = np.random.default_rng(53)

@@ -354,6 +354,16 @@ class TestRegretHet:
         b = regret_het(sol.policy, (0.3, 0.4), spec)
         assert a == b
 
+    def test_rejects_bool_beliefs(self):
+        # a bool among numbers is not read as a probability
+        spec = HeterogeneousSpec(((1.0, 0.2), (1.5, 0.3)))
+        policy = solve_het(spec).policy
+        for bad in ((True, 0.4), [0.3, np.True_]):
+            with pytest.raises(DomainError):
+                HeteroPVector(bad)
+            with pytest.raises(DomainError):
+                regret_het(policy, bad, spec)
+
 
 class TestCostAsymmetrySweep:
     def test_symmetric_point_matches_homogeneous(self):

@@ -1,13 +1,26 @@
-"""The README commands and the demos print the same bytes, pinned by the SHA-256 of their stdout."""
+"""Pinned by SHA-256: the stdout of the README commands and the demos, and the raw engine outputs."""
 
 import hashlib
 import runpy
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from robust_pandora import (
+    CountProfile,
+    HeteroPVector,
+    HeterogeneousSpec,
+    HomogeneousSpec,
+    IidBinary,
+    NeedleP,
+    regret_het,
+    solve_het,
+    solve_indep,
+)
 from robust_pandora.cli import main
+from robust_pandora.simulate import _heterogeneous_chunks, _homogeneous_chunks
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,6 +42,32 @@ DEMO_STDOUT = {
     "05_randomized_thresholds.py": "26834e55eb1878eefe48e525950e497801c3d88b1d396087ddc05c4bf04c53b8",
     "06_reproducible_simulation.py": "9ca05d7592bf75fff64dd740ab666bbe392e1e19c7e2d94ed5da227c92d7e974",
 }
+
+# every solve_het array, regret_het at four beliefs and the raw simulator
+# chunks (70 000 episodes, two chunks) of the specs in _engine_arrays, at
+# sizes the oracles do not reach
+ENGINE_SHA256 = "9d7e1eeb8197ced5da3793dcdc039ad474431993247e276c414f826f2912167d"
+
+
+def _engine_arrays():
+    rng = np.random.default_rng(15)
+    for n in (12, 13, 14):
+        # n = 13 ties net rewards within menus
+        u = rng.choice([1.0, 1.5], n) if n == 13 else rng.uniform(0.5, 2.0, n)
+        c = u * (rng.choice([0.2, 0.4], n) if n == 13 else rng.uniform(0.1, 0.9, n))
+        spec = HeterogeneousSpec(tuple(zip(u.tolist(), c.tolist())))
+        sol = solve_het(spec)
+        yield from (sol.policy.weights, sol.policy.optout, sol.regrets, sol.gammas)
+        for p in (spec.p_hats, rng.random(n).tolist(), [0.0] * n, [1.0] * n):
+            yield np.float64(regret_het(sol.policy, p, spec))
+        truth = HeteroPVector(tuple(rng.random(n).tolist()))
+        for chunk in _heterogeneous_chunks(sol.policy, truth, spec, 70_000, n):
+            yield from chunk
+    spec = HomogeneousSpec(1.0, 0.3, 7)
+    policy = solve_indep(spec).policy
+    for truth in (IidBinary(0.3), NeedleP(0.6), CountProfile(rng.dirichlet(np.ones(8)))):
+        for chunk in _homogeneous_chunks(policy, truth, spec, 70_000, 7):
+            yield from chunk
 
 
 def _sha256(text: str) -> str:
@@ -54,3 +93,10 @@ def test_readme_command_stdout(capsys, command):
 def test_demo_stdout(capsys, demo):
     runpy.run_path(str(ROOT / "demos" / demo), run_name="__main__")
     assert _sha256(capsys.readouterr().out) == DEMO_STDOUT[demo]
+
+
+def test_engine_outputs():
+    digest = hashlib.sha256()
+    for arr in _engine_arrays():
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    assert digest.hexdigest() == ENGINE_SHA256

@@ -18,15 +18,14 @@ from robust_pandora.core import (
 from robust_pandora.corr import solve_corr_commitment, solve_corr_intrapersonal
 from robust_pandora.het import HeterogeneousSpec, SelectionPolicy, SubsetRule, regret_het, solve_het
 from robust_pandora.indep import expected_search_count, solve_indep
-from robust_pandora.simulate import (
-    _draws_per_episode,
-    _heterogeneous_chunks,
-    _homogeneous_chunks,
-    _uniform_block,
-    simulate,
-)
+from robust_pandora.simulate import _heterogeneous_chunks, _homogeneous_chunks, simulate
 
 from oracles import het_episode_loop
+
+
+def philox_draws(seed, episodes, n):
+    """The documented stream in one draw: d float64 per episode, d the multiple of 4 at or above 2 (n + 1)."""
+    return np.random.Generator(np.random.Philox(key=seed)).random((episodes, -(-2 * (n + 1) // 4) * 4))
 
 
 class TestTwoOutcomeProcess:
@@ -102,7 +101,7 @@ class TestAgainstClosedForms:
         assert len(chunks) == 2
         opened, regret = (np.concatenate(parts) for parts in zip(*chunks))
         rules = {menu: sol.policy.rule_for(menu) for menu in sol.policy.subsets()}
-        U = _uniform_block(41, 0, 70_000, _draws_per_episode(spec.n))
+        U = philox_draws(41, 70_000, spec.n)
         want_opened, want_regret = het_episode_loop(rules.__getitem__, np.asarray(truth.p), spec, U)
         assert np.array_equal(opened, want_opened)
         assert np.array_equal(regret, want_regret)
@@ -125,7 +124,7 @@ class TestAgainstClosedForms:
         chunks = list(_heterogeneous_chunks(policy, truth, spec, 70_000, 43))
         assert len(chunks) == 2
         opened, regret = (np.concatenate(parts) for parts in zip(*chunks))
-        U = _uniform_block(43, 0, 70_000, _draws_per_episode(spec.n))
+        U = philox_draws(43, 70_000, spec.n)
         want_opened, want_regret = het_episode_loop(rules.__getitem__, np.asarray(truth.p), spec, U)
         assert np.array_equal(opened, want_opened)
         assert np.array_equal(regret, want_regret)

@@ -4,6 +4,7 @@ import pytest
 
 from robust_pandora import (
     DomainError,
+    HeteroPVector,
     HeterogeneousSpec,
     HomogeneousSpec,
     IidBinary,
@@ -14,10 +15,14 @@ from robust_pandora import (
     TwoPointMixture,
     acceptance_probability,
     cost_asymmetry_sweep,
+    eu_benchmark,
     expected_search_count,
     exhaustive_utility,
     psi,
+    regret_het,
     regret_indep,
+    saddle_check_corr,
+    saddle_check_indep,
     search_count_profile,
     simulate,
     solve_het,
@@ -36,13 +41,17 @@ def _simulate(episodes=10, seed=0):
     return simulate(solve_indep(SPEC).policy, IidBinary(0.3), SPEC, episodes, seed)
 
 
-def _verify_two_box(grid_size):
+def _verify_two_box(grid_size=200, tolerance=1e-9):
     policy, nature, _ = solve_two_box(TWO)
-    return verify_two_box(policy, nature, TWO, grid_size=grid_size)
+    return verify_two_box(policy, nature, TWO, grid_size=grid_size, tolerance=tolerance)
 
 
 def _two_box_policy():
     return solve_two_box(TWO)[0]
+
+
+def _het_policy():
+    return solve_het(HET).policy
 
 
 BAD_CALLS = {
@@ -87,6 +96,25 @@ BAD_CALLS = {
     "opt-out-policy-n-bool": lambda: SelectionPolicy.always_opt_out(True),
     "opt-out-policy-n-negative": lambda: SelectionPolicy.always_opt_out(-1),
     "sweep-ubar-string": lambda: cost_asymmetry_sweep("1", 0.6, [0.0]),
+    "saddle-indep-tol-string": lambda: saddle_check_indep(SPEC, tol="x"),
+    "saddle-indep-tol-nan": lambda: saddle_check_indep(SPEC, tol=float("nan")),
+    "saddle-indep-tol-negative": lambda: saddle_check_indep(SPEC, tol=-1e-6),
+    "saddle-corr-tol-string": lambda: saddle_check_corr(SPEC, tol="x"),
+    "saddle-corr-tol-nan": lambda: saddle_check_corr(SPEC, tol=float("nan")),
+    "saddle-corr-tol-negative": lambda: saddle_check_corr(SPEC, tol=-1e-9),
+    "two-box-tol-string": lambda: _verify_two_box(tolerance="x"),
+    "two-box-tol-nan": lambda: _verify_two_box(tolerance=float("nan")),
+    "two-box-tol-negative": lambda: _verify_two_box(tolerance=-1e-9),
+    "hetero-p-scalar": lambda: HeteroPVector(0.5),
+    "regret-het-p-scalar": lambda: regret_het(_het_policy(), 0.5, HET),
+    "regret-het-p-dict": lambda: regret_het(_het_policy(), {0: 0.1, 1: 0.2}, HET),
+    "subset-rule-probs-list": lambda: SubsetRule([0.5], 0.5),
+    "selection-policy-rules-list": lambda: SelectionPolicy(2, [1, 2]),
+    "selection-policy-menu-int": lambda: SelectionPolicy(2, {0: SubsetRule({0: 0.5}, 0.5)}),
+    "selection-policy-rule-number": lambda: SelectionPolicy(2, {frozenset({0}): 0.5}),
+    "sweep-delta-scalar": lambda: cost_asymmetry_sweep(1.0, 0.6, 0.1),
+    "eu-benchmark-flag-string": lambda: eu_benchmark(0.3, SPEC, "no"),
+    "policy-alphas-mixed-bool": lambda: StationaryPolicy([True, 0.5, 0.5]),
 }
 
 
