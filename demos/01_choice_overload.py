@@ -40,7 +40,7 @@ print(f"Saddle value: {sol.regret:.6f}\n")
 # measured search activity is hump-shaped when rewards are actually rare:
 # more options first invite exploration, then the fear of fruitless search
 # dominates
-profile = search_count_profile(0.05, 60, spec)
+profile = search_count_profile(0.05, HomogeneousSpec(UBAR, COST, 60))
 peak = profile.argmax_n
 print("Expected boxes opened when the true success rate is q = 0.05:")
 for n in (1, 2, peak, 10, 30, 60):

@@ -26,7 +26,7 @@ print(f"{EPISODES} episodes, truth = i.i.d. with q = 0.3 (the worst case):")
 print(f"  mean regret  {res.mean_regret:.6f} +- {res.se_regret:.6f}")
 print(f"  closed form  {sol.regret:.6f}")
 print(f"  mean opened  {res.mean_opened:.6f} +- {res.se_opened:.6f}")
-print(f"  closed form  {expected_search_count(0.3, 5, spec):.6f}\n")
+print(f"  closed form  {expected_search_count(0.3, spec):.6f}\n")
 
 again = simulate(sol.policy, IidBinary(0.3), spec, EPISODES, SEED)
 print(f"Same seed, same answer, field by field: {res == again}\n")

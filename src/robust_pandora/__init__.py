@@ -24,7 +24,6 @@ from .core import (
     regret_count_profile,
     regret_indep,
     regret_needle,
-    validate_spec,
 )
 from .corr import (
     CorrSolution,

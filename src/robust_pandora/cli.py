@@ -202,7 +202,7 @@ def _cmd_sweep(args):
         _require(args, "ubar", "c")
         spec = HomogeneousSpec(args.ubar, args.c, args.n)
         columns = ["q", "n", "expected_opened"]
-        profiles = [(q, search_count_profile(float(q), args.n, spec).values) for q in grid]
+        profiles = [(q, search_count_profile(float(q), spec).values) for q in grid]
         rows = [(q, n, s) for q, values in profiles for n, s in enumerate(values, start=1)]
     elif args.sweep == "delta":
         if args.regime != "het":

@@ -59,7 +59,6 @@ class CorrSolution:
     menu size at which the DM refuses to search.
     """
 
-    mode: str  # "commitment" or "intrapersonal"
     policy: StationaryPolicy
     regret_per_k: np.ndarray
     worst_case_P: np.ndarray
@@ -140,7 +139,6 @@ def solve_corr_commitment(spec: HomogeneousSpec) -> CorrSolution:
     else:
         alphas[n - 1] = (ubar - c) / (ubar - c + (n + 1) * c / 2.0)
     return CorrSolution(
-        mode="commitment",
         policy=StationaryPolicy(alphas),
         regret_per_k=regret_per_k,
         worst_case_P=worst_P,
@@ -187,7 +185,6 @@ def solve_corr_intrapersonal(spec: HomogeneousSpec) -> CorrSolution:
         nbar = k
         prev = regret
     return CorrSolution(
-        mode="intrapersonal",
         policy=StationaryPolicy(alphas),
         regret_per_k=regret_per_k,
         worst_case_P=worst_P,

@@ -405,6 +405,8 @@ def regret_het(policy: SelectionPolicy, p, spec: HeterogeneousSpec) -> float:
     sinks the cost and passes to the shrunken menu.  Menus the policy never
     reaches, through nonzero opening weights, need no rule.
     """
+    if not isinstance(policy, SelectionPolicy):
+        raise DomainError(f"policy must be a SelectionPolicy, got {type(policy).__name__}")
     probs = (p if isinstance(p, HeteroPVector) else HeteroPVector(p)).p
     if len(probs) != spec.n:
         raise DomainError(f"need one probability per box, got {len(probs)} for n={spec.n}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, HomogeneousSpec, StationaryPolicy, _require_count, as_probability
+from .core import HomogeneousSpec, StationaryPolicy, as_probability
 
 __all__ = [
     "IndepSolution",
@@ -52,10 +52,6 @@ class SearchCountProfile:
     values: np.ndarray
     argmax_n: int
 
-    @property
-    def has_interior_max(self) -> bool:
-        return 1 < self.argmax_n < self.values.size
-
 
 def weitzman_threshold(spec: HomogeneousSpec) -> float:
     """Success probability at which a Bayesian is indifferent about opening."""
@@ -90,44 +86,41 @@ def solve_indep(spec: HomogeneousSpec) -> IndepSolution:
     )
 
 
-def expected_search_count(q: float, n: int, spec: HomogeneousSpec) -> float:
+def expected_search_count(q: float, spec: HomogeneousSpec) -> float:
     """Expected number of boxes the robust rule opens against an i.i.d. truth.
 
-    The last entry of :func:`search_count_profile` up to menu size ``n``.
+    The last entry of :func:`search_count_profile`: the full menu of ``spec.n`` boxes.
     """
-    return float(search_count_profile(q, n, spec).values[-1])
+    return float(search_count_profile(q, spec).values[-1])
 
 
-def search_count_profile(q: float, n_max: int, spec: HomogeneousSpec) -> SearchCountProfile:
-    """Table of expected opened-box counts for menu sizes 1..n_max.
+def search_count_profile(q: float, spec: HomogeneousSpec) -> SearchCountProfile:
+    """Table of expected opened-box counts for menu sizes 1..spec.n.
 
     Evaluates S(k) = alpha_k (1 + (1 - q) S(k-1)) upward from S(0) = 0; the
     policy is re-solved at each remaining-box count, so the stage behavior
     does not depend on the menu size except through the starting point.
     """
     q = as_probability(q, "q")
-    n_max = _require_count(n_max, "n_max", 1)
-    alphas = _alpha_star(np.arange(1, n_max + 1, dtype=float), spec.ubar, spec.c)
-    values = np.empty(n_max)
+    n = spec.n
+    alphas = _alpha_star(np.arange(1, n + 1, dtype=float), spec.ubar, spec.c)
+    values = np.empty(n)
     s = 0.0
-    for k in range(1, n_max + 1):
+    for k in range(1, n + 1):
         s = alphas[k - 1] * (1.0 + (1.0 - q) * s)
         values[k - 1] = s
     values.flags.writeable = False
     return SearchCountProfile(q_true=q, values=values, argmax_n=int(np.argmax(values)) + 1)
 
 
-def eu_benchmark(p: float, spec: HomogeneousSpec, search_at_indifference: bool = True) -> StationaryPolicy:
+def eu_benchmark(p: float, spec: HomogeneousSpec) -> StationaryPolicy:
     """Expected-utility benchmark policy for a known success probability.
 
-    Search exhaustively (until a success) when ``p`` exceeds the indifference
+    Search exhaustively (until a success) when ``p`` reaches the indifference
     belief, never search below it.  At exact indifference any behavior is
-    optimal; the default resolves the tie toward searching.
+    optimal; the tie goes to searching.
     """
     p = as_probability(p, "p")
-    if not isinstance(search_at_indifference, (bool, np.bool_)):
-        raise DomainError(f"search_at_indifference must be a bool, got {search_at_indifference!r}")
-    phat = weitzman_threshold(spec)
-    if p > phat or (p == phat and search_at_indifference):
+    if p >= weitzman_threshold(spec):
         return StationaryPolicy(np.ones(spec.n))
     return StationaryPolicy(np.zeros(spec.n))

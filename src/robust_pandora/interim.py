@@ -13,7 +13,7 @@ coin-flip weight, and the worst belief behind it, by Newton's method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,32 +40,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InterimPolicy:
-    """Threshold plan: open ``m`` of the ``n`` boxes for sure, one more with probability ``alpha``.
-
-    ``phi[j - 1]`` is the probability that at least ``n - j + 1`` boxes get
-    opened (absent an early success), so the vector is a monotone staircase:
-    zeros, then ``alpha``, then ones.
-    """
+    """Threshold plan: open ``m`` of the ``n`` boxes for sure, one more with probability ``alpha``."""
 
     m: int
     alpha: float
     n: int
-    phi: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
         n = _require_count(self.n, "n", 1)
         if _require_count(self.m, "m", 0) >= n:
             raise DomainError(f"m must be a whole number in 0..{n - 1}, got {self.m!r}")
         object.__setattr__(self, "alpha", as_probability(self.alpha, "alpha"))
-        phi = np.zeros(n)
-        phi[n - self.m - 1] = self.alpha
-        phi[n - self.m :] = 1.0
-        phi.flags.writeable = False
-        object.__setattr__(self, "phi", phi)
-
-    @classmethod
-    def from_m_alpha(cls, m: int, alpha: float, n: int) -> "InterimPolicy":
-        return cls(m, alpha, n)
 
 
 @dataclass(frozen=True)
@@ -190,7 +175,7 @@ def solve_interim(spec: HomogeneousSpec) -> InterimReport:
         res, x_star = residual_at(m, alpha)
     if abs(res) > 1e-9:
         raise ConvergenceError(f"equalization residual {res:.3e} after Newton's method")
-    policy = InterimPolicy.from_m_alpha(m, alpha, n)
+    policy = InterimPolicy(m, alpha, n)
     return InterimReport(
         policy=policy,
         regret=(m + alpha) * c,

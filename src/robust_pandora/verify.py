@@ -59,10 +59,10 @@ __all__ = [
 MAX_GRID_POINTS = 1_000_000
 
 # saddle_check_corr scores the n + 1 vertex profiles in (n + 1, n, n + 1)
-# arrays.  Wall time and peak RSS (ru_maxrss, interpreter included) of one
-# check, solve included, on a 2-vCPU x86-64 VM, commitment / intrapersonal:
-# n = 100 0.05 s / 45 MB, n = 200 0.42 / 0.32 s / 155 MB, n = 300
-# 1.7 / 1.5 s / 449 MB.
+# arrays.  Wall time of the first check in a fresh process, solve included,
+# and peak RSS (ru_maxrss, interpreter included) on a 2-vCPU x86-64 VM at
+# c/ubar = 0.01, commitment / intrapersonal: n = 100 0.03 / 0.02 s / 45 MB,
+# n = 200 0.16 / 0.24 s / 155 MB, n = 300 0.69 / 0.49 s / 448 MB.
 _MAX_CORR_BOXES = 200
 
 # the beliefs against which interim_grid_oracle prices each plan
@@ -171,9 +171,10 @@ def saddle_check_corr(
 
     # the n + 1 vertices; flattening keeps Q[0] and moves the rest to j = 1
     w = StoppingMixture.from_policy(sol.policy).w
-    Q = np.eye(n + 1)
-    values = _mixture_regrets(w, Q, spec)
-    flattening_ok = not np.any(values > _mixture_regrets(w, Q[np.minimum(np.arange(n + 1), 1)], spec) + 1e-12)
+    values = _mixture_regrets(w, np.eye(n + 1), spec)
+    # vertex j flattens to vertex min(j, 1), and a stacked row is computed
+    # exactly as it would be alone
+    flattening_ok = not np.any(values > values[np.minimum(np.arange(n + 1), 1)] + 1e-12)
     nature_gap = max(nature_gap, (values - sol.regret).max())
 
     if mode == "commitment":
@@ -215,8 +216,8 @@ def interim_grid_oracle(spec: HomogeneousSpec):
     n = spec.n
     best = None
     for m in range(n):
-        at_zero = interim_regret(InterimPolicy.from_m_alpha(m, 0.0, n), _P_GRID, spec)
-        slope = interim_regret(InterimPolicy.from_m_alpha(m, 1.0, n), _P_GRID, spec) - at_zero
+        at_zero = interim_regret(InterimPolicy(m, 0.0, n), _P_GRID, spec)
+        slope = interim_regret(InterimPolicy(m, 1.0, n), _P_GRID, spec) - at_zero
 
         def active(alpha):
             return int(np.argmax(at_zero + alpha * slope))

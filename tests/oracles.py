@@ -147,15 +147,20 @@ def first_success_by_orders(Q):
 def interim_regret_high_belief(policy, p, spec):
     """Algebraic twin of ``interim_regret``, valid for p at or above c/ubar.
 
-    Uses the telescoped form sum_j (1 - phi_{n-j}) (1-p)^j (p ubar - c);
-    the two routes agreeing is a correctness check on both.
+    Uses the telescoped form sum_j (1 - phi_{n-j}) (1-p)^j (p ubar - c),
+    where ``phi[j - 1]`` is the probability that at least ``n - j + 1``
+    boxes get opened: the staircase of zeros, then ``alpha``, then ones.
+    The two routes agreeing is a correctness check on both.
     """
     n = spec.n
+    phi = np.zeros(n)
+    phi[n - policy.m - 1] = policy.alpha
+    phi[n - policy.m :] = 1.0
     p = np.asarray(p, dtype=float)
     base = p * spec.ubar - spec.c
     out = np.zeros_like(base)
     for j in range(n):
-        out = out + (1.0 - policy.phi[n - j - 1]) * (1 - p) ** j * base
+        out = out + (1.0 - phi[n - j - 1]) * (1 - p) ** j * base
     return float(out) if out.ndim == 0 else out
 
 
@@ -528,7 +533,7 @@ def interim_linear_scan(spec):
     if abs(res) > 1e-9:
         raise ConvergenceError(f"equalization residual {res:.3e} after Newton's method")
     return InterimReport(
-        policy=InterimPolicy.from_m_alpha(m, alpha, n),
+        policy=InterimPolicy(m, alpha, n),
         regret=(m + alpha) * c,
         worst_p_high=1.0 - x_star,
         residual=abs(res),
@@ -577,8 +582,8 @@ def interim_alpha_grid_oracle(spec):
     for m in range(n):
         # regret is linear in alpha at every p, so the two endpoint policies
         # span the whole alpha axis
-        at_zero = interim_regret(InterimPolicy.from_m_alpha(m, 0.0, n), p_grid, spec)
-        at_one = interim_regret(InterimPolicy.from_m_alpha(m, 1.0, n), p_grid, spec)
+        at_zero = interim_regret(InterimPolicy(m, 0.0, n), p_grid, spec)
+        at_one = interim_regret(InterimPolicy(m, 1.0, n), p_grid, spec)
         blocks = np.split(alpha_grid, range(64, alpha_grid.size, 64))
         worst = np.concatenate([(np.outer(1.0 - a, at_zero) + np.outer(a, at_one)).max(axis=1) for a in blocks])
         idx = int(np.argmin(worst))

@@ -89,13 +89,13 @@ def test_criterion_3_menu_size_monotonicity_and_hump():
         gaps = (ubar - c) * ((ubar - c) / ubar) ** np.arange(1, 201)
         assert np.all(np.diff(gaps) < 0)  # exact complement of the regret
         assert np.all(np.diff((ubar - c) - gaps) >= 0)
-    spec = HomogeneousSpec(1.0, 0.3, 2)
+    spec = HomogeneousSpec(1.0, 0.3, 100)
     for q in np.linspace(0.01, 0.9, 10):
-        prof = search_count_profile(float(q), 100, spec)
+        prof = search_count_profile(float(q), spec)
         signs = np.sign(np.diff(prof.values))
         signs = signs[signs != 0]
         assert np.count_nonzero(np.diff(signs)) <= 1
-    prof = search_count_profile(0.05, 100, spec)
+    prof = search_count_profile(0.05, spec)
     assert 1 < prof.argmax_n < 100
     _report(3, f"search falls and regret grows with the menu; opened-count humps (peak at n={prof.argmax_n} for q=0.05)")
 
@@ -265,7 +265,7 @@ def test_criterion_9_simulation_reproduces_closed_forms():
     sol = solve_indep(spec)
     res = simulate(sol.policy, IidBinary(0.3), spec, 10**6, 42)
     assert abs(res.mean_regret - sol.regret) <= 4 * res.se_regret
-    target = expected_search_count(0.3, 5, spec)
+    target = expected_search_count(0.3, spec)
     assert abs(res.mean_opened - target) <= 4 * res.se_opened
     rerun = simulate(sol.policy, IidBinary(0.3), spec, 10**6, 42)
     assert res == rerun
@@ -307,14 +307,13 @@ def test_criterion_10_cli_golden_sweeps(tmp_path):
         assert regret_s == f"{sol.regret:.12g}"
 
     lines = (tmp_path / "fig3_opened_counts_a.csv").read_text().strip().split("\n")
-    spec = HomogeneousSpec(1.0, 0.3, 30)
     qs = np.linspace(0.05, 0.9, 8)
     expected_rows = [(q, n) for q in qs for n in range(1, 31)]
     assert len(lines) - 1 == len(expected_rows)
     for line, (q, n) in zip(lines[1:], expected_rows):
         q_s, n_s, s_s = line.split(",")
         assert (q_s, n_s) == (f"{q:.12g}", str(n))
-        assert s_s == f"{expected_search_count(float(q), n, spec):.12g}"
+        assert s_s == f"{expected_search_count(float(q), HomogeneousSpec(1.0, 0.3, n)):.12g}"
 
     lines = (tmp_path / "fig6_cost_asymmetry_a.csv").read_text().strip().split("\n")
     grid = np.linspace(0.0, 0.5, 30)

@@ -161,7 +161,7 @@ class TestSweep:
         spec = HomogeneousSpec(1.0, 0.3, 4)
         for line in out.strip().split("\n")[1:]:
             q_s, n_s, s_s = line.split(",")
-            expected = expected_search_count(float(q_s), int(n_s), spec)
+            expected = expected_search_count(float(q_s), HomogeneousSpec(1.0, 0.3, int(n_s)))
             assert s_s == f"{expected:.12g}"
 
     def test_byte_identical_runs(self, capsys, tmp_path):
@@ -436,6 +436,7 @@ class TestBadInputs:
             ("verify", "--regime", "corr", *HOMOG, "--policy-file", "REGRET_NAN"),
             ("solve", "--regime", "corr-intra", "--ubar", "1", "--c", "1e-9", "--n", "5"),
             ("verify", "--regime", "corr-intra", "--ubar", "1", "--c", "1e-9", "--n", "5"),
+            ("solve", "--regime", "indep", "--ubar", "1", "--c", "0.3", "--n", "1000000000"),
         ],
     )
     def test_exit_2_with_one_line(self, capsys, tmp_path, argv):

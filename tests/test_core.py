@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robust_pandora.corr import solve_corr_commitment
+from robust_pandora.corr import solve_corr_commitment, solve_corr_intrapersonal
+from robust_pandora.indep import solve_indep
+from robust_pandora.interim import solve_interim
 
 from robust_pandora.core import (
     CountProfile,
@@ -18,13 +21,13 @@ from robust_pandora.core import (
     StoppingMixture,
     TwoPointMixture,
     _MAX_COUNT_BOXES,
+    _MAX_SPEC_BOXES,
     _first_success_table,
     _mixture_regrets,
     first_success_probabilities,
     regret_count_profile,
     regret_indep,
     regret_needle,
-    validate_spec,
 )
 
 from oracles import (
@@ -41,15 +44,14 @@ SPEC = HomogeneousSpec(ubar=1.0, c=0.3, n=3)
 
 class TestValidateSpec:
     def test_reference_parameters_ok(self):
-        assert validate_spec(SPEC) is SPEC
+        assert (SPEC.ubar, SPEC.c, SPEC.n) == (1.0, 0.3, 3)
 
     def test_cost_equal_to_reward_rejected(self):
         with pytest.raises(DomainError):
-            validate_spec(HomogeneousSpec(ubar=1.0, c=1.0, n=2))
+            HomogeneousSpec(ubar=1.0, c=1.0, n=2)
 
     def test_single_box_interior_ok(self):
-        spec = HomogeneousSpec(ubar=2.0, c=0.5, n=1)
-        assert validate_spec(spec) is spec
+        assert HomogeneousSpec(ubar=2.0, c=0.5, n=1).n == 1
 
     @pytest.mark.parametrize(
         "ubar,c,n",
@@ -71,13 +73,28 @@ class TestValidateSpec:
     )
     def test_bad_parameters_rejected(self, ubar, c, n):
         with pytest.raises(DomainError):
-            validate_spec(HomogeneousSpec(ubar=ubar, c=c, n=n))
+            HomogeneousSpec(ubar=ubar, c=c, n=n)
 
     def test_validated_on_construction(self):
         spec = HomogeneousSpec(1.0, 0.3, 2.0)
         assert spec.n == 2 and type(spec.n) is int
         with pytest.raises(DomainError):
             HomogeneousSpec(1.0, 1.5, 2)
+
+    def test_reward_and_cost_stored_as_float(self):
+        # a float32 reward and cost used to run the solvers in single precision
+        for ubar, c in [(np.float32(1.0), np.float32(0.3)), (np.float64(2.0), np.float64(0.7)), (3, 1)]:
+            spec, ref = HomogeneousSpec(ubar, c, 4), HomogeneousSpec(float(ubar), float(c), 4)
+            assert type(spec.ubar) is float and type(spec.c) is float
+            for solve in (solve_indep, solve_corr_commitment, solve_corr_intrapersonal, solve_interim):
+                # bit for bit, arrays and scalar types included
+                assert pickle.dumps(solve(spec)) == pickle.dumps(solve(ref)), (ubar, c, solve)
+
+    def test_size_cap(self):
+        assert HomogeneousSpec(1.0, 0.3, _MAX_SPEC_BOXES).n == _MAX_SPEC_BOXES
+        for n in (_MAX_SPEC_BOXES + 1, 10**9, 1e9):
+            with pytest.raises(SizeError):
+                HomogeneousSpec(1.0, 0.3, n)
 
 
 class TestRegretIndep:

@@ -86,55 +86,54 @@ class TestSolveIndep:
 
 class TestExpectedSearchCount:
     def test_base_case(self):
-        got = expected_search_count(0.4, 1, SPEC)
+        got = expected_search_count(0.4, HomogeneousSpec(1.0, 0.3, 1))
         assert got == pytest.approx(0.7, abs=1e-15)
 
     def test_certain_success(self):
         for n in (1, 2, 5):
-            got = expected_search_count(1.0, n, SPEC)
+            got = expected_search_count(1.0, HomogeneousSpec(1.0, 0.3, n))
             assert got == pytest.approx(solve_indep(HomogeneousSpec(1.0, 0.3, n)).alphas[-1], abs=1e-14)
 
     def test_two_box_hand_recursion(self):
         a1 = 0.7
         a2 = 2 * 0.7**2 / (0.7**2 + 1.0)
-        got = expected_search_count(0.05, 2, SPEC)
+        got = expected_search_count(0.05, HomogeneousSpec(1.0, 0.3, 2))
         assert got == pytest.approx(a2 * (1 + 0.95 * a1), abs=1e-14)
 
     def test_agrees_with_direct_formula(self):
         for q in (0.0, 0.05, 0.5, 1.0):
             for n in (1, 3, 7):
-                sol = solve_indep(HomogeneousSpec(1.0, 0.3, n))
-                assert expected_search_count(q, n, SPEC) == pytest.approx(
+                spec = HomogeneousSpec(1.0, 0.3, n)
+                sol = solve_indep(spec)
+                assert expected_search_count(q, spec) == pytest.approx(
                     expected_opened(sol.alphas, q), abs=1e-12
                 )
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
-            expected_search_count(1.5, 3, SPEC)
-        with pytest.raises(DomainError):
-            expected_search_count(0.5, 0, SPEC)
+            expected_search_count(1.5, SPEC)
 
 
 class TestSearchCountProfile:
     @pytest.mark.parametrize("q", [1.5, float("nan")])
     def test_rejects_bad_q(self, q):
         with pytest.raises(DomainError):
-            search_count_profile(q, 10, SPEC)
+            search_count_profile(q, SPEC)
 
     def test_interior_hump_for_rare_rewards(self):
-        prof = search_count_profile(0.05, 100, SPEC)
-        assert 1 < prof.argmax_n < 100
-        assert prof.has_interior_max
+        prof = search_count_profile(0.05, HomogeneousSpec(1.0, 0.3, 100))
+        assert 1 < prof.argmax_n < prof.values.size
 
     def test_certain_success_peaks_immediately(self):
-        prof = search_count_profile(1.0, 50, SPEC)
+        spec = HomogeneousSpec(1.0, 0.3, 50)
+        prof = search_count_profile(1.0, spec)
         assert prof.argmax_n == 1
-        sol = solve_indep(HomogeneousSpec(1.0, 0.3, 50))
+        sol = solve_indep(spec)
         assert np.allclose(prof.values, sol.alphas, atol=1e-12)
 
     def test_single_peak(self):
         for q in np.linspace(0.01, 0.9, 10):
-            prof = search_count_profile(float(q), 100, SPEC)
+            prof = search_count_profile(float(q), HomogeneousSpec(1.0, 0.3, 100))
             signs = np.sign(np.diff(prof.values))
             changes = np.count_nonzero(np.diff(signs[signs != 0]))
             assert changes <= 1
@@ -149,7 +148,6 @@ class TestEuBenchmark:
 
     def test_tie_defaults_to_search(self):
         assert np.all(eu_benchmark(0.3, SPEC).alphas == 1.0)
-        assert np.all(eu_benchmark(0.3, SPEC, search_at_indifference=False).alphas == 0.0)
 
     def test_expected_count_weakly_increasing_in_n(self):
         for q in np.linspace(0.1, 0.9, 9):

@@ -43,19 +43,19 @@ class TestExhaustiveUtility:
 
 class TestInterimRegret:
     def test_never_search_below_threshold(self):
-        policy = InterimPolicy.from_m_alpha(0, 0.0, 3)
+        policy = InterimPolicy(0, 0.0, 3)
         spec = HomogeneousSpec(1.0, 0.3, 3)
         for p in (0.0, 0.1, 0.3):
             assert interim_regret(policy, p, spec) == pytest.approx(0.0, abs=1e-14)
 
     def test_exhaustive_plan_no_reward(self):
         spec = HomogeneousSpec(1.0, 0.3, 4)
-        policy = InterimPolicy.from_m_alpha(3, 1.0, 4)
+        policy = InterimPolicy(3, 1.0, 4)
         assert interim_regret(policy, 0.0, spec) == pytest.approx(4 * 0.3, abs=1e-14)
 
     def test_exhaustive_plan_matches_oracle_above_threshold(self):
         spec = HomogeneousSpec(1.0, 0.3, 4)
-        policy = InterimPolicy.from_m_alpha(3, 1.0, 4)
+        policy = InterimPolicy(3, 1.0, 4)
         for p in (0.31, 0.6, 1.0):
             assert interim_regret(policy, p, spec) == pytest.approx(0.0, abs=1e-14)
 
@@ -66,7 +66,7 @@ class TestInterimRegret:
             spec = HomogeneousSpec(1.0, 0.3, n)
             m = int(rng.integers(0, n))
             alpha = float(rng.random())
-            policy = InterimPolicy.from_m_alpha(m, alpha, n)
+            policy = InterimPolicy(m, alpha, n)
             p = float(rng.random())
             got = interim_regret(policy, p, spec)
             assert got == pytest.approx(staircase_regret(m, alpha, p, spec), abs=1e-12)
@@ -76,14 +76,14 @@ class TestInterimRegret:
         for _ in range(40):
             n = int(rng.integers(1, 8))
             spec = HomogeneousSpec(1.0, 0.3, n)
-            policy = InterimPolicy.from_m_alpha(int(rng.integers(0, n)), float(rng.random()), n)
+            policy = InterimPolicy(int(rng.integers(0, n)), float(rng.random()), n)
             p = 0.3 + 0.7 * float(rng.random())
             a = interim_regret(policy, p, spec)
             b = interim_regret_high_belief(policy, p, spec)
             assert abs(a - b) <= 1e-12
 
     def test_probability_outside_unit_interval_rejected(self):
-        policy = InterimPolicy.from_m_alpha(1, 0.4, 3)
+        policy = InterimPolicy(1, 0.4, 3)
         spec = HomogeneousSpec(1.0, 0.3, 3)
         for p in (1.5, -0.2, float("nan"), [0.5, 1.5]):
             with pytest.raises(DomainError):
@@ -93,7 +93,7 @@ class TestInterimRegret:
                 exhaustive_utility(p, 3, spec)
 
     def test_vectorized_over_p(self):
-        policy = InterimPolicy.from_m_alpha(1, 0.4, 3)
+        policy = InterimPolicy(1, 0.4, 3)
         spec = HomogeneousSpec(1.0, 0.3, 3)
         grid = np.linspace(0, 1, 11)
         vec = interim_regret(policy, grid, spec)
@@ -168,12 +168,6 @@ class TestSolveInterim:
             assert rep.residual <= 1e-10
         assert np.all(np.diff(ms) >= 0)
 
-    def test_policy_staircase_shape(self):
-        rep = solve_interim(HomogeneousSpec(1.0, 0.1, 6))
-        phi = rep.policy.phi
-        assert np.all(np.diff(phi) >= -1e-15)
-        assert np.all((phi == 0.0) | (phi == 1.0) | (np.abs(phi - rep.policy.alpha) < 1e-15))
-
     def test_branches_equalized(self):
         # regret at p = 0 equals the maximized high-belief branch
         for ubar, c, n in [(1.0, 0.3, 2), (1.0, 0.1, 5), (2.0, 0.7, 4), (1.7237803, 0.0902015, 3)]:
@@ -192,7 +186,7 @@ class TestSolveInterim:
         solved_worst = float(np.max(interim_regret(rep.policy, ps, spec)))
         for m in range(4):
             for a in np.linspace(0.0, 1.0, 161):
-                worst = float(np.max(interim_regret(InterimPolicy.from_m_alpha(m, float(a), 4), ps, spec)))
+                worst = float(np.max(interim_regret(InterimPolicy(m, float(a), 4), ps, spec)))
                 assert worst >= solved_worst - 1e-6
 
 
@@ -227,16 +221,10 @@ class TestTwoBoxIntrapersonal:
 class TestPolicyConstruction:
     def test_bad_m_rejected(self):
         with pytest.raises(DomainError):
-            InterimPolicy.from_m_alpha(3, 0.5, 3)
+            InterimPolicy(3, 0.5, 3)
         with pytest.raises(DomainError):
-            InterimPolicy.from_m_alpha(1.5, 0.5, 3)
+            InterimPolicy(1.5, 0.5, 3)
 
     def test_bad_alpha_rejected(self):
         with pytest.raises(DomainError):
-            InterimPolicy.from_m_alpha(0, 1.5, 3)
-
-    def test_staircase_built_from_fields(self):
-        policy = InterimPolicy(1, 0.25, 4)
-        assert policy.phi.tolist() == [0.0, 0.0, 0.25, 1.0]
-        assert policy == InterimPolicy.from_m_alpha(1, 0.25, 4)
-        assert not policy.phi.flags.writeable
+            InterimPolicy(0, 1.5, 3)

@@ -1,4 +1,4 @@
-"""Pinned by SHA-256: the stdout of the README commands and the demos, and the raw engine outputs."""
+"""Pinned by SHA-256: the stdout of the README commands, a q-sweep and the demos, and the raw engine outputs."""
 
 import hashlib
 import runpy
@@ -33,6 +33,10 @@ README_STDOUT = {
     "verify --regime two-box --ubar 1 --c 0.2 --grid 200": "fd4e834f4ace90f6a919e7ebbb949a1a841d6e31616cfe990af6d4898eeb877a",
     "simulate --regime indep --ubar 1 --c 0.3 --n 5 --truth iid:0.3 --episodes 1000000 --seed 42": "990760b391ba5baf5bbff44b5ec163ed8d56f3e781e5d8b3e90034796710d043",
 }
+
+# the CLI path that reads the search-count profile, which no README command runs
+Q_SWEEP = "sweep --regime indep --sweep q --from 0.05 --to 0.9 --steps 5 --ubar 1 --c 0.3 --n 4"
+Q_SWEEP_SHA256 = "bfbc58fc08066b9b7dce82f00a4b1df570ae64a5832150a49f2c67d5d5c7ac7c"
 
 DEMO_STDOUT = {
     "01_choice_overload.py": "a4e2c86fce7f0683ba920437aaf03940e7ff8aac2e91856482e670de21f41edf",
@@ -87,6 +91,11 @@ def test_readme_commands_are_pinned():
 def test_readme_command_stdout(capsys, command):
     assert main(shlex.split(command)) == 0
     assert _sha256(capsys.readouterr().out) == README_STDOUT[command]
+
+
+def test_q_sweep_stdout(capsys):
+    assert main(shlex.split(Q_SWEEP)) == 0
+    assert _sha256(capsys.readouterr().out) == Q_SWEEP_SHA256
 
 
 @pytest.mark.parametrize("demo", DEMO_STDOUT)

@@ -15,15 +15,12 @@ from robust_pandora import (
     TwoPointMixture,
     acceptance_probability,
     cost_asymmetry_sweep,
-    eu_benchmark,
-    expected_search_count,
     exhaustive_utility,
     psi,
     regret_het,
     regret_indep,
     saddle_check_corr,
     saddle_check_indep,
-    search_count_profile,
     simulate,
     solve_het,
     solve_indep,
@@ -55,9 +52,6 @@ def _het_policy():
 
 
 BAD_CALLS = {
-    "search-count-n-float": lambda: expected_search_count(0.3, 2.5, SPEC),
-    "search-count-n-bool": lambda: expected_search_count(0.3, True, SPEC),
-    "count-profile-n-float": lambda: search_count_profile(0.3, 2.5, SPEC),
     "exhaustive-n-float": lambda: exhaustive_utility(0.3, 2.5, SPEC),
     "simulate-episodes-nan": lambda: _simulate(episodes=float("nan")),
     "simulate-episodes-float": lambda: _simulate(episodes=2.5),
@@ -108,12 +102,12 @@ BAD_CALLS = {
     "hetero-p-scalar": lambda: HeteroPVector(0.5),
     "regret-het-p-scalar": lambda: regret_het(_het_policy(), 0.5, HET),
     "regret-het-p-dict": lambda: regret_het(_het_policy(), {0: 0.1, 1: 0.2}, HET),
+    "regret-het-policy-float": lambda: regret_het(0.5, (0.1, 0.2), HET),
     "subset-rule-probs-list": lambda: SubsetRule([0.5], 0.5),
     "selection-policy-rules-list": lambda: SelectionPolicy(2, [1, 2]),
     "selection-policy-menu-int": lambda: SelectionPolicy(2, {0: SubsetRule({0: 0.5}, 0.5)}),
     "selection-policy-rule-number": lambda: SelectionPolicy(2, {frozenset({0}): 0.5}),
     "sweep-delta-scalar": lambda: cost_asymmetry_sweep(1.0, 0.6, 0.1),
-    "eu-benchmark-flag-string": lambda: eu_benchmark(0.3, SPEC, "no"),
     "policy-alphas-mixed-bool": lambda: StationaryPolicy([True, 0.5, 0.5]),
 }
 
