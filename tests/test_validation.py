@@ -15,12 +15,14 @@ from robust_pandora import (
     TwoPointMixture,
     acceptance_probability,
     cost_asymmetry_sweep,
+    expected_search_count,
     exhaustive_utility,
     psi,
     regret_het,
     regret_indep,
     saddle_check_corr,
     saddle_check_indep,
+    search_count_profile,
     simulate,
     solve_het,
     solve_indep,
@@ -52,6 +54,9 @@ def _het_policy():
 
 
 BAD_CALLS = {
+    "search-count-n-float": lambda: expected_search_count(0.3, HomogeneousSpec(1.0, 0.3, 2.5)),
+    "search-count-n-bool": lambda: expected_search_count(0.3, HomogeneousSpec(1.0, 0.3, True)),
+    "count-profile-n-float": lambda: search_count_profile(0.3, HomogeneousSpec(1.0, 0.3, 2.5)),
     "exhaustive-n-float": lambda: exhaustive_utility(0.3, 2.5, SPEC),
     "simulate-episodes-nan": lambda: _simulate(episodes=float("nan")),
     "simulate-episodes-float": lambda: _simulate(episodes=2.5),
