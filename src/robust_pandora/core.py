@@ -74,8 +74,11 @@ class SeedError(ValueError):
 
 
 def _finite_real(x) -> bool:
-    """A finite real number; a bool is not one."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    """A finite real number; a bool is not one, nor an integer beyond float range."""
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def as_probability(x: float, what: str = "probability") -> float:
@@ -113,6 +116,17 @@ def _probability_array(values, what: str) -> np.ndarray:
     return np.clip(arr, 0.0, 1.0, dtype=float)
 
 
+def _probability_vector(values, what: str, least: int, sum_tol: float = math.inf) -> np.ndarray:
+    """Read-only 1-D :func:`_probability_array` of at least ``least`` entries, summing to 1 within ``sum_tol``."""
+    arr = _probability_array(values, what)
+    if arr.ndim != 1 or arr.size < least:
+        raise DomainError(f"{what} must be a 1-D vector of length at least {least}, got shape {arr.shape}")
+    if abs(arr.sum() - 1.0) > sum_tol:
+        raise DomainError(f"{what} must sum to 1")
+    arr.flags.writeable = False
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # Problem specification
 # ---------------------------------------------------------------------------
@@ -147,7 +161,8 @@ class HomogeneousSpec:
     def __post_init__(self):
         _check_box(self.ubar, self.c)
         n = self.n
-        if not _finite_real(n) or int(n) != n or n < 1:
+        whole = isinstance(n, numbers.Integral) or _finite_real(n) and int(n) == n
+        if isinstance(n, bool) or not whole or n < 1:
             raise DomainError(f"box count must be a positive integer, got {n!r}")
         if n > _MAX_SPEC_BOXES:
             raise SizeError(f"homogeneous specs limited to {_MAX_SPEC_BOXES} boxes, got {int(n)}")
@@ -181,11 +196,7 @@ class StationaryPolicy:
     alphas: np.ndarray
 
     def __post_init__(self):
-        arr = _probability_array(self.alphas, "alphas")
-        if arr.ndim != 1 or arr.size < 1:
-            raise DomainError("alphas must be a non-empty 1-D vector")
-        arr.flags.writeable = False
-        object.__setattr__(self, "alphas", arr)
+        object.__setattr__(self, "alphas", _probability_vector(self.alphas, "alphas", 1))
 
     @property
     def n(self) -> int:
@@ -203,13 +214,7 @@ class StoppingMixture:
     w: np.ndarray
 
     def __post_init__(self):
-        arr = _probability_array(self.w, "stopping weights")
-        if arr.ndim != 1 or arr.size < 2:
-            raise DomainError("stopping mixture needs weights for m = 0..n")
-        if abs(arr.sum() - 1.0) > 1e-9:
-            raise DomainError("stopping weights must sum to 1")
-        arr.flags.writeable = False
-        object.__setattr__(self, "w", arr)
+        object.__setattr__(self, "w", _probability_vector(self.w, "stopping weights", 2, 1e-9))
 
     @property
     def n(self) -> int:
@@ -271,13 +276,7 @@ class CountProfile:
     Q: np.ndarray
 
     def __post_init__(self):
-        arr = _probability_array(self.Q, "Q")
-        if arr.ndim != 1 or arr.size < 2:
-            raise DomainError("count profile needs entries for j = 0..n")
-        if abs(arr.sum() - 1.0) > 1e-12:
-            raise DomainError("count profile must sum to 1")
-        arr.flags.writeable = False
-        object.__setattr__(self, "Q", arr)
+        object.__setattr__(self, "Q", _probability_vector(self.Q, "count profile Q", 2, 1e-12))
 
     @property
     def n(self) -> int:
@@ -291,10 +290,7 @@ class HeteroPVector:
     p: tuple
 
     def __post_init__(self):
-        probs = _probability_array(self.p, "p_i")
-        if probs.ndim != 1:
-            raise DomainError(f"p_i must be a vector of probabilities, got {self.p!r}")
-        object.__setattr__(self, "p", tuple(probs.tolist()))
+        object.__setattr__(self, "p", tuple(_probability_vector(self.p, "p_i", 0).tolist()))
 
 
 @dataclass(frozen=True)
@@ -470,7 +466,14 @@ def regret_needle(policy: StationaryPolicy, P, spec: HomogeneousSpec):
 # its peak.  Wall time and peak RSS (ru_maxrss, interpreter included) of one
 # regret_count_profile in a fresh process on a 2-vCPU x86-64 VM: n = 1000
 # 0.07 s / 52 MB, 2000 0.26 s / 120 MB, 3000 0.51 s / 235 MB, 4000 0.96 s /
-# 395 MB; n = 5000 extrapolates to about 600 MB, under 1 GiB.
+# 395 MB; n = 5000 extrapolates to about 600 MB, under 1 GiB.  The same cap
+# bounds the other homogeneous paths that take seconds at a few thousand
+# boxes.  Wall time on the same VM at n = 1000 / 5000 / 20 000:
+# solve_interim (c/ubar = 0.05) 0.09 / 0.49 / 2.2 s, about n log n, and
+# saddle_check_indep (c/ubar = 0.3, an O(n^2) polynomial) 0.01 / 0.09 /
+# 0.50 s; interim_grid_oracle (2n rows of 2001 beliefs) 0.02 s at n = 100 and
+# 1.8 s at 5000.  At the spec cap of 10 000 000 boxes the first two would
+# take about half an hour and about two days (extrapolated, not run).
 _MAX_COUNT_BOXES = 5000
 
 

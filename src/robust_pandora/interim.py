@@ -9,6 +9,10 @@ one more, and ``m`` grows with the menu: with selection error gone, bigger
 menus raise the fear of missing out and push toward more search, the
 opposite of the ex-post prediction.  :func:`solve_interim` finds the
 coin-flip weight, and the worst belief behind it, by Newton's method.
+
+Searching up to ``k`` boxes at success rate ``p`` pays the geometric sum
+``U(p, k) = (p ubar - c) sum_{j<k} (1 - p)^j``, evaluated in closed form as
+``(p ubar - c) (-expm1(k log1p(-p)) / p)``, with the sum ``k`` at ``p = 0``.
 """
 
 from __future__ import annotations
@@ -18,10 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _MAX_COUNT_BOXES,
     _NEWTON_STEPS,
     ConvergenceError,
     DomainError,
     HomogeneousSpec,
+    SizeError,
     _poly_max,
     _probability_array,
     _require_count,
@@ -64,24 +70,19 @@ class InterimReport:
     degenerate_tie: bool = False
 
 
-def exhaustive_utility(p: float, n: int, spec: HomogeneousSpec) -> float:
-    """Expected payoff of searching up to ``n`` boxes, stopping on success."""
-    n = _require_count(n, "n", 1)
-    p = _probability_array(p, "p")
-    ubar, c = spec.ubar, spec.c
-    i = np.arange(1, n + 1)
-    return float(np.sum(p * (1 - p) ** (i - 1) * (ubar - i * c)) - (1 - p) ** n * n * c)
+def _utility(p: np.ndarray, k: int, spec: HomogeneousSpec) -> np.ndarray:
+    """``U(p, k)`` in the closed form of the module docstring, entrywise over the array ``p``."""
+    if k == 0:  # not 0 * log1p(-1), which is NaN at p = 1
+        return np.zeros_like(p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        total = np.where(p > 0.0, -np.expm1(k * np.log1p(-p)) / p, float(k))
+    return (p * spec.ubar - spec.c) * total
 
 
-def _utilities_upto(p, n: int, spec: HomogeneousSpec):
-    """U(p, k) for k = 1..n, vectorized over p; U(p, k+1) - U(p, k) telescopes."""
-    p = np.asarray(p, dtype=float)
-    ubar, c = spec.ubar, spec.c
-    increments = np.empty((n, *p.shape))
-    increments[0] = p * ubar - c
-    for j in range(1, n):
-        increments[j] = (1 - p) ** j * (p * ubar - c)
-    return np.cumsum(increments, axis=0)
+def exhaustive_utility(p, n: int, spec: HomogeneousSpec):
+    """Expected payoff ``U(p, n)`` of searching up to ``n`` boxes, stopping on success; ``p`` may be an array."""
+    out = _utility(_probability_array(p, "p"), _require_count(n, "n", 1), spec)
+    return float(out) if out.ndim == 0 else out
 
 
 def interim_regret(policy: InterimPolicy, p, spec: HomogeneousSpec):
@@ -96,10 +97,8 @@ def interim_regret(policy: InterimPolicy, p, spec: HomogeneousSpec):
     if policy.n != n:
         raise DomainError(f"policy has {policy.n} stages but spec has n={n}")
     p = _probability_array(p, "p")
-    U = _utilities_upto(p, n, spec)
-    oracle = np.maximum(U[n - 1], 0.0)
-    dm = alpha * U[m] if m == 0 else (1.0 - alpha) * U[m - 1] + alpha * U[m]
-    out = oracle - dm
+    dm = (1.0 - alpha) * _utility(p, m, spec) + alpha * _utility(p, m + 1, spec)
+    out = np.maximum(_utility(p, n, spec), 0.0) - dm
     return float(out) if out.ndim == 0 else out
 
 
@@ -131,9 +130,11 @@ def solve_interim(spec: HomogeneousSpec) -> InterimReport:
     residual is concave and increasing, and Newton's method from
     ``alpha = 0`` rises monotonically to the root.  Its slope comes from the
     envelope theorem: ``c + (1 - p*)^m (p* ubar - c)`` at the branch's
-    argmax ``p*``.
+    argmax ``p*``.  More than 5 000 boxes raise :class:`SizeError`.
     """
     n, ubar, c = spec.n, spec.ubar, spec.c
+    if n > _MAX_COUNT_BOXES:
+        raise SizeError(f"interim solver limited to {_MAX_COUNT_BOXES} boxes, got {n}")
 
     # g(cand) = cand c - tail(cand) rises with cand: the high-belief factor
     # (ubar - c) - ubar x is >= 0 on the branch, so tail sums fewer

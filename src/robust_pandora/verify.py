@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    _MAX_COUNT_BOXES,
     DomainError,
     HomogeneousSpec,
     IidBinary,
@@ -74,11 +75,14 @@ def nature_best_response_indep(policy: StationaryPolicy, spec: HomogeneousSpec, 
 
     The regret is a polynomial of degree ``n`` in ``1 - p``; its best point
     on an even grid over [0, 1] is polished by Newton's method on the
-    derivative.  Returns ``(p_star, regret)``.
+    derivative.  Returns ``(p_star, regret)``.  More than 5 000 boxes raise
+    :class:`SizeError`: building the polynomial takes O(n^2) work.
     """
     grid_points = _require_count(grid_points, "grid_points", 2)
     if grid_points > MAX_GRID_POINTS:
         raise SizeError(f"belief grid limited to {MAX_GRID_POINTS} points, got {grid_points}")
+    if spec.n > _MAX_COUNT_BOXES:
+        raise SizeError(f"i.i.d. regret polynomial limited to {_MAX_COUNT_BOXES} boxes, got {spec.n}")
     x, worst = _poly_max(_regret_indep_poly(policy, spec), 0.0, 1.0, grid_points)
     return 1.0 - x, worst
 
@@ -211,9 +215,11 @@ def interim_grid_oracle(spec: HomogeneousSpec):
     and piecewise linear in ``alpha``, with its minimum where two lines
     cross.  Returns the minimizing ``(m, alpha, worst_regret)``.  It calls
     neither ``solve_interim`` nor its polynomial maximizer: the grid is its
-    only approximation.
+    only approximation.  More than 5 000 boxes raise :class:`SizeError`.
     """
     n = spec.n
+    if n > _MAX_COUNT_BOXES:
+        raise SizeError(f"interim grid oracle limited to {_MAX_COUNT_BOXES} boxes, got {n}")
     best = None
     for m in range(n):
         at_zero = interim_regret(InterimPolicy(m, 0.0, n), _P_GRID, spec)

@@ -144,6 +144,18 @@ def first_success_by_orders(Q):
     return q
 
 
+def exhaustive_utility_sum(p, n, spec):
+    """Expected payoff of searching up to ``n`` boxes at success rate ``p``, term by term.
+
+    First success on opening ``i`` pays ``ubar - i c``; no success in ``n``
+    openings costs ``n c``.  The direct sum that the closed form of
+    ``interim._utility`` replaced.
+    """
+    ubar, c = spec.ubar, spec.c
+    i = np.arange(1, n + 1)
+    return float(np.sum(p * (1 - p) ** (i - 1) * (ubar - i * c)) - (1 - p) ** n * n * c)
+
+
 def interim_regret_high_belief(policy, p, spec):
     """Algebraic twin of ``interim_regret``, valid for p at or above c/ubar.
 

@@ -375,6 +375,7 @@ class TestParamsKeys:
 
 
 SWEEP = ("sweep", "--from", "1", "--to", "3")
+N_SWEEP = ("sweep", "--regime", "indep", "--sweep", "n", "--ubar", "1", "--c", "0.3")
 VERIFY_INDEP = ("verify", "--regime", "indep", *HOMOG, "--policy-file")
 DELTA = ("sweep", "--regime", "het", "--sweep", "delta", "--from", "0", "--to", "0.2", "--ubar", "1", "--ctotal", "0.6")
 
@@ -437,6 +438,16 @@ class TestBadInputs:
             ("solve", "--regime", "corr-intra", "--ubar", "1", "--c", "1e-9", "--n", "5"),
             ("verify", "--regime", "corr-intra", "--ubar", "1", "--c", "1e-9", "--n", "5"),
             ("solve", "--regime", "indep", "--ubar", "1", "--c", "0.3", "--n", "1000000000"),
+            (*N_SWEEP, "--from", "nan", "--to", "3"),
+            (*N_SWEEP, "--from", "inf", "--to", "3"),
+            (*N_SWEEP, "--from", "1.7", "--to", "3.9"),
+            (*N_SWEEP, "--from", "1", "--to", "10001"),
+            (*DELTA, "--steps", "1000000000"),
+            ("sweep", "--from", "0", "--to", "1", "--regime", "indep", "--sweep", "q", *HOMOG[:4], "--n", "10000000"),
+            (*SWEEP, "--regime", "two-box", "--sweep", "ubar", "--c", "0.2", "--steps", "10001"),
+            ("solve", "--regime", "interim", *HOMOG[:4], "--n", "5001"),
+            ("verify", "--regime", "indep", *HOMOG[:4], "--n", "5001"),
+            ("verify", "--regime", "indep", *HOMOG[:4], "--n", "5001", "--policy-file", "VALID"),
         ],
     )
     def test_exit_2_with_one_line(self, capsys, tmp_path, argv):

@@ -1,25 +1,29 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from robust_pandora.core import DomainError, HomogeneousSpec
 from robust_pandora.interim import (
     InterimPolicy,
+    _utility,
     exhaustive_utility,
     interim_regret,
     interim_two_box_intrapersonal,
     solve_interim,
 )
 
-from oracles import interim_linear_scan, interim_regret_high_belief
+from oracles import exhaustive_utility_sum, interim_linear_scan, interim_regret_high_belief
 
 SPEC2 = HomogeneousSpec(1.0, 0.3, 2)
 
 
 def staircase_regret(m, alpha, p, spec):
-    """Independent route: willingness is m boxes w.p. 1-alpha, m+1 w.p. alpha."""
-    u_n = exhaustive_utility(p, spec.n, spec)
-    u_m = exhaustive_utility(p, m, spec) if m >= 1 else 0.0
-    u_m1 = exhaustive_utility(p, m + 1, spec)
+    """Independent route: willingness is m boxes w.p. 1-alpha, m+1 w.p. alpha, each priced term by term."""
+    u_n = exhaustive_utility_sum(p, spec.n, spec)
+    u_m = exhaustive_utility_sum(p, m, spec) if m >= 1 else 0.0
+    u_m1 = exhaustive_utility_sum(p, m + 1, spec)
     return max(u_n, 0.0) - (1 - alpha) * u_m - alpha * u_m1
 
 
@@ -39,6 +43,27 @@ class TestExhaustiveUtility:
         ps = np.linspace(0.0, 1.0, 50)
         vals = [exhaustive_utility(float(p), 4, SPEC2) for p in ps]
         assert np.all(np.diff(vals) > 0)
+
+    def test_array_matches_scalar_calls(self):
+        ps = np.concatenate([np.linspace(0.0, 1.0, 41), [1e-300, 1e-12, 1 - 1e-12]])
+        for n in (1, 2, 7, 60):
+            vec = exhaustive_utility(ps, n, SPEC2)
+            assert vec.shape == ps.shape
+            assert vec.tolist() == [exhaustive_utility(float(p), n, SPEC2) for p in ps]
+
+    def test_closed_form_matches_exact_sums(self):
+        # U(p, k) = (p ubar - c) sum_{j<k} (1 - p)^j in exact rationals of the
+        # float inputs; p = c/ubar = 0.3 is exactly 0
+        spec = HomogeneousSpec(1.0, 0.3, 400)
+        for p in (0.0, 1e-300, 1e-12, 1e-6, 0.3, 0.5, 1 - 1e-12, 1.0):
+            fail = 1 - Fraction(p)
+            for k in (0, 1, 2, 7, 60, 400):
+                total = Fraction(0)
+                for _ in range(k):
+                    total = total * fail + 1
+                exact = (Fraction(p) * Fraction(spec.ubar) - Fraction(spec.c)) * total
+                got = Fraction(float(_utility(np.array(p), k, spec)))
+                assert abs(got - exact) <= Fraction(1e-15) * abs(exact), (p, k)
 
 
 class TestInterimRegret:
@@ -99,6 +124,19 @@ class TestInterimRegret:
         vec = interim_regret(policy, grid, spec)
         for p, v in zip(grid, vec):
             assert v == pytest.approx(interim_regret(policy, float(p), spec), abs=1e-14)
+
+    def test_large_menu_holds_no_table(self):
+        # O(len(p)) memory at any n: no (n, len(p)) table
+        spec = HomogeneousSpec(1.0, 0.05, 5000)
+        policy = InterimPolicy(37, 0.4, 5000)
+        grid = np.linspace(0.0, 1.0, 2001)
+        tracemalloc.start()
+        try:
+            interim_regret(policy, grid, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestSolveInterim:

@@ -1,4 +1,5 @@
-"""Pinned by SHA-256: the stdout of the README commands, a q-sweep and the demos, and the raw engine outputs."""
+"""Pinned by SHA-256: the stdout of the README commands, a q-sweep, one command per other CLI path
+and the demos, and the raw engine outputs."""
 
 import hashlib
 import runpy
@@ -37,6 +38,25 @@ README_STDOUT = {
 # the CLI path that reads the search-count profile, which no README command runs
 Q_SWEEP = "sweep --regime indep --sweep q --from 0.05 --to 0.9 --steps 5 --ubar 1 --c 0.3 --n 4"
 Q_SWEEP_SHA256 = "bfbc58fc08066b9b7dce82f00a4b1df570ae64a5832150a49f2c67d5d5c7ac7c"
+
+# the other CLI paths, one command each: every regime of solve, verify and
+# simulate that no README command runs, the corr and two-box sweeps, and CSV
+CLI_STDOUT = {
+    "solve --regime corr --ubar 1 --c 0.1 --n 6": "ec96c7368145ce0c21ef1d99d857ce63c9ccb02dafeadedd9bdadd9a8981d4d3",
+    "solve --regime corr-intra --ubar 1 --c 0.1 --n 6": "21697129d3c3f32e102c27a99d23b36492c98660aa554a59a94cb948967f4fb6",
+    "solve --regime two-box --ubar 1 --c 0.3": "02fbde8571c7e5bd6be7d0489337c0b63979f02cd66ddc173b3f0e4edf6dfe47",
+    "solve --regime two-box --ubar 1 --c 0.2": "2abfe19e6dfbf3111534196c9af3bcb30863cd0bddce5021c2b52f963a1a68a6",
+    "sweep --regime corr --sweep n --from 1 --to 12 --ubar 1 --c 0.25": "3f0998a880cd7bd6a84ce32c728831eabad76cb5cb843aa642675e72fe725b37",
+    "sweep --regime two-box --sweep ubar --from 0.5 --to 1.5 --steps 9 --c 0.2": "105fa344b4b396f8f57cb21f44167aeb90739c558e98d86023fae2cb7870d155",
+    "verify --regime corr --ubar 1 --c 0.1 --n 6": "e6be421b090ed64d668a73f673098d9a25723684f1276d4c8cadc38f3c7c7c97",
+    "verify --regime corr-intra --ubar 1 --c 0.1 --n 6": "808ba82cb091c26eecad7c21773c8100fdbd0758d9035615e7c74de3f5ad3379",
+    "verify --regime two-box --ubar 1 --c 0.3 --grid 200": "17ed2f90da91951ecb8a6e32083135aaea204fedce1f80132ca616f523043cf4",
+    "simulate --regime corr --ubar 1 --c 0.25 --n 4 --truth needle:0.6 --episodes 100000 --seed 7": "e9531c1ae98f19b155957e887544b5e3d5c40a87ba5556ba8ed2aeec6fae3250",
+    "simulate --regime corr-intra --ubar 1 --c 0.1 --n 6 --truth iid:0.2 --episodes 100000 --seed 7": "926bb30d3da5a5e8ecdbad0ddba6ad5eb81059c98851432fb0ee3ec2729841b6",
+    "solve --regime corr --ubar 1 --c 0.1 --n 6 --format csv": "7b88dde8694340800cf1964fc823572a3b90b2f6af8ba4c26bb260e7ed0364b1",
+    "verify --regime two-box --ubar 1 --c 0.3 --grid 200 --format csv": "8e47cb30b22dc38bcd1f17636a3216109341eabfcd25f892ab3085ebdd575aad",
+    "simulate --regime corr --ubar 1 --c 0.25 --n 4 --truth needle:0.6 --episodes 100000 --seed 7 --format csv": "f388cec941a5d67eefb4fd25e2359549b1f844a50659931444c23dd78dd71cb1",
+}
 
 DEMO_STDOUT = {
     "01_choice_overload.py": "a4e2c86fce7f0683ba920437aaf03940e7ff8aac2e91856482e670de21f41edf",
@@ -96,6 +116,12 @@ def test_readme_command_stdout(capsys, command):
 def test_q_sweep_stdout(capsys):
     assert main(shlex.split(Q_SWEEP)) == 0
     assert _sha256(capsys.readouterr().out) == Q_SWEEP_SHA256
+
+
+@pytest.mark.parametrize("command", CLI_STDOUT)
+def test_cli_command_stdout(capsys, command):
+    assert main(shlex.split(command)) == 0
+    assert _sha256(capsys.readouterr().out) == CLI_STDOUT[command]
 
 
 @pytest.mark.parametrize("demo", DEMO_STDOUT)

@@ -1,5 +1,6 @@
-"""Bad arguments to the public API raise DomainError, never a bare TypeError or a silent coercion."""
+"""Bad arguments to the public API raise DomainError or SizeError, never a bare TypeError or a silent coercion."""
 
+import numpy as np
 import pytest
 
 from robust_pandora import (
@@ -10,6 +11,7 @@ from robust_pandora import (
     IidBinary,
     InterimPolicy,
     SelectionPolicy,
+    SizeError,
     StationaryPolicy,
     SubsetRule,
     TwoPointMixture,
@@ -17,6 +19,8 @@ from robust_pandora import (
     cost_asymmetry_sweep,
     expected_search_count,
     exhaustive_utility,
+    interim_grid_oracle,
+    nature_best_response_indep,
     psi,
     regret_het,
     regret_indep,
@@ -26,6 +30,7 @@ from robust_pandora import (
     simulate,
     solve_het,
     solve_indep,
+    solve_interim,
     solve_two_box,
     verify_two_box,
 )
@@ -114,10 +119,32 @@ BAD_CALLS = {
     "selection-policy-rule-number": lambda: SelectionPolicy(2, {frozenset({0}): 0.5}),
     "sweep-delta-scalar": lambda: cost_asymmetry_sweep(1.0, 0.6, 0.1),
     "policy-alphas-mixed-bool": lambda: StationaryPolicy([True, 0.5, 0.5]),
+    # integers beyond float range are not finite reals (math.isfinite overflows)
+    "spec-ubar-huge-int": lambda: HomogeneousSpec(10**400, 0.3, 3),
+    "het-ubar-huge-int": lambda: HeterogeneousSpec(((10**400, 0.3),)),
+    "iid-p-huge-int": lambda: IidBinary(10**400),
+    "sweep-ubar-huge-int": lambda: cost_asymmetry_sweep(10**400, 0.6, [0.0]),
+}
+
+# one box over the 5 000-box cap of the interim solver and oracle and of the i.i.d. regret polynomial
+OVER_CAP = HomogeneousSpec(1.0, 0.3, 5001)
+
+OVERSIZED_CALLS = {
+    "spec-n-huge-int": lambda: HomogeneousSpec(1.0, 0.3, 10**400),
+    "solve-interim-n": lambda: solve_interim(OVER_CAP),
+    "interim-grid-oracle-n": lambda: interim_grid_oracle(OVER_CAP),
+    "nature-indep-n": lambda: nature_best_response_indep(StationaryPolicy(np.ones(5001)), OVER_CAP),
+    "saddle-indep-n": lambda: saddle_check_indep(OVER_CAP),
 }
 
 
 @pytest.mark.parametrize("call", BAD_CALLS.values(), ids=BAD_CALLS.keys())
 def test_bad_argument_raises_domain_error(call):
     with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("call", OVERSIZED_CALLS.values(), ids=OVERSIZED_CALLS.keys())
+def test_oversized_argument_raises_size_error(call):
+    with pytest.raises(SizeError):
         call()

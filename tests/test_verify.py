@@ -323,7 +323,7 @@ class TestInterimGridOracle:
         # exact in alpha, the oracle differs from the solver only through its
         # p grid
         rng = np.random.default_rng(12)
-        for n in (1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6):
+        for n in (1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 10, 20, 50, 100, 200, 200):
             ubar = float(rng.uniform(0.5, 2.0))
             spec = HomogeneousSpec(ubar, ubar * float(rng.uniform(0.05, 0.6)), n)
             rep = solve_interim(spec)
