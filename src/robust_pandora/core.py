@@ -81,24 +81,41 @@ def _finite_real(x) -> bool:
         return False
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error message; an integer too long to print shows its digit count.
+
+    Python refuses to print an integer of more than ``sys.get_int_max_str_digits()``
+    digits, so a message that formats a caller's value must not raise in its place.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, numbers.Integral):
+            return f"<{type(value).__name__} holding an integer too long to print>"
+        magnitude = abs(int(value))
+        digits = int(magnitude.bit_length() * math.log10(2)) + 1  # the count or one more
+        digits -= magnitude < 10 ** (digits - 1)
+        return f"{'-' if value < 0 else ''}<integer of {digits} digits>"
+
+
 def as_probability(x: float, what: str = "probability") -> float:
     """Clamp the number ``x`` (not a bool) to [0, 1], tolerating drift up to ``PROB_SLACK``."""
     if not _finite_real(x) or x < -PROB_SLACK or x > 1.0 + PROB_SLACK:
-        raise DomainError(f"{what} must lie in [0, 1], got {x!r}")
+        raise DomainError(f"{what} must lie in [0, 1], got {_shown(x)}")
     return min(max(float(x), 0.0), 1.0)
 
 
 def _require_count(value, what: str, least: int) -> int:
     """``value`` as an ``int`` if it is an integer (not a bool) of at least ``least``."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
-        raise DomainError(f"{what} must be an integer of at least {least}, got {value!r}")
+        raise DomainError(f"{what} must be an integer of at least {least}, got {_shown(value)}")
     return int(value)
 
 
 def _require_tolerance(value, what: str) -> float:
     """``value`` as a ``float`` if it is a finite number (not a bool) of at least 0."""
     if not _finite_real(value) or value < 0.0:
-        raise DomainError(f"{what} must be a finite non-negative number, got {value!r}")
+        raise DomainError(f"{what} must be a finite non-negative number, got {_shown(value)}")
     return float(value)
 
 
@@ -163,9 +180,9 @@ class HomogeneousSpec:
         n = self.n
         whole = isinstance(n, numbers.Integral) or _finite_real(n) and int(n) == n
         if isinstance(n, bool) or not whole or n < 1:
-            raise DomainError(f"box count must be a positive integer, got {n!r}")
+            raise DomainError(f"box count must be a positive integer, got {_shown(n)}")
         if n > _MAX_SPEC_BOXES:
-            raise SizeError(f"homogeneous specs limited to {_MAX_SPEC_BOXES} boxes, got {int(n)}")
+            raise SizeError(f"homogeneous specs limited to {_MAX_SPEC_BOXES} boxes, got {_shown(int(n))}")
         object.__setattr__(self, "ubar", float(self.ubar))
         object.__setattr__(self, "c", float(self.c))
         object.__setattr__(self, "n", int(n))
@@ -174,9 +191,9 @@ class HomogeneousSpec:
 def _check_box(ubar, c, where: str = "") -> None:
     """Raise :class:`DomainError`, prefixed by ``where``, unless ``0 < c < ubar`` are finite numbers."""
     if not _finite_real(ubar) or ubar <= 0.0:
-        raise DomainError(f"{where}high reward must be positive, got {ubar!r}")
+        raise DomainError(f"{where}high reward must be positive, got {_shown(ubar)}")
     if not _finite_real(c) or c <= 0.0 or c >= ubar:
-        raise DomainError(f"{where}search cost must lie in (0, {ubar}), got {c!r}")
+        raise DomainError(f"{where}search cost must lie in (0, {ubar}), got {_shown(c)}")
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +322,13 @@ class TwoPointMixture:
 
     def __post_init__(self):
         if not all(_finite_real(x) for (u, v), w in self.atoms for x in (u, v, w)):
-            raise DomainError(f"mixture atoms must be ((u, v), weight) with finite numbers, got {self.atoms!r}")
+            raise DomainError(f"mixture atoms must be ((u, v), weight) with finite numbers, got {_shown(self.atoms)}")
         atoms = tuple(((float(u), float(v)), float(w)) for (u, v), w in self.atoms)
         if not atoms:
             raise DomainError("mixture needs at least one atom")
         for (u, v), w in atoms:
             if v < -PROB_SLACK or v > u + PROB_SLACK:
-                raise DomainError(f"reward pair must satisfy 0 <= v <= u, got {(u, v)}")
+                raise DomainError(f"reward pair must satisfy 0 <= v <= u, got {_shown((u, v))}")
             if w < -PROB_SLACK:
                 raise DomainError("mixture weights must be nonnegative")
         if abs(sum(w for _, w in atoms) - 1.0) > 1e-9:
@@ -494,7 +511,7 @@ def first_success_probabilities(Q) -> np.ndarray:
     """
     Q = np.asarray(Q, dtype=float)
     if Q.shape[-1] - 1 > _MAX_COUNT_BOXES:
-        raise SizeError(f"count-profile tables limited to {_MAX_COUNT_BOXES} boxes, got {Q.shape[-1] - 1}")
+        raise SizeError(f"count-profile tables limited to {_MAX_COUNT_BOXES} boxes, got {_shown(Q.shape[-1] - 1)}")
     coeff = _first_success_table(Q.shape[-1] - 1)
     # rows added strictly left to right (the j = 0 column is zero, so each
     # sum starts from 0.0); a copy, so that the result does not keep the

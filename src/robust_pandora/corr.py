@@ -28,6 +28,7 @@ from .core import (
     HomogeneousSpec,
     SizeError,
     StationaryPolicy,
+    _shown,
     first_success_probabilities,
 )
 
@@ -167,7 +168,7 @@ def solve_corr_intrapersonal(spec: HomogeneousSpec) -> CorrSolution:
     # past n advance the recursion only to find it
     horizon = optout_menu_size(spec)
     if horizon > _MAX_OPTOUT_MENU:
-        raise SizeError(f"intrapersonal recursion limited to opt-out menu sizes of {_MAX_OPTOUT_MENU}, got {horizon}")
+        raise SizeError(f"intrapersonal recursion limited to opt-out menu sizes of {_MAX_OPTOUT_MENU}, got {_shown(horizon)}")
     alphas = np.zeros(n)
     regret_per_k = np.full(n, ubar - c)
     worst_P = np.ones(n)

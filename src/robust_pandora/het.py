@@ -44,7 +44,7 @@ from typing import FrozenSet, Optional
 
 import numpy as np
 
-from .core import DomainError, HeteroPVector, SizeError, _check_box, _finite_real, _require_count, as_probability
+from .core import DomainError, HeteroPVector, SizeError, _check_box, _finite_real, _require_count, _shown, as_probability
 
 __all__ = [
     "MAX_BOXES",
@@ -81,7 +81,7 @@ class HeterogeneousSpec:
         try:
             pairs = tuple((u, c) for u, c in self.boxes)
         except (TypeError, ValueError):
-            raise DomainError(f"boxes must be (high reward, cost) pairs of numbers, got {self.boxes!r}") from None
+            raise DomainError(f"boxes must be (high reward, cost) pairs of numbers, got {_shown(self.boxes)}") from None
         if not pairs:
             raise DomainError("need at least one box")
         for i, (u, c) in enumerate(pairs):
@@ -118,9 +118,10 @@ class SubsetRule:
 
     def __post_init__(self):
         if not isinstance(self.open_probs, Mapping):
-            raise DomainError(f"open weights must map box indices to probabilities, got {self.open_probs!r}")
+            raise DomainError(f"open weights must map box indices to probabilities, got {_shown(self.open_probs)}")
         probs = {
-            _require_count(i, "box", 0): as_probability(w, f"open weight of box {i}") for i, w in self.open_probs.items()
+            _require_count(i, "box", 0): as_probability(w, f"open weight of box {_shown(i)}")
+            for i, w in self.open_probs.items()
         }
         out = as_probability(self.optout, "opt-out weight")
         if abs(sum(probs.values()) + out - 1.0) > 1e-9:
@@ -135,17 +136,17 @@ class SubsetRule:
 
 def _check_size(n: int):
     if n > MAX_BOXES:
-        raise SizeError(f"subset recursion limited to {MAX_BOXES} boxes, got {n}")
+        raise SizeError(f"subset recursion limited to {MAX_BOXES} boxes, got {_shown(n)}")
 
 
 def _mask_of(subset: Iterable[int], n: int) -> int:
     if not isinstance(subset, Iterable):
-        raise DomainError(f"a menu must be a collection of box indices, got {subset!r}")
+        raise DomainError(f"a menu must be a collection of box indices, got {_shown(subset)}")
     mask = 0
     for i in subset:
         i = _require_count(i, "box", 0)
         if i >= n:
-            raise DomainError(f"box {i} is not among the {n} boxes")
+            raise DomainError(f"box {_shown(i)} is not among the {n} boxes")
         mask |= 1 << i
     return mask
 
@@ -173,7 +174,7 @@ class SelectionPolicy:
         n = _require_count(n, "box count", 0)
         _check_size(n)
         if not isinstance(rules, Mapping) or not all(isinstance(rule, SubsetRule) for rule in rules.values()):
-            raise DomainError(f"rules must map menus to SubsetRule objects, got {rules!r}")
+            raise DomainError(f"rules must map menus to SubsetRule objects, got {_shown(rules)}")
         weights = np.zeros((1 << n, n))
         optout = np.full(1 << n, np.nan)
         for subset, rule in rules.items():
@@ -297,7 +298,7 @@ def psi(k: int, subset: Iterable[int], spec: HeterogeneousSpec) -> float:
     k = _require_count(k, "box", 0)
     members = frozenset(_require_count(i, "box", 0) for i in subset)
     if k not in members:
-        raise DomainError(f"box {k} is not in the subset")
+        raise DomainError(f"box {_shown(k)} is not in the subset")
     p_hats = spec.p_hats
     ordered = [i for i in spec.order if i in members]
     pos = ordered.index(k)
@@ -334,7 +335,7 @@ class HetSolution:
     def gamma(self, i: int, subset: Optional[Iterable[int]] = None) -> float:
         i, mask = _require_count(i, "box", 0), self._mask(subset)
         if not (i < self.spec.n and mask >> i & 1):
-            raise DomainError(f"box {i} is not in the subset")
+            raise DomainError(f"box {_shown(i)} is not in the subset")
         return float(self.gammas[mask, i])
 
 
@@ -451,12 +452,12 @@ def cost_asymmetry_sweep(ubar: float, c_total: float, delta_grid) -> list:
     the cheaper box ``j`` plus the total search probability ``1 - a(0)``.
     """
     if not _finite_real(ubar):
-        raise DomainError(f"high reward must be a finite number, got {ubar!r}")
+        raise DomainError(f"high reward must be a finite number, got {_shown(ubar)}")
     if not _finite_real(c_total) or not 0.0 < c_total < 2.0 * ubar:
-        raise DomainError(f"total cost must lie in (0, {2 * ubar}), got {c_total!r}")
+        raise DomainError(f"total cost must lie in (0, {2 * ubar}), got {_shown(c_total)}")
     deltas = np.asarray(delta_grid)
     if deltas.dtype.kind not in "iuf" or deltas.ndim != 1:
-        raise DomainError(f"cost splits must be a vector of numbers, got {delta_grid!r}")
+        raise DomainError(f"cost splits must be a vector of numbers, got {_shown(delta_grid)}")
     rows = []
     for d in deltas.astype(float):
         ci = (c_total + d) / 2.0

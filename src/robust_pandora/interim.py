@@ -31,6 +31,7 @@ from .core import (
     _poly_max,
     _probability_array,
     _require_count,
+    _shown,
     as_probability,
 )
 from .indep import weitzman_threshold
@@ -55,7 +56,7 @@ class InterimPolicy:
     def __post_init__(self):
         n = _require_count(self.n, "n", 1)
         if _require_count(self.m, "m", 0) >= n:
-            raise DomainError(f"m must be a whole number in 0..{n - 1}, got {self.m!r}")
+            raise DomainError(f"m must be a whole number in 0..{_shown(n - 1)}, got {_shown(self.m)}")
         object.__setattr__(self, "alpha", as_probability(self.alpha, "alpha"))
 
 
@@ -95,7 +96,7 @@ def interim_regret(policy: InterimPolicy, p, spec: HomogeneousSpec):
     """
     n, m, alpha = spec.n, policy.m, policy.alpha
     if policy.n != n:
-        raise DomainError(f"policy has {policy.n} stages but spec has n={n}")
+        raise DomainError(f"policy has {_shown(policy.n)} stages but spec has n={n}")
     p = _probability_array(p, "p")
     dm = (1.0 - alpha) * _utility(p, m, spec) + alpha * _utility(p, m + 1, spec)
     out = np.maximum(_utility(p, n, spec), 0.0) - dm
@@ -134,7 +135,7 @@ def solve_interim(spec: HomogeneousSpec) -> InterimReport:
     """
     n, ubar, c = spec.n, spec.ubar, spec.c
     if n > _MAX_COUNT_BOXES:
-        raise SizeError(f"interim solver limited to {_MAX_COUNT_BOXES} boxes, got {n}")
+        raise SizeError(f"interim solver limited to {_MAX_COUNT_BOXES} boxes, got {_shown(n)}")
 
     # g(cand) = cand c - tail(cand) rises with cand: the high-belief factor
     # (ubar - c) - ubar x is >= 0 on the branch, so tail sums fewer

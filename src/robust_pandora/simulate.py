@@ -37,6 +37,7 @@ from .core import (
     SeedError,
     StationaryPolicy,
     _require_count,
+    _shown,
 )
 from .het import HeterogeneousSpec, SelectionPolicy
 
@@ -175,7 +176,7 @@ def simulate(policy, truth, spec, episodes: int, seed: int) -> SimulationResult:
     """
     episodes = _require_count(episodes, "episodes", 1)
     if episodes > MAX_EPISODES:
-        raise SeedError(f"episode count {episodes} exceeds the substream space ({MAX_EPISODES})")
+        raise SeedError(f"episode count {_shown(episodes)} exceeds the substream space ({MAX_EPISODES})")
     seed = _require_count(seed, "seed", 0)
     if seed >= 2**64:
         raise SeedError("seed must fit in 64 bits")

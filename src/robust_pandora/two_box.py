@@ -23,7 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DomainError, HomogeneousSpec, SaddleReport, SizeError, TwoPointMixture, _require_count, _require_tolerance
+from .core import DomainError, HomogeneousSpec, SaddleReport, SizeError, TwoPointMixture
+from .core import _finite_real, _require_count, _require_tolerance, _shown
 from .corr import optout_menu_size
 
 __all__ = [
@@ -34,12 +35,13 @@ __all__ = [
     "verify_two_box",
 ]
 
-# The pair grid costs grid^2 / 2 pair regrets.  Wall time and peak RSS
-# (ru_maxrss, interpreter included) of verify_two_box at ubar/c = 15 in a
-# fresh process on a 2-vCPU x86-64 VM: grid 2001 0.05 s, 5000 0.21 s,
-# 10000 0.7 s, each < 34 MB.
+# The pair grid costs O(grid) work per row plus one pair regret per row and
+# mixed column (0 < accept < 1) of the band v_low < v < v_acc.  Wall time and
+# peak RSS (ru_maxrss, interpreter included) of verify_two_box at ubar/c = 15
+# in a fresh process on a 2-vCPU x86-64 VM: grid 2001 0.005 s, 5000 0.02 s,
+# 10000 0.06 s, each < 32 MB.
 MAX_PAIR_GRID = 10_000
-_PAIR_BLOCK = 1 << 16  # pairs scored at once, 0.5 MB per float temporary
+_PAIR_BLOCK = 1 << 16  # band pairs (row, mixed column) scored at once, 0.5 MB per float temporary
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,7 @@ def _rewards(u, policy: TwoBoxContinuousPolicy) -> np.ndarray:
     """``u`` as a float array of rewards in [0, ubar]; strings and bools are rejected."""
     x = np.asarray(u)
     if x.dtype.kind not in "iuf":
-        raise DomainError(f"reward must be a number, got {u!r}")
+        raise DomainError(f"reward must be a number, got {_shown(u)}")
     x = x.astype(float)
     if not np.all((-1e-12 <= x) & (x <= policy.ubar + 1e-12)):
         raise DomainError(f"reward must lie in [0, {policy.ubar}], got {x.tolist()!r}")
@@ -192,6 +194,31 @@ def _pair_regret(policy: TwoBoxContinuousPolicy, high: _RewardTerms, low: _Rewar
     return (1.0 - policy.alpha2_0) * high.oracle + policy.alpha2_0 * (high.oracle - search_pay)
 
 
+def _least_first_pay(accept, stop, less_2c) -> np.ndarray:
+    """Least ``stop[v] + accept[v] * less_2c[u]`` of each row ``u`` over the columns ``v <= u``.
+
+    A column with ``accept`` exactly 1 has ``stop = 0 * (v - c)``, a signed
+    zero, and pays ``less_2c[u]``; one with ``accept`` exactly 0 pays
+    ``stop[v]`` plus a signed zero, which is ``stop[v]``.
+    So those columns need a running flag and a running minimum, and only the
+    mixed columns are scored in 2-D, ``_PAIR_BLOCK`` pairs at a time.  Equal to
+    the least over the dense lower triangle, up to the sign of a zero.
+    """
+    ones, zeros = accept == 1.0, accept == 0.0
+    least = np.where(np.logical_or.accumulate(ones), less_2c, np.inf)
+    least = np.minimum(least, np.minimum.accumulate(np.where(zeros, stop, np.inf)))
+    mixed = np.flatnonzero(~(ones | zeros))
+    if mixed.size:
+        step = max(1, _PAIR_BLOCK // mixed.size)
+        for start in range(mixed[0], least.size, step):
+            end = min(start + step, least.size)
+            cols = mixed[mixed < end]
+            pay = stop[cols] + accept[cols] * less_2c[start:end, None]
+            pay[cols > np.arange(start, end)[:, None]] = np.inf
+            least[start:end] = np.minimum(least[start:end], pay.min(axis=1))
+    return least
+
+
 def regret_against_pair(policy: TwoBoxContinuousPolicy, u, v):
     """Exact regret of the policy when the two rewards are ``{u, v}``.
 
@@ -216,7 +243,11 @@ def verify_two_box(
 
     Nature side: no reward pair on a ``grid_size``-squared grid over
     [0, ubar]^2 (lower triangle, v <= u) may beat the claimed regret; the
-    first worst pair in row-major order is reported.  DM side, exact:
+    first worst pair in row-major order is reported.  The low reward v enters
+    the pair regret only through the pay of opening it first, and every later
+    step is a rounded operation monotone in that pay, so each row u is scored
+    exactly, bit for bit, at its least pay over v <= u; only the columns with
+    a mixed acceptance chance need a 2-D scan.  DM side, exact:
     against Nature's mixture, a plan that opens a box and continues up to a
     threshold t only depends on which atoms {0, v_hat, ubar} exceed t, so
     quitting and t at each atom are all the plans (stopping even on an
@@ -229,29 +260,28 @@ def verify_two_box(
     no such note is made there.
     """
     _require_two_boxes(spec)
+    # the row scoring below is exact only for a first-opening chance >= 0
+    if not (_finite_real(policy.alpha2_0) and 0.0 <= policy.alpha2_0 <= 1.0):
+        raise DomainError(f"policy alpha2_0 must lie in [0, 1], got {_shown(policy.alpha2_0)}")
     grid_size = _require_count(grid_size, "grid_size", 2)
     tolerance = _require_tolerance(tolerance, "tolerance")
     if grid_size > MAX_PAIR_GRID:
-        raise SizeError(f"pair grid limited to {MAX_PAIR_GRID} points per axis, got {grid_size}")
+        raise SizeError(f"pair grid limited to {MAX_PAIR_GRID} points per axis, got {_shown(grid_size)}")
     ubar, c = spec.ubar, spec.c
     _, _, claimed = solve_two_box(spec)
 
-    # the per-reward terms once on the grid; a row block u is scored against
-    # every grid point v up to its last row, and the pairs with v > u are masked
+    # each row u scored at its least first-box pay, which a column with
+    # accept 0 and stop equal to that least pays exactly; the first row with
+    # the largest gap is scored again against v <= u for its first worst column
     grid = np.linspace(0.0, ubar, grid_size)
     terms = _reward_terms(grid, policy)
-    nature_gap, worst_pair = -np.inf, (0.0, 0.0)
-    step = max(1, _PAIR_BLOCK // grid.size)
-    for start in range(0, grid.size, step):
-        end = min(start + step, grid.size)
-        high = _RewardTerms(*(t[start:end, None] for t in terms))
-        low = _RewardTerms(*(t[:end] for t in terms))
-        gaps = _pair_regret(policy, high, low) - claimed
-        gaps[np.arange(end) > np.arange(start, end)[:, None]] = -np.inf
-        i, j = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
-        if gaps[i, j] > nature_gap:
-            nature_gap = gaps[i, j]
-            worst_pair = (float(grid[start + i]), float(grid[j]))
+    least = _least_first_pay(terms.accept, terms.stop, terms.less_2c)
+    row_gaps = _pair_regret(policy, terms, terms._replace(accept=np.zeros(grid.size), stop=least)) - claimed
+    i = int(np.argmax(row_gaps))
+    high = _RewardTerms(*(t[i : i + 1] for t in terms))
+    gaps = _pair_regret(policy, high, _RewardTerms(*(t[: i + 1] for t in terms))) - claimed
+    j = int(np.argmax(gaps))
+    nature_gap, worst_pair = gaps[j], (float(grid[i]), float(grid[j]))
 
     # quitting, and continuing up to t for t = 0, v_hat, ubar, which on the
     # atoms is continuing below a cutoff at v_hat, at ubar and past ubar

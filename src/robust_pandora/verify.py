@@ -38,6 +38,7 @@ from .core import (
     _regret_indep_poly,
     _require_count,
     _require_tolerance,
+    _shown,
     regret_needle,
 )
 from .corr import solve_corr_commitment, solve_corr_intrapersonal
@@ -80,9 +81,9 @@ def nature_best_response_indep(policy: StationaryPolicy, spec: HomogeneousSpec, 
     """
     grid_points = _require_count(grid_points, "grid_points", 2)
     if grid_points > MAX_GRID_POINTS:
-        raise SizeError(f"belief grid limited to {MAX_GRID_POINTS} points, got {grid_points}")
+        raise SizeError(f"belief grid limited to {MAX_GRID_POINTS} points, got {_shown(grid_points)}")
     if spec.n > _MAX_COUNT_BOXES:
-        raise SizeError(f"i.i.d. regret polynomial limited to {_MAX_COUNT_BOXES} boxes, got {spec.n}")
+        raise SizeError(f"i.i.d. regret polynomial limited to {_MAX_COUNT_BOXES} boxes, got {_shown(spec.n)}")
     x, worst = _poly_max(_regret_indep_poly(policy, spec), 0.0, 1.0, grid_points)
     return 1.0 - x, worst
 
@@ -161,13 +162,13 @@ def saddle_check_corr(
     _require_count(seed, "seed", 0)
     tol = _require_tolerance(tol, "tol")
     if spec.n > _MAX_CORR_BOXES:
-        raise SizeError(f"count-profile vertex scan limited to {_MAX_CORR_BOXES} boxes, got {spec.n}")
+        raise SizeError(f"count-profile vertex scan limited to {_MAX_CORR_BOXES} boxes, got {_shown(spec.n)}")
     if mode == "commitment":
         sol = solve_corr_commitment(spec)
     elif mode == "intrapersonal":
         sol = solve_corr_intrapersonal(spec)
     else:
-        raise DomainError(f"unknown mode {mode!r}")
+        raise DomainError(f"unknown mode {_shown(mode)}")
 
     n = spec.n
     worst_P, worst = nature_best_response_needle(sol.policy, spec)
@@ -219,7 +220,7 @@ def interim_grid_oracle(spec: HomogeneousSpec):
     """
     n = spec.n
     if n > _MAX_COUNT_BOXES:
-        raise SizeError(f"interim grid oracle limited to {_MAX_COUNT_BOXES} boxes, got {n}")
+        raise SizeError(f"interim grid oracle limited to {_MAX_COUNT_BOXES} boxes, got {_shown(n)}")
     best = None
     for m in range(n):
         at_zero = interim_regret(InterimPolicy(m, 0.0, n), _P_GRID, spec)

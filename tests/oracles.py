@@ -400,6 +400,32 @@ def two_box_grid_loop(policy, nature, spec, claimed, grid_size):
     return float(nature_gap), worst_pair, float(claimed - min(candidates))
 
 
+def two_box_block_scan(policy, spec, claimed, grid_size):
+    """The pair grid scored by row blocks of ``_PAIR_BLOCK`` pairs, every lower-triangle pair in 2-D.
+
+    Each block of rows u is scored against every grid point v up to its last
+    row, and the pairs with v > u are masked.  Returns ``(nature_gap,
+    worst_pair)``, the first worst pair in row-major order.
+    """
+    from robust_pandora.two_box import _PAIR_BLOCK, _pair_regret, _reward_terms, _RewardTerms
+
+    grid = np.linspace(0.0, spec.ubar, grid_size)
+    terms = _reward_terms(grid, policy)
+    nature_gap, worst_pair = -np.inf, (0.0, 0.0)
+    step = max(1, _PAIR_BLOCK // grid.size)
+    for start in range(0, grid.size, step):
+        end = min(start + step, grid.size)
+        high = _RewardTerms(*(t[start:end, None] for t in terms))
+        low = _RewardTerms(*(t[:end] for t in terms))
+        gaps = _pair_regret(policy, high, low) - claimed
+        gaps[np.arange(end) > np.arange(start, end)[:, None]] = -np.inf
+        i, j = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
+        if gaps[i, j] > nature_gap:
+            nature_gap = gaps[i, j]
+            worst_pair = (float(grid[start + i]), float(grid[j]))
+    return float(nature_gap), worst_pair
+
+
 def corr_profile_loop(spec, tol=1e-9, q_draws=1000, mode="commitment", seed=0):
     """``saddle_check_corr`` scoring ``q_draws`` Dirichlet profiles and the vertices one at a time.
 

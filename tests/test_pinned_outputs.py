@@ -51,6 +51,10 @@ CLI_STDOUT = {
     "verify --regime corr --ubar 1 --c 0.1 --n 6": "e6be421b090ed64d668a73f673098d9a25723684f1276d4c8cadc38f3c7c7c97",
     "verify --regime corr-intra --ubar 1 --c 0.1 --n 6": "808ba82cb091c26eecad7c21773c8100fdbd0758d9035615e7c74de3f5ad3379",
     "verify --regime two-box --ubar 1 --c 0.3 --grid 200": "17ed2f90da91951ecb8a6e32083135aaea204fedce1f80132ca616f523043cf4",
+    # ubar/c = 8, the widest passing band, several blocks; and the quit
+    # regime, whose worst pair comes from a row of ties
+    "verify --regime two-box --ubar 1 --c 0.125 --grid 2001": "b02ee3dbaa98c0f14a2d060735a4e828b20fa9f46fdc8d432257a5b5c1bd92ba",
+    "verify --regime two-box --ubar 1 --c 0.7 --grid 2001": "d8e29e1c35f66978c337bc8da6b0aee71fae347fe838229205e2294700ed108b",
     "simulate --regime corr --ubar 1 --c 0.25 --n 4 --truth needle:0.6 --episodes 100000 --seed 7": "e9531c1ae98f19b155957e887544b5e3d5c40a87ba5556ba8ed2aeec6fae3250",
     "simulate --regime corr-intra --ubar 1 --c 0.1 --n 6 --truth iid:0.2 --episodes 100000 --seed 7": "926bb30d3da5a5e8ecdbad0ddba6ad5eb81059c98851432fb0ee3ec2729841b6",
     "solve --regime corr --ubar 1 --c 0.1 --n 6 --format csv": "7b88dde8694340800cf1964fc823572a3b90b2f6af8ba4c26bb260e7ed0364b1",

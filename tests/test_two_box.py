@@ -1,21 +1,26 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from robust_pandora import two_box
 from robust_pandora.core import DomainError, HomogeneousSpec, SizeError
 from robust_pandora.corr import solve_corr_commitment
 from robust_pandora.two_box import (
+    _PAIR_BLOCK,
     MAX_PAIR_GRID,
+    _least_first_pay,
+    _reward_terms,
     acceptance_probability,
     regret_against_pair,
     solve_two_box,
     verify_two_box,
 )
 
-from oracles import _two_box_pair_regret_scalar, two_box_grid_loop
+from oracles import _two_box_pair_regret_scalar, two_box_block_scan, two_box_grid_loop
 
 LARGE = HomogeneousSpec(1.0, 0.2, 2)
 SMALL = HomogeneousSpec(1.0, 0.3, 2)
@@ -225,15 +230,11 @@ def test_narrow_range_saddle(ratio, ubar):
 
 class TestPairScan:
     def test_matches_scalar_loop(self):
-        # the array scan and the three atom thresholds against the scalar pair
+        # the row scoring and the three atom thresholds against the scalar pair
         # loop and a plan per grid threshold: bit for bit, except that a grid
         # with no point in [v_hat, ubar) misses one plan the atoms include
-        rng = np.random.default_rng(20)
-        cases = [(15.0, 1000), (1.5, 8), (4.0, 200), (40.0, 8)]
-        cases += [(rng.uniform(1.5, 40.0), int(np.exp(rng.uniform(np.log(8), np.log(1000))))) for _ in range(40)]
-        for ratio, grid in cases:
-            ubar = float(rng.uniform(0.5, 2.0))
-            spec = HomogeneousSpec(ubar, ubar / ratio, 2)
+        def check(ubar, c, grid):
+            spec = HomogeneousSpec(ubar, c, 2)
             pol, nat, claimed = solve_two_box(spec)
             report = verify_two_box(pol, nat, spec, grid_size=grid)
             nature_gap, worst_pair, dm_gap = two_box_grid_loop(pol, nat, spec, claimed, grid)
@@ -244,6 +245,53 @@ class TestPairScan:
                 assert report.dm_gap == dm_gap
             else:
                 assert report.dm_gap >= dm_gap
+            return report
+
+        rng = np.random.default_rng(20)
+        cases = [(15.0, 1000), (1.5, 8), (4.0, 200), (40.0, 8)]
+        cases += [(rng.uniform(1.5, 40.0), int(np.exp(rng.uniform(np.log(8), np.log(1000))))) for _ in range(40)]
+        for ratio, grid in cases:
+            ubar = float(rng.uniform(0.5, 2.0))
+            check(ubar, ubar / ratio, grid)
+
+        def mixed_columns(ubar, c, grid):
+            pol = solve_two_box(HomogeneousSpec(ubar, c, 2))[0]
+            accept = _reward_terms(np.linspace(0.0, ubar, grid), pol).accept
+            return np.flatnonzero((accept > 0.0) & (accept < 1.0))
+
+        # the quit regime (alpha2_0 = 0): every v of a row ties, the first wins
+        assert check(1.0, 1.0 / 1.2, 50).notes[-2] == "worst grid pair (1.0, 0.0)"
+        # the small regime, and ubar/c just above 4, have no mixed column or one
+        for ubar, c, grid, mixed in ((1.0, 1.0 / 3.0, 60, 0), (1.0, 1.0 / 4.001, 50, 0), (1.0, 1.0 / 4.001, 21, 1)):
+            assert mixed_columns(ubar, c, grid).size == mixed
+            check(ubar, c, grid)
+        for ubar, c, grid in ((1.0, 1.0 / 15.0, 2), (1.0, 1.0 / 15.0, 3), (1.0, 0.3, 2), (1.0, 1.0 / 1.2, 3)):
+            check(ubar, c, grid)
+        # ubar = 24, c = 1: v_low = 15 and v_acc = 23 exactly, both grid points
+        for grid in (25, 49):
+            pol = solve_two_box(HomogeneousSpec(24.0, 1.0, 2))[0]
+            assert (pol.v_low, pol.v_acc) == (15.0, 23.0)
+            assert {15.0, 23.0} <= set(np.linspace(0.0, 24.0, grid).tolist())
+            check(24.0, 1.0, grid)
+        # a band of more pairs than one block scores at once
+        band = mixed_columns(1.0, 1.0 / 40.0, 1000)
+        assert (1000 - band[0]) * band.size > 2 * _PAIR_BLOCK
+        check(1.0, 1.0 / 40.0, 1000)
+
+    def test_matches_block_scan(self):
+        # the row scoring against every lower-triangle pair scored in 2-D by
+        # row blocks: the same gap and the same first worst pair
+        rng = np.random.default_rng(18)
+        for _ in range(300):
+            ratio = float(np.exp(rng.uniform(np.log(1.05), np.log(40.0))))
+            grid = int(np.exp(rng.uniform(np.log(2), np.log(2001))))
+            ubar = float(rng.uniform(0.3, 3.0))
+            spec = HomogeneousSpec(ubar, ubar / ratio, 2)
+            pol, nat, claimed = solve_two_box(spec)
+            report = verify_two_box(pol, nat, spec, grid_size=grid)
+            nature_gap, worst_pair = two_box_block_scan(pol, spec, claimed, grid)
+            assert report.nature_gap == nature_gap
+            assert report.notes[-2] == f"worst grid pair {worst_pair}"
 
     def test_every_pair_matches_scalar_oracle(self):
         # each lower-triangle pair of the grid, given high reward first and
@@ -261,17 +309,18 @@ class TestPairScan:
             assert np.array_equal(low_first[rows, cols], expected)
 
     def test_memory_is_linear_in_the_grid(self):
-        # row blocks of 0.5 MB per temporary; one float64 table of all pairs
-        # would take 32 MB
+        # band blocks of 0.5 MB per temporary; one float64 table of all pairs
+        # would take 32 MB at grid 2001 and 800 MB at the cap
         spec = HomogeneousSpec(1.0, 1.0 / 15.0, 2)
         pol, nat, _ = solve_two_box(spec)
-        tracemalloc.start()
-        try:
-            verify_two_box(pol, nat, spec, grid_size=2001)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6
+        for grid in (2001, MAX_PAIR_GRID):
+            tracemalloc.start()
+            try:
+                verify_two_box(pol, nat, spec, grid_size=grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8e6
 
     def test_grid_cap(self):
         pol, nat, _ = solve_two_box(LARGE)
@@ -286,3 +335,24 @@ class TestPairScan:
         assert pairs.shape == (37, 37)
         scalar = [[regret_against_pair(pol, float(a), float(b)) for b in u] for a in u]
         assert np.array_equal(pairs, scalar)
+
+
+_ACCEPT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@given(
+    st.lists(st.tuples(st.floats(0.0, 10.0), _ACCEPT), min_size=1, max_size=40),
+    st.floats(0.01, 5.0),
+    st.integers(1, 200),
+)
+@settings(max_examples=200, deadline=None)
+def test_least_first_pay_is_the_dense_minimum(columns, c, block):
+    # rewards in any order and acceptances with exact 0 and 1 anywhere, with
+    # stop and less_2c as _reward_terms forms them; a small block makes the
+    # band span several blocks
+    x, accept = map(np.array, zip(*columns))
+    stop, less_2c = (1.0 - accept) * (x - c), x - 2.0 * c
+    pay = stop + accept * less_2c[:, None]
+    dense = np.where(np.tri(x.size, dtype=bool), pay, np.inf).min(axis=1)
+    with mock.patch.object(two_box, "_PAIR_BLOCK", block):
+        assert np.array_equal(_least_first_pay(accept, stop, less_2c), dense)

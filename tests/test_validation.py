@@ -1,5 +1,7 @@
 """Bad arguments to the public API raise DomainError or SizeError, never a bare TypeError or a silent coercion."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from robust_pandora import (
     HomogeneousSpec,
     IidBinary,
     InterimPolicy,
+    SeedError,
     SelectionPolicy,
     SizeError,
     StationaryPolicy,
@@ -34,6 +37,7 @@ from robust_pandora import (
     solve_two_box,
     verify_two_box,
 )
+from robust_pandora.core import _shown
 from robust_pandora.two_box import regret_against_pair
 
 SPEC = HomogeneousSpec(1.0, 0.3, 3)
@@ -109,6 +113,7 @@ BAD_CALLS = {
     "two-box-tol-string": lambda: _verify_two_box(tolerance="x"),
     "two-box-tol-nan": lambda: _verify_two_box(tolerance=float("nan")),
     "two-box-tol-negative": lambda: _verify_two_box(tolerance=-1e-9),
+    "two-box-policy-alpha-negative": lambda: verify_two_box(replace(_two_box_policy(), alpha2_0=-0.1), *solve_two_box(TWO)[1:2], TWO),
     "hetero-p-scalar": lambda: HeteroPVector(0.5),
     "regret-het-p-scalar": lambda: regret_het(_het_policy(), 0.5, HET),
     "regret-het-p-dict": lambda: regret_het(_het_policy(), {0: 0.1, 1: 0.2}, HET),
@@ -136,6 +141,41 @@ OVERSIZED_CALLS = {
     "nature-indep-n": lambda: nature_best_response_indep(StationaryPolicy(np.ones(5001)), OVER_CAP),
     "saddle-indep-n": lambda: saddle_check_indep(OVER_CAP),
 }
+
+
+# integers too long to print (Python refuses to print more than 4300 digits):
+# each call raises its own error, whose message gives the digit count
+HUGE = 10**5000
+
+HUGE_INT_CALLS = {
+    "spec-n-huge-digits": (lambda: HomogeneousSpec(1.0, 0.3, HUGE), SizeError),
+    "spec-n-negative-huge-digits": (lambda: HomogeneousSpec(1.0, 0.3, -HUGE), DomainError),
+    "two-box-grid-huge-digits": (lambda: _verify_two_box(HUGE), SizeError),
+    "simulate-episodes-huge-digits": (lambda: _simulate(episodes=HUGE), SeedError),
+    "simulate-episodes-negative-huge-digits": (lambda: _simulate(episodes=-HUGE), DomainError),
+    "interim-m-huge-digits": (lambda: InterimPolicy(HUGE, 0.5, 3), DomainError),
+    "selection-policy-n-huge-digits": (lambda: SelectionPolicy(HUGE, {}), SizeError),
+    "spec-ubar-huge-digits": (lambda: HomogeneousSpec(HUGE, 0.3, 3), DomainError),
+    "two-box-tol-huge-digits": (lambda: _verify_two_box(tolerance=HUGE), DomainError),
+    "het-rule-box-huge-digits": (lambda: solve_het(HET).rule_for([HUGE]), DomainError),
+}
+
+
+def test_digit_count_of_an_integer_too_long_to_print():
+    # the estimate from bit_length is the count or one more; 10**5000 - 1
+    # has the same bit length as 10**5000 and one digit fewer
+    assert [_shown(v) for v in (HUGE - 1, HUGE, -HUGE, 10**4299)] == [
+        "<integer of 5000 digits>",
+        "<integer of 5001 digits>",
+        "-<integer of 5001 digits>",
+        "1" + "0" * 4299,
+    ]
+
+
+@pytest.mark.parametrize("call, error", HUGE_INT_CALLS.values(), ids=HUGE_INT_CALLS.keys())
+def test_integer_too_long_to_print_shows_its_digit_count(call, error):
+    with pytest.raises(error, match="<integer of 5001 digits>"):
+        call()
 
 
 @pytest.mark.parametrize("call", BAD_CALLS.values(), ids=BAD_CALLS.keys())
