@@ -13,14 +13,12 @@ from .core import (
     HeteroPVector,
     HomogeneousSpec,
     IidBinary,
-    NatureBelief,
     NeedleP,
     SaddleReport,
     SeedError,
     SizeError,
     StationaryPolicy,
     StoppingMixture,
-    TwoPointMixture,
     regret_count_profile,
     regret_indep,
     regret_needle,

@@ -12,8 +12,9 @@ picks it.  By symmetry both sides can be reduced to exchangeable objects:
 the DM opens uniformly random boxes and is described by one search
 probability per remaining-box count, while Nature is described by a small
 parametric family of exchangeable beliefs (:class:`IidBinary`,
-:class:`NeedleP`, :class:`CountProfile`, and the heterogeneous /
-continuous-support variants).
+:class:`NeedleP`, :class:`CountProfile`, and the heterogeneous
+:class:`HeteroPVector`; the two-box continuous-support belief is
+``two_box.TwoBoxNature``).
 
 Everything in this module is a pure function of its inputs and safe to call
 concurrently.
@@ -24,7 +25,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -40,8 +40,6 @@ __all__ = [
     "NeedleP",
     "CountProfile",
     "HeteroPVector",
-    "TwoPointMixture",
-    "NatureBelief",
     "SaddleReport",
     "as_probability",
     "regret_indep",
@@ -311,44 +309,30 @@ class HeteroPVector:
 
 
 @dataclass(frozen=True)
-class TwoPointMixture:
-    """Mixture over reward pairs ``(u, v)`` with ``0 <= v <= u <= ubar``.
-
-    Nature's pure strategies in the two-box continuous-support problem; the
-    ``weight`` entries must sum to one.
-    """
-
-    atoms: tuple  # ((u, v), weight), ...
-
-    def __post_init__(self):
-        if not all(_finite_real(x) for (u, v), w in self.atoms for x in (u, v, w)):
-            raise DomainError(f"mixture atoms must be ((u, v), weight) with finite numbers, got {_shown(self.atoms)}")
-        atoms = tuple(((float(u), float(v)), float(w)) for (u, v), w in self.atoms)
-        if not atoms:
-            raise DomainError("mixture needs at least one atom")
-        for (u, v), w in atoms:
-            if v < -PROB_SLACK or v > u + PROB_SLACK:
-                raise DomainError(f"reward pair must satisfy 0 <= v <= u, got {_shown((u, v))}")
-            if w < -PROB_SLACK:
-                raise DomainError("mixture weights must be nonnegative")
-        if abs(sum(w for _, w in atoms) - 1.0) > 1e-9:
-            raise DomainError("mixture weights must sum to 1")
-        object.__setattr__(self, "atoms", atoms)
-
-
-NatureBelief = Union[IidBinary, NeedleP, CountProfile, HeteroPVector, TwoPointMixture]
-
-
-@dataclass(frozen=True)
 class SaddleReport:
-    """Outcome of a numerical saddle-point check."""
+    """Outcome of a numerical saddle-point check.
+
+    ``worst_belief`` is the checked regime's own belief: :class:`IidBinary`,
+    :class:`NeedleP`, or the two-box solver's ``TwoBoxNature``.  Both gaps
+    are stored as ``float``.  ``passed`` is derived, the one pass rule of
+    every check: both gaps at most ``tolerance`` (a NaN gap fails) and the
+    check's own ``side_condition`` holding.
+    """
 
     nature_gap: float
     dm_gap: float
-    worst_belief: NatureBelief
+    worst_belief: object
     tolerance: float
-    passed: bool
     notes: tuple = ()
+    side_condition: bool = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "nature_gap", float(self.nature_gap))
+        object.__setattr__(self, "dm_gap", float(self.dm_gap))
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.nature_gap <= self.tolerance and self.dm_gap <= self.tolerance and self.side_condition)
 
     def __str__(self):
         status = "pass" if self.passed else "FAIL"

@@ -45,10 +45,10 @@ class SearchCountProfile:
     """Expected number of opened boxes as the menu size varies.
 
     ``values[i]`` is the expected count with ``i + 1`` boxes available when
-    the true process is i.i.d. with success rate ``q_true``.
+    the true process is i.i.d. with the success rate given to
+    :func:`search_count_profile`.
     """
 
-    q_true: float
     values: np.ndarray
     argmax_n: int
 
@@ -110,7 +110,7 @@ def search_count_profile(q: float, spec: HomogeneousSpec) -> SearchCountProfile:
         s = alphas[k - 1] * (1.0 + (1.0 - q) * s)
         values[k - 1] = s
     values.flags.writeable = False
-    return SearchCountProfile(q_true=q, values=values, argmax_n=int(np.argmax(values)) + 1)
+    return SearchCountProfile(values=values, argmax_n=int(np.argmax(values)) + 1)
 
 
 def eu_benchmark(p: float, spec: HomogeneousSpec) -> StationaryPolicy:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import (
     _MAX_COUNT_BOXES,
+    _MAX_SPEC_BOXES,
     _NEWTON_STEPS,
     ConvergenceError,
     DomainError,
@@ -81,8 +82,14 @@ def _utility(p: np.ndarray, k: int, spec: HomogeneousSpec) -> np.ndarray:
 
 
 def exhaustive_utility(p, n: int, spec: HomogeneousSpec):
-    """Expected payoff ``U(p, n)`` of searching up to ``n`` boxes, stopping on success; ``p`` may be an array."""
-    out = _utility(_probability_array(p, "p"), _require_count(n, "n", 1), spec)
+    """Expected payoff ``U(p, n)`` of searching up to ``n`` boxes, stopping on success; ``p`` may be an array.
+
+    More boxes than a homogeneous spec allows (10 000 000) raise :class:`SizeError`.
+    """
+    n = _require_count(n, "n", 1)
+    if n > _MAX_SPEC_BOXES:
+        raise SizeError(f"search lengths limited to {_MAX_SPEC_BOXES} boxes, got {_shown(n)}")
+    out = _utility(_probability_array(p, "p"), n, spec)
     return float(out) if out.ndim == 0 else out
 
 

@@ -116,6 +116,7 @@ def _homogeneous_chunks(policy: StationaryPolicy, truth, spec: HomogeneousSpec, 
         opened = np.where(found, first, willing)
         payoff = np.where(found, ubar - first * c, -willing * c)
         oracle = np.where(any_treasure, ubar - c, 0.0)
+        del U, state, dec  # this chunk's draws go before _blocks draws the next
         yield opened.astype(np.float64), oracle - payoff
 
 
@@ -162,6 +163,7 @@ def _heterogeneous_chunks(policy: SelectionPolicy, truth: HeteroPVector, spec: H
             won[live[hit]] = ubars[box[hit]]
             live, box = live[~hit], box[~hit]
             menu[live] &= ~(1 << box)
+        del U  # this chunk's draws go before _blocks draws the next
         yield opened, oracle - (won - cost)
 
 

@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DomainError, HomogeneousSpec, SaddleReport, SizeError, TwoPointMixture
-from .core import _finite_real, _require_count, _require_tolerance, _shown
+from .core import DomainError, HomogeneousSpec, SaddleReport, SizeError
+from .core import _finite_real, _probability_vector, _require_count, _require_tolerance, _shown
 from .corr import optout_menu_size
 
 __all__ = [
@@ -71,6 +71,8 @@ class TwoBoxNature:
     regime, where it makes the DM indifferent about opening the second box.
     In the small regime the worst case needs only the extremes, encoded here
     as ``v_hat = ubar`` with ``s = 0`` (so the second pair is {0, ubar}).
+    Construction raises :class:`DomainError` unless every field is a finite
+    number and the weights ``q, r, s`` are nonnegative and sum to 1.
     """
 
     v_hat: float
@@ -78,14 +80,11 @@ class TwoBoxNature:
     r: float
     s: float
 
-    def as_mixture(self, ubar: float) -> TwoPointMixture:
-        return TwoPointMixture(
-            (
-                ((0.0, 0.0), self.q),
-                ((self.v_hat, 0.0), self.r),
-                ((ubar, self.v_hat) if self.s else (ubar, ubar), self.s),
-            )
-        )
+    def __post_init__(self):
+        # a reward v_hat outside [0, ubar] is refused where the DM side prices the atoms
+        if not _finite_real(self.v_hat):
+            raise DomainError(f"two-box reward v_hat must be a finite number, got {_shown(self.v_hat)}")
+        _probability_vector((self.q, self.r, self.s), "two-box weights q, r, s", 3, 1e-9)
 
 
 def _require_two_boxes(spec: HomogeneousSpec) -> HomogeneousSpec:
@@ -257,7 +256,7 @@ def verify_two_box(
     normalization 1 - r - s actually used (they disagree there; the
     indifference conditions pin r and s, and q must absorb the rest).  That
     closed form does not describe the small regime's binary worst case, so
-    no such note is made there.
+    no such note is made there.  The report's ``worst_belief`` is ``nature``.
     """
     _require_two_boxes(spec)
     # the row scoring below is exact only for a first-opening chance >= 0
@@ -304,11 +303,4 @@ def verify_two_box(
             "no-reward weight uses q = 1 - r - s; the standalone closed form "
             f"for q differs from it by {nature.q - q_closed_form:.6e} here",
         ) + notes
-    return SaddleReport(
-        nature_gap=float(nature_gap),
-        dm_gap=float(dm_gap),
-        worst_belief=nature.as_mixture(ubar),
-        tolerance=tolerance,
-        passed=bool(nature_gap <= tolerance and dm_gap <= tolerance),
-        notes=notes,
-    )
+    return SaddleReport(nature_gap, dm_gap, nature, tolerance, notes)

@@ -15,7 +15,8 @@ They report the two one-sided gaps:
 * ``dm_gap``: claimed value minus the best policy deviation against the
   worst belief (positive means the DM left value on the table).
 
-A saddle point passes when both gaps stay within tolerance.
+A saddle point passes when both gaps stay within tolerance; :class:`SaddleReport`
+derives that verdict.
 """
 
 from __future__ import annotations
@@ -119,7 +120,6 @@ def saddle_check_indep(
     tol = _require_tolerance(tol, "tol")
     sol = solve_indep(spec)
     p_star, worst = nature_best_response_indep(sol.policy, spec, grid_points)
-    nature_gap = worst - sol.regret
 
     # backward induction: the regret is linear in each stage probability and
     # R_{k-1} enters with a nonnegative weight, so each stage takes the better
@@ -129,15 +129,7 @@ def saddle_check_indep(
     best = 0.0
     for k in range(1, spec.n + 1):
         best = min((1.0 - fail**k) * (ubar - c), fail * (c + best))
-    dm_gap = sol.regret - best
-
-    return SaddleReport(
-        nature_gap=float(nature_gap),
-        dm_gap=float(dm_gap),
-        worst_belief=IidBinary(p_star),
-        tolerance=tol,
-        passed=bool(nature_gap <= tol and dm_gap <= tol),
-    )
+    return SaddleReport(worst - sol.regret, sol.regret - best, IidBinary(p_star), tol)
 
 
 def saddle_check_corr(
@@ -198,14 +190,7 @@ def saddle_check_corr(
             prev = float(sol.regret_per_k[k - 1])
 
     notes = () if flattening_ok else ("a correlated profile beat its single-treasure flattening",)
-    return SaddleReport(
-        nature_gap=float(nature_gap),
-        dm_gap=float(dm_gap),
-        worst_belief=NeedleP(worst_P),
-        tolerance=tol,
-        passed=bool(nature_gap <= tol and dm_gap <= tol and flattening_ok),
-        notes=notes,
-    )
+    return SaddleReport(nature_gap, dm_gap, NeedleP(worst_P), tol, notes, side_condition=flattening_ok)
 
 
 def interim_grid_oracle(spec: HomogeneousSpec):

@@ -477,12 +477,12 @@ def corr_profile_loop(spec, tol=1e-9, q_draws=1000, mode="commitment", seed=0):
 
     notes = () if flattening_ok else ("a correlated profile beat its single-treasure flattening",)
     return SaddleReport(
-        nature_gap=float(nature_gap),
-        dm_gap=float(dm_gap),
+        nature_gap=nature_gap,
+        dm_gap=dm_gap,
         worst_belief=NeedleP(worst_P),
         tolerance=tol,
-        passed=bool(nature_gap <= tol and dm_gap <= tol and flattening_ok),
         notes=notes,
+        side_condition=flattening_ok,
     )
 
 
@@ -519,11 +519,10 @@ def indep_descent_loop(spec, tol=1e-6, grid_points=2001, dm_probes=10_000, seed=
     dm_gap = sol.regret - best
 
     return SaddleReport(
-        nature_gap=float(nature_gap),
-        dm_gap=float(dm_gap),
+        nature_gap=nature_gap,
+        dm_gap=dm_gap,
         worst_belief=IidBinary(p_star),
         tolerance=tol,
-        passed=bool(nature_gap <= tol and dm_gap <= tol),
     )
 
 

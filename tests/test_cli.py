@@ -448,6 +448,16 @@ class TestBadInputs:
             ("solve", "--regime", "interim", *HOMOG[:4], "--n", "5001"),
             ("verify", "--regime", "indep", *HOMOG[:4], "--n", "5001"),
             ("verify", "--regime", "indep", *HOMOG[:4], "--n", "5001", "--policy-file", "VALID"),
+            ("solve", "--regime", "het"),
+            ("solve", "--regime", "het", "--boxes", "1:0.2,1-0.4"),
+            ("solve", "--regime", "indep", *HOMOG[:4]),
+            (*SWEEP, "--regime", "het", "--sweep", "n", "--ubar", "1", "--c", "0.3"),
+            ("sweep", "--from", "0", "--to", "1", "--regime", "corr", "--sweep", "q", *HOMOG),
+            ("sweep", "--from", "0", "--to", "0.2", "--regime", "indep", "--sweep", "delta", "--ubar", "1", "--ctotal", "0.6"),
+            (*SWEEP, "--regime", "corr", "--sweep", "ubar", "--c", "0.2"),
+            ("sweep", "--from", "0", "--to", "1", "--regime", "indep", "--sweep", "q", *HOMOG[:4]),
+            ("simulate", "--regime", "indep", *HOMOG, "--truth", "iid=0.3"),
+            ("simulate", "--regime", "indep", *HOMOG, "--truth", "iid:0.3", "--seed", str(2**64)),
         ],
     )
     def test_exit_2_with_one_line(self, capsys, tmp_path, argv):

@@ -16,10 +16,10 @@ from robust_pandora.core import (
     HomogeneousSpec,
     IidBinary,
     NeedleP,
+    SaddleReport,
     SizeError,
     StationaryPolicy,
     StoppingMixture,
-    TwoPointMixture,
     _MAX_COUNT_BOXES,
     _MAX_SPEC_BOXES,
     _first_success_table,
@@ -417,7 +417,21 @@ class TestBeliefValidation:
         assert IidBinary(1.0 + 5e-16).p == 1.0
         assert NeedleP(-5e-16).P == 0.0
 
-    def test_two_point_mixture_ordering(self):
-        TwoPointMixture((((0.8, 0.2), 0.5), ((0.5, 0.5), 0.5)))
-        with pytest.raises(DomainError):
-            TwoPointMixture((((0.2, 0.8), 1.0),))
+
+@pytest.mark.parametrize(
+    "nature_gap, dm_gap, side_condition, passed",
+    [
+        (1e-6, 1e-6, True, True),  # gaps equal to the tolerance pass
+        (-1.0, -np.inf, True, True),
+        (1e-6 * (1 + 1e-15), 0.0, True, False),
+        (0.0, 2e-6, True, False),
+        (0.0, 0.0, False, False),
+        (np.nan, 0.0, True, False),
+        (0.0, np.nan, True, False),
+    ],
+)
+def test_saddle_report_pass_rule(nature_gap, dm_gap, side_condition, passed):
+    report = SaddleReport(np.float64(nature_gap), dm_gap, IidBinary(0.3), 1e-6, side_condition=side_condition)
+    assert report.passed is passed
+    assert type(report.nature_gap) is float and type(report.dm_gap) is float
+    assert str(report).startswith("SaddleReport(pass" if passed else "SaddleReport(FAIL")

@@ -2,6 +2,7 @@
 and the demos, and the raw engine outputs."""
 
 import hashlib
+import json
 import runpy
 import shlex
 from pathlib import Path
@@ -17,6 +18,8 @@ from robust_pandora import (
     IidBinary,
     NeedleP,
     regret_het,
+    solve_corr_commitment,
+    solve_corr_intrapersonal,
     solve_het,
     solve_indep,
 )
@@ -57,10 +60,21 @@ CLI_STDOUT = {
     "verify --regime two-box --ubar 1 --c 0.7 --grid 2001": "d8e29e1c35f66978c337bc8da6b0aee71fae347fe838229205e2294700ed108b",
     "simulate --regime corr --ubar 1 --c 0.25 --n 4 --truth needle:0.6 --episodes 100000 --seed 7": "e9531c1ae98f19b155957e887544b5e3d5c40a87ba5556ba8ed2aeec6fae3250",
     "simulate --regime corr-intra --ubar 1 --c 0.1 --n 6 --truth iid:0.2 --episodes 100000 --seed 7": "926bb30d3da5a5e8ecdbad0ddba6ad5eb81059c98851432fb0ee3ec2729841b6",
+    # one episode: standard errors of 0.0
+    "simulate --regime indep --ubar 1 --c 0.3 --n 3 --truth iid:0.3 --episodes 1 --seed 0": "8266371d46ea9eba548a53ce9c1b20eb0a704a114700907fa459ab36741b9be5",
     "solve --regime corr --ubar 1 --c 0.1 --n 6 --format csv": "7b88dde8694340800cf1964fc823572a3b90b2f6af8ba4c26bb260e7ed0364b1",
     "verify --regime two-box --ubar 1 --c 0.3 --grid 200 --format csv": "8e47cb30b22dc38bcd1f17636a3216109341eabfcd25f892ab3085ebdd575aad",
     "simulate --regime corr --ubar 1 --c 0.25 --n 4 --truth needle:0.6 --episodes 100000 --seed 7 --format csv": "f388cec941a5d67eefb4fd25e2359549b1f844a50659931444c23dd78dd71cb1",
 }
+
+# verify --policy-file, the claim file written as claim.json (the note prints
+# its basename): (regime, c, n, alpha[0] tampered to 0.2, exit code, digest)
+POLICY_FILE_STDOUT = [
+    ("indep", 0.3, 4, False, 0, "6b73cf474be9faec6443dc0c449f6aba5607116d4eb5ee949293878da4ecea33"),
+    ("indep", 0.3, 4, True, 3, "d4f6c9dbed0aeab3bca2260f8ec5d65d75fda0a49a905f7ac3d01436c3568e01"),
+    ("corr", 0.1, 6, False, 0, "6fa6d7073cc91e6aa67aa632057bbcdc0f68534e85626c03d819c7a82c1e5bbe"),
+    ("corr-intra", 0.1, 6, False, 0, "104deedd0389917b1f3911a6b75370ced43e387692c53f51bd9140093f786d6f"),
+]
 
 DEMO_STDOUT = {
     "01_choice_overload.py": "a4e2c86fce7f0683ba920437aaf03940e7ff8aac2e91856482e670de21f41edf",
@@ -126,6 +140,20 @@ def test_q_sweep_stdout(capsys):
 def test_cli_command_stdout(capsys, command):
     assert main(shlex.split(command)) == 0
     assert _sha256(capsys.readouterr().out) == CLI_STDOUT[command]
+
+
+@pytest.mark.parametrize("regime,c,n,tampered,code,digest", POLICY_FILE_STDOUT)
+def test_policy_file_stdout(capsys, tmp_path, regime, c, n, tampered, code, digest):
+    solver = {"indep": solve_indep, "corr": solve_corr_commitment, "corr-intra": solve_corr_intrapersonal}[regime]
+    sol = solver(HomogeneousSpec(1.0, c, n))
+    claim = {"alpha": [float(a) for a in sol.policy.alphas], "regret": sol.regret}
+    if tampered:
+        claim["alpha"][0] = 0.2
+    path = tmp_path / "claim.json"
+    path.write_text(json.dumps(claim))
+    argv = ["verify", "--regime", regime, "--ubar", "1", "--c", str(c), "--n", str(n), "--policy-file", str(path)]
+    assert main(argv) == code
+    assert _sha256(capsys.readouterr().out) == digest
 
 
 @pytest.mark.parametrize("demo", DEMO_STDOUT)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from robust_pandora.core import (
 from robust_pandora.corr import solve_corr_commitment, solve_corr_intrapersonal
 from robust_pandora.het import HeterogeneousSpec, SelectionPolicy, SubsetRule, regret_het, solve_het
 from robust_pandora.indep import expected_search_count, solve_indep
-from robust_pandora.simulate import _heterogeneous_chunks, _homogeneous_chunks, simulate
+from robust_pandora.simulate import _CHUNK, _heterogeneous_chunks, _homogeneous_chunks, simulate
 
 from oracles import het_episode_loop
 
@@ -183,6 +185,29 @@ class TestEstimatorQuality:
         assert 0.0 <= res.mean_opened <= 4.0
         assert 0.0 <= res.mean_regret <= 1.0
         assert res.se_opened >= 0.0 and res.se_regret >= 0.0
+
+
+@pytest.mark.parametrize("heterogeneous", [False, True])
+def test_each_chunk_releases_its_draws(heterogeneous):
+    # three chunks of (_CHUNK, 12) draws (n = 5, or 4 heterogeneous boxes), 6.3 MB
+    # each: the peak is about 2.0 (homogeneous) and 2.2 (heterogeneous) times one
+    # chunk's draws, and 2.7 times when the previous chunk's draws live on while
+    # the next is drawn
+    if heterogeneous:
+        spec = HeterogeneousSpec(((1.0, 0.2), (1.0, 0.4), (2.0, 0.5), (1.5, 0.9)))
+        truth = HeteroPVector((0.1, 0.2, 0.3, 0.4))
+        chunks = _heterogeneous_chunks(solve_het(spec).policy, truth, spec, 3 * _CHUNK, 0)
+    else:
+        spec = HomogeneousSpec(1.0, 0.3, 5)
+        chunks = _homogeneous_chunks(solve_indep(spec).policy, IidBinary(0.3), spec, 3 * _CHUNK, 0)
+    tracemalloc.start()
+    try:
+        for _ in chunks:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.4 * _CHUNK * 12 * 8
 
 
 class TestValidation:

@@ -112,6 +112,7 @@ class TestVerifyTwoBox:
         pol, nat, _ = solve_two_box(LARGE)
         report = verify_two_box(pol, nat, LARGE, grid_size=200)
         assert report.passed
+        assert report.worst_belief is nat
         assert report.nature_gap <= 1e-9
         assert report.dm_gap <= 1e-9
 
@@ -119,6 +120,7 @@ class TestVerifyTwoBox:
         pol, nat, _ = solve_two_box(SMALL)
         report = verify_two_box(pol, nat, SMALL, grid_size=150)
         assert report.passed
+        assert report.worst_belief is nat
 
     def test_flags_q_formula_discrepancy(self):
         pol, nat, _ = solve_two_box(LARGE)

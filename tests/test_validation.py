@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from robust_pandora import (
+    CountProfile,
     DomainError,
     HeteroPVector,
     HeterogeneousSpec,
@@ -16,17 +17,21 @@ from robust_pandora import (
     SelectionPolicy,
     SizeError,
     StationaryPolicy,
+    StoppingMixture,
     SubsetRule,
-    TwoPointMixture,
+    TwoBoxNature,
     acceptance_probability,
     cost_asymmetry_sweep,
     expected_search_count,
     exhaustive_utility,
     interim_grid_oracle,
+    interim_regret,
     nature_best_response_indep,
     psi,
+    regret_count_profile,
     regret_het,
     regret_indep,
+    regret_needle,
     saddle_check_corr,
     saddle_check_indep,
     search_count_profile,
@@ -43,6 +48,7 @@ from robust_pandora.two_box import regret_against_pair
 SPEC = HomogeneousSpec(1.0, 0.3, 3)
 TWO = HomogeneousSpec(1.0, 0.2, 2)
 HET = HeterogeneousSpec(((1.0, 0.2), (1.0, 0.4)))
+HET3 = HeterogeneousSpec(((1.0, 0.2), (1.0, 0.4), (1.0, 0.3)))
 
 
 def _simulate(episodes=10, seed=0):
@@ -58,8 +64,16 @@ def _two_box_policy():
     return solve_two_box(TWO)[0]
 
 
-def _het_policy():
-    return solve_het(HET).policy
+def _het_policy(spec=HET):
+    return solve_het(spec).policy
+
+
+def _simulate_het(policy=None, truth=HeteroPVector((0.1, 0.2)), spec=HET):
+    return simulate(_het_policy() if policy is None else policy, truth, spec, 10, 0)
+
+
+def _two_box_nature(**weights):
+    return TwoBoxNature(**{"v_hat": 0.5, "q": 0.5, "r": 0.25, "s": 0.25, **weights})
 
 
 BAD_CALLS = {
@@ -83,7 +97,12 @@ BAD_CALLS = {
     "iid-p-bool": lambda: IidBinary(True),
     "regret-p-string": lambda: regret_indep(solve_indep(SPEC).policy, "0.3", SPEC),
     "policy-alphas-bool": lambda: StationaryPolicy([True, False, True]),
-    "mixture-weight-string": lambda: TwoPointMixture((((0.5, 0.2), "1"),)),
+    "two-box-nature-weight-string": lambda: _two_box_nature(q="0.5"),
+    "two-box-nature-weight-negative": lambda: _two_box_nature(q=1.0, s=-0.25),
+    "two-box-nature-weight-nan": lambda: _two_box_nature(r=float("nan")),
+    "two-box-nature-v-hat-infinite": lambda: _two_box_nature(v_hat=float("inf")),
+    "two-box-nature-weight-sum": lambda: _two_box_nature(q=0.4),
+    "two-box-nature-v-hat-above-ubar": lambda: verify_two_box(_two_box_policy(), _two_box_nature(v_hat=1.5), TWO),
     "acceptance-reward-string": lambda: acceptance_probability("0.5", _two_box_policy()),
     "acceptance-reward-bool": lambda: acceptance_probability(True, _two_box_policy()),
     "pair-reward-string": lambda: regret_against_pair(_two_box_policy(), "0.5", 0.1),
@@ -95,6 +114,7 @@ BAD_CALLS = {
     "het-gamma-box-float": lambda: solve_het(HET).gamma(1.5),
     "het-gamma-box-bool": lambda: solve_het(HET).gamma(True),
     "subset-rule-box-float": lambda: SubsetRule({0.5: 0.5}, 0.5),
+    "subset-rule-weight-sum": lambda: SubsetRule({0: 0.5}, 0.2),
     "psi-member-float": lambda: psi(0, [0.0, 1.2], HET),
     "psi-k-bool": lambda: psi(True, [0, 1], HET),
     "selection-policy-n-float": lambda: SelectionPolicy(2.5, {}),
@@ -118,6 +138,18 @@ BAD_CALLS = {
     "regret-het-p-scalar": lambda: regret_het(_het_policy(), 0.5, HET),
     "regret-het-p-dict": lambda: regret_het(_het_policy(), {0: 0.1, 1: 0.2}, HET),
     "regret-het-policy-float": lambda: regret_het(0.5, (0.1, 0.2), HET),
+    "regret-het-p-length": lambda: regret_het(_het_policy(), (0.1, 0.2, 0.3), HET),
+    "regret-het-policy-size": lambda: regret_het(_het_policy(HET3), (0.1, 0.2), HET),
+    "simulate-het-truth-length": lambda: _simulate_het(truth=HeteroPVector((0.1, 0.2, 0.3))),
+    "simulate-het-policy-size": lambda: _simulate_het(policy=_het_policy(HET3)),
+    "simulate-het-policy-stationary": lambda: _simulate_het(policy=StationaryPolicy([0.5, 0.5])),
+    "simulate-het-truth-iid": lambda: _simulate_het(truth=IidBinary(0.3)),
+    "simulate-spec-tuple": lambda: simulate(solve_indep(SPEC).policy, IidBinary(0.3), (1.0, 0.3, 3), 10, 0),
+    "simulate-count-profile-length": lambda: simulate(solve_indep(SPEC).policy, CountProfile([0.5, 0.5]), SPEC, 10, 0),
+    "count-profile-regret-n": lambda: regret_count_profile(StoppingMixture([0.5, 0.5]), CountProfile([1, 0, 0, 0]), SPEC),
+    "regret-indep-policy-n": lambda: regret_indep(StationaryPolicy([0.5]), 0.3, SPEC),
+    "regret-needle-policy-n": lambda: regret_needle(StationaryPolicy([0.5]), 0.3, SPEC),
+    "interim-regret-policy-n": lambda: interim_regret(InterimPolicy(0, 0.5, 2), 0.3, SPEC),
     "subset-rule-probs-list": lambda: SubsetRule([0.5], 0.5),
     "selection-policy-rules-list": lambda: SelectionPolicy(2, [1, 2]),
     "selection-policy-menu-int": lambda: SelectionPolicy(2, {0: SubsetRule({0: 0.5}, 0.5)}),
@@ -136,6 +168,7 @@ OVER_CAP = HomogeneousSpec(1.0, 0.3, 5001)
 
 OVERSIZED_CALLS = {
     "spec-n-huge-int": lambda: HomogeneousSpec(1.0, 0.3, 10**400),
+    "exhaustive-n-huge-int": lambda: exhaustive_utility(0.3, 10**400, SPEC),
     "solve-interim-n": lambda: solve_interim(OVER_CAP),
     "interim-grid-oracle-n": lambda: interim_grid_oracle(OVER_CAP),
     "nature-indep-n": lambda: nature_best_response_indep(StationaryPolicy(np.ones(5001)), OVER_CAP),
