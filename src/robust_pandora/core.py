@@ -27,6 +27,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "DomainError",
@@ -404,17 +405,17 @@ def _regret_indep_poly(policy: StationaryPolicy, spec: HomogeneousSpec) -> np.nd
     return r[::-1]
 
 
-def _poly_max(coef: np.ndarray, lo: float, hi: float, grid_points: int):
-    """Maximum on ``[lo, hi]`` of the polynomial ``coef``, highest degree first: ``(x, value)``.
+def _poly_max(coef: np.ndarray, xs: np.ndarray, values: np.ndarray):
+    """Maximum on the grid's interval of the polynomial ``coef``, highest degree first: ``(x, value)``.
 
-    The best point of an even grid is polished by Newton's method on the
-    derivative while the curvature is negative, the steps shrink (after
-    that, rounding drives them) and the iterates stay in the two grid cells
-    around that point; an end point of the interval stays where it is.  The
-    grid is one array pass; the polish runs Horner's rule on Python floats.
+    ``values`` holds the polynomial at the increasing grid ``xs``.  Its best
+    point is polished by Newton's method on the derivative while the
+    curvature is negative, the steps shrink (after that, rounding drives
+    them) and the iterates stay in the two grid cells around that point; an
+    end point of the grid stays where it is.  The polish runs Horner's rule
+    on Python floats.
     """
-    xs = np.linspace(lo, hi, grid_points)
-    best = int(np.argmax(_polyval(coef, xs)))
+    best = int(np.argmax(values))
     left, right = float(xs[max(best - 1, 0)]), float(xs[min(best + 1, xs.size - 1)])
     slope = np.polyder(coef).tolist()
     curvature = np.polyder(coef, 2).tolist()
@@ -470,7 +471,7 @@ def regret_needle(policy: StationaryPolicy, P, spec: HomogeneousSpec):
 # 395 MB; n = 5000 extrapolates to about 600 MB, under 1 GiB.  The same cap
 # bounds the other homogeneous paths that take seconds at a few thousand
 # boxes.  Wall time on the same VM at n = 1000 / 5000 / 20 000:
-# solve_interim (c/ubar = 0.05) 0.09 / 0.49 / 2.2 s, about n log n, and
+# solve_interim (c/ubar = 0.05) 0.012 / 0.10 / 0.50 s, about linear, and
 # saddle_check_indep (c/ubar = 0.3, an O(n^2) polynomial) 0.01 / 0.09 /
 # 0.50 s; interim_grid_oracle (2n rows of 2001 beliefs) 0.02 s at n = 100 and
 # 1.8 s at 5000.  At the spec cap of 10 000 000 boxes the first two would
@@ -509,9 +510,15 @@ def _first_success_table(n: int) -> np.ndarray:
     One running product down the rows from ``C_1^j = j / n``, since
     ``C_{k+1}^j = C_k^j (n - k + 1 - j) / (n - k)``.
     """
-    j = np.arange(n + 1)
-    k = np.arange(1, n)[:, None]
-    return np.cumprod(np.concatenate([j[None] / n, (n - k + 1 - j) / (n - k)]), axis=0)
+    j = np.arange(n + 1.0)
+    k = np.arange(1.0, n)[:, None]
+    # small whole numbers, exact in float: the rows are those of integer
+    # arithmetic, and the running product is taken in place
+    table = np.empty((n, n + 1))
+    np.divide(j, n, out=table[0])
+    np.subtract(n - k + 1.0, j, out=table[1:])
+    table[1:] /= n - k
+    return np.multiply.accumulate(table, axis=0, out=table)
 
 
 def _plan_regrets(Q: np.ndarray, spec: HomogeneousSpec) -> np.ndarray:
@@ -526,8 +533,14 @@ def _plan_regrets(Q: np.ndarray, spec: HomogeneousSpec) -> np.ndarray:
     m = np.arange(n + 1)
     # early[..., m] = sum_{k <= m} q_k (k - 1) c, starting from 0.0 at m = 0
     early = np.cumsum(np.concatenate([np.zeros(q.shape[:-1] + (1,)), q * (m[:-1] * c)], axis=-1), axis=-1)
-    # reached[..., m] = sum_{k > m} q_k, the mass beyond the plan's m openings
-    reached = np.cumsum(np.where(m[1:] > m[:, None], q[..., None, :], 0.0), axis=-1)[..., -1]
+    # reached[..., m] = sum_{k > m} q_k, the mass beyond the plan's m openings:
+    # window m of the zero-padded q is q_{m+1}, ..., q_n and then m zeros
+    # (built by as_strided: sliding_window_view's checks cost more than the
+    # whole sum at a few boxes)
+    padded = np.concatenate([q, np.zeros(q.shape[:-1] + (n,))], axis=-1)
+    step = padded.strides[-1]
+    windows = as_strided(padded, q.shape[:-1] + (n + 1, n), padded.strides[:-1] + (step, step), writeable=False)
+    reached = np.cumsum(windows, axis=-1)[..., -1]
     total = reached[..., :1]
     return early + reached * (ubar - c + m * c) + (1.0 - total) * m * c
 

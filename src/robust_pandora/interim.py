@@ -8,7 +8,9 @@ takes a threshold form, searching ``m`` boxes for sure and randomizing on
 one more, and ``m`` grows with the menu: with selection error gone, bigger
 menus raise the fear of missing out and push toward more search, the
 opposite of the ex-post prediction.  :func:`solve_interim` finds the
-coin-flip weight, and the worst belief behind it, by Newton's method.
+coin-flip weight, and the worst belief behind it, by Newton's method.  Each
+solve builds its belief grid and the Horner pass shared by every plan once,
+so each of its maximizations adds only the plan's own last few steps.
 
 Searching up to ``k`` boxes at success rate ``p`` pays the geometric sum
 ``U(p, k) = (p ubar - c) sum_{j<k} (1 - p)^j``, evaluated in closed form as
@@ -110,18 +112,52 @@ def interim_regret(policy: InterimPolicy, p, spec: HomogeneousSpec):
     return float(out) if out.ndim == 0 else out
 
 
-def _high_branch(m: int, alpha: float, spec: HomogeneousSpec):
-    """Worst high-belief regret of the plan (m, alpha), with its argmax in ``x = 1 - p``.
+class _HighBranch:
+    """The worst high-belief regret of any plan ``(m, alpha)`` on one spec, for one solve.
 
-    Maximizes the polynomial ((1 - alpha) x^m + sum_{i=m+1..n-1} x^i)
-    ((ubar - c) - ubar x), the regret at p = 1 - x, over p >= p_hat, that
-    is x in [0, 1 - p_hat]; returns ``(x_star, value)``.
+    The branch is the polynomial ((1 - alpha) x^m + sum_{i=m+1..n-1} x^i)
+    ((ubar - c) - ubar x), the regret at p = 1 - x, over x in [0, 1 - p_hat].
+    Highest degree first, its coefficients are ``-ubar`` and then one
+    repeated value up to the last ``m + 2``.  Horner's rule over the
+    coefficients a plan shares, bit for bit, with the plan ``(0, 0)`` is kept
+    at each shared length reached, so a plan adds only its own steps, each
+    the same float operation as in a direct pass over the grid.
     """
-    n, ubar, c = spec.n, spec.ubar, spec.c
-    weights = np.zeros(n)  # x^(n-1), ..., x^0
-    weights[: n - m - 1] = 1.0
-    weights[n - m - 1] = 1.0 - alpha
-    return _poly_max(np.convolve(weights, (-ubar, ubar - c)), 0.0, 1.0 - weitzman_threshold(spec), 2001)
+
+    def __init__(self, spec: HomogeneousSpec):
+        self.spec = spec
+        self.xs = np.linspace(0.0, 1.0 - weitzman_threshold(spec), 2001)
+        self.shared = self._coef(0, 0.0)
+        self.states = {0: 0.0}  # Horner's rule after that many shared coefficients
+        self.memo = {}
+
+    def _coef(self, m: int, alpha: float) -> np.ndarray:
+        n, ubar, c = self.spec.n, self.spec.ubar, self.spec.c
+        weights = np.zeros(n)  # x^(n-1), ..., x^0
+        weights[: n - m - 1] = 1.0
+        weights[n - m - 1] = 1.0 - alpha
+        return np.convolve(weights, (-ubar, ubar - c))
+
+    def values(self, m: int, alpha: float):
+        """The plan's coefficients and the branch on the grid: ``(coef, values)``."""
+        coef = self._coef(m, alpha)
+        differ = np.flatnonzero(coef.view(np.int64) != self.shared.view(np.int64))
+        run = int(differ[0]) if differ.size else coef.size
+        start = max(k for k in self.states if k <= run)
+        h = self.states[start]
+        for a in coef[start:run].tolist():
+            h = h * self.xs + a  # a new array: a kept state never changes
+        self.states[run] = h
+        for a in coef[run:].tolist():
+            h = h * self.xs + a
+        return coef, h
+
+    def maximize(self, m: int, alpha: float):
+        """Worst high-belief regret of the plan with its argmax in ``x = 1 - p``: ``(x_star, value)``."""
+        if (m, alpha) not in self.memo:
+            coef, values = self.values(m, alpha)
+            self.memo[m, alpha] = _poly_max(coef, self.xs, values)
+        return self.memo[m, alpha]
 
 
 def solve_interim(spec: HomogeneousSpec) -> InterimReport:
@@ -138,7 +174,10 @@ def solve_interim(spec: HomogeneousSpec) -> InterimReport:
     residual is concave and increasing, and Newton's method from
     ``alpha = 0`` rises monotonically to the root.  Its slope comes from the
     envelope theorem: ``c + (1 - p*)^m (p* ubar - c)`` at the branch's
-    argmax ``p*``.  More than 5 000 boxes raise :class:`SizeError`.
+    argmax ``p*``.  The bisection and Newton's method share one grid, one
+    Horner pass over the coefficients common to every plan and a memo of
+    finished maximizations, all dropped when the solve returns.  More than
+    5 000 boxes raise :class:`SizeError`.
     """
     n, ubar, c = spec.n, spec.ubar, spec.c
     if n > _MAX_COUNT_BOXES:
@@ -147,11 +186,12 @@ def solve_interim(spec: HomogeneousSpec) -> InterimReport:
     # g(cand) = cand c - tail(cand) rises with cand: the high-belief factor
     # (ubar - c) - ubar x is >= 0 on the branch, so tail sums fewer
     # nonnegative powers as cand grows; bisect for the largest g < 0
+    branch = _HighBranch(spec)
     g = {}
     lo, hi = -1, n  # g(lo) < 0 <= g(hi), the ends standing for -inf and +inf
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        g[mid] = mid * c - _high_branch(mid, 1.0, spec)[1]
+        g[mid] = mid * c - branch.maximize(mid, 1.0)[1]
         if g[mid] < 0:
             lo = mid
         else:
@@ -161,7 +201,7 @@ def solve_interim(spec: HomogeneousSpec) -> InterimReport:
     degenerate = any(abs(g[cand]) < 1e-12 for cand in (lo, hi) if cand in g)
 
     def residual_at(m: int, alpha: float):
-        x_star, worst = _high_branch(m, alpha, spec)
+        x_star, worst = branch.maximize(m, alpha)
         return (m + alpha) * c - worst, x_star
 
     # the largest-m rule can land one segment short: if even alpha = 1 leaves

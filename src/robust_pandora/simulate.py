@@ -136,7 +136,8 @@ def _heterogeneous_chunks(policy: SelectionPolicy, truth: HeteroPVector, spec: H
     cum = np.cumsum(policy.weights.T, axis=0, out=np.empty((n, 1 << n)))
     no_rule = np.isnan(policy.optout)
 
-    for U in _blocks(seed, episodes, n):
+    def play(U):
+        # one chunk's episodes; its per-episode arrays go on return
         rows = U.shape[0]
         hits = U[:, 1 : n + 1] < probs
         oracle = np.zeros(rows)
@@ -163,8 +164,10 @@ def _heterogeneous_chunks(policy: SelectionPolicy, truth: HeteroPVector, spec: H
             won[live[hit]] = ubars[box[hit]]
             live, box = live[~hit], box[~hit]
             menu[live] &= ~(1 << box)
-        del U  # this chunk's draws go before _blocks draws the next
-        yield opened, oracle - (won - cost)
+        return opened, oracle - (won - cost)
+
+    # map holds no chunk's draws once play returns, so they go before _blocks draws the next
+    yield from map(play, _blocks(seed, episodes, n))
 
 
 def simulate(policy, truth, spec, episodes: int, seed: int) -> SimulationResult:

@@ -36,6 +36,7 @@ from .core import (
     _mixture_regrets,
     _plan_regrets,
     _poly_max,
+    _polyval,
     _regret_indep_poly,
     _require_count,
     _require_tolerance,
@@ -85,7 +86,8 @@ def nature_best_response_indep(policy: StationaryPolicy, spec: HomogeneousSpec, 
         raise SizeError(f"belief grid limited to {MAX_GRID_POINTS} points, got {_shown(grid_points)}")
     if spec.n > _MAX_COUNT_BOXES:
         raise SizeError(f"i.i.d. regret polynomial limited to {_MAX_COUNT_BOXES} boxes, got {_shown(spec.n)}")
-    x, worst = _poly_max(_regret_indep_poly(policy, spec), 0.0, 1.0, grid_points)
+    coef, xs = _regret_indep_poly(policy, spec), np.linspace(0.0, 1.0, grid_points)
+    x, worst = _poly_max(coef, xs, _polyval(coef, xs))
     return 1.0 - x, worst
 
 

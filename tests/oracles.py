@@ -526,22 +526,41 @@ def indep_descent_loop(spec, tol=1e-6, grid_points=2001, dm_probes=10_000, seed=
     )
 
 
+def interim_high_branch(m, alpha, spec):
+    """Worst high-belief regret of the interim plan ``(m, alpha)``, with its argmax in ``x = 1 - p``.
+
+    Built afresh on every call: the branch's coefficients, a new 2001-point
+    grid over ``x`` in [0, 1 - c/ubar], one direct Horner pass over it and
+    the solver's polish.  Returns ``(x_star, value)``.
+    """
+    from robust_pandora.core import _poly_max, _polyval
+
+    n, ubar, c = spec.n, spec.ubar, spec.c
+    weights = np.zeros(n)
+    weights[: n - m - 1] = 1.0
+    weights[n - m - 1] = 1.0 - alpha
+    coef = np.convolve(weights, (-ubar, ubar - c))
+    xs = np.linspace(0.0, 1.0 - c / ubar, 2001)
+    return _poly_max(coef, xs, _polyval(coef, xs))
+
+
 def interim_linear_scan(spec):
     """``solve_interim`` scanning the sure-search count ``m`` from ``n - 1`` down.
 
     The scan the bisection replaced: one high-branch maximization per
-    candidate, flagging ``degenerate_tie`` at every candidate it passes with
-    ``|cand c - tail| < 1e-12``.  The Newton step for the randomization
+    candidate, each by :func:`interim_high_branch` with no state shared
+    between calls, flagging ``degenerate_tie`` at every candidate it passes
+    with ``|cand c - tail| < 1e-12``.  The Newton step for the randomization
     weight is the solver's own.  Returns the same ``InterimReport``.
     """
     from robust_pandora.core import _NEWTON_STEPS, ConvergenceError
-    from robust_pandora.interim import InterimPolicy, InterimReport, _high_branch
+    from robust_pandora.interim import InterimPolicy, InterimReport
 
     n, ubar, c = spec.n, spec.ubar, spec.c
     m = 0
     degenerate = False
     for cand in range(n - 1, -1, -1):
-        _, tail = _high_branch(cand, 1.0, spec)
+        _, tail = interim_high_branch(cand, 1.0, spec)
         if abs(cand * c - tail) < 1e-12:
             degenerate = True
         if cand * c < tail:
@@ -549,7 +568,7 @@ def interim_linear_scan(spec):
             break
 
     def residual_at(m, alpha):
-        x_star, worst = _high_branch(m, alpha, spec)
+        x_star, worst = interim_high_branch(m, alpha, spec)
         return (m + alpha) * c - worst, x_star
 
     hi_res, _ = residual_at(m, 1.0)
@@ -590,6 +609,30 @@ def first_success_table_loop(n):
     for i in range(n - 1):
         coeff[i + 1 :] *= (n - i - j) / (n - i)
     return coeff
+
+
+def first_success_table_cumprod(n):
+    """The ``C_k^j`` table as ``core._first_success_table`` first built it.
+
+    Rows in integer arithmetic, divided into floats, stacked into a new
+    table and multiplied down by ``np.cumprod``.
+    """
+    j = np.arange(n + 1)
+    k = np.arange(1, n)[:, None]
+    return np.cumprod(np.concatenate([j[None] / n, (n - k + 1 - j) / (n - k)]), axis=0)
+
+
+def plan_regrets_masked(Q, spec):
+    """``core._plan_regrets`` as first written: ``reached`` sums a masked ``(..., n + 1, n)`` copy of ``q``."""
+    from robust_pandora.core import first_success_probabilities
+
+    ubar, c, n = spec.ubar, spec.c, spec.n
+    q = first_success_probabilities(Q)
+    m = np.arange(n + 1)
+    early = np.cumsum(np.concatenate([np.zeros(q.shape[:-1] + (1,)), q * (m[:-1] * c)], axis=-1), axis=-1)
+    reached = np.cumsum(np.where(m[1:] > m[:, None], q[..., None, :], 0.0), axis=-1)[..., -1]
+    total = reached[..., :1]
+    return early + reached * (ubar - c + m * c) + (1.0 - total) * m * c
 
 
 def indep_pure_plan_min(spec):

@@ -24,6 +24,7 @@ from robust_pandora.core import (
     _MAX_SPEC_BOXES,
     _first_success_table,
     _mixture_regrets,
+    _plan_regrets,
     first_success_probabilities,
     regret_count_profile,
     regret_indep,
@@ -32,10 +33,12 @@ from robust_pandora.core import (
 
 from oracles import (
     count_profile_states,
+    first_success_table_cumprod,
     first_success_table_loop,
     iid_states,
     mixture_regret,
     needle_states,
+    plan_regrets_masked,
     walk_regret,
 )
 
@@ -365,6 +368,26 @@ class TestFirstSuccessProbabilities:
             got = _first_success_table(n)
             assert np.array_equal(got == 0.0, want == 0.0), n
             assert np.all(np.abs(got - want) <= 64 * np.spacing(np.abs(want))), n
+
+    def test_table_equals_integer_rows_bit_for_bit(self):
+        # float rows built in place against integer rows and np.cumprod
+        for n in [*range(1, 400), 1000]:
+            got = _first_success_table(n)
+            assert np.array_equal(got.view(np.int64), first_success_table_cumprod(n).view(np.int64)), n
+
+    def test_plan_regrets_equal_masked_sums_bit_for_bit(self):
+        # reached read from windows of the zero-padded q against the masked
+        # (n + 1, n) copy, one profile at a time and stacked
+        rng = np.random.default_rng(47)
+        for n in [*range(1, 200), 300, 1000]:
+            spec = HomogeneousSpec(1.0, 0.3 / n, n)
+            profiles = [rng.dirichlet(np.ones(n + 1)), np.eye(n + 1)[0], np.eye(n + 1)[-1]]
+            if n in (1, 7, 60, 300):
+                profiles.append(rng.dirichlet(np.ones(n + 1), size=(3, 4)))
+            for Q in profiles:
+                got, want = _plan_regrets(Q, spec), plan_regrets_masked(Q, spec)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), n
 
     def test_stacked_rows_equal_single_calls(self):
         # leading axes: each row bit for bit what a call on that row alone gives
