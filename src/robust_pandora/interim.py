@@ -8,13 +8,13 @@ takes a threshold form, searching ``m`` boxes for sure and randomizing on
 one more, and ``m`` grows with the menu: with selection error gone, bigger
 menus raise the fear of missing out and push toward more search, the
 opposite of the ex-post prediction.  :func:`solve_interim` finds the
-coin-flip weight, and the worst belief behind it, by Newton's method.  Each
-solve builds its belief grid and the Horner pass shared by every plan once,
-so each of its maximizations adds only the plan's own last few steps.
+coin-flip weight, and the worst belief behind it, by Newton's method.
 
 Searching up to ``k`` boxes at success rate ``p`` pays the geometric sum
 ``U(p, k) = (p ubar - c) sum_{j<k} (1 - p)^j``, evaluated in closed form as
 ``(p ubar - c) (-expm1(k log1p(-p)) / p)``, with the sum ``k`` at ``p = 0``.
+The same sum prices every plan on the solver's belief grid, at O(1) per
+belief.
 """
 
 from __future__ import annotations
@@ -74,13 +74,17 @@ class InterimReport:
     degenerate_tie: bool = False
 
 
-def _utility(p: np.ndarray, k: int, spec: HomogeneousSpec) -> np.ndarray:
-    """``U(p, k)`` in the closed form of the module docstring, entrywise over the array ``p``."""
+def _geometric(p: np.ndarray, k: int) -> np.ndarray:
+    """``sum_{j<k} (1 - p)^j`` in the closed form of the module docstring, entrywise over the array ``p``."""
     if k == 0:  # not 0 * log1p(-1), which is NaN at p = 1
         return np.zeros_like(p)
     with np.errstate(divide="ignore", invalid="ignore"):
-        total = np.where(p > 0.0, -np.expm1(k * np.log1p(-p)) / p, float(k))
-    return (p * spec.ubar - spec.c) * total
+        return np.where(p > 0.0, -np.expm1(k * np.log1p(-p)) / p, float(k))
+
+
+def _utility(p: np.ndarray, k: int, spec: HomogeneousSpec) -> np.ndarray:
+    """``U(p, k)`` in the closed form of the module docstring, entrywise over the array ``p``."""
+    return (p * spec.ubar - spec.c) * _geometric(p, k)
 
 
 def exhaustive_utility(p, n: int, spec: HomogeneousSpec):
@@ -117,18 +121,15 @@ class _HighBranch:
 
     The branch is the polynomial ((1 - alpha) x^m + sum_{i=m+1..n-1} x^i)
     ((ubar - c) - ubar x), the regret at p = 1 - x, over x in [0, 1 - p_hat].
-    Highest degree first, its coefficients are ``-ubar`` and then one
-    repeated value up to the last ``m + 2``.  Horner's rule over the
-    coefficients a plan shares, bit for bit, with the plan ``(0, 0)`` is kept
-    at each shared length reached, so a plan adds only its own steps, each
-    the same float operation as in a direct pass over the grid.
+    On a 2001-point grid its tail sum is ``x^(m+1)`` times
+    :func:`_geometric`, the sum inside :func:`_utility`, exactly 0 when the
+    tail is empty; the grid's best point starts the polish of
+    :func:`core._poly_max` on the coefficients.
     """
 
     def __init__(self, spec: HomogeneousSpec):
         self.spec = spec
         self.xs = np.linspace(0.0, 1.0 - weitzman_threshold(spec), 2001)
-        self.shared = self._coef(0, 0.0)
-        self.states = {0: 0.0}  # Horner's rule after that many shared coefficients
         self.memo = {}
 
     def _coef(self, m: int, alpha: float) -> np.ndarray:
@@ -138,25 +139,12 @@ class _HighBranch:
         weights[n - m - 1] = 1.0 - alpha
         return np.convolve(weights, (-ubar, ubar - c))
 
-    def values(self, m: int, alpha: float):
-        """The plan's coefficients and the branch on the grid: ``(coef, values)``."""
-        coef = self._coef(m, alpha)
-        differ = np.flatnonzero(coef.view(np.int64) != self.shared.view(np.int64))
-        run = int(differ[0]) if differ.size else coef.size
-        start = max(k for k in self.states if k <= run)
-        h = self.states[start]
-        for a in coef[start:run].tolist():
-            h = h * self.xs + a  # a new array: a kept state never changes
-        self.states[run] = h
-        for a in coef[run:].tolist():
-            h = h * self.xs + a
-        return coef, h
-
     def maximize(self, m: int, alpha: float):
         """Worst high-belief regret of the plan with its argmax in ``x = 1 - p``: ``(x_star, value)``."""
         if (m, alpha) not in self.memo:
-            coef, values = self.values(m, alpha)
-            self.memo[m, alpha] = _poly_max(coef, self.xs, values)
+            n, ubar, c, xs = self.spec.n, self.spec.ubar, self.spec.c, self.xs
+            powers = (1.0 - alpha) * xs**m + xs ** (m + 1) * _geometric(1.0 - xs, n - m - 1)
+            self.memo[m, alpha] = _poly_max(self._coef(m, alpha), xs, powers * ((ubar - c) - ubar * xs))
         return self.memo[m, alpha]
 
 
@@ -174,10 +162,10 @@ def solve_interim(spec: HomogeneousSpec) -> InterimReport:
     residual is concave and increasing, and Newton's method from
     ``alpha = 0`` rises monotonically to the root.  Its slope comes from the
     envelope theorem: ``c + (1 - p*)^m (p* ubar - c)`` at the branch's
-    argmax ``p*``.  The bisection and Newton's method share one grid, one
-    Horner pass over the coefficients common to every plan and a memo of
-    finished maximizations, all dropped when the solve returns.  More than
-    5 000 boxes raise :class:`SizeError`.
+    argmax ``p*``.  The bisection and Newton's method share one grid, on
+    which each plan's branch costs O(1) per belief, and a memo of finished
+    maximizations, both dropped when the solve returns.  More than 5 000
+    boxes raise :class:`SizeError`.
     """
     n, ubar, c = spec.n, spec.ubar, spec.c
     if n > _MAX_COUNT_BOXES:

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robust_pandora.core import DomainError, HomogeneousSpec, _polyval
+from robust_pandora.core import DomainError, HomogeneousSpec
 from robust_pandora.interim import (
     InterimPolicy,
-    _HighBranch,
     _utility,
     exhaustive_utility,
     interim_regret,
@@ -172,14 +171,17 @@ class TestSolveInterim:
 
     def test_bisection_matches_linear_scan(self):
         # the whole report, degenerate_tie included, against the scan from
-        # m = n - 1 down with no grid or Horner state shared between its
-        # maximizations: n = 1..120, 200 and 400, and the cost next to the reward
+        # m = n - 1 down, whose maximizations each run a direct Horner pass
+        # over their own grid: n = 1..120, 200 and 400, the cost next to the
+        # reward, and small costs, down to a grid end 1 - c/ubar that rounds
+        # to 1.0 and a last plan whose geometric tail is empty
         rng = np.random.default_rng(2027)
         specs = [HomogeneousSpec(1.0, 1.0 - 1e-10, n) for n in (1, 2, 5)]
         for n in range(1, 121):
             ubar = float(rng.uniform(0.5, 2.0))
             specs.append(HomogeneousSpec(ubar, ubar * float(rng.uniform(0.005, 0.9)), n))
-        specs += [HomogeneousSpec(1.0, c, n) for n in (200, 400) for c in (0.01, 0.3, 0.9)]
+        specs += [HomogeneousSpec(1.0, c, n) for n in (200, 400) for c in (1e-4, 1e-3, 0.01, 0.3, 0.9)]
+        specs += [HomogeneousSpec(1.0, c, n) for n in (2, 5, 50) for c in (1e-15, 1e-17)]
         for spec in specs:
             assert solve_interim(spec) == interim_linear_scan(spec), spec
 
@@ -244,26 +246,6 @@ def test_solution_holds_across_costs_and_menus(n, ratio, ubar):
         assert abs(interim_regret(rep.policy, p, spec) - rep.regret) <= 1e-9, p
     assert 0 <= rep.policy.m < n
     assert 0.0 <= rep.policy.alpha <= 1.0
-
-
-@given(
-    st.integers(1, 2000),
-    st.floats(1e-4, 0.99),
-    st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 0.5, 1e-17]) | st.floats(0.0, 1.0)), min_size=1, max_size=6),
-)
-@settings(max_examples=30, deadline=None)
-def test_shared_grid_values_equal_a_direct_pass(n, ratio, plans):
-    # any order of plans on one solve's branch: every grid value equal, bit
-    # for bit, to Horner's rule over the whole polynomial, and the run shared
-    # with the plan (0, 0) reaches the plan's own coefficients
-    branch = _HighBranch(HomogeneousSpec(1.0, ratio, n))
-    for share, alpha in plans:
-        m = min(int(share * n), n - 1)
-        coef, values = branch.values(m, alpha)
-        want = _polyval(coef, branch.xs)
-        assert np.array_equal(values.view(np.int64), want.view(np.int64)), (m, alpha)
-        if 1.0 - alpha != 1.0:
-            assert n - m - 1 in branch.states, (m, alpha)
 
 
 class TestTwoBoxIntrapersonal:

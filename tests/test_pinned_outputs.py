@@ -22,6 +22,7 @@ from robust_pandora import (
     solve_corr_intrapersonal,
     solve_het,
     solve_indep,
+    solve_interim,
 )
 from robust_pandora.cli import main
 from robust_pandora.simulate import _heterogeneous_chunks, _homogeneous_chunks
@@ -85,10 +86,10 @@ DEMO_STDOUT = {
     "06_reproducible_simulation.py": "9ca05d7592bf75fff64dd740ab666bbe392e1e19c7e2d94ed5da227c92d7e974",
 }
 
-# every solve_het array, regret_het at four beliefs and the raw simulator
-# chunks (70 000 episodes, two chunks) of the specs in _engine_arrays, at
-# sizes the oracles do not reach
-ENGINE_SHA256 = "9d7e1eeb8197ced5da3793dcdc039ad474431993247e276c414f826f2912167d"
+# every solve_het array, regret_het at four beliefs, the raw simulator
+# chunks (70 000 episodes, two chunks) and the solve_interim reports of the
+# specs in _engine_arrays, at sizes the oracles do not reach
+ENGINE_SHA256 = "05e78285a232cf306f00e31d50aac0c5dc34c59ff5437487e48e0be4a1a9f8d2"
 
 
 def _engine_arrays():
@@ -110,6 +111,10 @@ def _engine_arrays():
     for truth in (IidBinary(0.3), NeedleP(0.6), CountProfile(rng.dirichlet(np.ones(8)))):
         for chunk in _homogeneous_chunks(policy, truth, spec, 70_000, 7):
             yield from chunk
+    for n in (1000, 3000, 5000):
+        for c in (1e-3, 0.05, 0.3):
+            rep = solve_interim(HomogeneousSpec(1.0, c, n))
+            yield np.array([rep.policy.m, rep.policy.alpha, rep.regret, rep.worst_p_high, rep.residual])
 
 
 def _sha256(text: str) -> str:
