@@ -86,10 +86,11 @@ DEMO_STDOUT = {
     "06_reproducible_simulation.py": "9ca05d7592bf75fff64dd740ab666bbe392e1e19c7e2d94ed5da227c92d7e974",
 }
 
-# every solve_het array, regret_het at four beliefs, the raw simulator
-# chunks (70 000 episodes, two chunks) and the solve_interim reports of the
-# specs in _engine_arrays, at sizes the oracles do not reach
-ENGINE_SHA256 = "05e78285a232cf306f00e31d50aac0c5dc34c59ff5437487e48e0be4a1a9f8d2"
+# every solve_het array, regret_het at four beliefs and the raw simulator
+# chunks (70 000 episodes, two chunks) of the specs in _engine_arrays
+ENGINE_SHA256 = "9d7e1eeb8197ced5da3793dcdc039ad474431993247e276c414f826f2912167d"
+# the solve_interim reports of _interim_arrays, at sizes the oracles do not reach
+INTERIM_SHA256 = "12d2e772572f3689926b63387e5f416b38301ba184f7bf6d0808d5a0b5c21d36"
 
 
 def _engine_arrays():
@@ -111,6 +112,9 @@ def _engine_arrays():
     for truth in (IidBinary(0.3), NeedleP(0.6), CountProfile(rng.dirichlet(np.ones(8)))):
         for chunk in _homogeneous_chunks(policy, truth, spec, 70_000, 7):
             yield from chunk
+
+
+def _interim_arrays():
     for n in (1000, 3000, 5000):
         for c in (1e-3, 0.05, 0.3):
             rep = solve_interim(HomogeneousSpec(1.0, c, n))
@@ -167,8 +171,16 @@ def test_demo_stdout(capsys, demo):
     assert _sha256(capsys.readouterr().out) == DEMO_STDOUT[demo]
 
 
-def test_engine_outputs():
+def _digest(arrays) -> str:
     digest = hashlib.sha256()
-    for arr in _engine_arrays():
+    for arr in arrays:
         digest.update(np.ascontiguousarray(arr).tobytes())
-    assert digest.hexdigest() == ENGINE_SHA256
+    return digest.hexdigest()
+
+
+def test_engine_outputs():
+    assert _digest(_engine_arrays()) == ENGINE_SHA256
+
+
+def test_interim_outputs():
+    assert _digest(_interim_arrays()) == INTERIM_SHA256
