@@ -19,6 +19,7 @@ belief.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,6 @@ from .core import (
     DomainError,
     HomogeneousSpec,
     SizeError,
-    _poly_max,
     _probability_array,
     _require_count,
     _shown,
@@ -74,17 +74,43 @@ class InterimReport:
     degenerate_tie: bool = False
 
 
-def _geometric(p: np.ndarray, k: int) -> np.ndarray:
-    """``sum_{j<k} (1 - p)^j`` in the closed form of the module docstring, entrywise over the array ``p``."""
+def _geometric(p: np.ndarray, lp: np.ndarray, k: int) -> np.ndarray:
+    """``sum_{j<k} (1 - p)^j`` in the closed form of the module docstring, entrywise, given ``lp = log1p(-p)``."""
     if k == 0:  # not 0 * log1p(-1), which is NaN at p = 1
         return np.zeros_like(p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(p > 0.0, -np.expm1(k * np.log1p(-p)) / p, float(k))
+    return np.divide(np.expm1(k * lp), -p, out=np.full_like(p, float(k)), where=p > 0.0)
 
 
 def _utility(p: np.ndarray, k: int, spec: HomogeneousSpec) -> np.ndarray:
     """``U(p, k)`` in the closed form of the module docstring, entrywise over the array ``p``."""
-    return (p * spec.ubar - spec.c) * _geometric(p, k)
+    with np.errstate(divide="ignore"):
+        lp = np.log1p(-p)
+    return (p * spec.ubar - spec.c) * _geometric(p, lp, k)
+
+
+def _geometric_slopes(x: float, k: int):
+    """``G = sum_{j<k} x^j`` with its first two derivatives ``G'``, ``G''`` at a Python float ``x`` in [0, 1].
+
+    ``G = (1 - x^k) / p``, ``G' = (G - k x^(k-1)) / p`` and ``G'' = (2 G' -
+    k (k-1) x^(k-2)) / p`` at ``p = 1 - x``.  Below ``k p = 0.05`` the two
+    quotients cancel, so there each comes from its series in ``p``, ``d!
+    sum_i C(k, i+d+1) C(i+d, d) (-p)^i`` for the ``d``-th derivative, whose
+    terms fall at least 25-fold each.
+    """
+    p = 1.0 - x
+    if k * p < 0.05:
+        out = []
+        for d in range(3):
+            term, total, i = float(math.comb(k, d + 1) * math.factorial(d)), 0.0, 0
+            while abs(term) > 1e-17 * abs(total):
+                total += term
+                term *= -p * (k - i - d - 1) * (i + d + 1) / ((i + d + 2) * (i + 1))
+                i += 1
+            out.append(total)
+        return tuple(out)
+    g = -math.expm1(k * math.log(x)) / p if x > 0.0 else 1.0
+    g1 = (g - k * x ** (k - 1)) / p
+    return g, g1, (2.0 * g1 - (k * (k - 1) * x ** (k - 2) if k > 1 else 0.0)) / p
 
 
 def exhaustive_utility(p, n: int, spec: HomogeneousSpec):
@@ -119,32 +145,83 @@ def interim_regret(policy: InterimPolicy, p, spec: HomogeneousSpec):
 class _HighBranch:
     """The worst high-belief regret of any plan ``(m, alpha)`` on one spec, for one solve.
 
-    The branch is the polynomial ((1 - alpha) x^m + sum_{i=m+1..n-1} x^i)
-    ((ubar - c) - ubar x), the regret at p = 1 - x, over x in [0, 1 - p_hat].
-    On a 2001-point grid its tail sum is ``x^(m+1)`` times
-    :func:`_geometric`, the sum inside :func:`_utility`, exactly 0 when the
-    tail is empty; the grid's best point starts the polish of
-    :func:`core._poly_max` on the coefficients.
+    At ``x = 1 - p``, over x in [0, 1 - p_hat], the branch is ``B = A L`` with
+    ``A = (1 - alpha) x^m + x^(m+1) G``, ``G = sum_{j<n-m-1} x^j`` (the sum
+    :func:`_geometric` gives) and ``L = (ubar - c) - ubar x``.  A 2001-point
+    grid, its ``log1p`` and ``L`` are built once; each ``m``'s factors
+    ``x^m L`` and ``x^(m+1) G L`` once, on first use; each plan's grid is then
+    ``(1 - alpha)`` times the first plus the second.  The grid's best point
+    starts a Newton polish on ``B'``, with ``G'`` and ``G''`` from
+    :func:`_geometric_slopes`, in the two grid cells around it: a step that
+    leaves the cells, or a point where ``B''`` is not negative, halves them
+    on the sign of ``B'`` instead, and the steps end once they stop
+    shrinking.  Each step is O(1) at any ``n``.
     """
 
     def __init__(self, spec: HomogeneousSpec):
         self.spec = spec
         self.xs = np.linspace(0.0, 1.0 - weitzman_threshold(spec), 2001)
+        self.p = 1.0 - self.xs
+        with np.errstate(divide="ignore"):
+            self.lp = np.log1p(-self.p)
+        self.loss = (spec.ubar - spec.c) - spec.ubar * self.xs
+        self.factors = {}
         self.memo = {}
 
-    def _coef(self, m: int, alpha: float) -> np.ndarray:
-        n, ubar, c = self.spec.n, self.spec.ubar, self.spec.c
-        weights = np.zeros(n)  # x^(n-1), ..., x^0
-        weights[: n - m - 1] = 1.0
-        weights[n - m - 1] = 1.0 - alpha
-        return np.convolve(weights, (-ubar, ubar - c))
+    def _factors(self, m: int):
+        """``x^m L`` and ``x^(m+1) G L`` on the grid."""
+        if m not in self.factors:
+            head = np.exp(m * self.lp) * self.loss if m else self.loss
+            self.factors[m] = head, head * self.xs * _geometric(self.p, self.lp, self.spec.n - m - 1)
+        return self.factors[m]
+
+    def _at(self, m: int, alpha: float, x: float):
+        """``(B, B', B'')`` at the Python float ``x``."""
+        ubar, c = self.spec.ubar, self.spec.c
+        g, g1, g2 = _geometric_slopes(x, self.spec.n - m - 1)
+        # A = x^m h with h = (1 - alpha) + x G
+        h, h1, h2 = 1.0 - alpha + x * g, g + x * g1, 2.0 * g1 + x * g2
+        s = x**m
+        s1 = m * x ** (m - 1) if m else 0.0
+        s2 = m * (m - 1) * x ** (m - 2) if m > 1 else 0.0
+        a, a1 = s * h, s1 * h + s * h1
+        loss = (ubar - c) - ubar * x
+        return a * loss, a1 * loss - ubar * a, (s2 * h + 2.0 * s1 * h1 + s * h2) * loss - 2.0 * ubar * a1
 
     def maximize(self, m: int, alpha: float):
         """Worst high-belief regret of the plan with its argmax in ``x = 1 - p``: ``(x_star, value)``."""
         if (m, alpha) not in self.memo:
-            n, ubar, c, xs = self.spec.n, self.spec.ubar, self.spec.c, self.xs
-            powers = (1.0 - alpha) * xs**m + xs ** (m + 1) * _geometric(1.0 - xs, n - m - 1)
-            self.memo[m, alpha] = _poly_max(self._coef(m, alpha), xs, powers * ((ubar - c) - ubar * xs))
+            xs = self.xs
+            head, tail = self._factors(m)
+            values = tail if alpha == 1.0 else (1.0 - alpha) * head + tail
+            best = int(values.argmax())
+            lo, hi = float(xs[max(best - 1, 0)]), float(xs[min(best + 1, xs.size - 1)])
+            x, last = float(xs[best]), math.inf
+            value, slope, bend = self._at(m, alpha, x)
+            for _ in range(_NEWTON_STEPS):
+                if slope > 0.0:
+                    lo = x
+                elif slope < 0.0:
+                    hi = x
+                else:
+                    break
+                if bend < 0.0:
+                    delta = slope / bend
+                    if not abs(delta) < last:  # rounding drives the steps now
+                        break
+                    if lo < x - delta < hi:
+                        x, last = x - delta, abs(delta)
+                        value, slope, bend = self._at(m, alpha, x)
+                        continue
+                    if last < math.inf:  # a converged step rounded past the bracket
+                        break
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break
+                x, last = mid, math.inf
+                value, slope, bend = self._at(m, alpha, x)
+            grid = float(values[best])
+            self.memo[m, alpha] = (x, value) if value >= grid else (float(xs[best]), grid)
         return self.memo[m, alpha]
 
 

@@ -529,19 +529,14 @@ def indep_descent_loop(spec, tol=1e-6, grid_points=2001, dm_probes=10_000, seed=
 def interim_high_branch(m, alpha, spec):
     """Worst high-belief regret of the interim plan ``(m, alpha)``, with its argmax in ``x = 1 - p``.
 
-    Built afresh on every call: the branch's coefficients, a new 2001-point
-    grid over ``x`` in [0, 1 - c/ubar], one direct Horner pass over it and
-    the solver's polish.  Returns ``(x_star, value)``.
+    The solver's own maximization on a fresh ``_HighBranch`` per call, so
+    that no grid, factor or memo is shared between calls; the polish itself
+    is checked against a dense scan and the coefficient polynomial's polish
+    in ``tests/test_interim.py``.  Returns ``(x_star, value)``.
     """
-    from robust_pandora.core import _poly_max, _polyval
+    from robust_pandora.interim import _HighBranch
 
-    n, ubar, c = spec.n, spec.ubar, spec.c
-    weights = np.zeros(n)
-    weights[: n - m - 1] = 1.0
-    weights[n - m - 1] = 1.0 - alpha
-    coef = np.convolve(weights, (-ubar, ubar - c))
-    xs = np.linspace(0.0, 1.0 - c / ubar, 2001)
-    return _poly_max(coef, xs, _polyval(coef, xs))
+    return _HighBranch(spec).maximize(m, alpha)
 
 
 def interim_linear_scan(spec):

@@ -20,7 +20,7 @@ SOLVE_INTERIM_100 = """\
     "ubar": 1.0
   },
   "results": {
-    "alpha": 0.6675951303238123,
+    "alpha": 0.6675951303238125,
     "degenerate_tie": false,
     "m": 5,
     "regret": 0.28337975651619063,

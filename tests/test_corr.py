@@ -22,6 +22,7 @@ from robust_pandora.corr import (
     success_profile,
 )
 from robust_pandora.indep import solve_indep
+from robust_pandora.interim import solve_interim
 
 SPEC = HomogeneousSpec(1.0, 0.25, 3)
 
@@ -223,3 +224,16 @@ def test_commitment_regret_interpolates_iid_lower_bound():
     for n in range(1, 7):
         spec = HomogeneousSpec(1.0, 0.25, n)
         assert solve_corr_commitment(spec).regret >= solve_indep(spec).regret - 1e-12
+
+
+@given(st.integers(1, 39), st.floats(0.003, 0.98), st.floats(0.5, 2.0))
+@settings(max_examples=60, deadline=None)
+def test_values_ordered_by_nested_classes(n, ratio, ubar):
+    # a larger class of beliefs, or a DM who cannot commit, can only raise the
+    # guaranteed regret; an oracle that knows only p can only lower it
+    spec = HomogeneousSpec(ubar, ubar * ratio, n)
+    indep = solve_indep(spec).regret
+    commitment = solve_corr_commitment(spec).regret
+    assert indep <= commitment + 1e-12
+    assert commitment <= solve_corr_intrapersonal(spec).regret + 1e-12
+    assert solve_interim(spec).regret <= indep + 1e-12

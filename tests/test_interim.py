@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robust_pandora.core import DomainError, HomogeneousSpec
+from robust_pandora.core import DomainError, HomogeneousSpec, _poly_max, _polyval
 from robust_pandora.interim import (
     InterimPolicy,
+    _HighBranch,
     _utility,
     exhaustive_utility,
     interim_regret,
@@ -19,6 +20,25 @@ from robust_pandora.interim import (
 from oracles import exhaustive_utility_sum, interim_linear_scan, interim_regret_high_belief
 
 SPEC2 = HomogeneousSpec(1.0, 0.3, 2)
+
+# (ubar, c, n) at which the branch's peak lies in the grid's last cell, past
+# where a first Newton step from the grid once ended the polish
+LAST_CELL_PEAKS = [
+    (1.0, 4.5666393052911e-05, 3942),
+    (1.0, 9.416190866653508e-05, 4833),
+    (1.0, 0.00010208399481560822, 4934),
+    (1.0787473300228814, 5.5936415573164166e-05, 4074),
+    (1.8791766295305958, 0.00016927024355468752, 4651),
+]
+
+
+def branch_closed_form(x, m, alpha, spec):
+    """``((1 - alpha) x^m + x^(m+1) sum_{j<n-m-1} x^j) ((ubar - c) - ubar x)`` on an array ``x`` in [0, 1]."""
+    k = spec.n - m - 1
+    p = 1.0 - x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = np.where(p > 0.0, -np.expm1(k * np.log1p(-p)) / p, float(k)) if k else np.zeros_like(x)
+    return ((1.0 - alpha) * x**m + x ** (m + 1) * tail) * ((spec.ubar - spec.c) - spec.ubar * x)
 
 
 def staircase_regret(m, alpha, p, spec):
@@ -171,8 +191,7 @@ class TestSolveInterim:
 
     def test_bisection_matches_linear_scan(self):
         # the whole report, degenerate_tie included, against the scan from
-        # m = n - 1 down, whose maximizations each run a direct Horner pass
-        # over their own grid: n = 1..120, 200 and 400, the cost next to the
+        # m = n - 1 down, whose maximizations each build their own branch: n = 1..120, 200 and 400, the cost next to the
         # reward, and small costs, down to a grid end 1 - c/ubar that rounds
         # to 1.0 and a last plan whose geometric tail is empty
         rng = np.random.default_rng(2027)
@@ -198,6 +217,49 @@ class TestSolveInterim:
             rep = solve_interim(spec)
             assert rep.degenerate_tie, c
             assert rep == interim_linear_scan(spec), c
+
+    @pytest.mark.parametrize("ubar,c,n", LAST_CELL_PEAKS)
+    def test_peak_in_last_grid_cell(self, ubar, c, n):
+        spec = HomogeneousSpec(ubar, c, n)
+        rep = solve_interim(spec)
+        assert rep.residual <= 1e-9
+        for p in (0.0, rep.worst_p_high):
+            assert abs(interim_regret(rep.policy, p, spec) - rep.regret) <= 1e-9, p
+
+    def test_polish_crosses_into_last_grid_cell(self):
+        # m = 2622 at the first spec: the peak lies between xs[1999] and
+        # xs[2000], and the first Newton step from xs[1999] overshoots xs[2000]
+        spec = HomogeneousSpec(*LAST_CELL_PEAKS[0])
+        branch = _HighBranch(spec)
+        x_star, value = branch.maximize(2622, 1.0)
+        assert branch.xs[1999] < x_star < branch.xs[2000]
+        assert value > branch_closed_form(branch.xs[1999], 2622, 1.0, spec)
+
+    def test_polish_matches_dense_scan_and_coefficient_polish(self):
+        # m = 0, n - 1 and one between, alpha = 0, 1 and one between: neither
+        # a 200 001-point scan of the closed form across the polished point's
+        # two grid cells each side nor the Newton polish of the branch's
+        # coefficient polynomial beats the polished value by more than the
+        # rounding slack 4 n eps ubar
+        rng = np.random.default_rng(2203)
+        checked = 0
+        for n in (1, 2, 3, 7, 40, *rng.integers(100, 3001, 10).tolist()):
+            ubar = float(rng.uniform(0.5, 2.0))
+            spec = HomogeneousSpec(ubar, ubar * float(10 ** rng.uniform(-4.0, np.log10(0.9))), n)
+            slack = 4 * n * np.finfo(float).eps * ubar
+            xs = np.linspace(0.0, 1.0 - spec.c / spec.ubar, 2001)
+            for m in sorted({0, n - 1, int(rng.integers(0, n))}):
+                for alpha in (0.0, 1.0, float(rng.random())):
+                    x_star, value = _HighBranch(spec).maximize(m, alpha)
+                    dense = np.linspace(max(x_star - 2 * xs[1], 0.0), min(x_star + 2 * xs[1], xs[-1]), 200_001)
+                    assert branch_closed_form(dense, m, alpha, spec).max() <= value + slack, (spec, m, alpha)
+                    weights = np.zeros(n)  # x^(n-1), ..., x^0
+                    weights[: n - m - 1] = 1.0
+                    weights[n - m - 1] = 1.0 - alpha
+                    coef = np.convolve(weights, (-ubar, ubar - spec.c))
+                    assert _poly_max(coef, xs, _polyval(coef, xs))[1] <= value + slack, (spec, m, alpha)
+                    checked += 1
+        assert checked >= 100
 
     def test_single_box_matches_ex_post_case(self):
         rep = solve_interim(HomogeneousSpec(1.0, 0.3, 1))

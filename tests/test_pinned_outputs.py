@@ -90,7 +90,7 @@ DEMO_STDOUT = {
 # chunks (70 000 episodes, two chunks) of the specs in _engine_arrays
 ENGINE_SHA256 = "9d7e1eeb8197ced5da3793dcdc039ad474431993247e276c414f826f2912167d"
 # the solve_interim reports of _interim_arrays, at sizes the oracles do not reach
-INTERIM_SHA256 = "12d2e772572f3689926b63387e5f416b38301ba184f7bf6d0808d5a0b5c21d36"
+INTERIM_SHA256 = "f87bce90ac7856c3c6e66dbabd43010e8bfd4a26537781748b0eda4dc283ed5d"
 
 
 def _engine_arrays():

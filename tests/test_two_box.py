@@ -58,6 +58,15 @@ class TestSolveTwoBox:
         assert regret == pytest.approx(binary.regret, abs=1e-12)
         assert regret == pytest.approx(4 * 0.7 * 0.3 / 2.3, abs=1e-12)
 
+    def test_value_equals_binary_commitment_up_to_4c(self):
+        # ubar <= 4c, the opt-out range ubar <= 1.5c and the boundary ubar = 4c
+        # included: the two-box value is the binary correlated one
+        for ubar in (1.0, 1.7):
+            for ratio in (0.25, 0.3, 0.4, 0.5, 2 / 3, 0.7, 0.9, 0.98):
+                spec = HomogeneousSpec(ubar, ubar * ratio, 2)
+                _, _, regret = solve_two_box(spec)
+                assert abs(regret - solve_corr_commitment(spec).regret) <= 1e-15, (ubar, ratio)
+
     def test_wide_range_raises_regret_above_binary(self):
         for c in (0.2, 0.15, 0.12):
             spec = HomogeneousSpec(1.0, c, 2)
