@@ -471,11 +471,14 @@ def regret_needle(policy: StationaryPolicy, P, spec: HomogeneousSpec):
 # 395 MB; n = 5000 extrapolates to about 600 MB, under 1 GiB.  The same cap
 # bounds the other homogeneous paths that take seconds at a few thousand
 # boxes.  Wall time on the same VM at n = 1000 / 5000 / 20 000:
-# solve_interim (c/ubar = 0.05) 0.013 / 0.064 / 0.26 s, about linear, and
 # saddle_check_indep (c/ubar = 0.3, an O(n^2) polynomial) 0.01 / 0.09 /
-# 0.50 s; interim_grid_oracle (2n rows of 2001 beliefs) 0.02 s at n = 100 and
-# 1.8 s at 5000.  At the spec cap of 10 000 000 boxes the first two would
-# take about two minutes and about two days (extrapolated, not run).
+# 0.50 s, about two days at the spec cap of 10 000 000 boxes (extrapolated,
+# not run); interim_grid_oracle (2n rows of 2001 beliefs) 0.02 s at n = 100
+# and 1.8 s at 5000.  solve_interim (c/ubar = 0.05) takes 0.8 / 0.8 / 1.2 ms,
+# flat in n, but is still capped here: its 2001-point grid must resolve the
+# high-belief peak, whose width is about 1/m.  With the cap lifted, n =
+# 10 000 000 at c/ubar <= 1e-7 puts m near 1.5e6, x^m underflows at every
+# grid point but the last, and the solve raises ConvergenceError.
 _MAX_COUNT_BOXES = 5000
 
 

@@ -13,8 +13,10 @@ coin-flip weight, and the worst belief behind it, by Newton's method.
 Searching up to ``k`` boxes at success rate ``p`` pays the geometric sum
 ``U(p, k) = (p ubar - c) sum_{j<k} (1 - p)^j``, evaluated in closed form as
 ``(p ubar - c) (-expm1(k log1p(-p)) / p)``, with the sum ``k`` at ``p = 0``.
-The same sum prices every plan on the solver's belief grid, at O(1) per
-belief.
+The same sum prices every plan on the solver's belief grid: a few array
+operations per plan from factors built once per sure-search count, then a
+Newton polish on the closed form's first and second derivatives, O(1) per
+step at any menu size.
 """
 
 from __future__ import annotations
@@ -155,7 +157,9 @@ class _HighBranch:
     :func:`_geometric_slopes`, in the two grid cells around it: a step that
     leaves the cells, or a point where ``B''`` is not negative, halves them
     on the sign of ``B'`` instead, and the steps end once they stop
-    shrinking.  Each step is O(1) at any ``n``.
+    shrinking.  Each step is O(1) at any ``n``.  The grid point's value is
+    kept if the polished one falls below it.  Factors and maximizations are
+    memoized for the life of the branch, that is, one solve.
     """
 
     def __init__(self, spec: HomogeneousSpec):
@@ -205,20 +209,16 @@ class _HighBranch:
                     hi = x
                 else:
                     break
-                if bend < 0.0:
-                    delta = slope / bend
-                    if not abs(delta) < last:  # rounding drives the steps now
+                delta = slope / bend if bend < 0.0 else math.nan
+                if lo < x - delta < hi and abs(delta) < last:
+                    x, last = x - delta, abs(delta)
+                elif bend < 0.0 and last < math.inf:
+                    break  # the steps stopped shrinking or rounded past the cells: rounding drives them now
+                else:
+                    mid = 0.5 * (lo + hi)
+                    if not lo < mid < hi:
                         break
-                    if lo < x - delta < hi:
-                        x, last = x - delta, abs(delta)
-                        value, slope, bend = self._at(m, alpha, x)
-                        continue
-                    if last < math.inf:  # a converged step rounded past the bracket
-                        break
-                mid = 0.5 * (lo + hi)
-                if not lo < mid < hi:
-                    break
-                x, last = mid, math.inf
+                    x, last = mid, math.inf
                 value, slope, bend = self._at(m, alpha, x)
             grid = float(values[best])
             self.memo[m, alpha] = (x, value) if value >= grid else (float(xs[best]), grid)
@@ -239,10 +239,11 @@ def solve_interim(spec: HomogeneousSpec) -> InterimReport:
     residual is concave and increasing, and Newton's method from
     ``alpha = 0`` rises monotonically to the root.  Its slope comes from the
     envelope theorem: ``c + (1 - p*)^m (p* ubar - c)`` at the branch's
-    argmax ``p*``.  The bisection and Newton's method share one grid, on
-    which each plan's branch costs O(1) per belief, and a memo of finished
-    maximizations, both dropped when the solve returns.  More than 5 000
-    boxes raise :class:`SizeError`.
+    argmax ``p*``.  The bisection and Newton's method share one grid, the
+    grid factors of each ``m`` they visit and a memo of finished
+    maximizations, all dropped when the solve returns; a plan then costs
+    two array operations on the grid and a polish of O(1) steps.  More
+    than 5 000 boxes raise :class:`SizeError`.
     """
     n, ubar, c = spec.n, spec.ubar, spec.c
     if n > _MAX_COUNT_BOXES:

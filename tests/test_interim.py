@@ -235,6 +235,32 @@ class TestSolveInterim:
         assert branch.xs[1999] < x_star < branch.xs[2000]
         assert value > branch_closed_form(branch.xs[1999], 2622, 1.0, spec)
 
+    def test_branch_slopes_match_coefficient_polynomial(self):
+        # (B, B', B'') of the closed form against Horner's rule on the
+        # branch's coefficients and their derivatives, each within 1e-11 of
+        # the Horner sum of |terms|: at x = 0, the grid end, random beliefs
+        # and, past the grid end but still a polynomial identity, x = 1 and
+        # points near it, where the series in p replaces the quotients
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 3, 5, 20, 60, 200, 400):
+            ubar = float(rng.uniform(0.5, 2.0))
+            spec = HomogeneousSpec(ubar, ubar * float(10 ** rng.uniform(-4.0, -0.05)), n)
+            branch = _HighBranch(spec)
+            end = 1.0 - spec.c / spec.ubar
+            beliefs = [0.0, end, *rng.uniform(0.0, end, 20), *(end - rng.uniform(0.0, 1e-4, 10))]
+            beliefs += [1.0, 1.0 - 1e-12, 1.0 - 1e-9, 1.0 - 1e-6, 1.0 - 1e-4, 1.0 - 1e-3]
+            for m in sorted({0, n - 1, int(rng.integers(0, n))}):
+                for alpha in (0.0, 1.0, float(rng.random())):
+                    weights = np.zeros(n)
+                    weights[: n - m - 1] = 1.0
+                    weights[n - m - 1] = 1.0 - alpha
+                    coef = np.convolve(weights, (-ubar, ubar - spec.c))
+                    polys = [coef, np.polyder(coef), np.polyder(coef, 2)]
+                    for x in beliefs:
+                        for got, poly in zip(branch._at(m, alpha, x), polys):
+                            want = _polyval(poly.tolist(), x)
+                            assert abs(got - want) <= 1e-11 * _polyval(np.abs(poly).tolist(), x), (spec, m, alpha, x)
+
     def test_polish_matches_dense_scan_and_coefficient_polish(self):
         # m = 0, n - 1 and one between, alpha = 0, 1 and one between: neither
         # a 200 001-point scan of the closed form across the polished point's
