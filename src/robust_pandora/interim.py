@@ -13,10 +13,8 @@ coin-flip weight, and the worst belief behind it, by Newton's method.
 Searching up to ``k`` boxes at success rate ``p`` pays the geometric sum
 ``U(p, k) = (p ubar - c) sum_{j<k} (1 - p)^j``, evaluated in closed form as
 ``(p ubar - c) (-expm1(k log1p(-p)) / p)``, with the sum ``k`` at ``p = 0``.
-The same sum prices every plan on the solver's belief grid: a few array
-operations per plan from factors built once per sure-search count, then a
-Newton polish on the closed form's first and second derivatives, O(1) per
-step at any menu size.
+The same sum prices every plan on the solver's belief grid, and its
+derivatives polish each grid maximum in O(1) steps at any menu size.
 """
 
 from __future__ import annotations
@@ -91,13 +89,12 @@ def _utility(p: np.ndarray, k: int, spec: HomogeneousSpec) -> np.ndarray:
 
 
 def _geometric_slopes(x: float, k: int):
-    """``G = sum_{j<k} x^j`` with its first two derivatives ``G'``, ``G''`` at a Python float ``x`` in [0, 1].
+    """``G = sum_{j<k} x^j``, ``G'`` and ``G''`` at a Python float ``x`` in [0, 1], with ``p = 1 - x``.
 
-    ``G = (1 - x^k) / p``, ``G' = (G - k x^(k-1)) / p`` and ``G'' = (2 G' -
-    k (k-1) x^(k-2)) / p`` at ``p = 1 - x``.  Below ``k p = 0.05`` the two
-    quotients cancel, so there each comes from its series in ``p``, ``d!
-    sum_i C(k, i+d+1) C(i+d, d) (-p)^i`` for the ``d``-th derivative, whose
-    terms fall at least 25-fold each.
+    ``G = (1 - x^k) / p``, ``G' = (G - k x^(k-1)) / p`` and ``G'' = (2 G' - k
+    (k-1) x^(k-2)) / p``, except below ``k p = 0.05``, where these quotients
+    cancel: there the ``d``-th derivative is its series ``d! sum_i C(k,
+    i+d+1) C(i+d, d) (-p)^i``, whose terms fall at least 25-fold each.
     """
     p = 1.0 - x
     if k * p < 0.05:
@@ -147,19 +144,15 @@ def interim_regret(policy: InterimPolicy, p, spec: HomogeneousSpec):
 class _HighBranch:
     """The worst high-belief regret of any plan ``(m, alpha)`` on one spec, for one solve.
 
-    At ``x = 1 - p``, over x in [0, 1 - p_hat], the branch is ``B = A L`` with
-    ``A = (1 - alpha) x^m + x^(m+1) G``, ``G = sum_{j<n-m-1} x^j`` (the sum
-    :func:`_geometric` gives) and ``L = (ubar - c) - ubar x``.  A 2001-point
-    grid, its ``log1p`` and ``L`` are built once; each ``m``'s factors
-    ``x^m L`` and ``x^(m+1) G L`` once, on first use; each plan's grid is then
-    ``(1 - alpha)`` times the first plus the second.  The grid's best point
-    starts a Newton polish on ``B'``, with ``G'`` and ``G''`` from
-    :func:`_geometric_slopes`, in the two grid cells around it: a step that
+    At ``x = 1 - p`` in [0, 1 - p_hat] the branch is ``B = A L``, with ``A =
+    (1 - alpha) x^m + x^(m+1) G``, ``G = sum_{j<n-m-1} x^j`` and ``L = (ubar -
+    c) - ubar x``.  On a 2001-point grid each ``m``'s factors ``x^m L`` and
+    ``x^(m+1) G L`` (by :func:`_geometric`) are built once, so a plan's grid
+    is two array operations.  Its best point starts Newton's method on
+    ``B'`` in the two grid cells around it, O(1) per step: a step that
     leaves the cells, or a point where ``B''`` is not negative, halves them
     on the sign of ``B'`` instead, and the steps end once they stop
-    shrinking.  Each step is O(1) at any ``n``.  The grid point's value is
-    kept if the polished one falls below it.  Factors and maximizations are
-    memoized for the life of the branch, that is, one solve.
+    shrinking.  Factors and maximizations are kept for the branch's life.
     """
 
     def __init__(self, spec: HomogeneousSpec):
@@ -172,21 +165,12 @@ class _HighBranch:
         self.factors = {}
         self.memo = {}
 
-    def _factors(self, m: int):
-        """``x^m L`` and ``x^(m+1) G L`` on the grid."""
-        if m not in self.factors:
-            head = np.exp(m * self.lp) * self.loss if m else self.loss
-            self.factors[m] = head, head * self.xs * _geometric(self.p, self.lp, self.spec.n - m - 1)
-        return self.factors[m]
-
     def _at(self, m: int, alpha: float, x: float):
-        """``(B, B', B'')`` at the Python float ``x``."""
+        """``(B, B', B'')`` at the Python float ``x``, from ``A = x^m h`` with ``h = (1 - alpha) + x G``."""
         ubar, c = self.spec.ubar, self.spec.c
         g, g1, g2 = _geometric_slopes(x, self.spec.n - m - 1)
-        # A = x^m h with h = (1 - alpha) + x G
         h, h1, h2 = 1.0 - alpha + x * g, g + x * g1, 2.0 * g1 + x * g2
-        s = x**m
-        s1 = m * x ** (m - 1) if m else 0.0
+        s, s1 = x**m, m * x ** (m - 1) if m else 0.0
         s2 = m * (m - 1) * x ** (m - 2) if m > 1 else 0.0
         a, a1 = s * h, s1 * h + s * h1
         loss = (ubar - c) - ubar * x
@@ -196,19 +180,19 @@ class _HighBranch:
         """Worst high-belief regret of the plan with its argmax in ``x = 1 - p``: ``(x_star, value)``."""
         if (m, alpha) not in self.memo:
             xs = self.xs
-            head, tail = self._factors(m)
+            if m not in self.factors:
+                head = np.exp(m * self.lp) * self.loss if m else self.loss
+                self.factors[m] = head, head * xs * _geometric(self.p, self.lp, self.spec.n - m - 1)
+            head, tail = self.factors[m]
             values = tail if alpha == 1.0 else (1.0 - alpha) * head + tail
             best = int(values.argmax())
             lo, hi = float(xs[max(best - 1, 0)]), float(xs[min(best + 1, xs.size - 1)])
             x, last = float(xs[best]), math.inf
             value, slope, bend = self._at(m, alpha, x)
             for _ in range(_NEWTON_STEPS):
-                if slope > 0.0:
-                    lo = x
-                elif slope < 0.0:
-                    hi = x
-                else:
+                if slope == 0.0:
                     break
+                lo, hi = (x, hi) if slope > 0.0 else (lo, x)
                 delta = slope / bend if bend < 0.0 else math.nan
                 if lo < x - delta < hi and abs(delta) < last:
                     x, last = x - delta, abs(delta)
@@ -239,11 +223,10 @@ def solve_interim(spec: HomogeneousSpec) -> InterimReport:
     residual is concave and increasing, and Newton's method from
     ``alpha = 0`` rises monotonically to the root.  Its slope comes from the
     envelope theorem: ``c + (1 - p*)^m (p* ubar - c)`` at the branch's
-    argmax ``p*``.  The bisection and Newton's method share one grid, the
-    grid factors of each ``m`` they visit and a memo of finished
-    maximizations, all dropped when the solve returns; a plan then costs
-    two array operations on the grid and a polish of O(1) steps.  More
-    than 5 000 boxes raise :class:`SizeError`.
+    argmax ``p*``.  The bisection and Newton's method share one grid, each
+    ``m``'s grid factors and a memo of finished maximizations, all dropped
+    when the solve returns.  More than 5 000 boxes raise
+    :class:`SizeError`.
     """
     n, ubar, c = spec.n, spec.ubar, spec.c
     if n > _MAX_COUNT_BOXES:
