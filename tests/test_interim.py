@@ -41,6 +41,14 @@ def branch_closed_form(x, m, alpha, spec):
     return ((1.0 - alpha) * x**m + x ** (m + 1) * tail) * ((spec.ubar - spec.c) - spec.ubar * x)
 
 
+def branch_coefficients(m, alpha, spec):
+    """The same branch as a polynomial in ``x``, highest degree first."""
+    weights = np.zeros(spec.n)  # x^(n-1), ..., x^0
+    weights[: spec.n - m - 1] = 1.0
+    weights[spec.n - m - 1] = 1.0 - alpha
+    return np.convolve(weights, (-spec.ubar, spec.ubar - spec.c))
+
+
 def staircase_regret(m, alpha, p, spec):
     """Independent route: willingness is m boxes w.p. 1-alpha, m+1 w.p. alpha, each priced term by term."""
     u_n = exhaustive_utility_sum(p, spec.n, spec)
@@ -191,9 +199,10 @@ class TestSolveInterim:
 
     def test_bisection_matches_linear_scan(self):
         # the whole report, degenerate_tie included, against the scan from
-        # m = n - 1 down, whose maximizations each build their own branch: n = 1..120, 200 and 400, the cost next to the
-        # reward, and small costs, down to a grid end 1 - c/ubar that rounds
-        # to 1.0 and a last plan whose geometric tail is empty
+        # m = n - 1 down, whose maximizations each build their own branch:
+        # n = 1..120, 200 and 400, the cost next to the reward, and small
+        # costs, down to a grid end 1 - c/ubar that rounds to 1.0 and a last
+        # plan whose geometric tail is empty
         rng = np.random.default_rng(2027)
         specs = [HomogeneousSpec(1.0, 1.0 - 1e-10, n) for n in (1, 2, 5)]
         for n in range(1, 121):
@@ -251,10 +260,7 @@ class TestSolveInterim:
             beliefs += [1.0, 1.0 - 1e-12, 1.0 - 1e-9, 1.0 - 1e-6, 1.0 - 1e-4, 1.0 - 1e-3]
             for m in sorted({0, n - 1, int(rng.integers(0, n))}):
                 for alpha in (0.0, 1.0, float(rng.random())):
-                    weights = np.zeros(n)
-                    weights[: n - m - 1] = 1.0
-                    weights[n - m - 1] = 1.0 - alpha
-                    coef = np.convolve(weights, (-ubar, ubar - spec.c))
+                    coef = branch_coefficients(m, alpha, spec)
                     polys = [coef, np.polyder(coef), np.polyder(coef, 2)]
                     for x in beliefs:
                         for got, poly in zip(branch._at(m, alpha, x), polys):
@@ -279,10 +285,7 @@ class TestSolveInterim:
                     x_star, value = _HighBranch(spec).maximize(m, alpha)
                     dense = np.linspace(max(x_star - 2 * xs[1], 0.0), min(x_star + 2 * xs[1], xs[-1]), 200_001)
                     assert branch_closed_form(dense, m, alpha, spec).max() <= value + slack, (spec, m, alpha)
-                    weights = np.zeros(n)  # x^(n-1), ..., x^0
-                    weights[: n - m - 1] = 1.0
-                    weights[n - m - 1] = 1.0 - alpha
-                    coef = np.convolve(weights, (-ubar, ubar - spec.c))
+                    coef = branch_coefficients(m, alpha, spec)
                     assert _poly_max(coef, xs, _polyval(coef, xs))[1] <= value + slack, (spec, m, alpha)
                     checked += 1
         assert checked >= 100
