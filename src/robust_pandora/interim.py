@@ -13,8 +13,9 @@ coin-flip weight, and the worst belief behind it, by Newton's method.
 Searching up to ``k`` boxes at success rate ``p`` pays the geometric sum
 ``U(p, k) = (p ubar - c) sum_{j<k} (1 - p)^j``, evaluated in closed form as
 ``(p ubar - c) (-expm1(k log1p(-p)) / p)``, with the sum ``k`` at ``p = 0``.
-The same sum prices every plan on the solver's belief grid, and its
-derivatives polish each grid maximum in O(1) steps at any menu size.
+The same sum and its derivatives price the high-belief branch of every
+plan; that branch has one peak, which a bracketed Newton search finds at
+O(1) cost per step at any menu size.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _MAX_COUNT_BOXES,
     _MAX_SPEC_BOXES,
     _NEWTON_STEPS,
     ConvergenceError,
@@ -74,18 +74,13 @@ class InterimReport:
     degenerate_tie: bool = False
 
 
-def _geometric(p: np.ndarray, lp: np.ndarray, k: int) -> np.ndarray:
-    """``sum_{j<k} (1 - p)^j`` in the closed form of the module docstring, entrywise, given ``lp = log1p(-p)``."""
-    if k == 0:  # not 0 * log1p(-1), which is NaN at p = 1
-        return np.zeros_like(p)
-    return np.divide(np.expm1(k * lp), -p, out=np.full_like(p, float(k)), where=p > 0.0)
-
-
 def _utility(p: np.ndarray, k: int, spec: HomogeneousSpec) -> np.ndarray:
     """``U(p, k)`` in the closed form of the module docstring, entrywise over the array ``p``."""
     with np.errstate(divide="ignore"):
         lp = np.log1p(-p)
-    return (p * spec.ubar - spec.c) * _geometric(p, lp, k)
+    # zeros at k = 0, not 0 * log1p(-1), which is NaN at p = 1
+    total = np.zeros_like(p) if k == 0 else np.divide(np.expm1(k * lp), -p, out=np.full_like(p, float(k)), where=p > 0.0)
+    return (p * spec.ubar - spec.c) * total
 
 
 def _geometric_slopes(x: float, k: int):
@@ -144,25 +139,23 @@ def interim_regret(policy: InterimPolicy, p, spec: HomogeneousSpec):
 class _HighBranch:
     """The worst high-belief regret of any plan ``(m, alpha)`` on one spec, for one solve.
 
-    At ``x = 1 - p`` in [0, 1 - p_hat] the branch is ``B = A L``, with ``A =
-    (1 - alpha) x^m + x^(m+1) G``, ``G = sum_{j<n-m-1} x^j`` and ``L = (ubar -
-    c) - ubar x``.  On a 2001-point grid each ``m``'s factors ``x^m L`` and
-    ``x^(m+1) G L`` (by :func:`_geometric`) are built once, so a plan's grid
-    is two array operations.  Its best point starts Newton's method on
-    ``B'`` in the two grid cells around it, O(1) per step: a step that
-    leaves the cells, or a point where ``B''`` is not negative, halves them
-    on the sign of ``B'`` instead, and the steps end once they stop
-    shrinking.  Factors and maximizations are kept for the branch's life.
+    At ``x = 1 - p`` in [0, x_end], ``x_end = 1 - p_hat``, the branch is ``B =
+    A L``, with ``A = (1 - alpha) x^m + x^(m+1) G``, ``G = sum_{j<n-m-1} x^j``
+    and ``L = (ubar - c) - ubar x = ubar (x_end - x)``.  It is unimodal, the
+    condition :meth:`maximize` relies on.  ``B'`` has the sign of ``phi =
+    (x_end - x) mu - x``, where ``mu = x A' / A`` is the mean exponent of
+    ``A``'s terms, each weighted by its value; as ``x mu' = Var``, the
+    variance of that law, ``phi' = Var / mu - (1 + mu)`` at a zero of
+    ``phi``.  The weights ``(1 - alpha) x^m, x^(m+1), ..., x^(n-1)`` are
+    log-concave in the exponent, and a log-concave law on the nonnegative
+    integers has variance at most ``mu (1 + mu)``, which is the
+    geometric's.  So every zero of ``phi`` is a downward crossing, and
+    there is at most one.  Maximizations are kept for the branch's life.
     """
 
     def __init__(self, spec: HomogeneousSpec):
         self.spec = spec
-        self.xs = np.linspace(0.0, 1.0 - weitzman_threshold(spec), 2001)
-        self.p = 1.0 - self.xs
-        with np.errstate(divide="ignore"):
-            self.lp = np.log1p(-self.p)
-        self.loss = (spec.ubar - spec.c) - spec.ubar * self.xs
-        self.factors = {}
+        self.end = 1.0 - weitzman_threshold(spec)
         self.memo = {}
 
     def _at(self, m: int, alpha: float, x: float):
@@ -177,35 +170,40 @@ class _HighBranch:
         return a * loss, a1 * loss - ubar * a, (s2 * h + 2.0 * s1 * h1 + s * h2) * loss - 2.0 * ubar * a1
 
     def maximize(self, m: int, alpha: float):
-        """Worst high-belief regret of the plan with its argmax in ``x = 1 - p``: ``(x_star, value)``."""
+        """Worst high-belief regret of the plan with its argmax in ``x = 1 - p``: ``(x_star, value)``.
+
+        Newton's method on ``B'``, O(1) per step, from the peak of ``x^m L``,
+        ``x_end m / (m + 1)``, which lies at or left of ``B``'s (``mu >= m``).
+        The bracket [0, x_end] narrows on the sign of ``B'``, a ``B`` that
+        underflows to 0 counting as left of the peak, so at ``m = 0`` a ``B'
+        <= 0`` at ``x = 0`` keeps ``x = 0``.  A step that leaves the bracket,
+        or one where ``B''`` is not negative, halves it instead.  The search
+        ends once a step rounds to ``x`` itself or the bracket closes to
+        adjacent floats; past its bound it raises :class:`ConvergenceError`.
+        """
         if (m, alpha) not in self.memo:
-            xs = self.xs
-            if m not in self.factors:
-                head = np.exp(m * self.lp) * self.loss if m else self.loss
-                self.factors[m] = head, head * xs * _geometric(self.p, self.lp, self.spec.n - m - 1)
-            head, tail = self.factors[m]
-            values = tail if alpha == 1.0 else (1.0 - alpha) * head + tail
-            best = int(values.argmax())
-            lo, hi = float(xs[max(best - 1, 0)]), float(xs[min(best + 1, xs.size - 1)])
-            x, last = float(xs[best]), math.inf
-            value, slope, bend = self._at(m, alpha, x)
-            for _ in range(_NEWTON_STEPS):
-                if slope == 0.0:
-                    break
-                lo, hi = (x, hi) if slope > 0.0 else (lo, x)
-                delta = slope / bend if bend < 0.0 else math.nan
-                if lo < x - delta < hi and abs(delta) < last:
-                    x, last = x - delta, abs(delta)
-                elif bend < 0.0 and last < math.inf:
-                    break  # the steps stopped shrinking or rounded past the cells: rounding drives them now
-                else:
-                    mid = 0.5 * (lo + hi)
-                    if not lo < mid < hi:
-                        break
-                    x, last = mid, math.inf
+            lo, hi = 0.0, self.end
+            x = hi * m / (m + 1)
+            # halving alone closes the bracket in about 54 steps
+            for _ in range(2 * _NEWTON_STEPS):
                 value, slope, bend = self._at(m, alpha, x)
-            grid = float(values[best])
-            self.memo[m, alpha] = (x, value) if value >= grid else (float(xs[best]), grid)
+                if slope > 0.0 or slope == value == 0.0:
+                    lo = x
+                elif slope < 0.0:
+                    hi = x
+                elif slope == 0.0:
+                    break  # a NaN slope narrows nothing and runs into the bound
+                step = x - slope / bend if bend < 0.0 else math.nan
+                if not lo < step < hi:
+                    if step == x:
+                        break
+                    step = 0.5 * (lo + hi)
+                    if not lo < step < hi:
+                        break
+                x = step
+            else:
+                raise ConvergenceError(f"high-belief branch of plan m={m}, alpha={alpha!r} unresolved after bracketing")
+            self.memo[m, alpha] = x, value
         return self.memo[m, alpha]
 
 
@@ -223,14 +221,10 @@ def solve_interim(spec: HomogeneousSpec) -> InterimReport:
     residual is concave and increasing, and Newton's method from
     ``alpha = 0`` rises monotonically to the root.  Its slope comes from the
     envelope theorem: ``c + (1 - p*)^m (p* ubar - c)`` at the branch's
-    argmax ``p*``.  The bisection and Newton's method share one grid, each
-    ``m``'s grid factors and a memo of finished maximizations, all dropped
-    when the solve returns.  More than 5 000 boxes raise
-    :class:`SizeError`.
+    argmax ``p*``.  The bisection and Newton's method share a memo of
+    finished maximizations, dropped when the solve returns.
     """
     n, ubar, c = spec.n, spec.ubar, spec.c
-    if n > _MAX_COUNT_BOXES:
-        raise SizeError(f"interim solver limited to {_MAX_COUNT_BOXES} boxes, got {_shown(n)}")
 
     # g(cand) = cand c - tail(cand) rises with cand: the high-belief factor
     # (ubar - c) - ubar x is >= 0 on the branch, so tail sums fewer
@@ -290,8 +284,10 @@ def interim_two_box_intrapersonal(spec: HomogeneousSpec):
     and sure-reward scenarios exactly as in the ex-post problem, and the
     first stage then solves alpha_2 = (ubar - c) / (ubar + alpha_1 c).  The
     first move is strictly less likely than the second, the overload pattern
-    again.
+    again.  A spec of any other size raises :class:`DomainError`.
     """
+    if spec.n != 2:
+        raise DomainError(f"interim two-box solver handles exactly 2 boxes, got n={spec.n}")
     ubar, c = spec.ubar, spec.c
     alpha_1 = (ubar - c) / ubar
     alpha_2 = (ubar - c) / (ubar + alpha_1 * c)

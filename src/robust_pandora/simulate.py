@@ -22,6 +22,7 @@ matter how the work is chunked or threaded.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -136,10 +137,13 @@ def _heterogeneous_chunks(policy: SelectionPolicy, truth: HeteroPVector, spec: H
     cum = np.cumsum(policy.weights.T, axis=0, out=np.empty((n, 1 << n)))
     no_rule = np.isnan(policy.optout)
 
-    def play(U):
+    def split(U):
+        # what play reads of a chunk's draws: the hits and a copy of the stage columns
+        return U[:, 1 : n + 1] < probs, U[:, n + 1 : 2 * n + 1].copy()
+
+    def play(hits, stages):
         # one chunk's episodes; its per-episode arrays go on return
-        rows = U.shape[0]
-        hits = U[:, 1 : n + 1] < probs
+        rows = hits.shape[0]
         oracle = np.zeros(rows)
         for i in range(n):
             oracle = np.maximum(oracle, np.where(hits[:, i], deltas[i], 0.0))
@@ -152,7 +156,7 @@ def _heterogeneous_chunks(policy: SelectionPolicy, truth: HeteroPVector, spec: H
             at = menu[live]
             if no_rule.take(at).any():
                 raise DomainError("policy has no rule for a menu it can reach")
-            draw = U[live, n + 1 + t]
+            draw = stages[live, t]
             box = np.zeros(live.size, dtype=np.intp)
             for i in range(n):
                 box += cum[i].take(at) <= draw
@@ -166,8 +170,9 @@ def _heterogeneous_chunks(policy: SelectionPolicy, truth: HeteroPVector, spec: H
             menu[live] &= ~(1 << box)
         return opened, oracle - (won - cost)
 
-    # map holds no chunk's draws once play returns, so they go before _blocks draws the next
-    yield from map(play, _blocks(seed, episodes, n))
+    # a chunk's whole draws go once split returns, and its stage columns once
+    # play returns, before _blocks draws the next
+    yield from itertools.starmap(play, map(split, _blocks(seed, episodes, n)))
 
 
 def simulate(policy, truth, spec, episodes: int, seed: int) -> SimulationResult:

@@ -529,10 +529,11 @@ def indep_descent_loop(spec, tol=1e-6, grid_points=2001, dm_probes=10_000, seed=
 def interim_high_branch(m, alpha, spec):
     """Worst high-belief regret of the interim plan ``(m, alpha)``, with its argmax in ``x = 1 - p``.
 
-    The solver's own maximization on a fresh ``_HighBranch`` per call, so
-    that no grid, factor or memo is shared between calls; the polish itself
-    is checked against a dense scan and the coefficient polynomial's polish
-    in ``tests/test_interim.py``.  Returns ``(x_star, value)``.
+    The solver's own bracketed Newton search on a fresh ``_HighBranch`` per
+    call, so that no memo is shared between calls; the search itself is
+    checked against a dense scan of the whole branch and the coefficient
+    polynomial's grid-and-Newton maximum in ``tests/test_interim.py``.
+    Returns ``(x_star, value)``.
     """
     from robust_pandora.interim import _HighBranch
 
@@ -543,10 +544,11 @@ def interim_linear_scan(spec):
     """``solve_interim`` scanning the sure-search count ``m`` from ``n - 1`` down.
 
     The scan the bisection replaced: one high-branch maximization per
-    candidate, each by :func:`interim_high_branch` with no state shared
-    between calls, flagging ``degenerate_tie`` at every candidate it passes
-    with ``|cand c - tail| < 1e-12``.  The Newton step for the randomization
-    weight is the solver's own.  Returns the same ``InterimReport``.
+    candidate, each by :func:`interim_high_branch` on a fresh branch, so no
+    memo is shared between calls, flagging ``degenerate_tie`` at every
+    candidate it passes with ``|cand c - tail| < 1e-12``.  The Newton step
+    for the randomization weight is the solver's own.  Returns the same
+    ``InterimReport``.
     """
     from robust_pandora.core import _NEWTON_STEPS, ConvergenceError
     from robust_pandora.interim import InterimPolicy, InterimReport

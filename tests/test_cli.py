@@ -445,7 +445,6 @@ class TestBadInputs:
             (*DELTA, "--steps", "1000000000"),
             ("sweep", "--from", "0", "--to", "1", "--regime", "indep", "--sweep", "q", *HOMOG[:4], "--n", "10000000"),
             (*SWEEP, "--regime", "two-box", "--sweep", "ubar", "--c", "0.2", "--steps", "10001"),
-            ("solve", "--regime", "interim", *HOMOG[:4], "--n", "5001"),
             ("verify", "--regime", "indep", *HOMOG[:4], "--n", "5001"),
             ("verify", "--regime", "indep", *HOMOG[:4], "--n", "5001", "--policy-file", "VALID"),
             ("solve", "--regime", "het"),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robust_pandora.core import DomainError, HomogeneousSpec, _poly_max, _polyval
+from robust_pandora.core import ConvergenceError, DomainError, HomogeneousSpec, _poly_max, _polyval
 from robust_pandora.interim import (
     InterimPolicy,
     _HighBranch,
@@ -21,8 +21,9 @@ from oracles import exhaustive_utility_sum, interim_linear_scan, interim_regret_
 
 SPEC2 = HomogeneousSpec(1.0, 0.3, 2)
 
-# (ubar, c, n) at which the branch's peak lies in the grid's last cell, past
-# where a first Newton step from the grid once ended the polish
+# (ubar, c, n) whose high-belief peak, about 1/m wide (m 2 100 to 2 700), lies
+# within 1/2000 of the branch's end 1 - c/ubar, between the last two points
+# of a 2001-point belief grid
 LAST_CELL_PEAKS = [
     (1.0, 4.5666393052911e-05, 3942),
     (1.0, 9.416190866653508e-05, 4833),
@@ -30,6 +31,11 @@ LAST_CELL_PEAKS = [
     (1.0787473300228814, 5.5936415573164166e-05, 4074),
     (1.8791766295305958, 0.00016927024355468752, 4651),
 ]
+
+# (c/ubar, n) above the 5 000 boxes a belief grid once capped: at n = 10**7,
+# m is 2 665 291 at c/ubar = 1e-7 and 9 736 249 at 1e-9, and the peak is
+# about 1/m wide
+LARGE_MENUS = [(1e-7, 10**7), (1e-9, 10**7), (0.3, 10**7), (1e-5, 2 * 10**4), (1e-6, 10**5)]
 
 
 def branch_closed_form(x, m, alpha, spec):
@@ -235,20 +241,20 @@ class TestSolveInterim:
         for p in (0.0, rep.worst_p_high):
             assert abs(interim_regret(rep.policy, p, spec) - rep.regret) <= 1e-9, p
 
-    def test_polish_crosses_into_last_grid_cell(self):
-        # m = 2622 at the first spec: the peak lies between xs[1999] and
-        # xs[2000], and the first Newton step from xs[1999] overshoots xs[2000]
-        spec = HomogeneousSpec(*LAST_CELL_PEAKS[0])
-        branch = _HighBranch(spec)
-        x_star, value = branch.maximize(2622, 1.0)
-        assert branch.xs[1999] < x_star < branch.xs[2000]
-        assert value > branch_closed_form(branch.xs[1999], 2622, 1.0, spec)
+    @pytest.mark.parametrize("ratio,n", LARGE_MENUS)
+    def test_large_menus(self, ratio, n):
+        spec = HomogeneousSpec(1.0, ratio, n)
+        rep = solve_interim(spec)
+        assert rep.residual <= 1e-9
+        for p in (0.0, rep.worst_p_high):
+            assert abs(interim_regret(rep.policy, p, spec) - rep.regret) <= 1e-9, p
+        assert 0 <= rep.policy.m < n
 
     def test_branch_slopes_match_coefficient_polynomial(self):
         # (B, B', B'') of the closed form against Horner's rule on the
         # branch's coefficients and their derivatives, each within 1e-11 of
-        # the Horner sum of |terms|: at x = 0, the grid end, random beliefs
-        # and, past the grid end but still a polynomial identity, x = 1 and
+        # the Horner sum of |terms|: at x = 0, the branch's end, random beliefs
+        # and, past that end but still a polynomial identity, x = 1 and
         # points near it, where the series in p replaces the quotients
         rng = np.random.default_rng(7)
         for n in (1, 2, 3, 5, 20, 60, 200, 400):
@@ -269,9 +275,9 @@ class TestSolveInterim:
 
     def test_polish_matches_dense_scan_and_coefficient_polish(self):
         # m = 0, n - 1 and one between, alpha = 0, 1 and one between: neither
-        # a 200 001-point scan of the closed form across the polished point's
-        # two grid cells each side nor the Newton polish of the branch's
-        # coefficient polynomial beats the polished value by more than the
+        # a 200 001-point scan of the closed form over the whole branch [0,
+        # 1 - c/ubar] nor the grid-and-Newton polish of the branch's
+        # coefficient polynomial beats the maximized value by more than the
         # rounding slack 4 n eps ubar
         rng = np.random.default_rng(2203)
         checked = 0
@@ -280,15 +286,23 @@ class TestSolveInterim:
             spec = HomogeneousSpec(ubar, ubar * float(10 ** rng.uniform(-4.0, np.log10(0.9))), n)
             slack = 4 * n * np.finfo(float).eps * ubar
             xs = np.linspace(0.0, 1.0 - spec.c / spec.ubar, 2001)
+            dense = np.linspace(0.0, xs[-1], 200_001)
             for m in sorted({0, n - 1, int(rng.integers(0, n))}):
                 for alpha in (0.0, 1.0, float(rng.random())):
-                    x_star, value = _HighBranch(spec).maximize(m, alpha)
-                    dense = np.linspace(max(x_star - 2 * xs[1], 0.0), min(x_star + 2 * xs[1], xs[-1]), 200_001)
+                    _, value = _HighBranch(spec).maximize(m, alpha)
                     assert branch_closed_form(dense, m, alpha, spec).max() <= value + slack, (spec, m, alpha)
                     coef = branch_coefficients(m, alpha, spec)
                     assert _poly_max(coef, xs, _polyval(coef, xs))[1] <= value + slack, (spec, m, alpha)
                     checked += 1
         assert checked >= 100
+
+    def test_unresolved_branch_raises(self):
+        # a slope that is never a number narrows no bracket: the search ends
+        # at its bound with an error, not with a value
+        branch = _HighBranch(HomogeneousSpec(1.0, 0.3, 5))
+        branch._at = lambda m, alpha, x: (np.nan, np.nan, np.nan)
+        with pytest.raises(ConvergenceError):
+            branch.maximize(2, 0.5)
 
     def test_single_box_matches_ex_post_case(self):
         rep = solve_interim(HomogeneousSpec(1.0, 0.3, 1))
@@ -337,6 +351,21 @@ def test_solution_holds_across_costs_and_menus(n, ratio, ubar):
         assert abs(interim_regret(rep.policy, p, spec) - rep.regret) <= 1e-9, p
     assert 0 <= rep.policy.m < n
     assert 0.0 <= rep.policy.alpha <= 1.0
+
+
+@given(st.floats(0.0, 7.0), st.floats(-9.0, np.log10(0.98)), st.floats(0.0, 1.0), st.data())
+@settings(max_examples=40, deadline=None)
+def test_branch_slope_changes_sign_once(log_n, log_ratio, alpha, data):
+    # the unimodality maximize relies on: on a dense grid of [0, 1 - c/ubar],
+    # uniform and clustered toward the end, the sign of B' runs from + to -
+    # at most once; zeros, where x^m underflows, are left out
+    n = round(10**log_n)
+    m = data.draw(st.integers(0, n - 1))
+    branch = _HighBranch(HomogeneousSpec(1.0, 10**log_ratio, n))
+    end = branch.end
+    xs = np.sort(np.concatenate([np.linspace(0.0, end, 1001), end - end * np.geomspace(1e-12, 1.0, 1001)]))
+    signs = [sign for sign in (np.sign(branch._at(m, alpha, float(x))[1]) for x in xs) if sign]
+    assert signs == sorted(signs, reverse=True), (n, m, alpha)
 
 
 class TestTwoBoxIntrapersonal:

@@ -190,9 +190,10 @@ class TestEstimatorQuality:
 @pytest.mark.parametrize("heterogeneous", [False, True])
 def test_each_chunk_releases_its_draws(heterogeneous):
     # three chunks of (_CHUNK, 12) draws (n = 5, or 4 heterogeneous boxes), 6.3 MB
-    # each: the peak is about 2.1 (homogeneous) and 2.1 to 2.2 (heterogeneous)
-    # times one chunk's draws, one chunk's draws plus the work on them, and 2.7
-    # times when the previous chunk's draws live on while the next is drawn
+    # each: the peak is about 2.1 times one chunk's draws (homogeneous), one
+    # chunk's draws plus the work on them, and 2.7 times when the previous
+    # chunk's draws live on while the next is drawn; the heterogeneous loop
+    # keeps only the hits and the stage columns, about 1.55 times
     if heterogeneous:
         spec = HeterogeneousSpec(((1.0, 0.2), (1.0, 0.4), (2.0, 0.5), (1.5, 0.9)))
         truth = HeteroPVector((0.1, 0.2, 0.3, 0.4))
@@ -207,7 +208,7 @@ def test_each_chunk_releases_its_draws(heterogeneous):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.25 * _CHUNK * 12 * 8
+    assert peak < (1.75 if heterogeneous else 2.25) * _CHUNK * 12 * 8
 
 
 class TestValidation:

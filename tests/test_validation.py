@@ -26,6 +26,7 @@ from robust_pandora import (
     exhaustive_utility,
     interim_grid_oracle,
     interim_regret,
+    interim_two_box_intrapersonal,
     nature_best_response_indep,
     psi,
     regret_count_profile,
@@ -38,7 +39,6 @@ from robust_pandora import (
     simulate,
     solve_het,
     solve_indep,
-    solve_interim,
     solve_two_box,
     verify_two_box,
 )
@@ -150,6 +150,7 @@ BAD_CALLS = {
     "regret-indep-policy-n": lambda: regret_indep(StationaryPolicy([0.5]), 0.3, SPEC),
     "regret-needle-policy-n": lambda: regret_needle(StationaryPolicy([0.5]), 0.3, SPEC),
     "interim-regret-policy-n": lambda: interim_regret(InterimPolicy(0, 0.5, 2), 0.3, SPEC),
+    "interim-two-box-n": lambda: interim_two_box_intrapersonal(SPEC),
     "subset-rule-probs-list": lambda: SubsetRule([0.5], 0.5),
     "selection-policy-rules-list": lambda: SelectionPolicy(2, [1, 2]),
     "selection-policy-menu-int": lambda: SelectionPolicy(2, {0: SubsetRule({0: 0.5}, 0.5)}),
@@ -163,13 +164,12 @@ BAD_CALLS = {
     "sweep-ubar-huge-int": lambda: cost_asymmetry_sweep(10**400, 0.6, [0.0]),
 }
 
-# one box over the 5 000-box cap of the interim solver and oracle and of the i.i.d. regret polynomial
+# one box over the 5 000-box cap of the interim grid oracle and of the i.i.d. regret polynomial
 OVER_CAP = HomogeneousSpec(1.0, 0.3, 5001)
 
 OVERSIZED_CALLS = {
     "spec-n-huge-int": lambda: HomogeneousSpec(1.0, 0.3, 10**400),
     "exhaustive-n-huge-int": lambda: exhaustive_utility(0.3, 10**400, SPEC),
-    "solve-interim-n": lambda: solve_interim(OVER_CAP),
     "interim-grid-oracle-n": lambda: interim_grid_oracle(OVER_CAP),
     "nature-indep-n": lambda: nature_best_response_indep(StationaryPolicy(np.ones(5001)), OVER_CAP),
     "saddle-indep-n": lambda: saddle_check_indep(OVER_CAP),
