@@ -235,7 +235,7 @@ def _cmd_sweep(args):
     return _emit_table_csv(columns, rows), 0
 
 
-def _check_policy_file(args, spec, grid: int) -> SaddleReport:
+def _check_policy_file(args, spec) -> SaddleReport:
     """Nature's side only: the worst case of the file's policy against its claimed regret."""
     try:
         with open(args.policy_file, "r", encoding="utf-8") as fh:
@@ -254,33 +254,33 @@ def _check_policy_file(args, spec, grid: int) -> SaddleReport:
         ) from None
     policy = StationaryPolicy(np.asarray(alpha, dtype=float))
     if args.regime == "indep":
-        p_star, worst = nature_best_response_indep(policy, spec, grid)
+        p_star, worst = nature_best_response_indep(policy, spec)
         belief = IidBinary(p_star)
     else:
         P_star, worst = nature_best_response_needle(policy, spec)
         belief = NeedleP(P_star)
-    notes = (f"checked policy file {os.path.basename(args.policy_file)}",)
+    name = os.path.basename(args.policy_file)
+    notes = (f"checked policy file {name}", "dm_gap not priced: a policy file is checked on Nature's side only")
     return SaddleReport(worst - float(claimed), 0.0, belief, args.tol, notes)
 
 
 def _cmd_verify(args):
     spec, params = _spec_from(args)
     _require_tolerance(args.tol, "--tol")
-    if args.regime in ("corr", "corr-intra"):
-        _reject(args, ("grid",), f"the {args.regime} regime does not read --grid: its needle check is exact")
-    grid = 2001 if args.grid is None else args.grid
+    if args.regime != "two-box" and args.grid is not None:
+        raise DomainError(f"the {args.regime} regime does not read --grid")
     params["tol"] = args.tol
     if args.regime == "two-box":
         if args.policy_file is not None:
             raise DomainError("--policy-file is not supported for the two-box regime")
         del params["n"]
-        params["grid"] = grid
+        params["grid"] = grid = 2001 if args.grid is None else args.grid
         policy, nature, _ = solve_two_box(spec)
         report = verify_two_box(policy, nature, spec, grid_size=grid, tolerance=args.tol)
     elif args.policy_file is not None:
-        report = _check_policy_file(args, spec, grid)
+        report = _check_policy_file(args, spec)
     elif args.regime == "indep":
-        report = saddle_check_indep(spec, tol=args.tol, grid_points=grid)
+        report = saddle_check_indep(spec, tol=args.tol)
     else:
         mode = "commitment" if args.regime == "corr" else "intrapersonal"
         report = saddle_check_corr(spec, tol=args.tol, mode=mode)
@@ -354,9 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(verify)
     verify.add_argument("--regime", required=True, choices=("indep", "corr", "corr-intra", "two-box"))
     verify.add_argument("--tol", type=float, default=1e-6)
-    verify.add_argument(
-        "--grid", type=int, default=None, help="indep belief grid, two-box pairs per axis (default 2001)"
-    )
+    verify.add_argument("--grid", type=int, default=None, help="two-box reward pairs per axis (default 2001)")
     verify.add_argument("--policy-file", default=None, help="JSON file with 'alpha' and 'regret' to check")
     verify.set_defaults(func=_cmd_verify)
 

@@ -405,31 +405,38 @@ def _regret_indep_poly(policy: StationaryPolicy, spec: HomogeneousSpec) -> np.nd
     return r[::-1]
 
 
-def _poly_max(coef: np.ndarray, xs: np.ndarray, values: np.ndarray):
-    """Maximum on the grid's interval of the polynomial ``coef``, highest degree first: ``(x, value)``.
+def _peak_search(at, lo: float, hi: float, x: float):
+    """Peak of a unimodal function on ``[lo, hi]``, searched from ``x``: ``(x_star, value)``.
 
-    ``values`` holds the polynomial at the increasing grid ``xs``.  Its best
-    point is polished by Newton's method on the derivative while the
-    curvature is negative, the steps shrink (after that, rounding drives
-    them) and the iterates stay in the two grid cells around that point; an
-    end point of the grid stays where it is.  The polish runs Horner's rule
-    on Python floats.
+    ``at(x)`` gives the value, slope and curvature at a Python float.
+    Newton's method on the slope, the bracket narrowed on its sign; a step
+    that leaves the bracket, or one where the curvature is not negative,
+    halves it instead.  A value and slope both 0 count as left of the peak,
+    except at the start, which is then kept (``interim._HighBranch.maximize``
+    says why; the i.i.d. regret is positive at its best grid point).  The
+    search ends once a step rounds to ``x`` itself or the bracket closes to
+    adjacent floats; past its bound it raises :class:`ConvergenceError`.
     """
-    best = int(np.argmax(values))
-    left, right = float(xs[max(best - 1, 0)]), float(xs[min(best + 1, xs.size - 1)])
-    slope = np.polyder(coef).tolist()
-    curvature = np.polyder(coef, 2).tolist()
-    x = float(xs[best])
-    last = math.inf
-    for _ in range(_NEWTON_STEPS):
-        bend = _polyval(curvature, x)
-        if not bend < 0.0:
-            break
-        delta = _polyval(slope, x) / bend
-        if not abs(delta) < last or not left <= x - delta <= right:
-            break
-        x, last = x - delta, abs(delta)
-    return x, _polyval(coef.tolist(), x)
+    # halving alone closes the bracket in about 54 steps
+    for i in range(2 * _NEWTON_STEPS):
+        value, slope, bend = at(x)
+        if slope > 0.0 or (slope == value == 0.0 and i):
+            lo = x
+        elif slope < 0.0:
+            hi = x
+        elif slope == 0.0:
+            break  # a NaN slope narrows nothing and runs into the bound
+        step = x - slope / bend if bend < 0.0 else math.nan
+        if not lo < step < hi:
+            if step == x:
+                break
+            step = 0.5 * (lo + hi)
+            if not lo < step < hi:
+                break
+        x = step
+    else:
+        raise ConvergenceError("peak search unresolved after bracketing")
+    return x, value
 
 
 def _polyval(coef, x):
@@ -471,10 +478,10 @@ def regret_needle(policy: StationaryPolicy, P, spec: HomogeneousSpec):
 # 395 MB; n = 5000 extrapolates to about 600 MB, under 1 GiB.  The same cap
 # bounds the other homogeneous paths that take seconds at a few thousand
 # boxes.  Wall time on the same VM at n = 1000 / 5000 / 20 000:
-# saddle_check_indep (c/ubar = 0.3, an O(n^2) polynomial) 0.01 / 0.09 /
-# 0.50 s, about two days at the spec cap of 10 000 000 boxes (extrapolated,
-# not run); interim_grid_oracle (2n rows of 2001 beliefs) 0.02 s at n = 100
-# and 1.8 s at 5000.
+# saddle_check_indep (c/ubar = 0.3, an O(n^2) polynomial) 0.01 / 0.06-0.10
+# / 0.4-0.6 s, about two days at the spec cap of 10 000 000 boxes
+# (extrapolated, not run); interim_grid_oracle (2n rows of 2001 beliefs)
+# 0.02 s at n = 100 and 1.8 s at 5000.
 _MAX_COUNT_BOXES = 5000
 
 

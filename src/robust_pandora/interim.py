@@ -20,6 +20,7 @@ O(1) cost per step at any menu size.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ from .core import (
     DomainError,
     HomogeneousSpec,
     SizeError,
+    _peak_search,
     _probability_array,
     _require_count,
     _shown,
@@ -172,38 +174,18 @@ class _HighBranch:
     def maximize(self, m: int, alpha: float):
         """Worst high-belief regret of the plan with its argmax in ``x = 1 - p``: ``(x_star, value)``.
 
-        Newton's method on ``B'``, O(1) per step, from the peak of ``x^m L``,
-        ``x_end m / (m + 1)``, which lies at or left of ``B``'s (``mu >= m``).
-        The bracket [0, x_end] narrows on the sign of ``B'``, a ``B`` that
-        underflows to 0 counting as left of the peak, so at ``m = 0`` a ``B'
-        <= 0`` at ``x = 0`` keeps ``x = 0``.  A step that leaves the bracket,
-        or one where ``B''`` is not negative, halves it instead.  The search
-        ends once a step rounds to ``x`` itself or the bracket closes to
-        adjacent floats; past its bound it raises :class:`ConvergenceError`.
+        :func:`core._peak_search` on ``[0, x_end]`` from the peak of ``x^m
+        L``, ``x0 = x_end m / (m + 1)``, at or left of ``B``'s (``mu >= m``);
+        at ``m = 0`` that is ``x = 0``, kept when ``B' <= 0`` there.  A start
+        where ``B`` and ``B'`` round to 0 is kept, which is safe: ``x^m L``
+        peaks at ``x0`` and ``h = (1 - alpha) + x G <= n``, so ``B <= (n + 1)
+        x0^m L(x0)``.  At ``m = 0`` such a start needs ``h`` to be 0
+        throughout; at ``m >= 1``, ``h`` is 0 throughout or ``h(x0) >=
+        2^-54``, so a zero ``B(x0)`` leaves that bound below 1e-290.
         """
         if (m, alpha) not in self.memo:
-            lo, hi = 0.0, self.end
-            x = hi * m / (m + 1)
-            # halving alone closes the bracket in about 54 steps
-            for _ in range(2 * _NEWTON_STEPS):
-                value, slope, bend = self._at(m, alpha, x)
-                if slope > 0.0 or slope == value == 0.0:
-                    lo = x
-                elif slope < 0.0:
-                    hi = x
-                elif slope == 0.0:
-                    break  # a NaN slope narrows nothing and runs into the bound
-                step = x - slope / bend if bend < 0.0 else math.nan
-                if not lo < step < hi:
-                    if step == x:
-                        break
-                    step = 0.5 * (lo + hi)
-                    if not lo < step < hi:
-                        break
-                x = step
-            else:
-                raise ConvergenceError(f"high-belief branch of plan m={m}, alpha={alpha!r} unresolved after bracketing")
-            self.memo[m, alpha] = x, value
+            at = functools.partial(self._at, m, alpha)
+            self.memo[m, alpha] = _peak_search(at, 0.0, self.end, self.end * m / (m + 1))
         return self.memo[m, alpha]
 
 

@@ -6,7 +6,8 @@ recompute both sides instead of the closed forms, and sample nothing.
 For a fixed policy the regret is linear in Nature's belief, so her best
 response over a convex family sits at an extreme point (the needle
 endpoints, the degenerate count profiles), or, where it is a polynomial in
-one belief, on a grid polished by Newton's method.  Against a fixed belief
+one belief, at the best point of a fixed 2001-point grid, polished by the
+bracketed Newton search the interim solver uses.  Against a fixed belief
 the DM's best response is a backward induction or a scan of pure plans.
 They report the two one-sided gaps:
 
@@ -34,8 +35,8 @@ from .core import (
     StationaryPolicy,
     StoppingMixture,
     _mixture_regrets,
+    _peak_search,
     _plan_regrets,
-    _poly_max,
     _polyval,
     _regret_indep_poly,
     _require_count,
@@ -56,12 +57,6 @@ __all__ = [
     "interim_grid_oracle",
 ]
 
-# Newton's method polishes the best grid point, so finer grids only cost
-# memory.  Wall time and peak RSS (ru_maxrss, interpreter included) of
-# saddle_check_indep at n = 20 on a 2-vCPU x86-64 VM: 1e6 points 0.05 s /
-# 53 MB, 1e7 points 0.74 s / 259 MB.
-MAX_GRID_POINTS = 1_000_000
-
 # saddle_check_corr scores the n + 1 vertex profiles in (n + 1, n, n + 1)
 # arrays.  Wall time of the first check in a fresh process, solve included,
 # and peak RSS (ru_maxrss, interpreter included) on a 2-vCPU x86-64 VM at
@@ -69,25 +64,35 @@ MAX_GRID_POINTS = 1_000_000
 # n = 200 0.16 / 0.24 s / 155 MB, n = 300 0.69 / 0.49 s / 448 MB.
 _MAX_CORR_BOXES = 200
 
-# the beliefs against which interim_grid_oracle prices each plan
+# interim_grid_oracle's beliefs, and nature_best_response_indep's start grid in 1 - p
 _P_GRID = np.linspace(0.0, 1.0, 2001)
 
 
-def nature_best_response_indep(policy: StationaryPolicy, spec: HomogeneousSpec, grid_points: int = 2001):
+def nature_best_response_indep(policy: StationaryPolicy, spec: HomogeneousSpec):
     """Worst i.i.d. success probability against a fixed policy.
 
-    The regret is a polynomial of degree ``n`` in ``1 - p``; its best point
-    on an even grid over [0, 1] is polished by Newton's method on the
-    derivative.  Returns ``(p_star, regret)``.  More than 5 000 boxes raise
-    :class:`SizeError`: building the polynomial takes O(n^2) work.
+    The regret is a polynomial of degree ``n`` in ``x = 1 - p``.  Its best
+    point among the 2001 of ``_P_GRID`` starts :func:`core._peak_search` on
+    the two grid cells around it, with the value, slope and curvature from
+    one Horner pass over the coefficients.  Returns ``(p_star, regret)``.
+    More than 5 000 boxes raise :class:`SizeError`: building the polynomial
+    takes O(n^2) work.
     """
-    grid_points = _require_count(grid_points, "grid_points", 2)
-    if grid_points > MAX_GRID_POINTS:
-        raise SizeError(f"belief grid limited to {MAX_GRID_POINTS} points, got {_shown(grid_points)}")
     if spec.n > _MAX_COUNT_BOXES:
         raise SizeError(f"i.i.d. regret polynomial limited to {_MAX_COUNT_BOXES} boxes, got {_shown(spec.n)}")
-    coef, xs = _regret_indep_poly(policy, spec), np.linspace(0.0, 1.0, grid_points)
-    x, worst = _poly_max(coef, xs, _polyval(coef, xs))
+    terms = _regret_indep_poly(policy, spec).tolist()
+
+    def at(x):
+        value = slope = half_bend = 0.0
+        for a in terms:
+            half_bend = half_bend * x + slope
+            slope = slope * x + value
+            value = value * x + a
+        return value, slope, 2.0 * half_bend
+
+    best = int(np.argmax(_polyval(terms, _P_GRID)))
+    lo, hi = _P_GRID[max(best - 1, 0)], _P_GRID[min(best + 1, _P_GRID.size - 1)]
+    x, worst = _peak_search(at, float(lo), float(hi), float(_P_GRID[best]))
     return 1.0 - x, worst
 
 
@@ -103,16 +108,12 @@ def nature_best_response_needle(policy: StationaryPolicy, spec: HomogeneousSpec)
     return float(P_star), float(values[P_star])
 
 
-def saddle_check_indep(
-    spec: HomogeneousSpec,
-    tol: float = 1e-6,
-    grid_points: int = 2001,
-    seed: int = 0,
-) -> SaddleReport:
+def saddle_check_indep(spec: HomogeneousSpec, tol: float = 1e-6, seed: int = 0) -> SaddleReport:
     """Check the independent-rewards solution without using its closed forms.
 
-    Nature's side is :func:`nature_best_response_indep`, a grid over success
-    probabilities polished by Newton's method.  The DM's side is exact: her
+    Nature's side is :func:`nature_best_response_indep`: the 2001 success
+    probabilities of ``_P_GRID``, the best one polished by a bracketed
+    Newton search on the regret polynomial.  The DM's side is exact: her
     best response to the worst-case (threshold) belief, an O(n) backward
     induction, must not beat the value.  ``seed`` is validated and ignored:
     nothing is sampled, and it stays only so that callers passing it keep
@@ -121,7 +122,7 @@ def saddle_check_indep(
     _require_count(seed, "seed", 0)
     tol = _require_tolerance(tol, "tol")
     sol = solve_indep(spec)
-    p_star, worst = nature_best_response_indep(sol.policy, spec, grid_points)
+    p_star, worst = nature_best_response_indep(sol.policy, spec)
 
     # backward induction: the regret is linear in each stage probability and
     # R_{k-1} enters with a nonnegative weight, so each stage takes the better

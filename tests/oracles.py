@@ -486,7 +486,7 @@ def corr_profile_loop(spec, tol=1e-9, q_draws=1000, mode="commitment", seed=0):
     )
 
 
-def indep_descent_loop(spec, tol=1e-6, grid_points=2001, dm_probes=10_000, seed=0):
+def indep_descent_loop(spec, tol=1e-6, dm_probes=10_000, seed=0):
     """``saddle_check_indep`` with a sampled DM side: random probes, then coordinate descent.
 
     The search the exact backward induction replaced: all probes drawn at
@@ -498,7 +498,7 @@ def indep_descent_loop(spec, tol=1e-6, grid_points=2001, dm_probes=10_000, seed=
     from robust_pandora.verify import nature_best_response_indep
 
     sol = solve_indep(spec)
-    p_star, worst = nature_best_response_indep(sol.policy, spec, grid_points)
+    p_star, worst = nature_best_response_indep(sol.policy, spec)
     nature_gap = worst - sol.regret
 
     rng = np.random.default_rng(seed)
@@ -531,8 +531,9 @@ def interim_high_branch(m, alpha, spec):
 
     The solver's own bracketed Newton search on a fresh ``_HighBranch`` per
     call, so that no memo is shared between calls; the search itself is
-    checked against a dense scan of the whole branch and the coefficient
-    polynomial's grid-and-Newton maximum in ``tests/test_interim.py``.
+    checked against a dense scan of the whole branch and against the same
+    search run on the coefficient polynomial from its best grid point, in
+    ``tests/test_interim.py``.
     Returns ``(x_star, value)``.
     """
     from robust_pandora.interim import _HighBranch

@@ -255,6 +255,16 @@ class TestVerify:
         )
         assert code == 3
         assert doc["results"]["passed"] is False
+        # the solver's own policy claimed 0.04 below its worst case, whose
+        # sharp peak lies inside the belief grid's first cell: a polish that
+        # stopped at the grid point 5e-4 passed this claim
+        spec = HomogeneousSpec(1.0, 2.256988330900035e-4, 4101)
+        sol = solve_indep(spec)
+        path.write_text(json.dumps({"alpha": [float(a) for a in sol.alphas], "regret": sol.regret - 0.04}))
+        argv = ("verify", "--regime", "indep", "--ubar", "1", "--c", str(spec.c), "--n", "4101")
+        code, doc = run_json(capsys, *argv, "--policy-file", str(path))
+        assert code == 3
+        assert doc["results"]["nature_gap"] == pytest.approx(0.04, abs=1e-12)
 
     def test_honest_policy_file_passes(self, capsys, tmp_path):
         spec = HomogeneousSpec(1.0, 0.3, 3)
@@ -457,6 +467,7 @@ class TestBadInputs:
             ("sweep", "--from", "0", "--to", "1", "--regime", "indep", "--sweep", "q", *HOMOG[:4]),
             ("simulate", "--regime", "indep", *HOMOG, "--truth", "iid=0.3"),
             ("simulate", "--regime", "indep", *HOMOG, "--truth", "iid:0.3", "--seed", str(2**64)),
+            ("verify", "--regime", "indep", *HOMOG, "--grid", "2001"),
         ],
     )
     def test_exit_2_with_one_line(self, capsys, tmp_path, argv):

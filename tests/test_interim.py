@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robust_pandora.core import ConvergenceError, DomainError, HomogeneousSpec, _poly_max, _polyval
+from robust_pandora.core import ConvergenceError, DomainError, HomogeneousSpec, _peak_search, _polyval
 from robust_pandora.interim import (
     InterimPolicy,
     _HighBranch,
@@ -53,6 +53,12 @@ def branch_coefficients(m, alpha, spec):
     weights[: spec.n - m - 1] = 1.0
     weights[spec.n - m - 1] = 1.0 - alpha
     return np.convolve(weights, (-spec.ubar, spec.ubar - spec.c))
+
+
+def coefficient_slopes(m, alpha, spec):
+    """The branch's coefficients and those of its first two derivatives."""
+    coef = branch_coefficients(m, alpha, spec)
+    return coef, np.polyder(coef), np.polyder(coef, 2)
 
 
 def staircase_regret(m, alpha, p, spec):
@@ -266,8 +272,7 @@ class TestSolveInterim:
             beliefs += [1.0, 1.0 - 1e-12, 1.0 - 1e-9, 1.0 - 1e-6, 1.0 - 1e-4, 1.0 - 1e-3]
             for m in sorted({0, n - 1, int(rng.integers(0, n))}):
                 for alpha in (0.0, 1.0, float(rng.random())):
-                    coef = branch_coefficients(m, alpha, spec)
-                    polys = [coef, np.polyder(coef), np.polyder(coef, 2)]
+                    polys = coefficient_slopes(m, alpha, spec)
                     for x in beliefs:
                         for got, poly in zip(branch._at(m, alpha, x), polys):
                             want = _polyval(poly.tolist(), x)
@@ -276,9 +281,10 @@ class TestSolveInterim:
     def test_polish_matches_dense_scan_and_coefficient_polish(self):
         # m = 0, n - 1 and one between, alpha = 0, 1 and one between: neither
         # a 200 001-point scan of the closed form over the whole branch [0,
-        # 1 - c/ubar] nor the grid-and-Newton polish of the branch's
-        # coefficient polynomial beats the maximized value by more than the
-        # rounding slack 4 n eps ubar
+        # 1 - c/ubar] nor the shared peak search on the branch's coefficient
+        # polynomial (started at the best of 2001 points, on the two cells
+        # around it) beats the maximized value by more than the rounding
+        # slack 4 n eps ubar
         rng = np.random.default_rng(2203)
         checked = 0
         for n in (1, 2, 3, 7, 40, *rng.integers(100, 3001, 10).tolist()):
@@ -291,8 +297,11 @@ class TestSolveInterim:
                 for alpha in (0.0, 1.0, float(rng.random())):
                     _, value = _HighBranch(spec).maximize(m, alpha)
                     assert branch_closed_form(dense, m, alpha, spec).max() <= value + slack, (spec, m, alpha)
-                    coef = branch_coefficients(m, alpha, spec)
-                    assert _poly_max(coef, xs, _polyval(coef, xs))[1] <= value + slack, (spec, m, alpha)
+                    polys = [p.tolist() for p in coefficient_slopes(m, alpha, spec)]
+                    best = int(np.argmax(_polyval(polys[0], xs)))
+                    lo, hi = float(xs[max(best - 1, 0)]), float(xs[min(best + 1, xs.size - 1)])
+                    at = lambda x: tuple(_polyval(poly, x) for poly in polys)
+                    assert _peak_search(at, lo, hi, float(xs[best]))[1] <= value + slack, (spec, m, alpha)
                     checked += 1
         assert checked >= 100
 
@@ -303,6 +312,15 @@ class TestSolveInterim:
         branch._at = lambda m, alpha, x: (np.nan, np.nan, np.nan)
         with pytest.raises(ConvergenceError):
             branch.maximize(2, 0.5)
+
+    def test_zero_branch_stops_at_start(self):
+        # the plan m = n - 1 at alpha = 1 leaves a branch that is 0
+        # throughout: one evaluation, at the start x_end m / (m + 1)
+        branch = _HighBranch(HomogeneousSpec(1.0, 0.3, 5))
+        at, calls = branch._at, []
+        branch._at = lambda m, alpha, x: calls.append(x) or at(m, alpha, x)
+        assert branch.maximize(4, 1.0) == (branch.end * 4 / 5, 0.0)
+        assert len(calls) == 1
 
     def test_single_box_matches_ex_post_case(self):
         rep = solve_interim(HomogeneousSpec(1.0, 0.3, 1))

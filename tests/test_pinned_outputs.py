@@ -71,10 +71,10 @@ CLI_STDOUT = {
 # verify --policy-file, the claim file written as claim.json (the note prints
 # its basename): (regime, c, n, alpha[0] tampered to 0.2, exit code, digest)
 POLICY_FILE_STDOUT = [
-    ("indep", 0.3, 4, False, 0, "6b73cf474be9faec6443dc0c449f6aba5607116d4eb5ee949293878da4ecea33"),
-    ("indep", 0.3, 4, True, 3, "d4f6c9dbed0aeab3bca2260f8ec5d65d75fda0a49a905f7ac3d01436c3568e01"),
-    ("corr", 0.1, 6, False, 0, "6fa6d7073cc91e6aa67aa632057bbcdc0f68534e85626c03d819c7a82c1e5bbe"),
-    ("corr-intra", 0.1, 6, False, 0, "104deedd0389917b1f3911a6b75370ced43e387692c53f51bd9140093f786d6f"),
+    ("indep", 0.3, 4, False, 0, "cee01a9486c7857cbacd102de75f7a7aba4c69a2262dbc5fa4ad1e294568dc70"),
+    ("indep", 0.3, 4, True, 3, "add6f5b95fd688c2972e4d63e523332ba3bb42dc215299bfbad9efaf23f10c96"),
+    ("corr", 0.1, 6, False, 0, "1b22d44f415300d7c21936b1b0cccd0289eb7202a3b11102fc2fa5d617c888dd"),
+    ("corr-intra", 0.1, 6, False, 0, "b5c8259e6a89d00e26448185530b06a4f608d1eb436d8391cd2383440b8dd08c"),
 ]
 
 DEMO_STDOUT = {
