@@ -244,16 +244,13 @@ class StoppingMixture:
         draws continue and the draw with ``n - m`` boxes left stops:
         ``w_m = (1 - alpha_{n-m}) * prod_{j=n-m+1..n} alpha_j``.
         """
-        alphas = policy.alphas
-        n = alphas.size
-        w = np.empty(n + 1)
+        w = []
         tail = 1.0
-        for m in range(n):
-            a = alphas[n - m - 1]
-            w[m] = (1.0 - a) * tail
+        for a in reversed(policy.alphas.tolist()):
+            w.append((1.0 - a) * tail)
             tail *= a
-        w[n] = tail
-        return cls(w)
+        w.append(tail)
+        return cls(np.array(w))
 
 
 # ---------------------------------------------------------------------------
@@ -405,22 +402,25 @@ def _regret_indep_poly(policy: StationaryPolicy, spec: HomogeneousSpec) -> np.nd
     return r[::-1]
 
 
-def _peak_search(at, lo: float, hi: float, x: float):
+def _peak_search(at, lo: float, hi: float, x: float, flat: float = 0.0):
     """Peak of a unimodal function on ``[lo, hi]``, searched from ``x``: ``(x_star, value)``.
 
     ``at(x)`` gives the value, slope and curvature at a Python float.
     Newton's method on the slope, the bracket narrowed on its sign; a step
     that leaves the bracket, or one where the curvature is not negative,
     halves it instead.  A value and slope both 0 count as left of the peak,
-    except at the start, which is then kept (``interim._HighBranch.maximize``
-    says why; the i.i.d. regret is positive at its best grid point).  The
-    search ends once a step rounds to ``x`` itself or the bracket closes to
-    adjacent floats; past its bound it raises :class:`ConvergenceError`.
+    except at the start: a start whose value is 0 is kept when its slope is
+    at most ``flat`` in size (``interim._HighBranch.maximize`` says why; the
+    i.i.d. regret is positive at its best grid point).  The search ends
+    once a step rounds to ``x`` itself or the bracket closes to adjacent
+    floats; past its bound it raises :class:`ConvergenceError`.
     """
     # halving alone closes the bracket in about 54 steps
     for i in range(2 * _NEWTON_STEPS):
         value, slope, bend = at(x)
-        if slope > 0.0 or (slope == value == 0.0 and i):
+        if not i and value == 0.0 and abs(slope) <= flat:
+            break
+        if slope > 0.0 or slope == value == 0.0:
             lo = x
         elif slope < 0.0:
             hi = x
@@ -471,13 +471,15 @@ def regret_needle(policy: StationaryPolicy, P, spec: HomogeneousSpec):
 
 
 # The count-profile path (first_success_probabilities, and _plan_regrets on
-# top of it) holds a few (n, n + 1) tables per profile, about 23 n^2 bytes at
-# its peak.  Wall time and peak RSS (ru_maxrss, interpreter included) of one
-# regret_count_profile in a fresh process on a 2-vCPU x86-64 VM: n = 1000
-# 0.07 s / 52 MB, 2000 0.26 s / 120 MB, 3000 0.51 s / 235 MB, 4000 0.96 s /
-# 395 MB; n = 5000 extrapolates to about 600 MB, under 1 GiB.  The same cap
-# bounds the other homogeneous paths that take seconds at a few thousand
-# boxes.  Wall time on the same VM at n = 1000 / 5000 / 20 000:
+# top of it) holds a table with a row of n floats per count that holds mass,
+# then the (n, n + 1) windows of reached: about 8 n^2 bytes at its peak for
+# one profile.  Wall time and peak RSS (ru_maxrss, interpreter included) of one
+# regret_count_profile in a fresh process on a 2-vCPU x86-64 VM, against a
+# Dirichlet profile / its single-treasure flattening: n = 1000 0.012 / 0.003
+# s, 43 MB; 2000 0.056 / 0.010 s, 65 MB; 3000 0.10 / 0.022 s, 104 MB; 4000
+# 0.20 / 0.040 s, 157 MB; 5000 0.41 / 0.077 s, 226 MB, under 1 GiB.  The
+# same cap bounds the other homogeneous paths that take seconds at a few
+# thousand boxes.  Wall time on the same VM at n = 1000 / 5000 / 20 000:
 # saddle_check_indep (c/ubar = 0.3, an O(n^2) polynomial) 0.01 / 0.06-0.10
 # / 0.4-0.6 s, about two days at the spec cap of 10 000 000 boxes
 # (extrapolated, not run); interim_grid_oracle (2n rows of 2001 beliefs)
@@ -496,35 +498,44 @@ def first_success_probabilities(Q) -> np.ndarray:
         q_k = sum_j C_k^j Q_j,
         C_k^j = j / (n - k + 1) * prod_{i=0..k-2} (n - i - j) / (n - i).
 
-    ``Q`` may stack profiles along leading axes, ``(..., n + 1) -> (..., n)``;
-    each row is computed exactly as it would be on its own.  More than
-    5 000 boxes raise :class:`SizeError`.
+    The sum runs over ``j`` in increasing order, one table row per count
+    ``j >= 1`` that holds mass in some profile: ``C_k^0 = 0``, and a term
+    ``C * 0.0`` adds exactly nothing, so a profile of ``s`` such counts
+    costs O(s n).  ``Q`` may stack profiles along leading axes,
+    ``(..., n + 1) -> (..., n)``; each row is computed exactly as it would
+    be on its own.  More than 5 000 boxes raise :class:`SizeError`.
     """
     Q = np.asarray(Q, dtype=float)
-    if Q.shape[-1] - 1 > _MAX_COUNT_BOXES:
-        raise SizeError(f"count-profile tables limited to {_MAX_COUNT_BOXES} boxes, got {_shown(Q.shape[-1] - 1)}")
-    coeff = _first_success_table(Q.shape[-1] - 1)
-    # rows added strictly left to right (the j = 0 column is zero, so each
-    # sum starts from 0.0); a copy, so that the result does not keep the
-    # whole (..., n, n + 1) table of partial sums alive
-    return np.cumsum(coeff * Q[..., None, :], axis=-1)[..., -1].copy()
+    n = Q.shape[-1] - 1
+    if n > _MAX_COUNT_BOXES:
+        raise SizeError(f"count-profile tables limited to {_MAX_COUNT_BOXES} boxes, got {_shown(n)}")
+    held = np.flatnonzero(np.any(Q[..., 1:] != 0.0, axis=tuple(range(Q.ndim - 1)))) + 1
+    table = _first_success_table(n, held)
+    if Q.ndim == 1:  # in place: a second table would double the peak
+        table *= Q[held, None]
+    else:
+        table = table * Q[..., held, None]
+    # the rows of a C-contiguous array, added strictly in order to 0.0 (past
+    # its last nonzero entry a row holds zeros of either sign) and
+    # vectorized across the columns
+    return np.add.reduce(table, axis=-2, initial=0.0)
 
 
-def _first_success_table(n: int) -> np.ndarray:
-    """The ``(n, n + 1)`` table of ``C_k^j`` (row ``k - 1``), in O(n^2) work.
+def _first_success_table(n: int, counts=slice(None)) -> np.ndarray:
+    """The table of ``C_k^j``, row ``j`` for each count in ``counts`` (all ``n + 1`` by default), column ``k - 1``.
 
-    One running product down the rows from ``C_1^j = j / n``, since
-    ``C_{k+1}^j = C_k^j (n - k + 1 - j) / (n - k)``.
+    One running product along each row from ``C_1^j = j / n``, since
+    ``C_{k+1}^j = C_k^j (n - k + 1 - j) / (n - k)``: O(n) work per row.
     """
-    j = np.arange(n + 1.0)
-    k = np.arange(1.0, n)[:, None]
+    j = np.arange(n + 1.0)[counts, None]
+    k = np.arange(1.0, n)
     # small whole numbers, exact in float: the rows are those of integer
     # arithmetic, and the running product is taken in place
-    table = np.empty((n, n + 1))
-    np.divide(j, n, out=table[0])
-    np.subtract(n - k + 1.0, j, out=table[1:])
-    table[1:] /= n - k
-    return np.multiply.accumulate(table, axis=0, out=table)
+    table = np.empty((j.shape[0], n))
+    np.divide(j, n, out=table[:, :1])
+    np.subtract(n - k + 1.0, j, out=table[:, 1:])
+    table[:, 1:] /= n - k
+    return np.multiply.accumulate(table, axis=-1, out=table)
 
 
 def _plan_regrets(Q: np.ndarray, spec: HomogeneousSpec) -> np.ndarray:
@@ -540,13 +551,14 @@ def _plan_regrets(Q: np.ndarray, spec: HomogeneousSpec) -> np.ndarray:
     # early[..., m] = sum_{k <= m} q_k (k - 1) c, starting from 0.0 at m = 0
     early = np.cumsum(np.concatenate([np.zeros(q.shape[:-1] + (1,)), q * (m[:-1] * c)], axis=-1), axis=-1)
     # reached[..., m] = sum_{k > m} q_k, the mass beyond the plan's m openings:
-    # window m of the zero-padded q is q_{m+1}, ..., q_n and then m zeros
-    # (built by as_strided: sliding_window_view's checks cost more than the
-    # whole sum at a few boxes)
+    # row i of the windows of the zero-padded q holds q_{m+1+i} in column m
+    # (0 past q_n), and a C-order copy of them is summed over its rows (built
+    # by as_strided: sliding_window_view's checks cost more than the whole
+    # sum at a few boxes)
     padded = np.concatenate([q, np.zeros(q.shape[:-1] + (n,))], axis=-1)
     step = padded.strides[-1]
-    windows = as_strided(padded, q.shape[:-1] + (n + 1, n), padded.strides[:-1] + (step, step), writeable=False)
-    reached = np.cumsum(windows, axis=-1)[..., -1]
+    windows = as_strided(padded, q.shape[:-1] + (n, n + 1), padded.strides[:-1] + (step, step), writeable=False)
+    reached = np.add.reduce(np.ascontiguousarray(windows), axis=-2)
     total = reached[..., :1]
     return early + reached * (ubar - c + m * c) + (1.0 - total) * m * c
 

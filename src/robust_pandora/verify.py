@@ -57,11 +57,12 @@ __all__ = [
     "interim_grid_oracle",
 ]
 
-# saddle_check_corr scores the n + 1 vertex profiles in (n + 1, n, n + 1)
-# arrays.  Wall time of the first check in a fresh process, solve included,
+# saddle_check_corr scores the n + 1 vertex profiles in one batch, whose
+# (n + 1, n, n) table and (n + 1, n, n + 1) windows each take about 8 n^3
+# bytes.  Wall time of the first check in a fresh process, solve included,
 # and peak RSS (ru_maxrss, interpreter included) on a 2-vCPU x86-64 VM at
-# c/ubar = 0.01, commitment / intrapersonal: n = 100 0.03 / 0.02 s / 45 MB,
-# n = 200 0.16 / 0.24 s / 155 MB, n = 300 0.69 / 0.49 s / 448 MB.
+# c/ubar = 0.01, commitment / intrapersonal: n = 100 0.014 / 0.011 s / 37 MB,
+# n = 200 0.077 / 0.069 s / 93 MB, n = 300 0.27 / 0.23 s / 241 MB.
 _MAX_CORR_BOXES = 200
 
 # interim_grid_oracle's beliefs, and nature_best_response_indep's start grid in 1 - p

@@ -620,12 +620,24 @@ def first_success_table_cumprod(n):
     return np.cumprod(np.concatenate([j[None] / n, (n - k + 1 - j) / (n - k)]), axis=0)
 
 
-def plan_regrets_masked(Q, spec):
-    """``core._plan_regrets`` as first written: ``reached`` sums a masked ``(..., n + 1, n)`` copy of ``q``."""
-    from robust_pandora.core import first_success_probabilities
+def first_success_cumsum(Q):
+    """``core.first_success_probabilities`` as first written: the full table times ``Q``, summed by ``np.cumsum``.
 
+    ``Q`` may stack profiles along leading axes, ``(..., n + 1) -> (..., n)``;
+    each sum over ``j`` runs left to right from ``j = 0``.
+    """
+    Q = np.asarray(Q, dtype=float)
+    n = Q.shape[-1] - 1
+    return np.cumsum(first_success_table_cumprod(n) * Q[..., None, :], axis=-1)[..., -1]
+
+
+def plan_regrets_masked(Q, spec):
+    """``core._plan_regrets`` as first written: ``reached`` sums a masked ``(..., n + 1, n)`` copy of ``q``.
+
+    ``q`` comes from :func:`first_success_cumsum`.
+    """
     ubar, c, n = spec.ubar, spec.c, spec.n
-    q = first_success_probabilities(Q)
+    q = first_success_cumsum(Q)
     m = np.arange(n + 1)
     early = np.cumsum(np.concatenate([np.zeros(q.shape[:-1] + (1,)), q * (m[:-1] * c)], axis=-1), axis=-1)
     reached = np.cumsum(np.where(m[1:] > m[:, None], q[..., None, :], 0.0), axis=-1)[..., -1]

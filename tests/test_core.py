@@ -33,6 +33,7 @@ from robust_pandora.core import (
 
 from oracles import (
     count_profile_states,
+    first_success_cumsum,
     first_success_table_cumprod,
     first_success_table_loop,
     iid_states,
@@ -365,7 +366,7 @@ class TestFirstSuccessProbabilities:
         # factor (O(n^3)): different association, within 64 ulps
         for n in range(1, 301):
             want = first_success_table_loop(n)
-            got = _first_success_table(n)
+            got = _first_success_table(n).T
             assert np.array_equal(got == 0.0, want == 0.0), n
             assert np.all(np.abs(got - want) <= 64 * np.spacing(np.abs(want))), n
 
@@ -373,7 +374,42 @@ class TestFirstSuccessProbabilities:
         # float rows built in place against integer rows and np.cumprod
         for n in [*range(1, 400), 1000]:
             got = _first_success_table(n)
-            assert np.array_equal(got.view(np.int64), first_success_table_cumprod(n).view(np.int64)), n
+            assert np.array_equal(got.view(np.int64), first_success_table_cumprod(n).T.view(np.int64)), n
+
+    def test_table_rows_for_some_counts_equal_full_table_rows(self):
+        # a subset of counts builds exactly those rows of the full table
+        rng = np.random.default_rng(53)
+        for n in [*range(1, 120), 300, 1000]:
+            full = _first_success_table(n)
+            for size in (1, 2, n // 2 + 1):
+                counts = np.sort(rng.choice(n + 1, size=min(size, n + 1), replace=False))
+                got = _first_success_table(n, counts)
+                assert np.array_equal(got.view(np.int64), full[counts].view(np.int64)), (n, counts)
+
+    def test_equals_full_table_cumsum_bit_for_bit(self):
+        # only the counts that hold mass get a table row: against every row of
+        # the full table summed by np.cumsum
+        rng = np.random.default_rng(59)
+        for n in [*range(1, 301), 1000]:
+            profiles = [rng.dirichlet(np.ones(n + 1)), np.eye(n + 1)[0]]
+            for size in range(1, min(5, n + 1) + 1):
+                end = (0, n)[size % 2]  # both ends of the count range
+                others = np.delete(np.arange(n + 1), end)
+                support = np.append(rng.choice(others, size=size - 1, replace=False), end)
+                Q = np.zeros(n + 1)
+                Q[support] = rng.dirichlet(np.ones(support.size))
+                profiles.append(Q)
+            if n in (1, 2, 7, 60, 300):
+                # stacked rows, each with its own support
+                stack = np.zeros((3, 4, n + 1))
+                for row in stack.reshape(-1, n + 1):
+                    support = rng.choice(n + 1, size=rng.integers(1, min(5, n + 1) + 1), replace=False)
+                    row[support] = rng.dirichlet(np.ones(support.size))
+                profiles.append(stack)
+            for Q in profiles:
+                got, want = first_success_probabilities(Q), first_success_cumsum(Q)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), n
 
     def test_plan_regrets_equal_masked_sums_bit_for_bit(self):
         # reached read from windows of the zero-padded q against the masked
@@ -395,11 +431,30 @@ class TestFirstSuccessProbabilities:
         for n in (1, 2, 7, 8, 9, 32, 60):
             stack = rng.dirichlet(np.ones(n + 1), size=(3, 4))
             stack[0, 0] = np.eye(n + 1)[-1]
+            # rows with different supports: their union gets table rows
+            stack[1, 1] = np.eye(n + 1)[1]
+            stack[2, 0] = np.eye(n + 1)[0]
+            stack[2, 1] = 0.0
+            stack[2, 1, [0, n]] = 0.25, 0.75
             q = first_success_probabilities(stack)
             assert q.shape == (3, 4, n)
             for i in range(3):
                 for j in range(4):
                     assert np.array_equal(q[i, j], first_success_probabilities(stack[i, j]))
+
+    def test_memory_peak(self):
+        # one table of n^2 floats at a time: 8 MB at n = 1000
+        n = 1000
+        spec = HomogeneousSpec(1.0, 0.3 / n, n)
+        rng = np.random.default_rng(61)
+        w, Q = StoppingMixture(rng.dirichlet(np.ones(n + 1))), CountProfile(rng.dirichlet(np.ones(n + 1)))
+        tracemalloc.start()
+        try:
+            regret_count_profile(w, Q, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
     def test_stacked_plan_regrets_equal_public_evaluator(self):
         # the batch path behind the profile scan against one regret_count_profile call per row

@@ -322,6 +322,26 @@ class TestSolveInterim:
         assert branch.maximize(4, 1.0) == (branch.end * 4 / 5, 0.0)
         assert len(calls) == 1
 
+    def test_zero_start_with_subnormal_slope_stops_at_start(self):
+        # B(x0) rounds to 0 but B'(x0), -4e-323 here, is what rounding leaves
+        # of the slope's two cancelling terms: the branch is below 1e-290 and
+        # the start is kept, not halved towards the branch's end
+        branch = _HighBranch(HomogeneousSpec(1.0, 0.0416501, 557706))
+        at, calls = branch._at, []
+        branch._at = lambda m, alpha, x: calls.append(x) or at(m, alpha, x)
+        x0 = branch.end * 17427 / 17428
+        value, slope, _ = at(17427, 1.0, x0)
+        assert value == 0.0 and 0.0 < abs(slope) < 1e-300
+        assert branch.maximize(17427, 1.0) == (x0, 0.0)
+        assert len(calls) == 1
+
+    def test_zero_start_at_no_sure_box_is_searched(self):
+        # m = 0, alpha = 1: B(0) = 0 but B'(0) = ubar - c, and the branch peaks inside
+        spec = HomogeneousSpec(1.0, 0.3, 5)
+        x_star, value = _HighBranch(spec).maximize(0, 1.0)
+        assert x_star > 0.0 and value > 0.0
+        assert value == pytest.approx(branch_closed_form(np.array([x_star]), 0, 1.0, spec)[0], rel=1e-12)
+
     def test_single_box_matches_ex_post_case(self):
         rep = solve_interim(HomogeneousSpec(1.0, 0.3, 1))
         assert rep.policy.m == 0
