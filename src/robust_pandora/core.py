@@ -27,7 +27,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "DomainError",
@@ -410,15 +409,16 @@ def _peak_search(at, lo: float, hi: float, x: float, flat: float = 0.0):
     that leaves the bracket, or one where the curvature is not negative,
     halves it instead.  A value and slope both 0 count as left of the peak,
     except at the start: a start whose value is 0 is kept when its slope is
-    at most ``flat`` in size (``interim._HighBranch.maximize`` says why; the
-    i.i.d. regret is positive at its best grid point).  The search ends
-    once a step rounds to ``x`` itself or the bracket closes to adjacent
-    floats; past its bound it raises :class:`ConvergenceError`.
+    at most ``flat`` in size, and with ``flat`` infinite so is a start whose
+    value is below the least normal float (``interim._HighBranch.maximize``
+    says why; the i.i.d. regret is positive at its best grid point).  The
+    search ends once a step rounds to ``x`` itself or the bracket closes to
+    adjacent floats; past its bound it raises :class:`ConvergenceError`.
     """
     # halving alone closes the bracket in about 54 steps
     for i in range(2 * _NEWTON_STEPS):
         value, slope, bend = at(x)
-        if not i and value == 0.0 and abs(slope) <= flat:
+        if not i and abs(slope) <= flat and (value == 0.0 or flat == math.inf and value < np.finfo(float).tiny):
             break
         if slope > 0.0 or slope == value == 0.0:
             lo = x
@@ -470,20 +470,19 @@ def regret_needle(policy: StationaryPolicy, P, spec: HomogeneousSpec):
     return float(r) if r.ndim == 0 else r
 
 
-# The count-profile path (first_success_probabilities, and _plan_regrets on
-# top of it) holds a table with a row of n floats per count that holds mass,
-# then the (n, n + 1) windows of reached: about 8 n^2 bytes at its peak for
-# one profile.  Wall time and peak RSS (ru_maxrss, interpreter included) of one
-# regret_count_profile in a fresh process on a 2-vCPU x86-64 VM, against a
-# Dirichlet profile / its single-treasure flattening: n = 1000 0.012 / 0.003
-# s, 43 MB; 2000 0.056 / 0.010 s, 65 MB; 3000 0.10 / 0.022 s, 104 MB; 4000
-# 0.20 / 0.040 s, 157 MB; 5000 0.41 / 0.077 s, 226 MB, under 1 GiB.  The
-# same cap bounds the other homogeneous paths that take seconds at a few
-# thousand boxes.  Wall time on the same VM at n = 1000 / 5000 / 20 000:
-# saddle_check_indep (c/ubar = 0.3, an O(n^2) polynomial) 0.01 / 0.06-0.10
-# / 0.4-0.6 s, about two days at the spec cap of 10 000 000 boxes
-# (extrapolated, not run); interim_grid_oracle (2n rows of 2001 beliefs)
-# 0.02 s at n = 100 and 1.8 s at 5000.
+# The count-profile path holds a tail table of n + 1 floats per count that
+# holds mass, about 8 n^2 bytes for one profile, and saddle_check_corr three
+# (n + 1, n + 1) arrays.  Wall time and peak RSS (ru_maxrss, interpreter
+# included) in a fresh process on a 2-vCPU x86-64 VM: regret_count_profile
+# against a Dirichlet profile / its flattening, n = 1000 0.017 / 0.0002 s,
+# 43 MB; 5000 0.4-1.0 / 0.0004 s, 226 MB; saddle_check_corr, c/ubar = 0.001,
+# solve included, either mode, n = 1000 0.04 s, 52 MB; 5000 0.95-1.15 s,
+# 602 MB, under 1 GiB.  The same cap bounds the other homogeneous paths that
+# take seconds at a few thousand boxes.  Wall time on the same VM at n = 1000
+# / 5000 / 20 000: saddle_check_indep (c/ubar = 0.3, an O(n^2) polynomial)
+# 0.01 / 0.06-0.10 / 0.4-0.6 s, about two days at the spec cap of 10 000 000
+# boxes (extrapolated, not run); interim_grid_oracle (2n rows of 2001
+# beliefs) 0.02 s at n = 100 and 1.8 s at 5000.
 _MAX_COUNT_BOXES = 5000
 
 
@@ -493,74 +492,75 @@ def first_success_probabilities(Q) -> np.ndarray:
     Given the count profile ``Q`` (``Q[j]`` = probability that exactly ``j``
     boxes are full), returns ``q`` with ``q[k-1]`` the probability that a
     DM opening boxes in uniformly random order finds the first high reward
-    on her ``k``-th opening:
+    on her ``k``-th opening, ``q_k = T_{k-1}(Q) - T_k(Q)``, where the tail
 
-        q_k = sum_j C_k^j Q_j,
-        C_k^j = j / (n - k + 1) * prod_{i=0..k-2} (n - i - j) / (n - i).
+        T_i(Q) = sum_{j >= 1} Q_j C(n - j, i) / C(n, i)
 
-    The sum runs over ``j`` in increasing order, one table row per count
-    ``j >= 1`` that holds mass in some profile: ``C_k^0 = 0``, and a term
-    ``C * 0.0`` adds exactly nothing, so a profile of ``s`` such counts
-    costs O(s n).  ``Q`` may stack profiles along leading axes,
+    is the chance that some box is full and the first ``i`` openings miss
+    them all.  ``Q`` may stack profiles along leading axes,
     ``(..., n + 1) -> (..., n)``; each row is computed exactly as it would
     be on its own.  More than 5 000 boxes raise :class:`SizeError`.
+    """
+    tails = _tails(Q)
+    return tails[..., :-1] - tails[..., 1:]
+
+
+def _tails(Q) -> np.ndarray:
+    """The tails ``T_i(Q)``, ``i = 0..n``, of profiles ``Q``, ``(..., n + 1) -> (..., n + 1)``.
+
+    The sum runs over ``j`` in increasing order, one table row per count
+    ``j >= 1`` that holds mass in some profile: a term ``T * 0.0`` adds
+    exactly nothing, so a profile of ``s`` such counts costs O(s n).
     """
     Q = np.asarray(Q, dtype=float)
     n = Q.shape[-1] - 1
     if n > _MAX_COUNT_BOXES:
         raise SizeError(f"count-profile tables limited to {_MAX_COUNT_BOXES} boxes, got {_shown(n)}")
     held = np.flatnonzero(np.any(Q[..., 1:] != 0.0, axis=tuple(range(Q.ndim - 1)))) + 1
-    table = _first_success_table(n, held)
+    table = _tail_table(n, held)
     if Q.ndim == 1:  # in place: a second table would double the peak
         table *= Q[held, None]
     else:
         table = table * Q[..., held, None]
-    # the rows of a C-contiguous array, added strictly in order to 0.0 (past
-    # its last nonzero entry a row holds zeros of either sign) and
-    # vectorized across the columns
+    # the rows of a C-contiguous array, added in order, vectorized across columns
     return np.add.reduce(table, axis=-2, initial=0.0)
 
 
-def _first_success_table(n: int, counts=slice(None)) -> np.ndarray:
-    """The table of ``C_k^j``, row ``j`` for each count in ``counts`` (all ``n + 1`` by default), column ``k - 1``.
+def _tail_table(n: int, counts) -> np.ndarray:
+    """``T[j, i] = C(n - j, i) / C(n, i)``, row ``j`` for each count in ``counts``, column ``i = 0..n``.
 
-    One running product along each row from ``C_1^j = j / n``, since
-    ``C_{k+1}^j = C_k^j (n - k + 1 - j) / (n - k)``: O(n) work per row.
+    The chance that the first ``i`` openings miss all ``j`` full boxes, by
+    one running product along each row from ``T[j, 0] = 1``: the factor
+    ``(n - i + 1 - j) / (n - i + 1)``, clipped at 0 so that past ``i = n - j``
+    a row holds +0.0.
     """
-    j = np.arange(n + 1.0)[counts, None]
-    k = np.arange(1.0, n)
-    # small whole numbers, exact in float: the rows are those of integer
-    # arithmetic, and the running product is taken in place
-    table = np.empty((j.shape[0], n))
-    np.divide(j, n, out=table[:, :1])
-    np.subtract(n - k + 1.0, j, out=table[:, 1:])
-    table[:, 1:] /= n - k
+    # small whole numbers, exact in float; the running product is taken in place
+    left = np.arange(n, 0.0, -1.0)  # boxes unopened before opening i
+    table = np.ones((len(counts), n + 1))
+    factors = np.subtract(left, np.asarray(counts, dtype=float)[:, None], out=table[:, 1:])
+    np.maximum(factors, 0.0, out=factors)
+    factors /= left
     return np.multiply.accumulate(table, axis=-1, out=table)
 
 
-def _plan_regrets(Q: np.ndarray, spec: HomogeneousSpec) -> np.ndarray:
-    """Conditional regret of each plan "stop after ``m`` failures", ``m = 0..n``.
+def _plan_regrets(tails: np.ndarray, spec: HomogeneousSpec) -> np.ndarray:
+    """Conditional regret of each plan "stop after ``m`` failures", ``m = 0..n``; overwrites ``tails``.
 
-    ``Q`` holds count profiles along leading axes, ``(..., n + 1) -> (..., n + 1)``.
-    Every sum runs left to right, so a row's values do not depend on the
-    rows stacked with it.
+    ``tails`` holds the tails ``T_i`` of count profiles along leading axes,
+    ``(..., n + 1) -> (..., n + 1)``.  The plan opens box ``i + 1`` with a
+    full box unfound with chance ``T_i``; summing its waste by parts gives
+    ``c sum_{1 <= i < m} T_i + ubar T_m + (1 - T_0) m c`` for ``m >= 1``
+    (``1 - T_0`` is the mass on no full box) and ``(ubar - c) T_0`` for
+    ``m = 0``.  Every sum runs left to right, so a row's values do not
+    depend on the rows stacked with it.
     """
-    ubar, c, n = spec.ubar, spec.c, spec.n
-    q = first_success_probabilities(Q)
-    m = np.arange(n + 1)
-    # early[..., m] = sum_{k <= m} q_k (k - 1) c, starting from 0.0 at m = 0
-    early = np.cumsum(np.concatenate([np.zeros(q.shape[:-1] + (1,)), q * (m[:-1] * c)], axis=-1), axis=-1)
-    # reached[..., m] = sum_{k > m} q_k, the mass beyond the plan's m openings:
-    # row i of the windows of the zero-padded q holds q_{m+1+i} in column m
-    # (0 past q_n), and a C-order copy of them is summed over its rows (built
-    # by as_strided: sliding_window_view's checks cost more than the whole
-    # sum at a few boxes)
-    padded = np.concatenate([q, np.zeros(q.shape[:-1] + (n,))], axis=-1)
-    step = padded.strides[-1]
-    windows = as_strided(padded, q.shape[:-1] + (n, n + 1), padded.strides[:-1] + (step, step), writeable=False)
-    reached = np.add.reduce(np.ascontiguousarray(windows), axis=-2)
-    total = reached[..., :1]
-    return early + reached * (ubar - c + m * c) + (1.0 - total) * m * c
+    out = np.zeros_like(tails)
+    np.cumsum(tails[..., 1:-1], axis=-1, out=out[..., 2:])
+    out *= spec.c
+    out += (1.0 - tails[..., :1]) * (np.arange(out.shape[-1]) * spec.c)
+    out[..., 0] = (spec.ubar - spec.c) * tails[..., 0]
+    out[..., 1:] += np.multiply(tails[..., 1:], spec.ubar, out=tails[..., 1:])
+    return out
 
 
 def regret_count_profile(mixture: StoppingMixture, Q: CountProfile, spec: HomogeneousSpec) -> float:
@@ -578,5 +578,10 @@ def regret_count_profile(mixture: StoppingMixture, Q: CountProfile, spec: Homoge
 
 def _mixture_regrets(w: np.ndarray, Q: np.ndarray, spec: HomogeneousSpec) -> np.ndarray:
     """:func:`regret_count_profile` for stopping weights ``w`` and profiles ``Q`` of shape ``(..., n + 1)``."""
-    # the mixture's plans weighted and added strictly left to right
-    return np.cumsum(w * _plan_regrets(Q, spec), axis=-1)[..., -1]
+    return _mixture_sum(w, _plan_regrets(_tails(Q), spec))
+
+
+def _mixture_sum(w: np.ndarray, plans: np.ndarray) -> np.ndarray:
+    """The plans' regrets weighted by ``w`` and added strictly left to right; overwrites ``plans``."""
+    plans *= w
+    return np.cumsum(plans, axis=-1, out=plans)[..., -1]

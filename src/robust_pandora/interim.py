@@ -178,13 +178,14 @@ class _HighBranch:
         L``, ``x0 = x_end m / (m + 1)``, at or left of ``B``'s (``mu >= m``);
         at ``m = 0`` that is ``x = 0``, kept when ``B' <= 0`` there.  A start
         where ``B`` rounds to 0 is kept, at ``m = 0`` only if ``B'`` does
-        too.  This is safe: ``x^m L`` peaks at ``x0`` and ``h = (1 - alpha) +
-        x G <= n``, so ``B <= M = (n + 1) x0^m L(x0)``.  At ``m = 0`` a zero
-        ``B(0)`` and slope need ``h`` to be 0 throughout.  At ``m >= 1``,
-        ``h`` is 0 throughout or ``h(x0) >= 2^-54``, so a zero ``B(x0)``
-        leaves ``M`` below 1e-290; ``B'(x0)`` can then be a nonzero
-        subnormal, the rounding left of its two cancelling terms ``m
-        x0^(m-1) h L`` and ``ubar x0^m h``, equal at ``x0``.
+        too, and at ``m >= 1`` so is one where ``B`` is subnormal.  This is
+        safe: ``x^m L`` peaks at ``x0`` and ``h = (1 - alpha) + x G <= n``,
+        so ``B <= M = (n + 1) x0^m L(x0)``.  At ``m = 0`` a zero ``B(0)``
+        and slope need ``h`` to be 0 throughout.  At ``m >= 1``, ``h`` is 0
+        throughout or ``h(x0) >= 2^-54``, so a ``B(x0)`` below the least
+        normal float leaves ``M`` below 1e-284; ``B'(x0)`` can then be a
+        nonzero subnormal, the rounding left of its two cancelling terms
+        ``m x0^(m-1) h L`` and ``ubar x0^m h``, equal at ``x0``.
         """
         if (m, alpha) not in self.memo:
             at = functools.partial(self._at, m, alpha)

@@ -34,7 +34,7 @@ from .core import (
     SizeError,
     StationaryPolicy,
     StoppingMixture,
-    _mixture_regrets,
+    _mixture_sum,
     _peak_search,
     _plan_regrets,
     _polyval,
@@ -42,6 +42,7 @@ from .core import (
     _require_count,
     _require_tolerance,
     _shown,
+    _tail_table,
     regret_needle,
 )
 from .corr import solve_corr_commitment, solve_corr_intrapersonal
@@ -56,14 +57,6 @@ __all__ = [
     "saddle_check_corr",
     "interim_grid_oracle",
 ]
-
-# saddle_check_corr scores the n + 1 vertex profiles in one batch, whose
-# (n + 1, n, n) table and (n + 1, n, n + 1) windows each take about 8 n^3
-# bytes.  Wall time of the first check in a fresh process, solve included,
-# and peak RSS (ru_maxrss, interpreter included) on a 2-vCPU x86-64 VM at
-# c/ubar = 0.01, commitment / intrapersonal: n = 100 0.014 / 0.011 s / 37 MB,
-# n = 200 0.077 / 0.069 s / 93 MB, n = 300 0.27 / 0.23 s / 241 MB.
-_MAX_CORR_BOXES = 200
 
 # interim_grid_oracle's beliefs, and nature_best_response_indep's start grid in 1 - p
 _P_GRID = np.linspace(0.0, 1.0, 2001)
@@ -146,19 +139,21 @@ def saddle_check_corr(
 
     Nature's side is exact: the single-treasure probabilities by
     :func:`nature_best_response_needle`, and the ``n + 1`` degenerate count
-    profiles in one batch.  A profile's regret and its single-treasure
-    flattening's are linear in the profile, so these are every extreme
-    point, for the gap and for the check that no profile beats its
-    flattening (the hidden-treasure reduction).  The DM's deviations are
-    every pure stop-after-m plan against the worst belief in commitment
-    mode, and every one-step stage deviation in intrapersonal mode.
-    ``seed`` is validated and ignored: nothing is sampled, and it stays only
-    so that callers passing it keep working.
+    profiles, scored together from the rows of one ``(n + 1, n + 1)`` tail
+    table.  A profile's regret and its single-treasure flattening's are
+    linear in the profile, so these are every extreme point, for the gap
+    and for the check that no profile beats its flattening (the
+    hidden-treasure reduction).  The DM's deviations are every pure
+    stop-after-m plan against the worst belief in commitment mode, and
+    every one-step stage deviation in intrapersonal mode.  ``seed`` is
+    validated and ignored: nothing is sampled, and it stays only so that
+    callers passing it keep working.  More than 5 000 boxes raise
+    :class:`SizeError`.
     """
     _require_count(seed, "seed", 0)
     tol = _require_tolerance(tol, "tol")
-    if spec.n > _MAX_CORR_BOXES:
-        raise SizeError(f"count-profile vertex scan limited to {_MAX_CORR_BOXES} boxes, got {_shown(spec.n)}")
+    if spec.n > _MAX_COUNT_BOXES:
+        raise SizeError(f"count-profile vertex scan limited to {_MAX_COUNT_BOXES} boxes, got {_shown(spec.n)}")
     if mode == "commitment":
         sol = solve_corr_commitment(spec)
     elif mode == "intrapersonal":
@@ -170,28 +165,26 @@ def saddle_check_corr(
     worst_P, worst = nature_best_response_needle(sol.policy, spec)
     nature_gap = worst - sol.regret
 
-    # the n + 1 vertices; flattening keeps Q[0] and moves the rest to j = 1
+    # the n + 1 vertices: vertex j >= 1 has row j of the tail table as its
+    # tails, vertex 0 none; flattening keeps Q[0] and moves the rest to j = 1
+    tails = _tail_table(n, np.arange(n + 1))
+    tails[0] = 0.0
     w = StoppingMixture.from_policy(sol.policy).w
-    values = _mixture_regrets(w, np.eye(n + 1), spec)
+    values = _mixture_sum(w, _plan_regrets(tails, spec))
     # vertex j flattens to vertex min(j, 1), and a stacked row is computed
     # exactly as it would be alone
     flattening_ok = not np.any(values > values[np.minimum(np.arange(n + 1), 1)] + 1e-12)
     nature_gap = max(nature_gap, (values - sol.regret).max())
 
     if mode == "commitment":
-        # every pure stop-after-m plan against the worst needle [1 - P, P, 0, ...]
-        needle = np.zeros(n + 1)
-        needle[:2] = 1.0 - sol.worst_case_P[-1], sol.worst_case_P[-1]
-        dm_gap = sol.regret - _plan_regrets(needle, spec).min()
+        # every pure stop-after-m plan against the worst needle [1 - P, P, 0, ...],
+        # whose tails are P T[1, i]
+        dm_gap = sol.regret - _plan_regrets(sol.worst_case_P[-1] * _tail_table(n, [1])[0], spec).min()
     else:
-        dm_gap = -np.inf
-        prev = 0.0
-        for k in range(1, n + 1):
-            P_k = float(sol.worst_case_P[k - 1])
-            stay_out = P_k * (spec.ubar - spec.c)
-            open_once = (1.0 - P_k / k) * (spec.c + prev)
-            dm_gap = max(dm_gap, float(sol.regret_per_k[k - 1]) - min(stay_out, open_once))
-            prev = float(sol.regret_per_k[k - 1])
+        # at k boxes, stay out or open once and continue at k - 1 boxes
+        P, regret = sol.worst_case_P, sol.regret_per_k
+        open_once = (1.0 - P / np.arange(1, n + 1)) * (spec.c + np.append(0.0, regret[:-1]))
+        dm_gap = (regret - np.minimum(P * (spec.ubar - spec.c), open_once)).max()
 
     notes = () if flattening_ok else ("a correlated profile beat its single-treasure flattening",)
     return SaddleReport(nature_gap, dm_gap, NeedleP(worst_P), tol, notes, side_condition=flattening_ok)

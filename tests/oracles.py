@@ -130,17 +130,21 @@ def first_success_by_orders(Q):
     """First-success probabilities by enumerating all opening orders.
 
     Averages over every permutation of the opening order and every treasure
-    subset drawn from the count profile; only feasible for small n.
+    subset drawn from the count profile; only feasible for small n.  The
+    orders are tallied in integers, so each state adds one rounded term per
+    opening.
     """
     n = len(Q) - 1
     q = np.zeros(n)
     orders = list(permutations(range(n)))
     for prob, succ in count_profile_states(Q):
+        tally = [0] * n
         for order in orders:
             for pos, box in enumerate(order):
                 if succ[box]:
-                    q[pos] += prob / len(orders)
+                    tally[pos] += 1
                     break
+        q += [prob * t / len(orders) for t in tally]
     return q
 
 
@@ -435,7 +439,7 @@ def corr_profile_loop(spec, tol=1e-9, q_draws=1000, mode="commitment", seed=0):
     it is the vertex scan of ``saddle_check_corr``, one profile at a time;
     returns the same kind of ``SaddleReport``.
     """
-    from robust_pandora.core import CountProfile, NeedleP, SaddleReport, StoppingMixture, _plan_regrets
+    from robust_pandora.core import CountProfile, NeedleP, SaddleReport, StoppingMixture, _plan_regrets, _tails
     from robust_pandora.core import regret_count_profile
     from robust_pandora.corr import single_treasure_equivalent, solve_corr_commitment, solve_corr_intrapersonal
     from robust_pandora.verify import nature_best_response_needle
@@ -464,7 +468,7 @@ def corr_profile_loop(spec, tol=1e-9, q_draws=1000, mode="commitment", seed=0):
     if mode == "commitment":
         needle = np.zeros(n + 1)
         needle[:2] = 1.0 - sol.worst_case_P[-1], sol.worst_case_P[-1]
-        dm_gap = sol.regret - _plan_regrets(needle, spec).min()
+        dm_gap = sol.regret - _plan_regrets(_tails(needle), spec).min()
     else:
         dm_gap = -np.inf
         prev = 0.0
@@ -610,7 +614,7 @@ def first_success_table_loop(n):
 
 
 def first_success_table_cumprod(n):
-    """The ``C_k^j`` table as ``core._first_success_table`` first built it.
+    """The ``C_k^j`` table as the count path first built it.
 
     Rows in integer arithmetic, divided into floats, stacked into a new
     table and multiplied down by ``np.cumprod``.

@@ -457,6 +457,7 @@ class TestBadInputs:
             (*SWEEP, "--regime", "two-box", "--sweep", "ubar", "--c", "0.2", "--steps", "10001"),
             ("verify", "--regime", "indep", *HOMOG[:4], "--n", "5001"),
             ("verify", "--regime", "indep", *HOMOG[:4], "--n", "5001", "--policy-file", "VALID"),
+            ("verify", "--regime", "corr", *HOMOG[:4], "--n", "5001"),
             ("solve", "--regime", "het"),
             ("solve", "--regime", "het", "--boxes", "1:0.2,1-0.4"),
             ("solve", "--regime", "indep", *HOMOG[:4]),

@@ -22,9 +22,10 @@ from robust_pandora.core import (
     StoppingMixture,
     _MAX_COUNT_BOXES,
     _MAX_SPEC_BOXES,
-    _first_success_table,
     _mixture_regrets,
     _plan_regrets,
+    _tail_table,
+    _tails,
     first_success_probabilities,
     regret_count_profile,
     regret_indep,
@@ -33,6 +34,7 @@ from robust_pandora.core import (
 
 from oracles import (
     count_profile_states,
+    first_success_by_orders,
     first_success_cumsum,
     first_success_table_cumprod,
     first_success_table_loop,
@@ -44,6 +46,7 @@ from oracles import (
 )
 
 SPEC = HomogeneousSpec(ubar=1.0, c=0.3, n=3)
+EPS = np.finfo(float).eps
 
 
 class TestValidateSpec:
@@ -291,6 +294,11 @@ class TestCountProfile:
                 got = regret_count_profile(StoppingMixture(w), CountProfile(Q), spec)
                 want = mixture_regret(w, count_profile_states(Q), 1.0, 0.3)
                 assert got == pytest.approx(want, abs=1e-12)
+            # the vertices, Q_0 = 1 among them
+            w = rng.dirichlet(np.ones(n + 1))
+            for Q in np.eye(n + 1):
+                got = regret_count_profile(StoppingMixture(w), CountProfile(Q), spec)
+                assert abs(got - mixture_regret(w, count_profile_states(Q), 1.0, 0.3)) <= 4 * n * EPS
 
 
 class TestStoppingMixture:
@@ -362,33 +370,41 @@ class TestFirstSuccessProbabilities:
             assert np.allclose(first_success_probabilities(Q), first_success_by_orders(Q), atol=1e-12)
 
     def test_table_matches_slice_products(self):
-        # the running product down the rows against one slice product per
-        # factor (O(n^3)): different association, within 64 ulps
+        # C_k^j as the difference of two tails, T[j, k - 1] - T[j, k], against
+        # one slice product per factor (O(n^3)): within n eps / 4 (0.167 n eps
+        # measured, n = 1..300)
         for n in range(1, 301):
             want = first_success_table_loop(n)
-            got = _first_success_table(n).T
+            table = _tail_table(n, np.arange(n + 1))
+            got = (table[:, :-1] - table[:, 1:]).T
             assert np.array_equal(got == 0.0, want == 0.0), n
-            assert np.all(np.abs(got - want) <= 64 * np.spacing(np.abs(want))), n
+            assert np.all(np.abs(got - want) <= n * EPS / 4), n
 
-    def test_table_equals_integer_rows_bit_for_bit(self):
-        # float rows built in place against integer rows and np.cumprod
+    def test_table_matches_integer_rows(self):
+        # the same against the integer-row table: within n eps / 4 (0.167 n
+        # eps measured); a tail is a probability, in [0, 1], and the last one
+        # of each full row is +0.0
         for n in [*range(1, 400), 1000]:
-            got = _first_success_table(n)
-            assert np.array_equal(got.view(np.int64), first_success_table_cumprod(n).T.view(np.int64)), n
+            table = _tail_table(n, np.arange(n + 1))
+            assert np.all((0.0 <= table) & (table <= 1.0)), n
+            assert np.array_equal(table[1:, -1].view(np.int64), np.zeros(n, np.int64)), n
+            got = (table[:, :-1] - table[:, 1:]).T
+            assert np.all(np.abs(got - first_success_table_cumprod(n)) <= n * EPS / 4), n
 
     def test_table_rows_for_some_counts_equal_full_table_rows(self):
         # a subset of counts builds exactly those rows of the full table
         rng = np.random.default_rng(53)
         for n in [*range(1, 120), 300, 1000]:
-            full = _first_success_table(n)
+            full = _tail_table(n, np.arange(n + 1))
             for size in (1, 2, n // 2 + 1):
                 counts = np.sort(rng.choice(n + 1, size=min(size, n + 1), replace=False))
-                got = _first_success_table(n, counts)
+                got = _tail_table(n, counts)
                 assert np.array_equal(got.view(np.int64), full[counts].view(np.int64)), (n, counts)
 
-    def test_equals_full_table_cumsum_bit_for_bit(self):
-        # only the counts that hold mass get a table row: against every row of
-        # the full table summed by np.cumsum
+    def test_matches_full_table_cumsum(self):
+        # tail differences, from table rows only for the counts that hold
+        # mass, against every row of the full C_k^j table summed by np.cumsum:
+        # within n eps / 4 (0.167 n eps measured)
         rng = np.random.default_rng(59)
         for n in [*range(1, 301), 1000]:
             profiles = [rng.dirichlet(np.ones(n + 1)), np.eye(n + 1)[0]]
@@ -409,21 +425,23 @@ class TestFirstSuccessProbabilities:
             for Q in profiles:
                 got, want = first_success_probabilities(Q), first_success_cumsum(Q)
                 assert got.shape == want.shape
-                assert np.array_equal(got.view(np.int64), want.view(np.int64)), n
+                assert np.all(np.abs(got - want) <= n * EPS / 4), n
 
-    def test_plan_regrets_equal_masked_sums_bit_for_bit(self):
-        # reached read from windows of the zero-padded q against the masked
-        # (n + 1, n) copy, one profile at a time and stacked
+    def test_plan_regrets_match_masked_sums(self):
+        # plan regrets summed from the tails against the masked (n + 1, n)
+        # copy of q, one profile at a time and stacked: within n eps ubar / 4
+        # (0.167 n eps measured)
         rng = np.random.default_rng(47)
         for n in [*range(1, 200), 300, 1000]:
-            spec = HomogeneousSpec(1.0, 0.3 / n, n)
+            ubar = float(rng.uniform(0.5, 2.0))
+            spec = HomogeneousSpec(ubar, 0.3 * ubar / n, n)
             profiles = [rng.dirichlet(np.ones(n + 1)), np.eye(n + 1)[0], np.eye(n + 1)[-1]]
             if n in (1, 7, 60, 300):
                 profiles.append(rng.dirichlet(np.ones(n + 1), size=(3, 4)))
             for Q in profiles:
-                got, want = _plan_regrets(Q, spec), plan_regrets_masked(Q, spec)
+                got, want = _plan_regrets(_tails(Q), spec), plan_regrets_masked(Q, spec)
                 assert got.shape == want.shape
-                assert np.array_equal(got.view(np.int64), want.view(np.int64)), n
+                assert np.all(np.abs(got - want) <= n * EPS * ubar / 4), n
 
     def test_stacked_rows_equal_single_calls(self):
         # leading axes: each row bit for bit what a call on that row alone gives
@@ -465,6 +483,29 @@ class TestFirstSuccessProbabilities:
             stack = rng.dirichlet(np.ones(n + 1), size=50)
             values = _mixture_regrets(w.w, stack, spec)
             assert values.tolist() == [regret_count_profile(w, CountProfile(Q), spec) for Q in stack]
+
+
+def _draw_weights(data, n):
+    """``n + 1`` probabilities on a random nonempty support, half the time a single entry of 1.0."""
+    one = st.lists(st.integers(0, n), min_size=1, max_size=1)
+    support = data.draw(st.one_of(one, st.lists(st.integers(0, n), min_size=1, max_size=n + 1, unique=True)))
+    weights = np.zeros(n + 1)
+    weights[support] = data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(support), max_size=len(support)))
+    return weights / weights.sum()
+
+
+@given(st.integers(1, 6), st.floats(0.5, 2.0), st.floats(0.01, 0.95), st.data())
+@settings(max_examples=80, deadline=None)
+def test_count_path_matches_state_enumeration(n, ubar, ratio, data):
+    # random stopping weights and profiles on random supports, a single held
+    # count and Q_0 = 1 among them: within 4 n eps ubar of the state walk and
+    # 4 n eps of the enumeration of opening orders
+    spec = HomogeneousSpec(ubar, ratio * ubar, n)
+    w, Q = _draw_weights(data, n), _draw_weights(data, n)
+    states = count_profile_states(Q)
+    got = regret_count_profile(StoppingMixture(w), CountProfile(Q), spec)
+    assert abs(got - mixture_regret(w, states, spec.ubar, spec.c)) <= 4 * n * EPS * ubar
+    assert np.all(np.abs(first_success_probabilities(Q) - first_success_by_orders(Q)) <= 4 * n * EPS)
 
 
 @given(st.integers(2, 6), st.data())

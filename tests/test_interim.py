@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -334,6 +335,24 @@ class TestSolveInterim:
         assert value == 0.0 and 0.0 < abs(slope) < 1e-300
         assert branch.maximize(17427, 1.0) == (x0, 0.0)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("ratio", [0.041413, 0.041429])
+    def test_subnormal_start_stops_at_start(self, ratio):
+        # B(x0) is the least subnormal, 5e-324, and B'(x0) a subnormal too:
+        # the start is kept after one evaluation, not halved towards the
+        # branch's end, and no point of a dense scan of the branch beats it
+        # by more than 1e-300
+        spec = HomogeneousSpec(1.0, ratio, 557706)
+        branch = _HighBranch(spec)
+        at, calls = branch._at, []
+        branch._at = lambda m, alpha, x: calls.append(x) or at(m, alpha, x)
+        x0 = branch.end * 17427 / 17428
+        value, slope, _ = at(17427, 1.0, x0)
+        assert 0.0 < value < sys.float_info.min and 0.0 < slope < 1e-300
+        assert branch.maximize(17427, 1.0) == (x0, value)
+        assert len(calls) == 1
+        dense = np.linspace(0.0, branch.end, 200_001)
+        assert branch_closed_form(dense, 17427, 1.0, spec).max() <= value + 1e-300
 
     def test_zero_start_at_no_sure_box_is_searched(self):
         # m = 0, alpha = 1: B(0) = 0 but B'(0) = ubar - c, and the branch peaks inside

@@ -52,7 +52,7 @@ CLI_STDOUT = {
     "solve --regime two-box --ubar 1 --c 0.2": "2abfe19e6dfbf3111534196c9af3bcb30863cd0bddce5021c2b52f963a1a68a6",
     "sweep --regime corr --sweep n --from 1 --to 12 --ubar 1 --c 0.25": "3f0998a880cd7bd6a84ce32c728831eabad76cb5cb843aa642675e72fe725b37",
     "sweep --regime two-box --sweep ubar --from 0.5 --to 1.5 --steps 9 --c 0.2": "105fa344b4b396f8f57cb21f44167aeb90739c558e98d86023fae2cb7870d155",
-    "verify --regime corr --ubar 1 --c 0.1 --n 6": "e6be421b090ed64d668a73f673098d9a25723684f1276d4c8cadc38f3c7c7c97",
+    "verify --regime corr --ubar 1 --c 0.1 --n 6": "25f25e0a01bcadb0eb651e82afcb3d98e6285d565714c1ce604d64fb26400255",
     "verify --regime corr-intra --ubar 1 --c 0.1 --n 6": "808ba82cb091c26eecad7c21773c8100fdbd0758d9035615e7c74de3f5ad3379",
     "verify --regime two-box --ubar 1 --c 0.3 --grid 200": "17ed2f90da91951ecb8a6e32083135aaea204fedce1f80132ca616f523043cf4",
     # ubar/c = 8, the widest passing band, several blocks; and the quit

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robust_pandora.core import (
+    _MAX_COUNT_BOXES,
     CountProfile,
     DomainError,
     HomogeneousSpec,
@@ -23,7 +24,6 @@ from robust_pandora.corr import single_treasure_equivalent, solve_corr_commitmen
 from robust_pandora.indep import solve_indep
 from robust_pandora.interim import solve_interim
 from robust_pandora.verify import (
-    _MAX_CORR_BOXES,
     interim_grid_oracle,
     nature_best_response_indep,
     nature_best_response_needle,
@@ -196,7 +196,23 @@ class TestSaddleCheckCorr:
             report = saddle_check_corr(HomogeneousSpec(1.0, 0.01, 33), tol=1e-9, mode=mode)
             assert report.passed, str(report)
         with pytest.raises(SizeError):
-            saddle_check_corr(HomogeneousSpec(1.0, 0.01, _MAX_CORR_BOXES + 1))
+            saddle_check_corr(HomogeneousSpec(1.0, 0.01, _MAX_COUNT_BOXES + 1))
+
+    @pytest.mark.parametrize("n", [1000, 1998])
+    def test_passes_below_the_optout_size(self, n):
+        # c/ubar = 0.001 opts out at 1 999 boxes, about 2 ubar/c, where the
+        # overload shows: both modes pass, and the vertex scan holds three
+        # (n + 1, n + 1) arrays, 24 MB at n = 1000
+        spec = HomogeneousSpec(1.0, 0.001, n)
+        for mode in ("commitment", "intrapersonal"):
+            tracemalloc.start()
+            try:
+                report = saddle_check_corr(spec, mode=mode)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.passed and not report.notes, (mode, str(report))
+            assert n > 1000 or peak < 32e6, (mode, peak)
 
     def test_needle_two_endpoints(self):
         # the regret is affine in P, so P = 0 or P = 1 is a worst case; the
