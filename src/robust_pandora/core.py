@@ -350,55 +350,44 @@ def _alphas_for(policy: StationaryPolicy, spec: HomogeneousSpec) -> np.ndarray:
     return policy.alphas
 
 
-def _regret_indep_alphas(alphas: np.ndarray, p, spec: HomogeneousSpec):
-    """Recursion behind :func:`regret_indep`, broadcasting over policies or p.
-
-    ``alphas`` may have shape ``(..., n)``; ``p`` broadcasts against the
-    leading axes.
-    """
-    ubar, c = spec.ubar, spec.c
-    n = alphas.shape[-1]
-    p = _probability_array(p, "p")
-    fail = 1.0 - p
-    r = np.zeros(np.broadcast_shapes(alphas.shape[:-1], p.shape))
-    for k in range(1, n + 1):
-        a = alphas[..., k - 1]
-        r = (1.0 - a) * (1.0 - fail**k) * (ubar - c) + a * fail * (c + r)
-    return r
-
-
 def regret_indep(policy: StationaryPolicy, p, spec: HomogeneousSpec):
     """Expected ex-post regret under i.i.d. binary rewards with success rate ``p``.
 
-    Evaluates the backward recursion with ``k`` boxes remaining
+    The backward recursion with ``k`` boxes remaining,
 
         R_k = (1 - a_k) (1 - (1-p)^k) (ubar - c) + a_k (1-p) (c + R_{k-1}),
 
-    with ``R_0 = 0``: not searching forgoes the oracle's net reward whenever
+    with ``R_0 = 0`` (not searching forgoes the oracle's net reward whenever
     at least one box is full, while a fruitless opening wastes ``c`` and
-    passes to the smaller problem.  ``p`` may be a scalar or an array.
+    passes to the smaller problem), evaluated by Horner's rule on its
+    polynomial in ``1 - p`` (:func:`_regret_indep_poly`).  ``p`` may be a
+    scalar or an array.
     """
-    alphas = _alphas_for(policy, spec)
-    out = _regret_indep_alphas(alphas, p, spec)
+    coef = _regret_indep_poly(policy, spec)
+    out = np.polyval(coef, 1.0 - _probability_array(p, "p"))
     return float(out) if out.ndim == 0 else out
 
 
 def _regret_indep_poly(policy: StationaryPolicy, spec: HomogeneousSpec) -> np.ndarray:
-    """:func:`regret_indep` as a polynomial in ``x = 1 - p``, highest degree first.
+    """:func:`regret_indep` as a polynomial in ``x = 1 - p``, highest degree first, in O(n).
 
-    The same backward recursion, ``R_k = (1 - a_k) (ubar - c) (1 - x^k) +
-    a_k x (c + R_{k-1})``, carried out on coefficient vectors.
+    Unrolling the recursion with the suffix products ``W_k = prod_{j > k} a_j``,
+
+        R_n(x) = sum_k W_k x^(n-k) [(1 - a_k) (ubar - c) (1 - x^k) + a_k c x]:
+
+    ``x^(n-k)`` gets ``g_k = (1 - a_k) (ubar - c) W_k``, ``x^(n-k+1)`` gets
+    ``a_k c W_k`` and ``x^n`` gets minus the sum of the ``g_k``.
     """
     alphas = _alphas_for(policy, spec)
     ubar, c = spec.ubar, spec.c
-    r = np.zeros(alphas.size + 1)
-    for k, a in enumerate(alphas.tolist(), start=1):
-        gain = (1.0 - a) * (ubar - c)
-        r[1 : k + 1] = a * r[:k]
-        r[0] = gain
-        r[1] += a * c
-        r[k] -= gain
-    return r[::-1]
+    weights = np.ones_like(alphas)  # W_k, with W_n = 1
+    np.cumprod(alphas[:0:-1], out=weights[-2::-1])
+    gains = (1.0 - alphas) * (ubar - c) * weights
+    coef = np.zeros(alphas.size + 1)
+    coef[1:] = gains
+    coef[:-1] += alphas * c * weights
+    coef[0] -= gains.sum()
+    return coef
 
 
 def _peak_search(at, lo: float, hi: float, x: float, flat: float = 0.0):
@@ -439,14 +428,6 @@ def _peak_search(at, lo: float, hi: float, x: float, flat: float = 0.0):
     return x, value
 
 
-def _polyval(coef, x):
-    """Horner's rule, as ``np.polyval`` but without its 0-d array cost for a scalar ``x``."""
-    out = 0.0
-    for a in coef:
-        out = out * x + a
-    return out
-
-
 def regret_needle(policy: StationaryPolicy, P, spec: HomogeneousSpec):
     """Expected regret when at most one box holds the high reward.
 
@@ -471,18 +452,19 @@ def regret_needle(policy: StationaryPolicy, P, spec: HomogeneousSpec):
 
 
 # The count-profile path holds a tail table of n + 1 floats per count that
-# holds mass, about 8 n^2 bytes for one profile, and saddle_check_corr three
+# holds mass, about 8 n^2 bytes for one profile, and saddle_check_corr two
 # (n + 1, n + 1) arrays.  Wall time and peak RSS (ru_maxrss, interpreter
 # included) in a fresh process on a 2-vCPU x86-64 VM: regret_count_profile
 # against a Dirichlet profile / its flattening, n = 1000 0.017 / 0.0002 s,
 # 43 MB; 5000 0.4-1.0 / 0.0004 s, 226 MB; saddle_check_corr, c/ubar = 0.001,
-# solve included, either mode, n = 1000 0.04 s, 52 MB; 5000 0.95-1.15 s,
-# 602 MB, under 1 GiB.  The same cap bounds the other homogeneous paths that
-# take seconds at a few thousand boxes.  Wall time on the same VM at n = 1000
-# / 5000 / 20 000: saddle_check_indep (c/ubar = 0.3, an O(n^2) polynomial)
-# 0.01 / 0.06-0.10 / 0.4-0.6 s, about two days at the spec cap of 10 000 000
-# boxes (extrapolated, not run); interim_grid_oracle (2n rows of 2001
-# beliefs) 0.02 s at n = 100 and 1.8 s at 5000.
+# solve included, either mode, n = 1000 0.03 s, 45 MB; 5000 0.63 s, 411 MB,
+# under 1 GiB.  The same cap bounds the other homogeneous paths that take
+# seconds at a few thousand boxes.  Wall time on the same VM at n = 1000 /
+# 5000 / 20 000: saddle_check_indep (c/ubar = 0.3, a 2001-point scan of an
+# O(n) polynomial) 0.007-0.008 / 0.04 / 0.28-0.29 s, linear in n, so about
+# 2.5 minutes at the spec cap of 10 000 000 boxes (extrapolated, not run);
+# interim_grid_oracle (2n rows of 2001 beliefs) 0.02 s at n = 100 and 1.8 s
+# at 5000.
 _MAX_COUNT_BOXES = 5000
 
 
@@ -557,7 +539,11 @@ def _plan_regrets(tails: np.ndarray, spec: HomogeneousSpec) -> np.ndarray:
     out = np.zeros_like(tails)
     np.cumsum(tails[..., 1:-1], axis=-1, out=out[..., 2:])
     out *= spec.c
-    out += (1.0 - tails[..., :1]) * (np.arange(out.shape[-1]) * spec.c)
+    # only rows with mass on no full box take the m c term: the vertex rows
+    # j >= 1 of a scan add +0.0 there, and skipping them saves a full-size temporary
+    rest = 1.0 - tails[..., 0]
+    held = rest != 0.0
+    out[held] += rest[held][:, None] * (np.arange(out.shape[-1]) * spec.c)
     out[..., 0] = (spec.ubar - spec.c) * tails[..., 0]
     out[..., 1:] += np.multiply(tails[..., 1:], spec.ubar, out=tails[..., 1:])
     return out

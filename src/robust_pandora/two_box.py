@@ -144,8 +144,9 @@ def _rewards(u, policy: TwoBoxContinuousPolicy) -> np.ndarray:
     if x.dtype.kind not in "iuf":
         raise DomainError(f"reward must be a number, got {_shown(u)}")
     x = x.astype(float)
-    if not np.all((-1e-12 <= x) & (x <= policy.ubar + 1e-12)):
-        raise DomainError(f"reward must lie in [0, {policy.ubar}], got {x.tolist()!r}")
+    outside = ~((-1e-12 <= x) & (x <= policy.ubar + 1e-12))
+    if outside.any():
+        raise DomainError(f"reward must lie in [0, {policy.ubar}], got {_shown(float(x[outside][0]))}")
     return x
 
 
@@ -259,6 +260,10 @@ def verify_two_box(
     no such note is made there.  The report's ``worst_belief`` is ``nature``.
     """
     _require_two_boxes(spec)
+    if (policy.ubar, policy.c) != (spec.ubar, spec.c):
+        raise DomainError(
+            f"policy solved for ubar={_shown(policy.ubar)}, c={_shown(policy.c)}, but spec has ubar={spec.ubar!r}, c={spec.c!r}"
+        )
     # the row scoring below is exact only for a first-opening chance >= 0
     if not (_finite_real(policy.alpha2_0) and 0.0 <= policy.alpha2_0 <= 1.0):
         raise DomainError(f"policy alpha2_0 must lie in [0, 1], got {_shown(policy.alpha2_0)}")

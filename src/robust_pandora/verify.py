@@ -6,9 +6,10 @@ recompute both sides instead of the closed forms, and sample nothing.
 For a fixed policy the regret is linear in Nature's belief, so her best
 response over a convex family sits at an extreme point (the needle
 endpoints, the degenerate count profiles), or, where it is a polynomial in
-one belief, at the best point of a fixed 2001-point grid, polished by the
-bracketed Newton search the interim solver uses.  Against a fixed belief
-the DM's best response is a backward induction or a scan of pure plans.
+one belief built in O(n), at the best point of a fixed 2001-point grid,
+polished by the bracketed Newton search the interim solver uses.  Against
+a fixed belief the DM's best response is a backward induction or a scan of
+pure plans.
 They report the two one-sided gaps:
 
 * ``nature_gap``: best belief deviation found, minus the claimed value
@@ -37,7 +38,6 @@ from .core import (
     _mixture_sum,
     _peak_search,
     _plan_regrets,
-    _polyval,
     _regret_indep_poly,
     _require_count,
     _require_tolerance,
@@ -65,16 +65,18 @@ _P_GRID = np.linspace(0.0, 1.0, 2001)
 def nature_best_response_indep(policy: StationaryPolicy, spec: HomogeneousSpec):
     """Worst i.i.d. success probability against a fixed policy.
 
-    The regret is a polynomial of degree ``n`` in ``x = 1 - p``.  Its best
-    point among the 2001 of ``_P_GRID`` starts :func:`core._peak_search` on
-    the two grid cells around it, with the value, slope and curvature from
-    one Horner pass over the coefficients.  Returns ``(p_star, regret)``.
-    More than 5 000 boxes raise :class:`SizeError`: building the polynomial
-    takes O(n^2) work.
+    The regret is a polynomial of degree ``n`` in ``x = 1 - p``, whose
+    coefficients :func:`core._regret_indep_poly` builds in O(n), the same
+    ones :func:`core.regret_indep` evaluates.  Its best point among the 2001
+    of ``_P_GRID`` (``np.polyval``) starts :func:`core._peak_search` on the
+    two grid cells around it, with the value, slope and curvature from one
+    Horner pass over the coefficients.  Returns ``(p_star, regret)``.  More
+    than 5 000 boxes raise :class:`SizeError`: the scan takes O(2001 n) work.
     """
     if spec.n > _MAX_COUNT_BOXES:
         raise SizeError(f"i.i.d. regret polynomial limited to {_MAX_COUNT_BOXES} boxes, got {_shown(spec.n)}")
-    terms = _regret_indep_poly(policy, spec).tolist()
+    coef = _regret_indep_poly(policy, spec)
+    terms = coef.tolist()
 
     def at(x):
         value = slope = half_bend = 0.0
@@ -84,7 +86,7 @@ def nature_best_response_indep(policy: StationaryPolicy, spec: HomogeneousSpec):
             value = value * x + a
         return value, slope, 2.0 * half_bend
 
-    best = int(np.argmax(_polyval(terms, _P_GRID)))
+    best = int(np.argmax(np.polyval(coef, _P_GRID)))
     lo, hi = _P_GRID[max(best - 1, 0)], _P_GRID[min(best + 1, _P_GRID.size - 1)]
     x, worst = _peak_search(at, float(lo), float(hi), float(_P_GRID[best]))
     return 1.0 - x, worst
@@ -107,7 +109,8 @@ def saddle_check_indep(spec: HomogeneousSpec, tol: float = 1e-6, seed: int = 0) 
 
     Nature's side is :func:`nature_best_response_indep`: the 2001 success
     probabilities of ``_P_GRID``, the best one polished by a bracketed
-    Newton search on the regret polynomial.  The DM's side is exact: her
+    Newton search on the regret polynomial, built in O(n); more than 5 000
+    boxes raise :class:`SizeError`.  The DM's side is exact: her
     best response to the worst-case (threshold) belief, an O(n) backward
     induction, must not beat the value.  ``seed`` is validated and ignored:
     nothing is sampled, and it stays only so that callers passing it keep

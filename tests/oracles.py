@@ -490,14 +490,57 @@ def corr_profile_loop(spec, tol=1e-9, q_draws=1000, mode="commitment", seed=0):
     )
 
 
+def indep_recursion(alphas, p, spec):
+    """``regret_indep`` by its backward recursion, broadcasting over policies or p.
+
+    ``R_k = (1 - a_k) (1 - (1-p)^k) (ubar - c) + a_k (1-p) (c + R_{k-1})``
+    stage by stage, without the library's coefficient polynomial.
+    ``alphas`` may have shape ``(..., n)``; ``p`` broadcasts against the
+    leading axes.
+    """
+    ubar, c = spec.ubar, spec.c
+    alphas = np.asarray(alphas, dtype=float)
+    fail = 1.0 - np.asarray(p, dtype=float)
+    r = np.zeros(np.broadcast_shapes(alphas.shape[:-1], fail.shape))
+    for k in range(1, alphas.shape[-1] + 1):
+        a = alphas[..., k - 1]
+        r = (1.0 - a) * (1.0 - fail**k) * (ubar - c) + a * fail * (c + r)
+    return r
+
+
+def indep_poly_loop(alphas, spec):
+    """The recursion of :func:`indep_recursion` carried out on coefficient vectors in ``x = 1 - p``.
+
+    ``R_k = (1 - a_k) (ubar - c) (1 - x^k) + a_k x (c + R_{k-1})`` one stage
+    at a time, O(n^2); highest degree first, as ``np.polyval`` reads it.
+    """
+    ubar, c = spec.ubar, spec.c
+    r = np.zeros(len(alphas) + 1)
+    for k, a in enumerate(np.asarray(alphas, dtype=float).tolist(), start=1):
+        gain = (1.0 - a) * (ubar - c)
+        r[1 : k + 1] = a * r[:k]
+        r[0] = gain
+        r[1] += a * c
+        r[k] -= gain
+    return r[::-1]
+
+
+def polyval(coef, x):
+    """Horner's rule, as ``np.polyval`` but without its 0-d array cost for a scalar ``x``."""
+    out = 0.0
+    for a in coef:
+        out = out * x + a
+    return out
+
+
 def indep_descent_loop(spec, tol=1e-6, dm_probes=10_000, seed=0):
     """``saddle_check_indep`` with a sampled DM side: random probes, then coordinate descent.
 
     The search the exact backward induction replaced: all probes drawn at
-    once, then 6n calls of ``_regret_indep_alphas`` per pass on a fresh copy
+    once, then 6n calls of :func:`indep_recursion` per pass on a fresh copy
     of the policy.  Returns the same kind of ``SaddleReport``.
     """
-    from robust_pandora.core import IidBinary, SaddleReport, _regret_indep_alphas
+    from robust_pandora.core import IidBinary, SaddleReport
     from robust_pandora.indep import solve_indep, weitzman_threshold
     from robust_pandora.verify import nature_best_response_indep
 
@@ -508,7 +551,7 @@ def indep_descent_loop(spec, tol=1e-6, dm_probes=10_000, seed=0):
     rng = np.random.default_rng(seed)
     phat = weitzman_threshold(spec)
     probes = rng.random((dm_probes, spec.n))
-    values = _regret_indep_alphas(probes, phat, spec)
+    values = indep_recursion(probes, phat, spec)
     best = float(values.min())
     alphas = probes[int(np.argmin(values))].copy()
     for _ in range(3):
@@ -516,7 +559,7 @@ def indep_descent_loop(spec, tol=1e-6, dm_probes=10_000, seed=0):
             for endpoint in (0.0, 1.0):
                 trial = alphas.copy()
                 trial[k] = endpoint
-                val = float(_regret_indep_alphas(trial, phat, spec))
+                val = float(indep_recursion(trial, phat, spec))
                 if val < best:
                     best = val
                     alphas = trial

@@ -24,6 +24,7 @@ from robust_pandora.core import (
     _MAX_SPEC_BOXES,
     _mixture_regrets,
     _plan_regrets,
+    _regret_indep_poly,
     _tail_table,
     _tails,
     first_success_probabilities,
@@ -39,6 +40,8 @@ from oracles import (
     first_success_table_cumprod,
     first_success_table_loop,
     iid_states,
+    indep_poly_loop,
+    indep_recursion,
     mixture_regret,
     needle_states,
     plan_regrets_masked,
@@ -158,11 +161,47 @@ class TestRegretIndep:
             assert slope1 == pytest.approx(slope2, abs=1e-9)
 
     def test_vectorized_over_p(self):
+        # bit for bit the scalar result at each belief
         policy = StationaryPolicy(np.array([0.5, 0.6, 0.7]))
         grid = np.linspace(0.0, 1.0, 11)
-        vec = regret_indep(policy, grid, SPEC)
-        for p, r in zip(grid, vec):
-            assert r == pytest.approx(regret_indep(policy, float(p), SPEC), abs=1e-14)
+        assert regret_indep(policy, grid, SPEC).tolist() == [regret_indep(policy, float(p), SPEC) for p in grid]
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 5, 40, 700):
+            spec = HomogeneousSpec(1.3, 0.2, n)
+            policy = StationaryPolicy(rng.random(n))
+            grid = np.append(rng.random(30), [0.0, 1.0, 0.2 / 1.3])
+            assert regret_indep(policy, grid, spec).tolist() == [regret_indep(policy, float(p), spec) for p in grid], n
+
+    @staticmethod
+    def _sweep(rng, specs):
+        # n log-uniform in 1..5000, c/ubar log-uniform in 1e-5..0.95, and the
+        # solver's, a random, the all-ones and a scaled solver's policy
+        for _ in range(specs):
+            n = int(np.exp(rng.uniform(0.0, np.log(5000))))
+            ubar = float(rng.uniform(0.5, 2.0))
+            spec = HomogeneousSpec(ubar, ubar * float(10 ** rng.uniform(-5.0, np.log10(0.95))), n)
+            solved = solve_indep(spec).policy.alphas
+            yield spec, np.array([solved, rng.random(n), np.ones(n), solved * rng.uniform(0.5, 1.0)])
+
+    def test_coefficients_match_the_stage_loop(self):
+        # the O(n) suffix-product coefficients against the O(n^2) recursion on
+        # coefficient vectors, entry by entry within 2 n ulps
+        for spec, policies in self._sweep(np.random.default_rng(28), 120):
+            for alphas in policies:
+                got, want = _regret_indep_poly(StationaryPolicy(alphas), spec), indep_poly_loop(alphas, spec)
+                ulps = np.spacing(np.maximum(np.abs(got), np.abs(want)))
+                assert np.all(np.abs(got - want) <= 2 * spec.n * ulps), spec
+
+    def test_polynomial_matches_the_recursion(self):
+        # within 2 n eps ubar of the backward recursion at 47 beliefs: 40
+        # random, both ends, the threshold c/ubar and points beside it
+        rng = np.random.default_rng(2028)
+        for spec, policies in self._sweep(rng, 200):
+            phat = spec.c / spec.ubar
+            ps = np.append(rng.random(40), [0.0, 1.0, phat, phat * (1 - 1e-3), phat * (1 + 1e-3), 1e-9, 1 - 1e-9])
+            want = indep_recursion(policies[:, None, :], ps, spec)
+            got = np.array([regret_indep(StationaryPolicy(alphas), ps, spec) for alphas in policies])
+            assert np.abs(got - want).max() <= 2 * spec.n * EPS * spec.ubar, spec
 
     def test_output_bounds(self):
         rng = np.random.default_rng(5)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robust_pandora.core import ConvergenceError, DomainError, HomogeneousSpec, _peak_search, _polyval
+from robust_pandora.core import ConvergenceError, DomainError, HomogeneousSpec, _peak_search
 from robust_pandora.interim import (
     InterimPolicy,
     _HighBranch,
@@ -18,7 +18,7 @@ from robust_pandora.interim import (
     solve_interim,
 )
 
-from oracles import exhaustive_utility_sum, interim_linear_scan, interim_regret_high_belief
+from oracles import exhaustive_utility_sum, interim_linear_scan, interim_regret_high_belief, polyval
 
 SPEC2 = HomogeneousSpec(1.0, 0.3, 2)
 
@@ -276,8 +276,8 @@ class TestSolveInterim:
                     polys = coefficient_slopes(m, alpha, spec)
                     for x in beliefs:
                         for got, poly in zip(branch._at(m, alpha, x), polys):
-                            want = _polyval(poly.tolist(), x)
-                            assert abs(got - want) <= 1e-11 * _polyval(np.abs(poly).tolist(), x), (spec, m, alpha, x)
+                            want = polyval(poly.tolist(), x)
+                            assert abs(got - want) <= 1e-11 * polyval(np.abs(poly).tolist(), x), (spec, m, alpha, x)
 
     def test_polish_matches_dense_scan_and_coefficient_polish(self):
         # m = 0, n - 1 and one between, alpha = 0, 1 and one between: neither
@@ -299,9 +299,9 @@ class TestSolveInterim:
                     _, value = _HighBranch(spec).maximize(m, alpha)
                     assert branch_closed_form(dense, m, alpha, spec).max() <= value + slack, (spec, m, alpha)
                     polys = [p.tolist() for p in coefficient_slopes(m, alpha, spec)]
-                    best = int(np.argmax(_polyval(polys[0], xs)))
+                    best = int(np.argmax(polyval(polys[0], xs)))
                     lo, hi = float(xs[max(best - 1, 0)]), float(xs[min(best + 1, xs.size - 1)])
-                    at = lambda x: tuple(_polyval(poly, x) for poly in polys)
+                    at = lambda x: tuple(polyval(poly, x) for poly in polys)
                     assert _peak_search(at, lo, hi, float(xs[best]))[1] <= value + slack, (spec, m, alpha)
                     checked += 1
         assert checked >= 100

@@ -114,6 +114,9 @@ class TestAcceptanceProbability:
         pol, _, _ = solve_two_box(LARGE)
         with pytest.raises(DomainError):
             acceptance_probability(1.5, pol)
+        # an array names its first reward out of range, not the whole array
+        with pytest.raises(DomainError, match=r"\], got nan$"):
+            acceptance_probability(np.array([0.5, np.nan, 1.5, *np.linspace(0.0, 1.0, 200)]), pol)
 
 
 class TestVerifyTwoBox:

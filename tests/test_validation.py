@@ -133,6 +133,9 @@ BAD_CALLS = {
     "two-box-tol-string": lambda: _verify_two_box(tolerance="x"),
     "two-box-tol-nan": lambda: _verify_two_box(tolerance=float("nan")),
     "two-box-tol-negative": lambda: _verify_two_box(tolerance=-1e-9),
+    # a policy solved for another spec: the cost, and the reward whose grid reaches past the policy's ubar
+    "two-box-policy-other-c": lambda: verify_two_box(*solve_two_box(HomogeneousSpec(1.0, 0.1, 2))[:2], TWO),
+    "two-box-policy-other-ubar": lambda: verify_two_box(*solve_two_box(HomogeneousSpec(0.9, 0.2, 2))[:2], TWO),
     "two-box-policy-alpha-negative": lambda: verify_two_box(replace(_two_box_policy(), alpha2_0=-0.1), *solve_two_box(TWO)[1:2], TWO),
     "hetero-p-scalar": lambda: HeteroPVector(0.5),
     "regret-het-p-scalar": lambda: regret_het(_het_policy(), 0.5, HET),
