@@ -124,8 +124,9 @@ def _probability_array(values, what: str) -> np.ndarray:
     """
     arr = np.asarray(values)
     has_bool = isinstance(values, (list, tuple)) and any(isinstance(x, (bool, np.bool_)) for x in values)
+    # a NaN makes min() and max() NaN, which fails both comparisons
     if has_bool or arr.dtype.kind not in "iuf" or (
-        arr.size and (not np.all(np.isfinite(arr)) or arr.min() < -PROB_SLACK or arr.max() > 1.0 + PROB_SLACK)
+        arr.size and not (arr.min() >= -PROB_SLACK and arr.max() <= 1.0 + PROB_SLACK)
     ):
         raise DomainError(f"every entry of {what} must lie in [0, 1]")
     return np.clip(arr, 0.0, 1.0, dtype=float)

@@ -10,19 +10,21 @@ stream keyed by ``seed``.  With ``d`` the smallest multiple of 4 at or above
 ``2 (n + 1)`` (counter blocks hold four 64-bit words), episode ``e`` owns
 the ``d`` float64 draws starting at word offset ``e * d``; each float64 is
 one word, ``word >> 11`` scaled by ``2**-53``.  ``_blocks`` is the one
-source of draws: both simulators read each chunk's episodes as the rows of
-one ``(rows, d)`` array, in episode order.  Within a row, draws are spent in
+source of draws: both simulators read the episodes as the rows of ``(rows, d)``
+blocks of at most ``_BLOCK_WORDS`` words (a single row when ``d`` is more), in
+episode order, each block from a Philox advanced to its first episode.  The
+blocks are grouped into chunks of ``_CHUNK`` episodes, and the sums behind the
+means are taken per chunk, then added exactly.  Within a row, draws are spent in
 a fixed order: one state column for the existence or count draw, one per
 box, then one decision column per stage (heterogeneous stage draws select
 by cumulative weight over boxes in ascending input order, with the outside
 option last); the tail padding is never read.  Results are therefore
 bit-identical for a given ``(policy, truth, spec, episodes, seed)`` no
-matter how the work is chunked or threaded.
+matter how the draws are blocked or the work is threaded.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,6 +51,8 @@ MAX_EPISODES = 1 << 40
 # constant so that summation grouping, and hence output bytes, never depend
 # on caller-visible knobs
 _CHUNK = 1 << 16
+# float64 draws held at once, 1 MiB
+_BLOCK_WORDS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -62,67 +66,86 @@ class SimulationResult:
 
 
 def _blocks(seed: int, episodes: int, n: int):
-    """Yield the draws of each chunk of ``episodes`` in episode order, one ``(rows, d)`` array per chunk."""
+    """Yield ``(rows, blocks)`` per chunk of ``_CHUNK`` episodes.
+
+    ``blocks`` generates the chunk's draws in episode order as ``(rows', d)``
+    arrays of at most ``_BLOCK_WORDS`` words (one row when ``d`` is more),
+    each from a fresh Philox advanced to its first episode.
+    """
     draws = -(-2 * (n + 1) // 4) * 4
-    for start in range(0, episodes, _CHUNK):
+    step = max(1, _BLOCK_WORDS // draws)
+
+    def block(first: int, rows: int) -> np.ndarray:
         # Philox.advance counts 256-bit counter blocks, i.e. four 64-bit draws
         bg = np.random.Philox(key=seed)
-        bg.advance(start * draws // 4)
-        yield np.random.Generator(bg).random((min(_CHUNK, episodes - start), draws))
+        bg.advance(first * draws // 4)
+        return np.random.Generator(bg).random((rows, draws))
+
+    for start in range(0, episodes, _CHUNK):
+        end = min(start + _CHUNK, episodes)
+        yield end - start, (block(first, min(step, end - first)) for first in range(start, end, step))
+
+
+def _chunks(play, seed: int, episodes: int, n: int):
+    """Yield (opened, regret) arrays per chunk, filled from ``play(U)`` on each block ``U`` of draws."""
+    for rows, blocks in _blocks(seed, episodes, n):
+        opened, regret = np.empty(rows), np.empty(rows)
+        done = 0
+        # map lets go of each block as play returns, before the next is drawn
+        for o, r in map(play, blocks):
+            opened[done : done + len(o)], regret[done : done + len(o)] = o, r
+            done += len(o)
+        yield opened, regret
 
 
 def _homogeneous_chunks(policy: StationaryPolicy, truth, spec: HomogeneousSpec, episodes: int, seed: int):
-    """Yield (opened, regret) arrays per chunk for a homogeneous simulation."""
+    """(opened, regret) arrays per chunk of a homogeneous simulation, as an iterator."""
     n, ubar, c = spec.n, spec.ubar, spec.c
     alphas_by_stage = policy.alphas[::-1].copy()  # stage j opens box j+1, k = n - j remain
 
-    if isinstance(truth, CountProfile):
+    # hits(state) is a (rows, n) table whose first True in each row is the
+    # first box that holds a high reward; a row without one has none
+    if isinstance(truth, IidBinary):
+        def hits(state):
+            return state[:, 1:] < truth.p
+    elif isinstance(truth, NeedleP):
+        boxes = np.arange(n)
+
+        def hits(state):
+            pos = np.minimum((state[:, 1] * n).astype(np.int64), n - 1)
+            return (state[:, :1] < truth.P) & (pos[:, None] == boxes)
+    elif isinstance(truth, CountProfile):
         if truth.n != n:
             raise DomainError("count profile length must match the spec")
         cum = np.cumsum(truth.Q)
+        left = np.arange(n, 0, -1, dtype=np.float64)  # boxes left to open, this one included
 
-    for U in _blocks(seed, episodes, n):
-        state = U[:, : n + 1]
-        dec = U[:, n + 1 : 2 * n + 1]
+        def hits(state):
+            # box i + 1 succeeds first when its draw times the boxes left falls
+            # below the count, which no failure before it has changed
+            count = np.minimum(np.searchsorted(cum, state[:, 0], side="right"), n)
+            return state[:, 1:] * left < count[:, None]
+    else:
+        raise DomainError(f"homogeneous simulation cannot use truth {type(truth).__name__}")
 
-        if isinstance(truth, IidBinary):
-            hits = state[:, 1:] < truth.p
-            any_treasure = hits.any(axis=1)
-            first = np.where(any_treasure, hits.argmax(axis=1) + 1, n + 1)
-        elif isinstance(truth, NeedleP):
-            any_treasure = state[:, 0] < truth.P
-            pos = np.minimum((state[:, 1] * n).astype(np.int64), n - 1)
-            first = np.where(any_treasure, pos + 1, n + 1)
-        elif isinstance(truth, CountProfile):
-            count = np.searchsorted(cum, state[:, 0], side="right")
-            count = np.minimum(count, n)
-            any_treasure = count > 0
-            remaining = count.astype(np.float64)
-            first = np.full(len(U), n + 1, dtype=np.int64)
-            undecided = np.full(len(U), True)
-            for i in range(n):
-                take = undecided & (state[:, 1 + i] * (n - i) < remaining)
-                first[take] = i + 1
-                undecided &= ~take
-                remaining = remaining - take
-            first = np.where(any_treasure, first, n + 1)
-        else:
-            raise DomainError(f"homogeneous simulation cannot use truth {type(truth).__name__}")
+    def play(U):
+        hit = hits(U[:, : n + 1])
+        any_treasure = hit.any(axis=1)
+        first = np.where(any_treasure, hit.argmax(axis=1) + 1, n + 1)
 
-        cont = dec < alphas_by_stage
-        all_cont = cont.all(axis=1)
-        willing = np.where(all_cont, n, cont.argmin(axis=1))
+        cont = U[:, n + 1 : 2 * n + 1] < alphas_by_stage
+        willing = np.where(cont.all(axis=1), n, cont.argmin(axis=1))
 
         found = first <= willing
         opened = np.where(found, first, willing)
         payoff = np.where(found, ubar - first * c, -willing * c)
-        oracle = np.where(any_treasure, ubar - c, 0.0)
-        del U, state, dec  # this chunk's draws go before _blocks draws the next
-        yield opened.astype(np.float64), oracle - payoff
+        return opened, np.where(any_treasure, ubar - c, 0.0) - payoff
+
+    return _chunks(play, seed, episodes, n)
 
 
 def _heterogeneous_chunks(policy: SelectionPolicy, truth: HeteroPVector, spec: HeterogeneousSpec, episodes: int, seed: int):
-    """Yield (opened, regret) arrays per chunk for a heterogeneous simulation."""
+    """(opened, regret) arrays per chunk of a heterogeneous simulation, as an iterator."""
     n = spec.n
     if len(truth.p) != n:
         raise DomainError("truth needs one probability per box")
@@ -137,13 +160,9 @@ def _heterogeneous_chunks(policy: SelectionPolicy, truth: HeteroPVector, spec: H
     cum = np.cumsum(policy.weights.T, axis=0, out=np.empty((n, 1 << n)))
     no_rule = np.isnan(policy.optout)
 
-    def split(U):
-        # what play reads of a chunk's draws: the hits and a copy of the stage columns
-        return U[:, 1 : n + 1] < probs, U[:, n + 1 : 2 * n + 1].copy()
-
-    def play(hits, stages):
-        # one chunk's episodes; its per-episode arrays go on return
-        rows = hits.shape[0]
+    def play(U):
+        hits, stages = U[:, 1 : n + 1] < probs, U[:, n + 1 : 2 * n + 1]
+        rows = len(U)
         oracle = np.zeros(rows)
         for i in range(n):
             oracle = np.maximum(oracle, np.where(hits[:, i], deltas[i], 0.0))
@@ -156,10 +175,7 @@ def _heterogeneous_chunks(policy: SelectionPolicy, truth: HeteroPVector, spec: H
             at = menu[live]
             if no_rule.take(at).any():
                 raise DomainError("policy has no rule for a menu it can reach")
-            draw = stages[live, t]
-            box = np.zeros(live.size, dtype=np.intp)
-            for i in range(n):
-                box += cum[i].take(at) <= draw
+            box = (cum.take(at, axis=1) <= stages[live, t]).sum(axis=0)
             opens = box < n
             live, box = live[opens], box[opens]
             cost[live] += costs[box]
@@ -170,9 +186,7 @@ def _heterogeneous_chunks(policy: SelectionPolicy, truth: HeteroPVector, spec: H
             menu[live] &= ~(1 << box)
         return opened, oracle - (won - cost)
 
-    # a chunk's whole draws go once split returns, and its stage columns once
-    # play returns, before _blocks draws the next
-    yield from itertools.starmap(play, map(split, _blocks(seed, episodes, n)))
+    return _chunks(play, seed, episodes, n)
 
 
 def simulate(policy, truth, spec, episodes: int, seed: int) -> SimulationResult:

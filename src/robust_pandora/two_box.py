@@ -288,12 +288,14 @@ def verify_two_box(
     nature_gap, worst_pair = gaps[j], (float(grid[i]), float(grid[j]))
 
     # quitting, and continuing up to t for t = 0, v_hat, ubar, which on the
-    # atoms is continuing below a cutoff at v_hat, at ubar and past ubar
+    # atoms is continuing below a cutoff at v_hat, at ubar and past ubar: one
+    # plan per row of (4, 1) columns, priced against the three atoms at once
     pairs = np.array([0.0, nature.v_hat, ubar]), np.array([0.0, 0.0, nature.v_hat])
     weights = np.array([nature.q, nature.r, nature.s])
-    plans = [TwoBoxContinuousPolicy("small", ubar, c, 0.0, ubar, ubar)]
-    plans += [TwoBoxContinuousPolicy("small", ubar, c, 1.0, cut, cut) for cut in (nature.v_hat, ubar, np.inf)]
-    dm_gap = claimed - min(sum(weights * regret_against_pair(plan, *pairs)) for plan in plans)
+    cuts = np.array([[ubar], [nature.v_hat], [ubar], [np.inf]])
+    plans = TwoBoxContinuousPolicy("small", ubar, c, np.array([[0.0], [1.0], [1.0], [1.0]]), cuts, cuts)
+    # sum over the atom axis adds q, r and s terms in that order, row by row
+    dm_gap = claimed - min(sum((weights * regret_against_pair(plans, *pairs)).T))
 
     notes = (
         f"worst grid pair {worst_pair}",

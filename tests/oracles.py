@@ -293,21 +293,65 @@ def het_regret_memo(rule_for, probs, spec):
     return value(spec.full_set())
 
 
+def homog_episode_loop(policy, truth, spec, U):
+    """Opened boxes and regret per episode of a homogeneous simulation, one row of draws ``U`` each.
+
+    The per-episode loop the vectorized simulator replaced; ``U`` is any
+    iterable of rows.  Row layout: column 0 the existence draw (needle) or
+    count draw (count profile), column ``1 + i`` the draw of box ``i``, and
+    column ``n + 1 + j`` the draw of stage ``j``, which opens box ``j + 1``
+    when it falls below the chance of going on with ``n - j`` boxes left.
+    A count profile's boxes succeed one after another with chance (treasures
+    left) / (boxes left); a needle sits in box ``floor(n * draw)``.
+    """
+    from robust_pandora.core import CountProfile, IidBinary, NeedleP
+
+    n, ubar, c = spec.n, spec.ubar, spec.c
+    if isinstance(truth, CountProfile):
+        cum = np.cumsum(truth.Q)
+    opened, regret = [], []
+    for row in U:
+        first = None
+        if isinstance(truth, IidBinary):
+            first = next((i + 1 for i in range(n) if row[1 + i] < truth.p), None)
+        elif isinstance(truth, NeedleP):
+            if row[0] < truth.P:
+                first = min(int(row[1] * n), n - 1) + 1
+        else:
+            remaining = min(int(np.searchsorted(cum, row[0], side="right")), n)
+            for i in range(n):
+                if row[1 + i] * (n - i) < remaining:
+                    first = i + 1
+                    break
+        steps, payoff = 0, None
+        for j in range(n):
+            if not row[n + 1 + j] < policy.alphas[n - 1 - j]:
+                break
+            steps += 1
+            if steps == first:
+                payoff = ubar - steps * c
+                break
+        if payoff is None:
+            payoff = -steps * c
+        opened.append(float(steps))
+        regret.append((ubar - c if first else 0.0) - payoff)
+    return np.array(opened), np.array(regret)
+
+
 def het_episode_loop(rule_for, probs, spec, U):
     """Opened boxes and regret per episode, one row of draws ``U`` each.
 
-    The per-episode loop the vectorized simulator replaced.  Row layout:
-    column 0 unused, columns ``1..n`` the box states, column ``n + 1 + t``
-    the decision draw of stage ``t``, which opens the first member (in
-    ascending input order) whose cumulative weight exceeds it.
+    The per-episode loop the vectorized simulator replaced; ``U`` is any
+    iterable of rows.  Row layout: column 0 unused, columns ``1..n`` the box
+    states, column ``n + 1 + t`` the decision draw of stage ``t``, which
+    opens the first member (in ascending input order) whose cumulative
+    weight exceeds it.
     """
     n = spec.n
     deltas = spec.deltas
-    rows = U.shape[0]
-    opened = np.zeros(rows)
-    regret = np.zeros(rows)
-    for e in range(rows):
-        hits = U[e, 1 : n + 1] < probs
+    opened, regret = [], []
+    for row in U:
+        hits = row[1 : n + 1] < probs
         oracle = max([0.0] + [deltas[i] for i in range(n) if hits[i]])
         subset = spec.full_set()
         cost = 0.0
@@ -315,7 +359,7 @@ def het_episode_loop(rule_for, probs, spec, U):
         steps = 0
         for t in range(n):
             rule = rule_for(subset)
-            draw = U[e, n + 1 + t]
+            draw = row[n + 1 + t]
             acc = 0.0
             chosen = None
             for i in sorted(subset):
@@ -333,9 +377,9 @@ def het_episode_loop(rule_for, probs, spec, U):
                 break
             subset = subset - {chosen}
             payoff = -cost
-        opened[e] = steps
-        regret[e] = oracle - payoff
-    return opened, regret
+        opened.append(float(steps))
+        regret.append(oracle - payoff)
+    return np.array(opened), np.array(regret)
 
 
 def _two_box_acceptance_scalar(u, policy):

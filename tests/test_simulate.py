@@ -1,3 +1,4 @@
+import collections
 import tracemalloc
 
 import numpy as np
@@ -20,14 +21,19 @@ from robust_pandora.core import (
 from robust_pandora.corr import solve_corr_commitment, solve_corr_intrapersonal
 from robust_pandora.het import HeterogeneousSpec, SelectionPolicy, SubsetRule, regret_het, solve_het
 from robust_pandora.indep import expected_search_count, solve_indep
-from robust_pandora.simulate import _CHUNK, _heterogeneous_chunks, _homogeneous_chunks, simulate
+from robust_pandora.simulate import _BLOCK_WORDS, _CHUNK, _heterogeneous_chunks, _homogeneous_chunks, simulate
 
-from oracles import het_episode_loop
+from oracles import het_episode_loop, homog_episode_loop
 
 
 def philox_draws(seed, episodes, n):
-    """The documented stream in one draw: d float64 per episode, d the multiple of 4 at or above 2 (n + 1)."""
-    return np.random.Generator(np.random.Philox(key=seed)).random((episodes, -(-2 * (n + 1) // 4) * 4))
+    """The documented stream, one row of d float64 per episode (d the multiple of 4 at or above 2 (n + 1)).
+
+    The rows come from one Philox stream read front to back, 1000 at a time.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for start in range(0, episodes, 1000):
+        yield from rng.random((min(1000, episodes - start), -(-2 * (n + 1) // 4) * 4))
 
 
 class TestTwoOutcomeProcess:
@@ -93,6 +99,24 @@ class TestAgainstClosedForms:
         assert abs(res.mean_regret - want) <= 4 * res.se_regret
         assert 0.0 <= res.mean_opened <= 3.0
 
+    @pytest.mark.parametrize("truth", ["iid", "needle", "count"])
+    def test_homogeneous_chunks_match_episode_loop(self, truth):
+        # n = 300 fills a block with 217 episodes, which divides neither chunk,
+        # and 70 000 episodes cross the 65 536-row chunk boundary
+        spec = HomogeneousSpec(1.0, 0.01, 300)
+        rng = np.random.default_rng(47)
+        policy = StationaryPolicy(rng.uniform(0.8, 1.0, 300))
+        truth = {
+            "iid": IidBinary(0.05),
+            "needle": NeedleP(0.6),
+            "count": CountProfile(rng.dirichlet(np.full(301, 0.05))),
+        }[truth]
+        chunks = list(_homogeneous_chunks(policy, truth, spec, 70_000, 53))
+        assert len(chunks) == 2
+        opened, regret = (np.concatenate(parts) for parts in zip(*chunks))
+        want_opened, want_regret = homog_episode_loop(policy, truth, spec, philox_draws(53, 70_000, spec.n))
+        assert np.array_equal(opened, want_opened)
+        assert np.array_equal(regret, want_regret)
 
     def test_heterogeneous_chunks_match_episode_loop(self):
         # 70 000 episodes cross the 65 536-row chunk boundary
@@ -187,13 +211,27 @@ class TestEstimatorQuality:
         assert res.se_opened >= 0.0 and res.se_regret >= 0.0
 
 
+# what a chunk loop may hold at once: the chunk's two float arrays and a few
+# blocks of draws, for the block in play and the per-episode work on it
+_HELD_BYTES = 2 * _CHUNK * 8 + 3 * _BLOCK_WORDS * 8
+
+
+def _peak_bytes(chunks):
+    """tracemalloc peak of running ``chunks`` to the end, keeping no chunk."""
+    tracemalloc.start()
+    try:
+        collections.deque(chunks, maxlen=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("heterogeneous", [False, True])
 def test_each_chunk_releases_its_draws(heterogeneous):
-    # three chunks of (_CHUNK, 12) draws (n = 5, or 4 heterogeneous boxes), 6.3 MB
-    # each: the peak is about 2.1 times one chunk's draws (homogeneous), one
-    # chunk's draws plus the work on them, and 2.7 times when the previous
-    # chunk's draws live on while the next is drawn; the heterogeneous loop
-    # keeps only the hits and the stage columns, about 1.55 times
+    # three chunks of 12 draws per episode (n = 5, or 4 heterogeneous boxes),
+    # 6.3 MB per chunk were they drawn at once; blocks of 10 922 episodes
+    # keep the peak at 3.0 MB (3.4 MB heterogeneous): the chunk's two arrays,
+    # one block of draws and the work on it
     if heterogeneous:
         spec = HeterogeneousSpec(((1.0, 0.2), (1.0, 0.4), (2.0, 0.5), (1.5, 0.9)))
         truth = HeteroPVector((0.1, 0.2, 0.3, 0.4))
@@ -201,14 +239,23 @@ def test_each_chunk_releases_its_draws(heterogeneous):
     else:
         spec = HomogeneousSpec(1.0, 0.3, 5)
         chunks = _homogeneous_chunks(solve_indep(spec).policy, IidBinary(0.3), spec, 3 * _CHUNK, 0)
-    tracemalloc.start()
-    try:
-        for _ in chunks:
-            pass
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < (1.75 if heterogeneous else 2.25) * _CHUNK * 12 * 8
+    assert _peak_bytes(chunks) < _HELD_BYTES
+
+
+@pytest.mark.parametrize("truth", ["iid", "needle", "count", "het"])
+def test_memory_does_not_grow_with_the_menu(truth):
+    # one chunk of 604 draws per episode (n = 300) would be 317 MB, and one of
+    # 28 (12 heterogeneous boxes) 14.7 MB; a block holds 217 or 4681 episodes
+    if truth == "het":
+        spec = HeterogeneousSpec(tuple((1.0 + 0.05 * i, 0.02 + 0.01 * i) for i in range(12)))
+        probs = HeteroPVector(tuple(np.linspace(0.05, 0.3, 12)))
+        chunks = _heterogeneous_chunks(solve_het(spec).policy, probs, spec, _CHUNK, 1)
+    else:
+        spec = HomogeneousSpec(1.0, 0.002, 300)
+        rng = np.random.default_rng(59)
+        truths = {"iid": IidBinary(0.01), "needle": NeedleP(0.5), "count": CountProfile(rng.dirichlet(np.ones(301)))}
+        chunks = _homogeneous_chunks(solve_indep(spec).policy, truths[truth], spec, _CHUNK, 1)
+    assert _peak_bytes(chunks) < _HELD_BYTES
 
 
 class TestValidation:
