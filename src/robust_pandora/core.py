@@ -120,12 +120,13 @@ def _require_tolerance(value, what: str) -> float:
 def _probability_array(values, what: str) -> np.ndarray:
     """:func:`as_probability` entrywise, as a float array.
 
-    Strings and bools are rejected, also among the items of a list or tuple.
+    Strings and bools are rejected, also among the items of nested lists or tuples.
     """
     arr = np.asarray(values)
-    has_bool = isinstance(values, (list, tuple)) and any(isinstance(x, (bool, np.bool_)) for x in values)
+    # an object array holds the caller's own items, also those of nested lists
+    items = np.asarray(values, dtype=object).flat if isinstance(values, (list, tuple)) else ()
     # a NaN makes min() and max() NaN, which fails both comparisons
-    if has_bool or arr.dtype.kind not in "iuf" or (
+    if any(isinstance(x, (bool, np.bool_)) for x in items) or arr.dtype.kind not in "iuf" or (
         arr.size and not (arr.min() >= -PROB_SLACK and arr.max() <= 1.0 + PROB_SLACK)
     ):
         raise DomainError(f"every entry of {what} must lie in [0, 1]")
@@ -482,8 +483,13 @@ def first_success_probabilities(Q) -> np.ndarray:
     is the chance that some box is full and the first ``i`` openings miss
     them all.  ``Q`` may stack profiles along leading axes,
     ``(..., n + 1) -> (..., n)``; each row is computed exactly as it would
-    be on its own.  More than 5 000 boxes raise :class:`SizeError`.
+    be on its own.  Each row must hold at least 2 probabilities summing to 1
+    within 1e-12, as a :class:`CountProfile` does, or :class:`DomainError` is
+    raised; more than 5 000 boxes raise :class:`SizeError`.
     """
+    Q = _probability_array(Q, "count profile Q")
+    if Q.ndim == 0 or Q.shape[-1] < 2 or np.any(np.abs(Q.sum(axis=-1) - 1.0) > 1e-12):
+        raise DomainError(f"count profile Q needs rows of at least 2 entries summing to 1, got shape {Q.shape}")
     tails = _tails(Q)
     return tails[..., :-1] - tails[..., 1:]
 

@@ -5,14 +5,15 @@ runs the process forward under an explicit data-generating belief and
 estimates the expected number of opened boxes and the realized ex-post
 regret, with standard errors.
 
-Reproducibility contract: all randomness comes from a Philox-4x64 counter
+Reproducibility contract: all randomness comes from one Philox-4x64 counter
 stream keyed by ``seed``.  With ``d`` the smallest multiple of 4 at or above
 ``2 (n + 1)`` (counter blocks hold four 64-bit words), episode ``e`` owns
 the ``d`` float64 draws starting at word offset ``e * d``; each float64 is
-one word, ``word >> 11`` scaled by ``2**-53``.  ``_blocks`` is the one
-source of draws: both simulators read the episodes as the rows of ``(rows, d)``
-blocks of at most ``_BLOCK_WORDS`` words (a single row when ``d`` is more), in
-episode order, each block from a Philox advanced to its first episode.  The
+one word, ``word >> 11`` scaled by ``2**-53``.  ``_chunks`` is the one
+source of draws: it reads the stream from start to end from a single
+generator, in ``(rows, d)`` blocks of at most ``_BLOCK_WORDS`` words (1 MiB;
+a single row when ``d`` is more), and hands each block to the ``play`` that
+``_homogeneous_play`` or ``_heterogeneous_play`` builds for the regime.  The
 blocks are grouped into chunks of ``_CHUNK`` episodes, and the sums behind the
 means are taken per chunk, then added exactly.  Within a row, draws are spent in
 a fixed order: one state column for the existence or count draw, one per
@@ -65,42 +66,31 @@ class SimulationResult:
     seed: int
 
 
-def _blocks(seed: int, episodes: int, n: int):
-    """Yield ``(rows, blocks)`` per chunk of ``_CHUNK`` episodes.
+def _chunks(play, seed: int, episodes: int, n: int):
+    """Yield (opened, regret) arrays per chunk of ``_CHUNK`` episodes, filled from ``play(U)``.
 
-    ``blocks`` generates the chunk's draws in episode order as ``(rows', d)``
-    arrays of at most ``_BLOCK_WORDS`` words (one row when ``d`` is more),
-    each from a fresh Philox advanced to its first episode.
+    ``U`` runs over the stream from start to end, read from one generator in
+    ``(rows, d)`` blocks of at most ``_BLOCK_WORDS`` words (one row when ``d``
+    is more), one row per episode.
     """
     draws = -(-2 * (n + 1) // 4) * 4
     step = max(1, _BLOCK_WORDS // draws)
-
-    def block(first: int, rows: int) -> np.ndarray:
-        # Philox.advance counts 256-bit counter blocks, i.e. four 64-bit draws
-        bg = np.random.Philox(key=seed)
-        bg.advance(first * draws // 4)
-        return np.random.Generator(bg).random((rows, draws))
-
+    rng = np.random.Generator(np.random.Philox(key=seed))
     for start in range(0, episodes, _CHUNK):
-        end = min(start + _CHUNK, episodes)
-        yield end - start, (block(first, min(step, end - first)) for first in range(start, end, step))
-
-
-def _chunks(play, seed: int, episodes: int, n: int):
-    """Yield (opened, regret) arrays per chunk, filled from ``play(U)`` on each block ``U`` of draws."""
-    for rows, blocks in _blocks(seed, episodes, n):
+        rows = min(_CHUNK, episodes - start)
         opened, regret = np.empty(rows), np.empty(rows)
-        done = 0
-        # map lets go of each block as play returns, before the next is drawn
-        for o, r in map(play, blocks):
-            opened[done : done + len(o)], regret[done : done + len(o)] = o, r
-            done += len(o)
+        for first in range(0, rows, step):
+            end = min(first + step, rows)
+            # each block is let go as play returns, before the next is drawn
+            opened[first:end], regret[first:end] = play(rng.random((end - first, draws)))
         yield opened, regret
 
 
-def _homogeneous_chunks(policy: StationaryPolicy, truth, spec: HomogeneousSpec, episodes: int, seed: int):
-    """(opened, regret) arrays per chunk of a homogeneous simulation, as an iterator."""
+def _homogeneous_play(policy: StationaryPolicy, truth, spec: HomogeneousSpec):
+    """``play(U)``, the (opened, regret) arrays of a homogeneous simulation on a block of draws."""
     n, ubar, c = spec.n, spec.ubar, spec.c
+    if not isinstance(policy, StationaryPolicy) or policy.n != n:
+        raise DomainError("homogeneous simulation needs a StationaryPolicy of matching length")
     alphas_by_stage = policy.alphas[::-1].copy()  # stage j opens box j+1, k = n - j remain
 
     # hits(state) is a (rows, n) table whose first True in each row is the
@@ -141,12 +131,16 @@ def _homogeneous_chunks(policy: StationaryPolicy, truth, spec: HomogeneousSpec, 
         payoff = np.where(found, ubar - first * c, -willing * c)
         return opened, np.where(any_treasure, ubar - c, 0.0) - payoff
 
-    return _chunks(play, seed, episodes, n)
+    return play
 
 
-def _heterogeneous_chunks(policy: SelectionPolicy, truth: HeteroPVector, spec: HeterogeneousSpec, episodes: int, seed: int):
-    """(opened, regret) arrays per chunk of a heterogeneous simulation, as an iterator."""
+def _heterogeneous_play(policy: SelectionPolicy, truth: HeteroPVector, spec: HeterogeneousSpec):
+    """``play(U)``, the (opened, regret) arrays of a heterogeneous simulation on a block of draws."""
     n = spec.n
+    if not isinstance(policy, SelectionPolicy):
+        raise DomainError("heterogeneous simulation needs a SelectionPolicy")
+    if not isinstance(truth, HeteroPVector):
+        raise DomainError("heterogeneous simulation needs a HeteroPVector truth")
     if len(truth.p) != n:
         raise DomainError("truth needs one probability per box")
     if policy.n != n:
@@ -163,6 +157,9 @@ def _heterogeneous_chunks(policy: SelectionPolicy, truth: HeteroPVector, spec: H
     def play(U):
         hits, stages = U[:, 1 : n + 1] < probs, U[:, n + 1 : 2 * n + 1]
         rows = len(U)
+        # one pass per box: np.where(hits, deltas, 0.0).max(axis=1) gives the
+        # same bits but reduces along the short axis, and made three 20 000-
+        # episode simulates at n = 6..8 slower, 14.7 -> 18.0 ms (min of 30)
         oracle = np.zeros(rows)
         for i in range(n):
             oracle = np.maximum(oracle, np.where(hits[:, i], deltas[i], 0.0))
@@ -186,7 +183,7 @@ def _heterogeneous_chunks(policy: SelectionPolicy, truth: HeteroPVector, spec: H
             menu[live] &= ~(1 << box)
         return opened, oracle - (won - cost)
 
-    return _chunks(play, seed, episodes, n)
+    return play
 
 
 def simulate(policy, truth, spec, episodes: int, seed: int) -> SimulationResult:
@@ -206,18 +203,13 @@ def simulate(policy, truth, spec, episodes: int, seed: int) -> SimulationResult:
         raise SeedError("seed must fit in 64 bits")
 
     if isinstance(spec, HomogeneousSpec):
-        if not isinstance(policy, StationaryPolicy) or policy.n != spec.n:
-            raise DomainError("homogeneous simulation needs a StationaryPolicy of matching length")
-        chunks = _homogeneous_chunks(policy, truth, spec, episodes, seed)
+        play = _homogeneous_play(policy, truth, spec)
     elif isinstance(spec, HeterogeneousSpec):
-        if not isinstance(policy, SelectionPolicy):
-            raise DomainError("heterogeneous simulation needs a SelectionPolicy")
-        if not isinstance(truth, HeteroPVector):
-            raise DomainError("heterogeneous simulation needs a HeteroPVector truth")
-        chunks = _heterogeneous_chunks(policy, truth, spec, episodes, seed)
+        play = _heterogeneous_play(policy, truth, spec)
     else:
         raise DomainError(f"unsupported spec type {type(spec).__name__}")
 
+    chunks = _chunks(play, seed, episodes, spec.n)
     # one row of sums per chunk, added exactly across chunks
     sums = np.array([(np.sum(o), np.sum(o * o), np.sum(r), np.sum(r * r)) for o, r in chunks])
     total_o, total_o2, total_r, total_r2 = map(math.fsum, sums.T)

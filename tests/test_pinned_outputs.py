@@ -1,5 +1,5 @@
 """Pinned by SHA-256: the stdout of the README commands, a q-sweep, one command per other CLI path
-and the demos, and the raw engine outputs."""
+and the demos, and the raw engine outputs; and the values the README's Quick start block states."""
 
 import hashlib
 import json
@@ -25,7 +25,7 @@ from robust_pandora import (
     solve_interim,
 )
 from robust_pandora.cli import main
-from robust_pandora.simulate import _heterogeneous_chunks, _homogeneous_chunks
+from robust_pandora.simulate import _chunks, _heterogeneous_play, _homogeneous_play
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -105,12 +105,12 @@ def _engine_arrays():
         for p in (spec.p_hats, rng.random(n).tolist(), [0.0] * n, [1.0] * n):
             yield np.float64(regret_het(sol.policy, p, spec))
         truth = HeteroPVector(tuple(rng.random(n).tolist()))
-        for chunk in _heterogeneous_chunks(sol.policy, truth, spec, 70_000, n):
+        for chunk in _chunks(_heterogeneous_play(sol.policy, truth, spec), n, 70_000, spec.n):
             yield from chunk
     spec = HomogeneousSpec(1.0, 0.3, 7)
     policy = solve_indep(spec).policy
     for truth in (IidBinary(0.3), NeedleP(0.6), CountProfile(rng.dirichlet(np.ones(8)))):
-        for chunk in _homogeneous_chunks(policy, truth, spec, 70_000, 7):
+        for chunk in _chunks(_homogeneous_play(policy, truth, spec), 7, 70_000, spec.n):
             yield from chunk
 
 
@@ -138,6 +138,19 @@ def test_readme_commands_are_pinned():
 def test_readme_command_stdout(capsys, command):
     assert main(shlex.split(command)) == 0
     assert _sha256(capsys.readouterr().out) == README_STDOUT[command]
+
+
+def test_readme_quick_start():
+    # the Python block under "Quick start" runs and gives the values its comments state
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(block, names)
+    sol, corr = names["sol"], names["corr"]
+    assert np.round(sol.alphas, 3).tolist() == [0.7, 0.658, 0.610]
+    assert round(sol.regret, 4) == 0.4599
+    assert sol.worst_case_p == pytest.approx(0.3, abs=1e-15)
+    assert corr.opts_out is True
 
 
 def test_q_sweep_stdout(capsys):

@@ -21,7 +21,7 @@ from robust_pandora.core import (
 from robust_pandora.corr import solve_corr_commitment, solve_corr_intrapersonal
 from robust_pandora.het import HeterogeneousSpec, SelectionPolicy, SubsetRule, regret_het, solve_het
 from robust_pandora.indep import expected_search_count, solve_indep
-from robust_pandora.simulate import _BLOCK_WORDS, _CHUNK, _heterogeneous_chunks, _homogeneous_chunks, simulate
+from robust_pandora.simulate import _BLOCK_WORDS, _CHUNK, _chunks, _heterogeneous_play, _homogeneous_play, simulate
 
 from oracles import het_episode_loop, homog_episode_loop
 
@@ -111,7 +111,7 @@ class TestAgainstClosedForms:
             "needle": NeedleP(0.6),
             "count": CountProfile(rng.dirichlet(np.full(301, 0.05))),
         }[truth]
-        chunks = list(_homogeneous_chunks(policy, truth, spec, 70_000, 53))
+        chunks = list(_chunks(_homogeneous_play(policy, truth, spec), 53, 70_000, spec.n))
         assert len(chunks) == 2
         opened, regret = (np.concatenate(parts) for parts in zip(*chunks))
         want_opened, want_regret = homog_episode_loop(policy, truth, spec, philox_draws(53, 70_000, spec.n))
@@ -123,7 +123,7 @@ class TestAgainstClosedForms:
         spec = HeterogeneousSpec(((1.0, 0.2), (1.5, 0.6), (0.9, 0.3), (1.2, 0.3)))
         sol = solve_het(spec)
         truth = HeteroPVector((0.3, 0.5, 0.2, 0.4))
-        chunks = list(_heterogeneous_chunks(sol.policy, truth, spec, 70_000, 41))
+        chunks = list(_chunks(_heterogeneous_play(sol.policy, truth, spec), 41, 70_000, spec.n))
         assert len(chunks) == 2
         opened, regret = (np.concatenate(parts) for parts in zip(*chunks))
         rules = {menu: sol.policy.rule_for(menu) for menu in sol.policy.subsets()}
@@ -147,7 +147,7 @@ class TestAgainstClosedForms:
         assert rules[frozenset(range(4))].optout == 0.0 and rules[frozenset(range(4))].open_probs[2] == 0.0
         policy = SelectionPolicy(4, rules)
         truth = HeteroPVector((0.3, 0.5, 0.2, 0.4))
-        chunks = list(_heterogeneous_chunks(policy, truth, spec, 70_000, 43))
+        chunks = list(_chunks(_heterogeneous_play(policy, truth, spec), 43, 70_000, spec.n))
         assert len(chunks) == 2
         opened, regret = (np.concatenate(parts) for parts in zip(*chunks))
         U = philox_draws(43, 70_000, spec.n)
@@ -178,7 +178,7 @@ class TestDeterminism:
         sol = solve_indep(spec)
         short = simulate(sol.policy, IidBinary(0.4), spec, 70_000, 5)
         opened, regret = [], []
-        for o, r in _homogeneous_chunks(sol.policy, IidBinary(0.4), spec, 140_000, 5):
+        for o, r in _chunks(_homogeneous_play(sol.policy, IidBinary(0.4), spec), 5, 140_000, spec.n):
             opened.append(o)
             regret.append(r)
         opened = np.concatenate(opened)[:70_000]
@@ -199,7 +199,7 @@ class TestEstimatorQuality:
         rng = np.random.default_rng(43)
         policy = StationaryPolicy(rng.random(4))
         for truth in (IidBinary(0.4), NeedleP(0.7)):
-            for _, regret in _homogeneous_chunks(policy, truth, spec, 80_000, 13):
+            for _, regret in _chunks(_homogeneous_play(policy, truth, spec), 13, 80_000, spec.n):
                 assert np.all(regret >= -1e-12)
 
     def test_bounds(self):
@@ -235,10 +235,10 @@ def test_each_chunk_releases_its_draws(heterogeneous):
     if heterogeneous:
         spec = HeterogeneousSpec(((1.0, 0.2), (1.0, 0.4), (2.0, 0.5), (1.5, 0.9)))
         truth = HeteroPVector((0.1, 0.2, 0.3, 0.4))
-        chunks = _heterogeneous_chunks(solve_het(spec).policy, truth, spec, 3 * _CHUNK, 0)
+        chunks = _chunks(_heterogeneous_play(solve_het(spec).policy, truth, spec), 0, 3 * _CHUNK, spec.n)
     else:
         spec = HomogeneousSpec(1.0, 0.3, 5)
-        chunks = _homogeneous_chunks(solve_indep(spec).policy, IidBinary(0.3), spec, 3 * _CHUNK, 0)
+        chunks = _chunks(_homogeneous_play(solve_indep(spec).policy, IidBinary(0.3), spec), 0, 3 * _CHUNK, spec.n)
     assert _peak_bytes(chunks) < _HELD_BYTES
 
 
@@ -249,12 +249,12 @@ def test_memory_does_not_grow_with_the_menu(truth):
     if truth == "het":
         spec = HeterogeneousSpec(tuple((1.0 + 0.05 * i, 0.02 + 0.01 * i) for i in range(12)))
         probs = HeteroPVector(tuple(np.linspace(0.05, 0.3, 12)))
-        chunks = _heterogeneous_chunks(solve_het(spec).policy, probs, spec, _CHUNK, 1)
+        chunks = _chunks(_heterogeneous_play(solve_het(spec).policy, probs, spec), 1, _CHUNK, spec.n)
     else:
         spec = HomogeneousSpec(1.0, 0.002, 300)
         rng = np.random.default_rng(59)
         truths = {"iid": IidBinary(0.01), "needle": NeedleP(0.5), "count": CountProfile(rng.dirichlet(np.ones(301)))}
-        chunks = _homogeneous_chunks(solve_indep(spec).policy, truths[truth], spec, _CHUNK, 1)
+        chunks = _chunks(_homogeneous_play(solve_indep(spec).policy, truths[truth], spec), 1, _CHUNK, spec.n)
     assert _peak_bytes(chunks) < _HELD_BYTES
 
 

@@ -42,7 +42,7 @@ from robust_pandora import (
     solve_two_box,
     verify_two_box,
 )
-from robust_pandora.core import _shown
+from robust_pandora.core import _shown, first_success_probabilities
 from robust_pandora.two_box import regret_against_pair
 
 SPEC = HomogeneousSpec(1.0, 0.3, 3)
@@ -149,6 +149,13 @@ BAD_CALLS = {
     "simulate-het-truth-iid": lambda: _simulate_het(truth=IidBinary(0.3)),
     "simulate-spec-tuple": lambda: simulate(solve_indep(SPEC).policy, IidBinary(0.3), (1.0, 0.3, 3), 10, 0),
     "simulate-count-profile-length": lambda: simulate(solve_indep(SPEC).policy, CountProfile([0.5, 0.5]), SPEC, 10, 0),
+    "first-success-numeric-strings": lambda: first_success_probabilities(["0.5", "0.5"]),
+    "first-success-out-of-range": lambda: first_success_probabilities([0.5, -1.0, 1.5]),
+    "first-success-bools": lambda: first_success_probabilities([True, False]),
+    "first-success-nested-bool": lambda: first_success_probabilities([[0.5, 0.5], [True, 0.0]]),
+    "first-success-nan": lambda: first_success_probabilities([float("nan"), 1.0]),
+    "first-success-empty": lambda: first_success_probabilities([]),
+    "first-success-scalar": lambda: first_success_probabilities(1.0),
     "count-profile-regret-n": lambda: regret_count_profile(StoppingMixture([0.5, 0.5]), CountProfile([1, 0, 0, 0]), SPEC),
     "regret-indep-policy-n": lambda: regret_indep(StationaryPolicy([0.5]), 0.3, SPEC),
     "regret-needle-policy-n": lambda: regret_needle(StationaryPolicy([0.5]), 0.3, SPEC),

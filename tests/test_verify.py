@@ -335,6 +335,15 @@ class TestInterimGridOracle:
             assert abs(alpha - rep.policy.alpha) <= 1e-5, spec
             assert worst == pytest.approx(rep.regret, abs=1e-5), spec
 
+    def test_widest_alpha_gap_measured(self):
+        # the widest gap over 11 200 specs (ubar 1, c/ubar 0.05..0.6, n 1..200):
+        # 1.61e-5, more than the 1e-5 that holds for the specs above
+        spec = HomogeneousSpec(1.0, 0.05, 47)
+        rep = solve_interim(spec)
+        m, alpha, _ = interim_grid_oracle(spec)
+        assert m == rep.policy.m
+        assert abs(alpha - rep.policy.alpha) <= 2e-5
+
 
 @given(st.integers(1, 6), st.floats(0.01, 0.3), st.data())
 @settings(max_examples=100, deadline=None)
