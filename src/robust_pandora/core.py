@@ -120,9 +120,13 @@ def _require_tolerance(value, what: str) -> float:
 def _probability_array(values, what: str) -> np.ndarray:
     """:func:`as_probability` entrywise, as a float array.
 
-    Strings and bools are rejected, also among the items of nested lists or tuples.
+    Strings and bools are rejected, also among the items of nested lists or
+    tuples, and so are ragged nested lists.
     """
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged nested list has no array shape
+        raise DomainError(f"{what} must be a rectangular array of probabilities") from None
     # an object array holds the caller's own items, also those of nested lists
     items = np.asarray(values, dtype=object).flat if isinstance(values, (list, tuple)) else ()
     # a NaN makes min() and max() NaN, which fails both comparisons

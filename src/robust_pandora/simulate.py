@@ -22,6 +22,13 @@ by cumulative weight over boxes in ascending input order, with the outside
 option last); the tail padding is never read.  Results are therefore
 bit-identical for a given ``(policy, truth, spec, episodes, seed)`` no
 matter how the draws are blocked or the work is threaded.
+
+A homogeneous ``play`` finds each row's first full box and first refusal as
+the first False of a ``(rows, n)`` bool table: one ``argmin`` along the row
+and one flat gather per table, in place of ``any``/``argmax``/``all``
+reductions.  The i.i.d. and count truths build two such tables per block;
+the needle truth's first full box comes from its two state columns, so it
+builds only the stage table.
 """
 
 from __future__ import annotations
@@ -86,6 +93,15 @@ def _chunks(play, seed: int, episodes: int, n: int):
         yield opened, regret
 
 
+def _first_false(table):
+    """Each row's first False column of a ``(rows, k)`` bool table, from 1, or ``k + 1`` if none."""
+    rows, k = table.shape
+    at = table.argmin(axis=1)
+    # argmin is 0 both at a False in column 0 and in a row with no False
+    none = table.take(np.arange(0, rows * k, k) + at)
+    return np.where(none, k + 1, at + 1)
+
+
 def _homogeneous_play(policy: StationaryPolicy, truth, spec: HomogeneousSpec):
     """``play(U)``, the (opened, regret) arrays of a homogeneous simulation on a block of draws."""
     n, ubar, c = spec.n, spec.ubar, spec.c
@@ -93,43 +109,35 @@ def _homogeneous_play(policy: StationaryPolicy, truth, spec: HomogeneousSpec):
         raise DomainError("homogeneous simulation needs a StationaryPolicy of matching length")
     alphas_by_stage = policy.alphas[::-1].copy()  # stage j opens box j+1, k = n - j remain
 
-    # hits(state) is a (rows, n) table whose first True in each row is the
-    # first box that holds a high reward; a row without one has none
+    # first_full(state) is each row's first box that holds a high reward,
+    # counted from 1, or n + 1 when no box does
     if isinstance(truth, IidBinary):
-        def hits(state):
-            return state[:, 1:] < truth.p
+        def first_full(state):
+            return _first_false(state[:, 1:] >= truth.p)
     elif isinstance(truth, NeedleP):
-        boxes = np.arange(n)
-
-        def hits(state):
+        def first_full(state):
             pos = np.minimum((state[:, 1] * n).astype(np.int64), n - 1)
-            return (state[:, :1] < truth.P) & (pos[:, None] == boxes)
+            return np.where(state[:, 0] < truth.P, pos + 1, n + 1)
     elif isinstance(truth, CountProfile):
         if truth.n != n:
             raise DomainError("count profile length must match the spec")
         cum = np.cumsum(truth.Q)
         left = np.arange(n, 0, -1, dtype=np.float64)  # boxes left to open, this one included
 
-        def hits(state):
+        def first_full(state):
             # box i + 1 succeeds first when its draw times the boxes left falls
             # below the count, which no failure before it has changed
             count = np.minimum(np.searchsorted(cum, state[:, 0], side="right"), n)
-            return state[:, 1:] * left < count[:, None]
+            return _first_false(state[:, 1:] * left >= count[:, None])
     else:
         raise DomainError(f"homogeneous simulation cannot use truth {type(truth).__name__}")
 
     def play(U):
-        hit = hits(U[:, : n + 1])
-        any_treasure = hit.any(axis=1)
-        first = np.where(any_treasure, hit.argmax(axis=1) + 1, n + 1)
-
-        cont = U[:, n + 1 : 2 * n + 1] < alphas_by_stage
-        willing = np.where(cont.all(axis=1), n, cont.argmin(axis=1))
-
+        first = first_full(U[:, : n + 1])
+        willing = _first_false(U[:, n + 1 : 2 * n + 1] < alphas_by_stage) - 1  # stages gone on
         found = first <= willing
-        opened = np.where(found, first, willing)
         payoff = np.where(found, ubar - first * c, -willing * c)
-        return opened, np.where(any_treasure, ubar - c, 0.0) - payoff
+        return np.minimum(first, willing), np.where(first <= n, ubar - c, 0.0) - payoff
 
     return play
 

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from robust_pandora.core import (
     CountProfile,
@@ -156,6 +158,50 @@ class TestAgainstClosedForms:
         assert np.array_equal(regret, want_regret)
 
 
+# exact 0 and 1 stop every row at stage 0, or never (alphas), and make every
+# box empty or full (p, P); a point mass puts the count at 0 or at n
+_UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _homogeneous_blocks(draw):
+    n = draw(st.one_of(st.integers(1, 12), st.just(300)))
+    alphas = draw(st.lists(_UNIT, min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["iid", "needle", "count"]))
+    if kind == "iid":
+        truth = IidBinary(draw(_UNIT))
+    elif kind == "needle":
+        truth = NeedleP(draw(_UNIT))
+    elif draw(st.booleans()):
+        truth = CountProfile(np.eye(n + 1)[draw(st.sampled_from([0, n]))])
+    else:
+        truth = CountProfile(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).dirichlet(np.ones(n + 1)))
+    return n, alphas, truth, draw(st.integers(1, 40)), draw(st.integers(0, 2**64 - 1))
+
+
+def _bits(arrays):
+    return [np.asarray(a, dtype=np.float64).tobytes() for a in arrays]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_homogeneous_blocks())
+@example((1, [1.0], IidBinary(1.0), 1, 0))
+@example((300, [1.0] * 300, IidBinary(0.0), 1, 3))
+@example((300, [1.0] * 300, NeedleP(1.0), 7, 5))
+@example((5, [0.0] * 5, NeedleP(0.0), 1, 9))
+@example((6, [1.0, 0.0] * 3, CountProfile(np.eye(7)[0]), 16, 11))
+@example((300, [1.0] * 300, CountProfile(np.eye(301)[300]), 2, 13))
+def test_homogeneous_play_matches_episode_loop(case):
+    # one whole block of the stream: the play and the per-episode loop agree
+    # on every bit
+    n, alphas, truth, rows, seed = case
+    spec = HomogeneousSpec(1.0, 0.01, n)
+    policy = StationaryPolicy(np.array(alphas))
+    U = np.random.Generator(np.random.Philox(key=seed)).random((rows, -(-2 * (n + 1) // 4) * 4))
+    got = _bits(_homogeneous_play(policy, truth, spec)(U))
+    assert got == _bits(homog_episode_loop(policy, truth, spec, U))
+
+
 class TestDeterminism:
     def test_bit_identical_reruns(self):
         spec = HomogeneousSpec(1.0, 0.3, 3)
@@ -256,6 +302,17 @@ def test_memory_does_not_grow_with_the_menu(truth):
         truths = {"iid": IidBinary(0.01), "needle": NeedleP(0.5), "count": CountProfile(rng.dirichlet(np.ones(301)))}
         chunks = _chunks(_homogeneous_play(solve_indep(spec).policy, truths[truth], spec), 1, _CHUNK, spec.n)
     assert _peak_bytes(chunks) < _HELD_BYTES
+
+
+def test_needle_play_builds_no_box_table():
+    # the needle's first full box comes from its two state columns, so the
+    # play's one (rows, n) bool table is the stage table; a table of box hits
+    # beside it would double the peak
+    spec = HomogeneousSpec(1.0, 0.0001, 10_000)
+    policy = StationaryPolicy(np.full(spec.n, 0.5))
+    play = _homogeneous_play(policy, NeedleP(0.5), spec)
+    U = np.random.Generator(np.random.Philox(key=3)).random((16, 2 * spec.n + 4))
+    assert _peak_bytes(map(play, [U])) < 1.5 * 16 * spec.n
 
 
 class TestValidation:

@@ -138,6 +138,7 @@ BAD_CALLS = {
     "two-box-policy-other-ubar": lambda: verify_two_box(*solve_two_box(HomogeneousSpec(0.9, 0.2, 2))[:2], TWO),
     "two-box-policy-alpha-negative": lambda: verify_two_box(replace(_two_box_policy(), alpha2_0=-0.1), *solve_two_box(TWO)[1:2], TWO),
     "hetero-p-scalar": lambda: HeteroPVector(0.5),
+    "hetero-p-ragged": lambda: HeteroPVector(((0.1, 0.2), 0.3)),
     "regret-het-p-scalar": lambda: regret_het(_het_policy(), 0.5, HET),
     "regret-het-p-dict": lambda: regret_het(_het_policy(), {0: 0.1, 1: 0.2}, HET),
     "regret-het-policy-float": lambda: regret_het(0.5, (0.1, 0.2), HET),
@@ -154,6 +155,7 @@ BAD_CALLS = {
     "first-success-bools": lambda: first_success_probabilities([True, False]),
     "first-success-nested-bool": lambda: first_success_probabilities([[0.5, 0.5], [True, 0.0]]),
     "first-success-nan": lambda: first_success_probabilities([float("nan"), 1.0]),
+    "first-success-ragged": lambda: first_success_probabilities([[0.5, 0.5], [1.0]]),
     "first-success-empty": lambda: first_success_probabilities([]),
     "first-success-scalar": lambda: first_success_probabilities(1.0),
     "count-profile-regret-n": lambda: regret_count_profile(StoppingMixture([0.5, 0.5]), CountProfile([1, 0, 0, 0]), SPEC),
