@@ -249,13 +249,13 @@ class StoppingMixture:
         draws continue and the draw with ``n - m`` boxes left stops:
         ``w_m = (1 - alpha_{n-m}) * prod_{j=n-m+1..n} alpha_j``.
         """
-        w = []
-        tail = 1.0
-        for a in reversed(policy.alphas.tolist()):
-            w.append((1.0 - a) * tail)
-            tail *= a
-        w.append(tail)
-        return cls(np.array(w))
+        by_stage = policy.alphas[::-1]
+        # tails[m] = alpha_n ... alpha_{n-m}, a running product like the
+        # scalar loop's, so w_0 = (1 - alpha_n) * 1.0 and every w_m has its bits
+        tails = np.cumprod(by_stage)
+        w = np.concatenate((1.0 - by_stage, tails[-1:]))
+        w[1:-1] *= tails[:-1]
+        return cls(w)
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,21 @@ layer below it.  Within a layer the working tables are position-major,
 ``(s, C)`` for the ``C`` menus of size ``s``: row ``t`` holds member ``t``
 of every menu in ascending net-reward order, so each step of the recursion
 is an operation on whole contiguous rows.  ``_walk`` is the one place that
-maps layer tables to bitmask cells.  A sum over members adds whole rows
-one at a time, left to right in ascending net-reward order as the
-scalar recursion does, so every entry is bit-identical to it.  No working
-table spans two member axes, so a layer needs O(s C) memory.
+maps layer tables to bitmask cells.  In the exact evaluator, each member's
+own terms (the reward missed by stopping on it, the cost and value of
+going on without it, and their product with its weight) are whole
+``(s, C)`` tables, a few numpy operations per layer, taken in slabs of at
+most ``_SLAB`` menus so that a wide layer's tables stay in cache (menus
+are independent, so slabs change no bit); what carries a running value
+stays per member: the top-down tail products and suffix
+sums, and the weighted total, which adds one member row at a time under
+its ``w != 0`` guard, so a menu no nonzero weight reaches (NaN) stays
+out.  A sum over members adds whole rows one at a time, left to right in
+ascending net-reward order as the scalar recursion does, so every entry
+is bit-identical to it.  ``np.sum`` or ``np.add.reduce`` along the member
+axis would not be: on a layer of one menu that axis is contiguous, and
+numpy adds it pairwise, which rounds differently.  No working table spans
+two member axes, so a layer needs O(s C) memory.
 """
 
 from __future__ import annotations
@@ -60,9 +71,15 @@ __all__ = [
 
 # Subset tables are exponential; refuse instances past this size.  Wall
 # time and peak RSS (ru_maxrss, interpreter included) of solve_het plus one
-# regret_het in a fresh process, on a 2-vCPU x86-64 VM: n = 16 0.15 s /
-# 67 MB, n = 18 0.73 s / 178 MB, n = 20 4.0 s / 644 MB, under 1 GiB.
+# regret_het in a fresh process, on a 2-vCPU x86-64 VM (three runs each):
+# n = 16 0.08-0.09 s / 67-68 MB, n = 18 0.41-0.48 s / 178 MB, n = 20
+# 2.3-2.5 s / 654 MB, under 1 GiB.
 MAX_BOXES = 20
+
+# menus per slab in regret_het: a slab's working tables stay in cache, where
+# a whole middle layer's would not (up to 15 MB each at n = 20); columns are
+# independent, so the slab size never changes a bit
+_SLAB = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -418,30 +435,54 @@ def regret_het(policy: SelectionPolicy, p, spec: HeterogeneousSpec) -> float:
     # a menu without a rule is worth NaN, which reaches the full menu
     # exactly when some path of nonzero weights leads to it
     value_below = np.zeros(1)
-    for menu, cells, sub_rows, pr, d, c in layers:
-        s = pr.shape[0]
-        w = policy.weights.take(cells)
-        # best: member t succeeds and every member above it fails;
-        # suffix_bd[t] and suffix_b[t] sum best d and best over members >= t
-        suffix_bd = [0.0] * (s + 1)
-        suffix_b = [0.0] * (s + 1)
-        tail = 1.0
-        for t in range(s - 1, -1, -1):
-            best = pr[t] * tail
-            tail = tail * (1.0 - pr[t])
-            suffix_bd[t] = suffix_bd[t + 1] + best * d[t]
-            suffix_b[t] = suffix_b[t + 1] + best
-        total = policy.optout.take(menu) * suffix_bd[0]
-        for t in range(s):
-            missed = pr[t] * (suffix_bd[t + 1] - d[t] * suffix_b[t + 1])
-            cont = (1.0 - pr[t]) * (c[t] + value_below.take(sub_rows[t]))
-            total = np.where(w[t] != 0.0, total + w[t] * (missed + cont), total)
-        value_below = total
+    for layer in layers:
+        # one slab takes the layer whole: slicing and joining measured about
+        # 7 % of a call at n = 6
+        if len(layer[0]) <= _SLAB:
+            value_below = _menu_regrets(policy, value_below, *layer)
+        else:
+            slabs = range(0, len(layer[0]), _SLAB)
+            value_below = np.concatenate(
+                [_menu_regrets(policy, value_below, *(a[..., lo : lo + _SLAB] for a in layer)) for lo in slabs]
+            )
 
     value = float(value_below[0])
     if np.isnan(value):
         raise DomainError("policy has no rule for a menu it can reach")
     return value
+
+
+def _menu_regrets(policy, value_below, menu, cells, sub_rows, pr, d, c):
+    """Regret of each menu of a layer's slab, from the values of the layer below; overwrites ``pr``."""
+    s = pr.shape[0]
+    w = policy.weights.take(cells)
+    # best: member t succeeds and every member above it fails;
+    # suffix_bd[t] and suffix_b[t] sum best d and best over members >= t
+    suffix_bd = np.zeros((s + 1, pr.shape[1]))
+    suffix_b = np.zeros_like(suffix_bd)
+    tail = 1.0
+    for t in range(s - 1, -1, -1):
+        best = pr[t] * tail
+        tail = tail * (1.0 - pr[t])
+        np.add(suffix_bd[t + 1], best * d[t], out=suffix_bd[t])
+        np.add(suffix_b[t + 1], best, out=suffix_b[t])
+    # step[t] = w[t] (missed[t] + cont[t]) for every member at once, in
+    # place over suffix_b[1:] and the slab's own pr table: missed is
+    # pr (suffix_bd[t+1] - d suffix_b[t+1]), and cont is
+    # (1 - pr) (c + value of the menu without member t)
+    step = suffix_b[1:]
+    step *= d
+    np.subtract(suffix_bd[1:], step, out=step)
+    step *= pr
+    cont = value_below.take(sub_rows)
+    cont += c
+    cont *= np.subtract(1.0, pr, out=pr)
+    step += cont
+    step *= w
+    total = policy.optout.take(menu) * suffix_bd[0]
+    for t, gone_on in enumerate(w != 0.0):
+        total = np.where(gone_on, total + step[t], total)
+    return total
 
 
 def cost_asymmetry_sweep(ubar: float, c_total: float, delta_grid) -> list:

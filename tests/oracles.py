@@ -293,6 +293,35 @@ def het_regret_memo(rule_for, probs, spec):
     return value(spec.full_set())
 
 
+def sparse_het_policy(rng, n):
+    """A hand-built ``SelectionPolicy`` with zero weights and rules only where they reach.
+
+    Each member of each menu weighs 0 with chance 0.3 and a uniform draw
+    otherwise; the full menu never opts out, and any other menu opts out with
+    a uniform weight (with all of it where no member weighs).  A menu gets a
+    rule only when a path of nonzero weights from the full menu leads to it,
+    so every menu left unreached has none.
+    """
+    from robust_pandora.het import SelectionPolicy, SubsetRule
+
+    full = (1 << n) - 1
+    reached = {full}
+    rules = {}
+    # a menu's supersets have larger masks, so every path into it is known
+    for mask in range(full, 0, -1):
+        if mask not in reached:
+            continue
+        members = [i for i in range(n) if mask >> i & 1]
+        raw = {i: 0.0 if rng.random() < 0.3 else float(rng.random()) for i in members}
+        out = 0.0 if mask == full else float(rng.random())
+        if not any(raw.values()):
+            out = 1.0
+        total = sum(raw.values()) + out
+        rules[frozenset(members)] = SubsetRule({i: w / total for i, w in raw.items()}, out / total)
+        reached.update(mask & ~(1 << i) for i, w in raw.items() if w)
+    return SelectionPolicy(n, rules)
+
+
 def homog_episode_loop(policy, truth, spec, U):
     """Opened boxes and regret per episode of a homogeneous simulation, one row of draws ``U`` each.
 
@@ -532,6 +561,21 @@ def corr_profile_loop(spec, tol=1e-9, q_draws=1000, mode="commitment", seed=0):
         notes=notes,
         side_condition=flattening_ok,
     )
+
+
+def stopping_weights_loop(alphas):
+    """``StoppingMixture.from_policy`` weights by the scalar loop it replaced.
+
+    ``w_m = (1 - alpha_{n-m}) * prod_{j > n-m} alpha_j`` with the product
+    carried stage by stage from ``k = n`` down, as Python floats.
+    """
+    w = []
+    tail = 1.0
+    for a in reversed(list(map(float, alphas))):
+        w.append((1.0 - a) * tail)
+        tail *= a
+    w.append(tail)
+    return w
 
 
 def indep_recursion(alphas, p, spec):

@@ -45,6 +45,7 @@ from oracles import (
     mixture_regret,
     needle_states,
     plan_regrets_masked,
+    stopping_weights_loop,
     walk_regret,
 )
 
@@ -350,6 +351,17 @@ class TestStoppingMixture:
         assert w[2] == pytest.approx(0.8 * 0.6 * 0.5)
         assert w[3] == pytest.approx(0.8 * 0.6 * 0.5)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_weights_match_the_scalar_loop(self):
+        # one running product gives the loop's bits, alphas at exactly 0 and 1 included
+        rng = np.random.default_rng(37)
+        for k in range(300):
+            n = int(rng.integers(1, 3001)) if k % 10 == 0 else int(rng.integers(1, 40))
+            alphas = rng.random(n)
+            alphas[rng.random(n) < 0.1] = 0.0
+            alphas[rng.random(n) < 0.1] = 1.0
+            got = StoppingMixture.from_policy(StationaryPolicy(alphas)).w
+            assert [float(x).hex() for x in got] == [x.hex() for x in stopping_weights_loop(alphas)]
 
     def test_policy_walk_agrees_with_mixture_view(self):
         rng = np.random.default_rng(31)

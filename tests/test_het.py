@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from robust_pandora import het
 from robust_pandora.core import DomainError, HeteroPVector, HomogeneousSpec, SizeError
 from robust_pandora.het import (
     HeterogeneousSpec,
@@ -14,7 +15,7 @@ from robust_pandora.het import (
 from robust_pandora.indep import solve_indep
 from robust_pandora.simulate import simulate
 
-from oracles import het_enum_regret, het_lattice_dicts, het_regret_memo
+from oracles import het_enum_regret, het_lattice_dicts, het_regret_memo, sparse_het_policy
 
 
 def random_het_spec(rng, n):
@@ -226,6 +227,22 @@ class TestBitIdentity:
             p = tuple(rng.random(n).tolist())
             assert regret_het(sol.policy, p, spec) == het_regret_memo(sol.policy.rule_for, p, spec)
 
+    @pytest.mark.parametrize("seed,n", SPECS)
+    def test_edge_beliefs_and_unreached_menus_match_memo_recursion(self, seed, n):
+        # beliefs with entries of exactly 0 and 1, under the solver's policy and
+        # under one whose zero weights leave menus without a rule: the w != 0
+        # guard keeps those menus' NaN out of the total
+        rng = np.random.default_rng([113, seed, n])
+        spec = (tied_het_spec if seed else random_het_spec)(rng, n)
+        for policy in (solve_het(spec).policy, sparse_het_policy(rng, n)):
+            for _ in range(3):
+                p = rng.random(n)
+                p[rng.random(n) < 0.3] = 0.0
+                p[rng.random(n) < 0.3] = 1.0
+                p = tuple(p.tolist())
+                got = regret_het(policy, p, spec)
+                assert got.hex() == het_regret_memo(policy.rule_for, p, spec).hex()
+
     # one random and one tied spec whose middle layers hold hundreds of menus
     LARGE = [(0, 11), (1, 11)]
 
@@ -236,6 +253,17 @@ class TestBitIdentity:
     @pytest.mark.parametrize("seed,n", LARGE)
     def test_large_layers_match_memo_recursion(self, seed, n):
         self.test_regret_matches_memo_recursion(seed, n)
+
+    @pytest.mark.parametrize("seed,n", LARGE)
+    def test_large_layers_edge_beliefs_and_unreached_menus(self, seed, n):
+        self.test_edge_beliefs_and_unreached_menus_match_memo_recursion(seed, n)
+
+    @pytest.mark.parametrize("slab", [1, 7, 100])
+    def test_slabs_match_memo_recursion(self, slab, monkeypatch):
+        # regret_het splits a layer of more than _SLAB menus into slabs; the
+        # middle layers at n = 9 hold 84 and 126 menus
+        monkeypatch.setattr(het, "_SLAB", slab)
+        self.test_edge_beliefs_and_unreached_menus_match_memo_recursion(0, 9)
 
 
 class TestPolicyEdgeCases:

@@ -25,7 +25,7 @@ from robust_pandora.het import HeterogeneousSpec, SelectionPolicy, SubsetRule, r
 from robust_pandora.indep import expected_search_count, solve_indep
 from robust_pandora.simulate import _BLOCK_WORDS, _CHUNK, _chunks, _heterogeneous_play, _homogeneous_play, simulate
 
-from oracles import het_episode_loop, homog_episode_loop
+from oracles import het_episode_loop, homog_episode_loop, sparse_het_policy
 
 
 def philox_draws(seed, episodes, n):
@@ -200,6 +200,47 @@ def test_homogeneous_play_matches_episode_loop(case):
     U = np.random.Generator(np.random.Philox(key=seed)).random((rows, -(-2 * (n + 1) // 4) * 4))
     got = _bits(_homogeneous_play(policy, truth, spec)(U))
     assert got == _bits(homog_episode_loop(policy, truth, spec, U))
+
+
+@st.composite
+def _heterogeneous_blocks(draw):
+    n = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ubars = rng.uniform(0.5, 2.0, n)
+    spec = HeterogeneousSpec(tuple(zip(ubars.tolist(), (ubars * rng.uniform(0.1, 0.9, n)).tolist())))
+    policy = solve_het(spec).policy if draw(st.booleans()) else sparse_het_policy(rng, n)
+    probs = draw(st.lists(_UNIT, min_size=n, max_size=n))
+    rows = draw(st.integers(1, 40))
+    stream = np.random.Generator(np.random.Philox(key=draw(st.integers(0, 2**64 - 1))))
+    U = stream.random((rows, -(-2 * (n + 1) // 4) * 4))
+    if draw(st.booleans()):
+        # put stage draws exactly on cumulative weights: at stage 0 those of
+        # the full menu, later those of any menu with a rule
+        cum = np.cumsum(policy.weights, axis=1)
+        menus = np.flatnonzero(~np.isnan(policy.optout))
+        at = rng.random((rows, n)) < 0.5
+        picks = cum[rng.choice(menus, (rows, n)), rng.integers(0, n, (rows, n))]
+        picks[:, 0] = cum[-1, rng.integers(0, n, rows)]
+        U[:, n + 1 : 2 * n + 1] = np.where(at, picks, U[:, n + 1 : 2 * n + 1])
+    return spec, policy, probs, U
+
+
+@settings(max_examples=100, deadline=None)
+@given(_heterogeneous_blocks())
+def test_heterogeneous_play_matches_episode_loop(case):
+    # one whole block: the play and the per-episode loop agree on every bit
+    spec, policy, probs, U = case
+    got = _bits(_heterogeneous_play(policy, HeteroPVector(probs), spec)(U))
+    assert got == _bits(het_episode_loop(policy.rule_for, np.asarray(probs), spec, U))
+
+
+def test_rule_first_missing_after_stage_0_raises():
+    # the full menu always opens box 0, which is always empty, and the menu
+    # left after it has no rule: stage 0 runs, stage 1 must refuse
+    spec = HeterogeneousSpec(((1.0, 0.2), (1.5, 0.3), (2.0, 1.0)))
+    policy = SelectionPolicy(3, {frozenset({0, 1, 2}): SubsetRule({0: 1.0, 1: 0.0, 2: 0.0}, 0.0)})
+    with pytest.raises(DomainError, match="no rule for a menu it can reach"):
+        simulate(policy, HeteroPVector((0.0, 0.5, 0.5)), spec, 10, 0)
 
 
 class TestDeterminism:
