@@ -318,8 +318,7 @@ class SaddleReport:
     ``worst_belief`` is the checked regime's own belief: :class:`IidBinary`,
     :class:`NeedleP`, or the two-box solver's ``TwoBoxNature``.  Both gaps
     are stored as ``float``.  ``passed`` is derived, the one pass rule of
-    every check: both gaps at most ``tolerance`` (a NaN gap fails) and the
-    check's own ``side_condition`` holding.
+    every check: both gaps at most ``tolerance`` (a NaN gap fails).
     """
 
     nature_gap: float
@@ -327,7 +326,6 @@ class SaddleReport:
     worst_belief: object
     tolerance: float
     notes: tuple = ()
-    side_condition: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "nature_gap", float(self.nature_gap))
@@ -335,7 +333,7 @@ class SaddleReport:
 
     @property
     def passed(self) -> bool:
-        return bool(self.nature_gap <= self.tolerance and self.dm_gap <= self.tolerance and self.side_condition)
+        return bool(self.nature_gap <= self.tolerance and self.dm_gap <= self.tolerance)
 
     def __str__(self):
         status = "pass" if self.passed else "FAIL"
@@ -458,13 +456,11 @@ def regret_needle(policy: StationaryPolicy, P, spec: HomogeneousSpec):
 
 
 # The count-profile path holds a tail table of n + 1 floats per count that
-# holds mass, about 8 n^2 bytes for one profile, and saddle_check_corr two
-# (n + 1, n + 1) arrays.  Wall time and peak RSS (ru_maxrss, interpreter
-# included) in a fresh process on a 2-vCPU x86-64 VM: regret_count_profile
-# against a Dirichlet profile / its flattening, n = 1000 0.017 / 0.0002 s,
-# 43 MB; 5000 0.4-1.0 / 0.0004 s, 226 MB; saddle_check_corr, c/ubar = 0.001,
-# solve included, either mode, n = 1000 0.03 s, 45 MB; 5000 0.63 s, 411 MB,
-# under 1 GiB.  The same cap bounds the other homogeneous paths that take
+# holds mass, about 8 n^2 bytes for one profile.  Wall time and peak RSS
+# (ru_maxrss, interpreter included) in a fresh process on a 2-vCPU x86-64
+# VM: regret_count_profile against a Dirichlet profile / its flattening,
+# n = 1000 0.017 / 0.0002 s, 43 MB; 5000 0.4-1.0 / 0.0004 s, 226 MB, under
+# 1 GiB.  The same cap bounds the other homogeneous paths that take
 # seconds at a few thousand boxes.  Wall time on the same VM at n = 1000 /
 # 5000 / 20 000: saddle_check_indep (c/ubar = 0.3, a 2001-point scan of an
 # O(n) polynomial) 0.007-0.008 / 0.04 / 0.28-0.29 s, linear in n, so about
@@ -550,11 +546,9 @@ def _plan_regrets(tails: np.ndarray, spec: HomogeneousSpec) -> np.ndarray:
     out = np.zeros_like(tails)
     np.cumsum(tails[..., 1:-1], axis=-1, out=out[..., 2:])
     out *= spec.c
-    # only rows with mass on no full box take the m c term: the vertex rows
-    # j >= 1 of a scan add +0.0 there, and skipping them saves a full-size temporary
+    # the m c term of each row; where rest == 0 it adds +0.0 to non-negative entries
     rest = 1.0 - tails[..., 0]
-    held = rest != 0.0
-    out[held] += rest[held][:, None] * (np.arange(out.shape[-1]) * spec.c)
+    out += rest[..., None] * (np.arange(out.shape[-1]) * spec.c)
     out[..., 0] = (spec.ubar - spec.c) * tails[..., 0]
     out[..., 1:] += np.multiply(tails[..., 1:], spec.ubar, out=tails[..., 1:])
     return out

@@ -5,10 +5,10 @@ case over beliefs equals a value no deviation can beat.  The checks here
 recompute both sides instead of the closed forms, and sample nothing.
 For a fixed policy the regret is linear in Nature's belief, so her best
 response over a convex family sits at an extreme point (the needle
-endpoints, the degenerate count profiles), or, where it is a polynomial in
-one belief built in O(n), at the best point of a fixed 2001-point grid,
-polished by the bracketed Newton search the interim solver uses.  Against
-a fixed belief the DM's best response is a backward induction or a scan of
+endpoints; all count profiles, reduced exactly to vertices 0 and 1), or,
+where it is a polynomial in one belief built in O(n), at the best point of
+a fixed 2001-point grid, polished by the bracketed Newton search the
+interim solver uses.  Against a fixed belief the DM's best response is a backward induction or a scan of
 pure plans.
 They report the two one-sided gaps:
 
@@ -132,6 +132,16 @@ def saddle_check_indep(spec: HomogeneousSpec, tol: float = 1e-6, seed: int = 0) 
     return SaddleReport(worst - sol.regret, sol.regret - best, IidBinary(p_star), tol)
 
 
+def _vertex_regrets(w: np.ndarray, spec: HomogeneousSpec) -> np.ndarray:
+    """Regrets of stopping weights ``w`` at count-profile vertices 0 and 1 (no full box, one).
+
+    Rows 0 and 1 of the tail table, row 0 zeroed; each is computed as it would be alone.
+    """
+    tails = _tail_table(spec.n, [0, 1])
+    tails[0] = 0.0
+    return _mixture_sum(w, _plan_regrets(tails, spec))
+
+
 def saddle_check_corr(
     spec: HomogeneousSpec,
     tol: float = 1e-9,
@@ -140,23 +150,21 @@ def saddle_check_corr(
 ) -> SaddleReport:
     """Check a correlated-rewards solution against belief and plan deviations.
 
-    Nature's side is exact: the single-treasure probabilities by
-    :func:`nature_best_response_needle`, and the ``n + 1`` degenerate count
-    profiles, scored together from the rows of one ``(n + 1, n + 1)`` tail
-    table.  A profile's regret and its single-treasure flattening's are
-    linear in the profile, so these are every extreme point, for the gap
-    and for the check that no profile beats its flattening (the
-    hidden-treasure reduction).  The DM's deviations are every pure
-    stop-after-m plan against the worst belief in commitment mode, and
-    every one-step stage deviation in intrapersonal mode.  ``seed`` is
-    validated and ignored: nothing is sampled, and it stays only so that
-    callers passing it keep working.  More than 5 000 boxes raise
-    :class:`SizeError`.
+    Nature's adversary class is all count profiles, reduced exactly to
+    vertices 0 and 1 (:func:`_vertex_regrets`), plus the needle endpoints of
+    :func:`nature_best_response_needle`.  The regret is linear in the
+    profile, so one of the ``n + 1`` vertices is worst; for j >= 1 vertex
+    j's tails ``C(n - j, i) / C(n, i)`` do not rise with j and weigh in
+    non-negatively, so no vertex j >= 2 beats vertex 1 (the hidden-treasure
+    lemma, bit for bit: each step is a correctly rounded, monotone operation
+    on non-negative numbers).  The DM's deviations are every pure
+    stop-after-m plan against the worst belief in commitment mode, and every
+    one-step stage deviation in intrapersonal mode.  All of it is O(n).
+    ``seed`` is validated and ignored: nothing is sampled, and it stays only
+    so that callers passing it keep working.
     """
     _require_count(seed, "seed", 0)
     tol = _require_tolerance(tol, "tol")
-    if spec.n > _MAX_COUNT_BOXES:
-        raise SizeError(f"count-profile vertex scan limited to {_MAX_COUNT_BOXES} boxes, got {_shown(spec.n)}")
     if mode == "commitment":
         sol = solve_corr_commitment(spec)
     elif mode == "intrapersonal":
@@ -166,18 +174,8 @@ def saddle_check_corr(
 
     n = spec.n
     worst_P, worst = nature_best_response_needle(sol.policy, spec)
-    nature_gap = worst - sol.regret
-
-    # the n + 1 vertices: vertex j >= 1 has row j of the tail table as its
-    # tails, vertex 0 none; flattening keeps Q[0] and moves the rest to j = 1
-    tails = _tail_table(n, np.arange(n + 1))
-    tails[0] = 0.0
-    w = StoppingMixture.from_policy(sol.policy).w
-    values = _mixture_sum(w, _plan_regrets(tails, spec))
-    # vertex j flattens to vertex min(j, 1), and a stacked row is computed
-    # exactly as it would be alone
-    flattening_ok = not np.any(values > values[np.minimum(np.arange(n + 1), 1)] + 1e-12)
-    nature_gap = max(nature_gap, (values - sol.regret).max())
+    vertices = _vertex_regrets(StoppingMixture.from_policy(sol.policy).w, spec)
+    nature_gap = max(worst - sol.regret, (vertices - sol.regret).max())
 
     if mode == "commitment":
         # every pure stop-after-m plan against the worst needle [1 - P, P, 0, ...],
@@ -189,8 +187,7 @@ def saddle_check_corr(
         open_once = (1.0 - P / np.arange(1, n + 1)) * (spec.c + np.append(0.0, regret[:-1]))
         dm_gap = (regret - np.minimum(P * (spec.ubar - spec.c), open_once)).max()
 
-    notes = () if flattening_ok else ("a correlated profile beat its single-treasure flattening",)
-    return SaddleReport(nature_gap, dm_gap, NeedleP(worst_P), tol, notes, side_condition=flattening_ok)
+    return SaddleReport(nature_gap, dm_gap, NeedleP(worst_P), tol)
 
 
 def interim_grid_oracle(spec: HomogeneousSpec):

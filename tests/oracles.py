@@ -503,14 +503,29 @@ def two_box_block_scan(policy, spec, claimed, grid_size):
     return float(nature_gap), worst_pair
 
 
-def corr_profile_loop(spec, tol=1e-9, q_draws=1000, mode="commitment", seed=0):
-    """``saddle_check_corr`` scoring ``q_draws`` Dirichlet profiles and the vertices one at a time.
+def corr_vertex_scan(w, spec):
+    """Regret of stopping weights ``w`` at each of the ``n + 1`` degenerate count profiles.
 
-    Each Dirichlet draw (one draw per call) and each vertex becomes a
-    ``CountProfile``, and the profile and its ``single_treasure_equivalent``
-    are scored by two ``regret_count_profile`` calls.  With ``q_draws=0``
-    it is the vertex scan of ``saddle_check_corr``, one profile at a time;
-    returns the same kind of ``SaddleReport``.
+    The full scan that the hidden-treasure lemma reduces to vertices 0 and 1
+    in ``saddle_check_corr``: vertex ``j >= 1`` has row ``j`` of one
+    ``(n + 1, n + 1)`` tail table as its tails, vertex 0 none.
+    """
+    from robust_pandora.core import _mixture_sum, _plan_regrets, _tail_table
+
+    tails = _tail_table(spec.n, np.arange(spec.n + 1))
+    tails[0] = 0.0
+    return _mixture_sum(w, _plan_regrets(tails, spec))
+
+
+def corr_profile_loop(spec, tol=1e-9, q_draws=1000, mode="commitment", seed=0):
+    """``saddle_check_corr`` scoring ``q_draws`` Dirichlet profiles and every vertex one at a time.
+
+    Each Dirichlet draw (one draw per call) and each of the ``n + 1``
+    vertices becomes a ``CountProfile`` scored by ``regret_count_profile``.
+    With ``q_draws=0`` it is ``saddle_check_corr`` without the lemma that
+    only vertices 0 and 1 can be worst; returns the same kind of
+    ``SaddleReport``.  A profile that beats its ``single_treasure_equivalent``
+    adds a note, which the check, relying on the lemma, never does.
     """
     from robust_pandora.core import CountProfile, NeedleP, SaddleReport, StoppingMixture, _plan_regrets, _tails
     from robust_pandora.core import regret_count_profile
@@ -553,14 +568,7 @@ def corr_profile_loop(spec, tol=1e-9, q_draws=1000, mode="commitment", seed=0):
             prev = float(sol.regret_per_k[k - 1])
 
     notes = () if flattening_ok else ("a correlated profile beat its single-treasure flattening",)
-    return SaddleReport(
-        nature_gap=nature_gap,
-        dm_gap=dm_gap,
-        worst_belief=NeedleP(worst_P),
-        tolerance=tol,
-        notes=notes,
-        side_condition=flattening_ok,
-    )
+    return SaddleReport(nature_gap=nature_gap, dm_gap=dm_gap, worst_belief=NeedleP(worst_P), tolerance=tol, notes=notes)
 
 
 def stopping_weights_loop(alphas):

@@ -285,6 +285,13 @@ class TestVerify:
             assert code == 0, regime
             assert doc["results"]["passed"] is True
 
+    def test_corr_past_the_count_profile_cap(self, capsys):
+        # the corr check is O(n): one box past the 5 000-box count-profile cap passes
+        for regime in ("corr", "corr-intra"):
+            code, doc = run_json(capsys, "verify", "--regime", regime, "--ubar", "1", "--c", "0.001", "--n", "5001")
+            assert code == 0, regime
+            assert doc["results"]["passed"] is True and doc["results"]["notes"] == []
+
     def test_csv_format_quotes_notes(self, capsys):
         import csv as csv_mod
         import io
@@ -457,7 +464,7 @@ class TestBadInputs:
             (*SWEEP, "--regime", "two-box", "--sweep", "ubar", "--c", "0.2", "--steps", "10001"),
             ("verify", "--regime", "indep", *HOMOG[:4], "--n", "5001"),
             ("verify", "--regime", "indep", *HOMOG[:4], "--n", "5001", "--policy-file", "VALID"),
-            ("verify", "--regime", "corr", *HOMOG[:4], "--n", "5001"),
+            ("verify", "--regime", "corr", *HOMOG[:4], "--n", "10000001"),
             ("solve", "--regime", "het"),
             ("solve", "--regime", "het", "--boxes", "1:0.2,1-0.4"),
             ("solve", "--regime", "indep", *HOMOG[:4]),

@@ -589,19 +589,21 @@ class TestBeliefValidation:
 
 
 @pytest.mark.parametrize(
-    "nature_gap, dm_gap, side_condition, passed",
+    "nature_gap, dm_gap, noted, passed",
     [
         (1e-6, 1e-6, True, True),  # gaps equal to the tolerance pass
         (-1.0, -np.inf, True, True),
         (1e-6 * (1 + 1e-15), 0.0, True, False),
         (0.0, 2e-6, True, False),
-        (0.0, 0.0, False, False),
+        (0.0, 0.0, False, True),
         (np.nan, 0.0, True, False),
         (0.0, np.nan, True, False),
     ],
 )
-def test_saddle_report_pass_rule(nature_gap, dm_gap, side_condition, passed):
-    report = SaddleReport(np.float64(nature_gap), dm_gap, IidBinary(0.3), 1e-6, side_condition=side_condition)
+def test_saddle_report_pass_rule(nature_gap, dm_gap, noted, passed):
+    # the gaps alone decide: a note is a diagnostic and never changes the verdict
+    notes = ("a diagnostic",) if noted else ()
+    report = SaddleReport(np.float64(nature_gap), dm_gap, IidBinary(0.3), 1e-6, notes)
     assert report.passed is passed
     assert type(report.nature_gap) is float and type(report.dm_gap) is float
     assert str(report).startswith("SaddleReport(pass" if passed else "SaddleReport(FAIL")

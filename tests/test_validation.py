@@ -176,8 +176,8 @@ BAD_CALLS = {
     "sweep-ubar-huge-int": lambda: cost_asymmetry_sweep(10**400, 0.6, [0.0]),
 }
 
-# one box over the 5 000-box cap of the interim grid oracle, the i.i.d. regret
-# polynomial and the count-profile vertex scan
+# one box over the 5 000-box cap of the interim grid oracle and the i.i.d.
+# regret polynomial
 OVER_CAP = HomogeneousSpec(1.0, 0.3, 5001)
 
 OVERSIZED_CALLS = {
@@ -186,7 +186,6 @@ OVERSIZED_CALLS = {
     "interim-grid-oracle-n": lambda: interim_grid_oracle(OVER_CAP),
     "nature-indep-n": lambda: nature_best_response_indep(StationaryPolicy(np.ones(5001)), OVER_CAP),
     "saddle-indep-n": lambda: saddle_check_indep(OVER_CAP),
-    "saddle-corr-n": lambda: saddle_check_corr(OVER_CAP),
 }
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robust_pandora.core import (
@@ -13,7 +13,6 @@ from robust_pandora.core import (
     HomogeneousSpec,
     IidBinary,
     NeedleP,
-    SizeError,
     StationaryPolicy,
     StoppingMixture,
     regret_count_profile,
@@ -23,6 +22,7 @@ from robust_pandora.corr import single_treasure_equivalent, solve_corr_commitmen
 from robust_pandora.indep import solve_indep
 from robust_pandora.interim import solve_interim
 from robust_pandora.verify import (
+    _vertex_regrets,
     interim_grid_oracle,
     nature_best_response_indep,
     nature_best_response_needle,
@@ -32,6 +32,7 @@ from robust_pandora.verify import (
 
 from oracles import (
     corr_profile_loop,
+    corr_vertex_scan,
     indep_descent_loop,
     indep_pure_plan_min,
     indep_recursion,
@@ -179,7 +180,7 @@ class TestSaddleCheckCorr:
         spec = HomogeneousSpec(1.0, 0.25, 6)
         report = saddle_check_corr(spec, tol=1e-9)
         assert report.passed
-        assert not report.notes  # no flattening violation found
+        assert not report.notes
         sol = solve_corr_commitment(spec)
         w = StoppingMixture.from_policy(sol.policy)
         rng = np.random.default_rng(3)
@@ -196,18 +197,18 @@ class TestSaddleCheckCorr:
         assert not report.notes
 
     def test_size_cap(self):
-        # the cap bounds time and memory only: a 33-box menu checks out in both modes
-        for mode in ("commitment", "intrapersonal"):
-            report = saddle_check_corr(HomogeneousSpec(1.0, 0.01, 33), tol=1e-9, mode=mode)
-            assert report.passed, str(report)
-        with pytest.raises(SizeError):
-            saddle_check_corr(HomogeneousSpec(1.0, 0.01, _MAX_COUNT_BOXES + 1))
+        # no cap of its own: past the count-profile cap of 5 000 boxes and at
+        # 100 000 the check passes in both modes, as a 33-box menu does
+        for n in (33, _MAX_COUNT_BOXES + 1, 100_000):
+            for mode in ("commitment", "intrapersonal"):
+                report = saddle_check_corr(HomogeneousSpec(1.0, 0.01, n), tol=1e-9, mode=mode)
+                assert report.passed and not report.notes, (n, mode, str(report))
 
-    @pytest.mark.parametrize("n", [1000, 1998])
+    @pytest.mark.parametrize("n", [1000, 1998, 5000])
     def test_passes_below_the_optout_size(self, n):
         # c/ubar = 0.001 opts out at 1 999 boxes, about 2 ubar/c, where the
-        # overload shows: both modes pass, and the vertex scan holds two
-        # (n + 1, n + 1) arrays, 16 MB at n = 1000
+        # overload shows: both modes pass, and the check holds O(n) floats,
+        # a peak of 89-101 n bytes; one (n + 1, n + 1) table would break the bound
         spec = HomogeneousSpec(1.0, 0.001, n)
         for mode in ("commitment", "intrapersonal"):
             tracemalloc.start()
@@ -217,7 +218,7 @@ class TestSaddleCheckCorr:
             finally:
                 tracemalloc.stop()
             assert report.passed and not report.notes, (mode, str(report))
-            assert n > 1000 or peak < 17e6, (mode, peak)
+            assert peak <= 200 * n, (mode, peak)
 
     def test_needle_two_endpoints(self):
         # the regret is affine in P, so P = 0 or P = 1 is a worst case; the
@@ -242,6 +243,39 @@ class TestSaddleCheckCorr:
                 ubar = float(rng.uniform(0.5, 2.0))
                 spec = HomogeneousSpec(ubar, ubar * float(rng.uniform(0.02, 0.6)), n)
                 assert saddle_check_corr(spec, mode=mode) == corr_profile_loop(spec, q_draws=0, mode=mode), (spec, mode)
+
+    @given(
+        st.integers(1, 300),
+        st.floats(1e-3, 0.9),
+        st.sampled_from(["flat", "sparse", "point", "first", "last"]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["commitment", "intrapersonal"]),
+    )
+    @example(1, 0.3, "first", 0, "commitment")
+    @example(7, 0.05, "last", 0, "intrapersonal")
+    @example(300, 1e-3, "first", 0, "commitment")
+    @example(300, 1e-3, "last", 0, "commitment")
+    @settings(max_examples=60, deadline=None)
+    def test_two_vertices_are_the_whole_scan(self, n, ratio, kind, seed, mode):
+        # the lemma bit for bit: for any stopping weights no vertex j >= 2
+        # beats vertex 1, so rows 0 and 1, each computed alone, give the
+        # maximum of all n + 1; and the check equals the one-profile loop
+        spec = HomogeneousSpec(1.0, ratio, n)
+        rng = np.random.default_rng(seed)
+        if kind == "flat":
+            w = rng.dirichlet(np.ones(n + 1))
+        elif kind == "sparse":
+            w = rng.dirichlet(np.full(n + 1, 0.05))
+        else:
+            w = np.zeros(n + 1)
+            w[{"first": 0, "last": n, "point": int(rng.integers(n + 1))}[kind]] = 1.0
+        values, two = corr_vertex_scan(w, spec), _vertex_regrets(w, spec)
+        assert two.max().hex() == values.max().hex()
+        assert [v.hex() for v in two.tolist()] == [v.hex() for v in values[:2].tolist()]
+        assert np.all(values[2:] <= values[1])
+        got, want = saddle_check_corr(spec, mode=mode), corr_profile_loop(spec, q_draws=0, mode=mode)
+        assert (got.nature_gap.hex(), got.dm_gap.hex()) == (want.nature_gap.hex(), want.dm_gap.hex())
+        assert got == want
 
     @pytest.mark.parametrize("mode", ["commitment", "intrapersonal"])
     def test_vertices_dominate_dirichlet_draws(self, mode):
