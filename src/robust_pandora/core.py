@@ -249,13 +249,7 @@ class StoppingMixture:
         draws continue and the draw with ``n - m`` boxes left stops:
         ``w_m = (1 - alpha_{n-m}) * prod_{j=n-m+1..n} alpha_j``.
         """
-        by_stage = policy.alphas[::-1]
-        # tails[m] = alpha_n ... alpha_{n-m}, a running product like the
-        # scalar loop's, so w_0 = (1 - alpha_n) * 1.0 and every w_m has its bits
-        tails = np.cumprod(by_stage)
-        w = np.concatenate((1.0 - by_stage, tails[-1:]))
-        w[1:-1] *= tails[:-1]
-        return cls(w)
+        return cls(_stopping_weights(policy.alphas))
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +351,8 @@ def _alphas_for(policy: StationaryPolicy, spec: HomogeneousSpec) -> np.ndarray:
 def regret_indep(policy: StationaryPolicy, p, spec: HomogeneousSpec):
     """Expected ex-post regret under i.i.d. binary rewards with success rate ``p``.
 
-    The backward recursion with ``k`` boxes remaining,
-
-        R_k = (1 - a_k) (1 - (1-p)^k) (ubar - c) + a_k (1-p) (c + R_{k-1}),
-
-    with ``R_0 = 0`` (not searching forgoes the oracle's net reward whenever
-    at least one box is full, while a fruitless opening wastes ``c`` and
-    passes to the smaller problem), evaluated by Horner's rule on its
-    polynomial in ``1 - p`` (:func:`_regret_indep_poly`).  ``p`` may be a
-    scalar or an array.
+    Horner's rule on the regret's polynomial in ``1 - p``
+    (:func:`_regret_indep_poly`); ``p`` may be a scalar or an array.
     """
     coef = _regret_indep_poly(policy, spec)
     out = np.polyval(coef, 1.0 - _probability_array(p, "p"))
@@ -375,22 +362,14 @@ def regret_indep(policy: StationaryPolicy, p, spec: HomogeneousSpec):
 def _regret_indep_poly(policy: StationaryPolicy, spec: HomogeneousSpec) -> np.ndarray:
     """:func:`regret_indep` as a polynomial in ``x = 1 - p``, highest degree first, in O(n).
 
-    Unrolling the recursion with the suffix products ``W_k = prod_{j > k} a_j``,
-
-        R_n(x) = sum_k W_k x^(n-k) [(1 - a_k) (ubar - c) (1 - x^k) + a_k c x]:
-
-    ``x^(n-k)`` gets ``g_k = (1 - a_k) (ubar - c) W_k``, ``x^(n-k+1)`` gets
-    ``a_k c W_k`` and ``x^n`` gets minus the sum of the ``g_k``.
+    I.i.d. tails are ``T_i = x^i - x^n``, so :func:`_regret_terms` gives
+    ``x^i`` the coefficient ``v_i`` for ``i < n`` and ``x^n`` the coefficient
+    ``K - sum_{i<n} v_i = c w_n - (ubar - c) sum_{m<n} w_m``; the second form
+    is computed, as the first loses bits to cancellation.
     """
-    alphas = _alphas_for(policy, spec)
-    ubar, c = spec.ubar, spec.c
-    weights = np.ones_like(alphas)  # W_k, with W_n = 1
-    np.cumprod(alphas[:0:-1], out=weights[-2::-1])
-    gains = (1.0 - alphas) * (ubar - c) * weights
-    coef = np.zeros(alphas.size + 1)
-    coef[1:] = gains
-    coef[:-1] += alphas * c * weights
-    coef[0] -= gains.sum()
+    w = _stopping_weights(_alphas_for(policy, spec))
+    coef = _regret_terms(w, spec)[1][::-1]
+    coef[0] = spec.c * w[-1] - (spec.ubar - spec.c) * np.cumsum(w[:-1])[-1]
     return coef
 
 
@@ -435,38 +414,67 @@ def _peak_search(at, lo: float, hi: float, x: float, flat: float = 0.0):
 def regret_needle(policy: StationaryPolicy, P, spec: HomogeneousSpec):
     """Expected regret when at most one box holds the high reward.
 
-    ``P`` (a scalar or an array) is the probability that the treasure
-    exists given ``n`` remaining boxes.  A failed opening updates it to
-    ``P (k-1) / (k - P)`` on the ``k-1`` remaining boxes, which keeps 0 and 1
-    fixed, and the regret is linear in the belief, so it is
-    ``(1 - P) R_empty + P R_treasure`` with ``R_0 = 0`` and
-
-        R_empty_k = a_k (c + R_empty_{k-1}),
-        R_treasure_k = (1 - a_k) (ubar - c) + a_k (1 - 1/k) (c + R_treasure_{k-1}).
+    ``P`` (a scalar or an array) is the probability that the treasure exists.
+    The regret is linear in the belief, ``(1 - P) K + P R_1`` with the ends
+    ``(K, R_1)`` of :func:`_needle_ends`, which it returns exactly at 0 and 1.
     """
-    alphas = _alphas_for(policy, spec)
-    ubar, c = spec.ubar, spec.c
+    w = _stopping_weights(_alphas_for(policy, spec))
     P = _probability_array(P, "P")
-    empty = treasure = 0.0
-    for k, a in enumerate(alphas.tolist(), start=1):
-        empty = a * (c + empty)
-        treasure = (1.0 - a) * (ubar - c) + a * (1.0 - 1.0 / k) * (c + treasure)
+    empty, treasure = _needle_ends(w, spec)
     r = (1.0 - P) * empty + P * treasure
     return float(r) if r.ndim == 0 else r
 
 
+def _stopping_weights(alphas: np.ndarray) -> np.ndarray:
+    """:meth:`StoppingMixture.from_policy`'s weights for the stage probabilities ``alphas``, unvalidated."""
+    by_stage = alphas[::-1]
+    # tails[m] = alpha_n ... alpha_{n-m}, a running product like the scalar
+    # loop's, so w_0 = (1 - alpha_n) * 1.0 and every w_m has its bits
+    tails = np.cumprod(by_stage)
+    w = np.concatenate((1.0 - by_stage, tails[-1:]))
+    w[1:-1] *= tails[:-1]
+    return w
+
+
+def _regret_terms(w: np.ndarray, spec: HomogeneousSpec):
+    """The regret of stopping weights ``w`` as one linear functional of a belief's tails: ``(K, v)``.
+
+    Every exchangeable binary belief with tails ``T_i``
+    (:func:`first_success_probabilities`) has the regret
+
+        R = K (1 - T_0) + sum_i v_i T_i,    K = c sum_m m w_m,
+        v_0 = (ubar - c) w_0,    v_i = ubar w_i + c sum_{m > i} w_m  (i >= 1),
+
+    :func:`_plan_regrets` summed by parts; no ``v_i`` is negative, which is
+    why no count profile beats the needle.  Each sum is one ``np.cumsum``.
+    """
+    ubar, c = spec.ubar, spec.c
+    K = c * np.cumsum(np.arange(w.size) * w)[-1]
+    v = ubar * w
+    v[:-1] += c * np.cumsum(w[:0:-1])[::-1]
+    v[0] = (ubar - c) * w[0]
+    return K, v
+
+
+def _needle_ends(w: np.ndarray, spec: HomogeneousSpec):
+    """Regrets of stopping weights ``w`` at count-profile vertices 0 and 1, :func:`regret_count_profile`'s bits."""
+    K, v = _regret_terms(w, spec)
+    return K, np.cumsum(v * _tail_table(spec.n, [1])[0])[-1]
+
+
 # The count-profile path holds a tail table of n + 1 floats per count that
-# holds mass, about 8 n^2 bytes for one profile.  Wall time and peak RSS
-# (ru_maxrss, interpreter included) in a fresh process on a 2-vCPU x86-64
-# VM: regret_count_profile against a Dirichlet profile / its flattening,
-# n = 1000 0.017 / 0.0002 s, 43 MB; 5000 0.4-1.0 / 0.0004 s, 226 MB, under
-# 1 GiB.  The same cap bounds the other homogeneous paths that take
-# seconds at a few thousand boxes.  Wall time on the same VM at n = 1000 /
-# 5000 / 20 000: saddle_check_indep (c/ubar = 0.3, a 2001-point scan of an
-# O(n) polynomial) 0.007-0.008 / 0.04 / 0.28-0.29 s, linear in n, so about
-# 2.5 minutes at the spec cap of 10 000 000 boxes (extrapolated, not run);
-# interim_grid_oracle (2n rows of 2001 beliefs) 0.02 s at n = 100 and 1.8 s
-# at 5000.
+# holds mass, at most as many as 5 000 boxes with mass on every count need.
+# Wall time and peak RSS (ru_maxrss, interpreter included) in a fresh
+# process on a 2-vCPU x86-64 VM, regret_count_profile against a Dirichlet
+# profile / its flattening: n = 1000 0.013-0.018 / 0.0002 s, 42 / 35 MB;
+# 5000 0.29-0.37 / 0.0003 s, 226 / 35 MB; a flattening is one row, so at
+# 1e7 boxes 0.50-0.66 s / 487 MB.  The same box cap bounds
+# nature_best_response_indep and interim_grid_oracle.  Wall time on the
+# same VM at n = 1000 / 5000 / 20 000: saddle_check_indep (c/ubar = 0.3, a
+# 2001-point scan of an O(n) polynomial) 0.007-0.008 / 0.04 / 0.28-0.29 s,
+# linear in n, so about 2.5 minutes at the spec cap of 10 000 000 boxes
+# (extrapolated, not run); interim_grid_oracle (2n rows of 2001 beliefs)
+# 0.02 s at n = 100 and 1.8 s at 5000.
 _MAX_COUNT_BOXES = 5000
 
 
@@ -481,11 +489,13 @@ def first_success_probabilities(Q) -> np.ndarray:
         T_i(Q) = sum_{j >= 1} Q_j C(n - j, i) / C(n, i)
 
     is the chance that some box is full and the first ``i`` openings miss
-    them all.  ``Q`` may stack profiles along leading axes,
+    them all, of which every regret is a linear functional
+    (:func:`_regret_terms`).  ``Q`` may stack profiles along leading axes,
     ``(..., n + 1) -> (..., n)``; each row is computed exactly as it would
     be on its own.  Each row must hold at least 2 probabilities summing to 1
-    within 1e-12, as a :class:`CountProfile` does, or :class:`DomainError` is
-    raised; more than 5 000 boxes raise :class:`SizeError`.
+    within 1e-12, as a :class:`CountProfile` does, or :class:`DomainError`
+    is raised; more table cells, ``n + 1`` per count that holds mass, than
+    5 000 x 5 001 raise :class:`SizeError`.
     """
     Q = _probability_array(Q, "count profile Q")
     if Q.ndim == 0 or Q.shape[-1] < 2 or np.any(np.abs(Q.sum(axis=-1) - 1.0) > 1e-12):
@@ -503,9 +513,10 @@ def _tails(Q) -> np.ndarray:
     """
     Q = np.asarray(Q, dtype=float)
     n = Q.shape[-1] - 1
-    if n > _MAX_COUNT_BOXES:
-        raise SizeError(f"count-profile tables limited to {_MAX_COUNT_BOXES} boxes, got {_shown(n)}")
     held = np.flatnonzero(np.any(Q[..., 1:] != 0.0, axis=tuple(range(Q.ndim - 1)))) + 1
+    cells = _MAX_COUNT_BOXES * (_MAX_COUNT_BOXES + 1)
+    if held.size * (n + 1) > cells:
+        raise SizeError(f"count-profile tables limited to {cells} cells, got {held.size} x {n + 1}")
     table = _tail_table(n, held)
     if Q.ndim == 1:  # in place: a second table would double the peak
         table *= Q[held, None]
@@ -557,22 +568,11 @@ def _plan_regrets(tails: np.ndarray, spec: HomogeneousSpec) -> np.ndarray:
 def regret_count_profile(mixture: StoppingMixture, Q: CountProfile, spec: HomogeneousSpec) -> float:
     """Exact regret of a stopping mixture against a count-profile belief.
 
-    Conditional regret of the plan that stops after ``m`` failures:
-    a first success on opening ``k <= m`` wastes ``(k-1) c`` relative to the
-    oracle; a success the plan never reaches costs ``ubar - c + m c``; and
-    when no box is full the ``m`` openings are pure waste ``m c``.
+    ``K (1 - T_0) + sum_i v_i T_i`` (:func:`_regret_terms`) at the profile's
+    tails, the sum left to right.
     """
     if mixture.n != spec.n or Q.n != spec.n:
         raise DomainError("mixture, count profile, and spec must share the same n")
-    return float(_mixture_regrets(mixture.w, Q.Q, spec))
-
-
-def _mixture_regrets(w: np.ndarray, Q: np.ndarray, spec: HomogeneousSpec) -> np.ndarray:
-    """:func:`regret_count_profile` for stopping weights ``w`` and profiles ``Q`` of shape ``(..., n + 1)``."""
-    return _mixture_sum(w, _plan_regrets(_tails(Q), spec))
-
-
-def _mixture_sum(w: np.ndarray, plans: np.ndarray) -> np.ndarray:
-    """The plans' regrets weighted by ``w`` and added strictly left to right; overwrites ``plans``."""
-    plans *= w
-    return np.cumsum(plans, axis=-1, out=plans)[..., -1]
+    tails = _tails(Q.Q)
+    K, v = _regret_terms(mixture.w, spec)
+    return float(K * (1.0 - tails[0]) + np.cumsum(v * tails)[-1])

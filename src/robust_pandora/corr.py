@@ -42,8 +42,9 @@ __all__ = [
     "naive_trajectory",
 ]
 
-# solve_corr_intrapersonal runs its recursion up to the refusal point, about
-# 0.83 optout_menu_size; only the n requested stages are stored.  Wall time
+# solve_corr_intrapersonal runs its recursion up to the refusal point,
+# z*^2/8 = 0.8348902 optout_menu_size, z* = 2.5843996 the root of
+# z I_1(z) = 2 I_0(z); only the n requested stages are stored.  Wall time
 # and peak RSS (ru_maxrss, interpreter included) at n = 5 on a 2-vCPU
 # x86-64 VM: c/ubar = 1e-5 (opt-out menu 199 999) 0.07 s / 29 MB, 1e-6
 # (1 999 999) 0.67 s / 29 MB, 1e-7 (19 999 999) 6.0 s / 29 MB.

@@ -3,13 +3,14 @@
 Every solver in this package claims a saddle point: a policy whose worst
 case over beliefs equals a value no deviation can beat.  The checks here
 recompute both sides instead of the closed forms, and sample nothing.
-For a fixed policy the regret is linear in Nature's belief, so her best
-response over a convex family sits at an extreme point (the needle
-endpoints; all count profiles, reduced exactly to vertices 0 and 1), or,
-where it is a polynomial in one belief built in O(n), at the best point of
-a fixed 2001-point grid, polished by the bracketed Newton search the
-interim solver uses.  Against a fixed belief the DM's best response is a backward induction or a scan of
-pure plans.
+For a fixed policy the regret is linear in Nature's belief, a functional
+of a binary belief's tails (``core._regret_terms``), so her best response
+over a convex family sits at an extreme point (the needle endpoints, count
+profiles 0 and 1, the worst of all count profiles), or, where it is a
+polynomial in one belief built in O(n), at the best point of a fixed
+2001-point grid, polished by the bracketed Newton search the interim solver
+uses.  Against a fixed belief the DM's best response is a backward
+induction or a scan of pure plans.
 They report the two one-sided gaps:
 
 * ``nature_gap``: best belief deviation found, minus the claimed value
@@ -34,8 +35,6 @@ from .core import (
     SaddleReport,
     SizeError,
     StationaryPolicy,
-    StoppingMixture,
-    _mixture_sum,
     _peak_search,
     _plan_regrets,
     _regret_indep_poly,
@@ -99,9 +98,14 @@ def nature_best_response_needle(policy: StationaryPolicy, spec: HomogeneousSpec)
     ``(P_star, regret)`` with ``P_star`` 1 only if the value there beats
     the value at 0 by more than 1e-12 (a flat saddle line reports 0).
     """
-    values = regret_needle(policy, np.array([0.0, 1.0]), spec)
-    P_star = 1 if values[1] > values[0] + 1e-12 else 0
+    values, P_star = _worst_end(policy, spec)
     return float(P_star), float(values[P_star])
+
+
+def _worst_end(policy: StationaryPolicy, spec: HomogeneousSpec):
+    """The regrets at ``P = 0`` and ``P = 1``, count-profile vertices 0 and 1, and the end reported as worst."""
+    values = regret_needle(policy, np.array([0.0, 1.0]), spec)
+    return values, int(values[1] > values[0] + 1e-12)
 
 
 def saddle_check_indep(spec: HomogeneousSpec, tol: float = 1e-6, seed: int = 0) -> SaddleReport:
@@ -132,16 +136,6 @@ def saddle_check_indep(spec: HomogeneousSpec, tol: float = 1e-6, seed: int = 0) 
     return SaddleReport(worst - sol.regret, sol.regret - best, IidBinary(p_star), tol)
 
 
-def _vertex_regrets(w: np.ndarray, spec: HomogeneousSpec) -> np.ndarray:
-    """Regrets of stopping weights ``w`` at count-profile vertices 0 and 1 (no full box, one).
-
-    Rows 0 and 1 of the tail table, row 0 zeroed; each is computed as it would be alone.
-    """
-    tails = _tail_table(spec.n, [0, 1])
-    tails[0] = 0.0
-    return _mixture_sum(w, _plan_regrets(tails, spec))
-
-
 def saddle_check_corr(
     spec: HomogeneousSpec,
     tol: float = 1e-9,
@@ -151,17 +145,18 @@ def saddle_check_corr(
     """Check a correlated-rewards solution against belief and plan deviations.
 
     Nature's adversary class is all count profiles, reduced exactly to
-    vertices 0 and 1 (:func:`_vertex_regrets`), plus the needle endpoints of
-    :func:`nature_best_response_needle`.  The regret is linear in the
-    profile, so one of the ``n + 1`` vertices is worst; for j >= 1 vertex
-    j's tails ``C(n - j, i) / C(n, i)`` do not rise with j and weigh in
-    non-negatively, so no vertex j >= 2 beats vertex 1 (the hidden-treasure
-    lemma, bit for bit: each step is a correctly rounded, monotone operation
-    on non-negative numbers).  The DM's deviations are every pure
-    stop-after-m plan against the worst belief in commitment mode, and every
-    one-step stage deviation in intrapersonal mode.  All of it is O(n).
-    ``seed`` is validated and ignored: nothing is sampled, and it stays only
-    so that callers passing it keep working.
+    vertices 0 and 1, the needle endpoints of
+    :func:`nature_best_response_needle`, scored once.  The regret is linear
+    in the profile, so one of the ``n + 1`` vertices is worst; for j >= 1
+    vertex j's tails ``C(n - j, i) / C(n, i)`` do not rise with j and weigh
+    in non-negatively (``core._regret_terms``), so no vertex j >= 2 beats
+    vertex 1 (the hidden-treasure lemma, bit for bit: each step is a
+    correctly rounded, monotone operation on non-negative numbers).  The
+    DM's deviations are every pure stop-after-m plan against the worst
+    belief in commitment mode, and every one-step stage deviation in
+    intrapersonal mode.  All of it is O(n).  ``seed`` is validated and
+    ignored: nothing is sampled, and it stays only so that callers passing
+    it keep working.
     """
     _require_count(seed, "seed", 0)
     tol = _require_tolerance(tol, "tol")
@@ -173,9 +168,8 @@ def saddle_check_corr(
         raise DomainError(f"unknown mode {_shown(mode)}")
 
     n = spec.n
-    worst_P, worst = nature_best_response_needle(sol.policy, spec)
-    vertices = _vertex_regrets(StoppingMixture.from_policy(sol.policy).w, spec)
-    nature_gap = max(worst - sol.regret, (vertices - sol.regret).max())
+    vertices, worst_P = _worst_end(sol.policy, spec)
+    nature_gap = vertices.max() - sol.regret
 
     if mode == "commitment":
         # every pure stop-after-m plan against the worst needle [1 - P, P, 0, ...],

@@ -508,13 +508,16 @@ def corr_vertex_scan(w, spec):
 
     The full scan that the hidden-treasure lemma reduces to vertices 0 and 1
     in ``saddle_check_corr``: vertex ``j >= 1`` has row ``j`` of one
-    ``(n + 1, n + 1)`` tail table as its tails, vertex 0 none.
+    ``(n + 1, n + 1)`` tail table as its tails, vertex 0 none, and all rows
+    are scored at once by the functional ``K (1 - T_0) + sum_i v_i T_i`` of
+    ``core._regret_terms``, each sum left to right.
     """
-    from robust_pandora.core import _mixture_sum, _plan_regrets, _tail_table
+    from robust_pandora.core import _regret_terms, _tail_table
 
     tails = _tail_table(spec.n, np.arange(spec.n + 1))
     tails[0] = 0.0
-    return _mixture_sum(w, _plan_regrets(tails, spec))
+    K, v = _regret_terms(np.asarray(w, dtype=float), spec)
+    return K * (1.0 - tails[:, 0]) + np.cumsum(v * tails, axis=1)[:, -1]
 
 
 def corr_profile_loop(spec, tol=1e-9, q_draws=1000, mode="commitment", seed=0):
@@ -584,6 +587,26 @@ def stopping_weights_loop(alphas):
         tail *= a
     w.append(tail)
     return w
+
+
+def needle_recursion(alphas, P, spec):
+    """``regret_needle`` by its stage loop, one Python step per box.
+
+    A failed opening updates the treasure probability to ``P (k-1) / (k - P)``
+    on the ``k-1`` remaining boxes, which keeps 0 and 1 fixed, and the regret
+    is linear in the belief, so it is ``(1 - P) R_empty + P R_treasure``
+    with ``R_0 = 0`` and
+
+        R_empty_k = a_k (c + R_empty_{k-1}),
+        R_treasure_k = (1 - a_k) (ubar - c) + a_k (1 - 1/k) (c + R_treasure_{k-1}).
+    """
+    ubar, c = spec.ubar, spec.c
+    empty = treasure = 0.0
+    for k, a in enumerate(np.asarray(alphas, dtype=float).tolist(), start=1):
+        empty = a * (c + empty)
+        treasure = (1.0 - a) * (ubar - c) + a * (1.0 - 1.0 / k) * (c + treasure)
+    P = np.asarray(P, dtype=float)
+    return (1.0 - P) * empty + P * treasure
 
 
 def indep_recursion(alphas, p, spec):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robust_pandora.corr import solve_corr_commitment, solve_corr_intrapersonal
+from robust_pandora.corr import single_treasure_equivalent, solve_corr_commitment, solve_corr_intrapersonal
 from robust_pandora.indep import solve_indep
 from robust_pandora.interim import solve_interim
 
@@ -22,7 +22,6 @@ from robust_pandora.core import (
     StoppingMixture,
     _MAX_COUNT_BOXES,
     _MAX_SPEC_BOXES,
-    _mixture_regrets,
     _plan_regrets,
     _regret_indep_poly,
     _tail_table,
@@ -34,6 +33,7 @@ from robust_pandora.core import (
 )
 
 from oracles import (
+    corr_vertex_scan,
     count_profile_states,
     first_success_by_orders,
     first_success_cumsum,
@@ -43,6 +43,7 @@ from oracles import (
     indep_poly_loop,
     indep_recursion,
     mixture_regret,
+    needle_recursion,
     needle_states,
     plan_regrets_masked,
     stopping_weights_loop,
@@ -265,6 +266,23 @@ class TestRegretNeedle:
         r = regret_needle(policy, np.array([0.1, 0.45, 0.8]), spec)
         assert r[1] - r[0] == pytest.approx(r[2] - r[1], abs=1e-12)
 
+    def test_matches_the_stage_loop(self):
+        # the (K, v) functional against the per-box stage loop, within
+        # n eps max(|R|, ubar) (0.50 of it measured): 600 specs with n
+        # log-uniform in 1..5000 and c/ubar log-uniform in 1e-3..0.9; the
+        # commitment solver's, a random, the all-ones and a [0.9, 1] policy;
+        # P at both ends and at 8 random points
+        rng = np.random.default_rng(34)
+        for _ in range(600):
+            n = int(np.exp(rng.uniform(0.0, np.log(5000))))
+            ubar = float(rng.uniform(0.5, 2.0))
+            spec = HomogeneousSpec(ubar, ubar * float(10 ** rng.uniform(-3.0, np.log10(0.9))), n)
+            P = np.append(rng.random(8), [0.0, 1.0])
+            solved = solve_corr_commitment(spec).policy.alphas
+            for alphas in (solved, rng.random(n), np.ones(n), rng.uniform(0.9, 1.0, n)):
+                got, want = regret_needle(StationaryPolicy(alphas), P, spec), needle_recursion(alphas, P, spec)
+                assert np.all(np.abs(got - want) <= n * EPS * np.maximum(np.abs(want), ubar)), spec
+
     def test_long_menu_has_no_depth_limit(self):
         # c below 2 ubar / (n + 1), so the commitment plan still searches
         spec = HomogeneousSpec(1.0, 5e-4, 3000)
@@ -275,7 +293,8 @@ class TestRegretNeedle:
         assert r.max() <= sol.regret + 1e-9
 
     def test_long_menu_memory_is_sublinear(self):
-        # two scalar recursions; all n beliefs of 8 kB at once would take 24 MB
+        # a few arrays of n + 1 floats for the weights, the terms and one row
+        # of tails; all n beliefs of 8 kB at once would take 24 MB
         spec = HomogeneousSpec(1.0, 5e-4, 3000)
         policy = solve_corr_commitment(spec).policy
         tracemalloc.start()
@@ -376,16 +395,32 @@ class TestStoppingMixture:
 
 class TestFirstSuccessProbabilities:
     def test_size_cap(self):
-        # refused before any (n, n + 1) table is built
-        n = _MAX_COUNT_BOXES + 1
+        # refused before the table is built: one row of n + 1 tails per count
+        # that holds mass, at most 5 000 x 5 001 cells; mass on every count
+        # at 5 001 boxes is past it, and so is mass on 30 counts at 10^6
+        for n, held in ((_MAX_COUNT_BOXES + 1, np.arange(_MAX_COUNT_BOXES + 2)), (10**6, np.arange(1, 31))):
+            Q = np.zeros(n + 1)
+            Q[held] = 1.0 / held.size
+            with pytest.raises(SizeError):
+                first_success_probabilities(Q)
+            w = np.zeros(n + 1)
+            w[n] = 1.0
+            with pytest.raises(SizeError):
+                regret_count_profile(StoppingMixture(w), CountProfile(Q), HomogeneousSpec(1.0, 1e-5, n))
+
+    def test_single_treasure_runs_at_a_million_boxes(self):
+        # a single-treasure profile is one table row, so no box cap applies:
+        # at 10^6 boxes q is uniform and the regret is the needle's
+        n, P = 10**6, 0.6
+        spec = HomogeneousSpec(1.0, 1e-6, n)
         Q = np.zeros(n + 1)
-        Q[1] = 1.0
-        with pytest.raises(SizeError):
-            first_success_probabilities(Q)
-        w = np.zeros(n + 1)
-        w[n] = 1.0
-        with pytest.raises(SizeError):
-            regret_count_profile(StoppingMixture(w), CountProfile(Q), HomogeneousSpec(1.0, 1e-5, n))
+        Q[:3] = 0.4, 0.5, 0.1
+        flat = single_treasure_equivalent(CountProfile(Q))
+        q = first_success_probabilities(flat.Q)
+        assert q.shape == (n,) and np.all(np.abs(q - P / n) <= 1e-6 * P / n)
+        policy = solve_corr_commitment(spec).policy
+        got = regret_count_profile(StoppingMixture.from_policy(policy), flat, spec)
+        assert abs(got - regret_needle(policy, P, spec)) <= n * EPS
 
     def test_single_treasure_uniform(self):
         q = first_success_probabilities(np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
@@ -526,14 +561,16 @@ class TestFirstSuccessProbabilities:
         assert peak < 12e6
 
     def test_stacked_plan_regrets_equal_public_evaluator(self):
-        # the batch path behind the profile scan against one regret_count_profile call per row
+        # each row of the stacked vertex scan, the (K, v) functional on one
+        # (n + 1, n + 1) tail table, is one regret_count_profile call at that
+        # vertex, bit for bit
         rng = np.random.default_rng(43)
-        for n in (1, 5, 9, 32):
+        for n in (1, 5, 9, 32, 300):
             spec = HomogeneousSpec(1.0, 0.3 / n, n)
-            w = StoppingMixture.from_policy(StationaryPolicy(rng.random(n)))
-            stack = rng.dirichlet(np.ones(n + 1), size=50)
-            values = _mixture_regrets(w.w, stack, spec)
-            assert values.tolist() == [regret_count_profile(w, CountProfile(Q), spec) for Q in stack]
+            solved = StoppingMixture.from_policy(StationaryPolicy(rng.random(n)))
+            for w in (solved, StoppingMixture(rng.dirichlet(np.ones(n + 1)))):
+                got = [x.hex() for x in corr_vertex_scan(w.w, spec).tolist()]
+                assert got == [regret_count_profile(w, CountProfile(Q), spec).hex() for Q in np.eye(n + 1)], n
 
 
 def _draw_weights(data, n):

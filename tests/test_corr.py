@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robust_pandora.core import (
@@ -11,6 +11,7 @@ from robust_pandora.core import (
     StationaryPolicy,
     StoppingMixture,
     regret_count_profile,
+    regret_indep,
     regret_needle,
 )
 from robust_pandora.corr import (
@@ -24,7 +25,10 @@ from robust_pandora.corr import (
 from robust_pandora.indep import solve_indep
 from robust_pandora.interim import solve_interim
 
+from oracles import needle_recursion
+
 SPEC = HomogeneousSpec(1.0, 0.25, 3)
+EPS = np.finfo(float).eps
 
 
 def random_spec(rng, n_low=1, n_high=12):
@@ -125,6 +129,28 @@ class TestIntrapersonal:
         assert sol.regret_per_k.size == 3 and sol.optout_threshold > 100_000
         with pytest.raises(SizeError):
             solve_corr_intrapersonal(HomogeneousSpec(1.0, 1e-7, 3))
+
+    def test_refusal_point_follows_law_one(self):
+        # the refusal point is z*^2/8 = 0.8348902 of the opt-out menu size,
+        # z* = 2.5843996 the root of z I_1(z) = 2 I_0(z) (I_0 and I_1 by their
+        # power series): within one box on a log grid of c/ubar over
+        # 1e-5..0.3 (at most 0.80 box measured)
+        k = np.arange(30.0)
+        factorial = np.cumprod(np.maximum(k, 1.0))
+
+        def excess(z):
+            h = (z / 2.0) ** (2.0 * k)
+            return z * (h * (z / 2.0) / (factorial * factorial * (k + 1.0))).sum() - 2.0 * (h / factorial**2).sum()
+
+        lo, hi = 2.0, 3.0
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if excess(mid) > 0.0 else (mid, hi)
+        assert (round(lo, 7), round(lo * lo / 8.0, 7)) == (2.5843996, 0.8348902)
+        for ratio in np.append(np.logspace(-5.0, np.log10(0.3), 25), [0.1, 0.03, 0.01, 1e-3, 1e-4]):
+            spec = HomogeneousSpec(1.0, float(ratio), 5)
+            threshold = solve_corr_intrapersonal(spec).optout_threshold
+            assert abs(threshold - lo * lo / 8.0 * optout_menu_size(spec)) <= 1.0, ratio
 
     def test_refusal_below_commitment_bound(self):
         rng = np.random.default_rng(53)
@@ -237,3 +263,30 @@ def test_values_ordered_by_nested_classes(n, ratio, ubar):
     assert indep <= commitment + 1e-12
     assert commitment <= solve_corr_intrapersonal(spec).regret + 1e-12
     assert solve_interim(spec).regret <= indep + 1e-12
+
+
+@given(st.floats(-5.0, np.log10(0.9)), st.sampled_from([-1, 0, 1]), st.floats(0.5, 2.0))
+@example(-5.0, 1, 1.0)  # 200 000 boxes
+@example(np.log10(0.9), -1, 1.0)  # one box
+@settings(max_examples=30, deadline=None)
+def test_needle_ends_at_the_optout_size(exponent, step, ubar):
+    # the commitment policy one box below, at and above the opt-out size: the
+    # needle's ends are count-profile vertices 0 and 1 bit for bit (past
+    # 5 000 boxes too), and regret_indep at p = 0 and regret_needle agree
+    # with the stage loop within n eps max(|R|, ubar)
+    c = ubar * 10.0**exponent
+    n = optout_menu_size(HomogeneousSpec(ubar, c, 1)) + step
+    spec = HomogeneousSpec(ubar, c, n)
+    policy = solve_corr_commitment(spec).policy
+    w = StoppingMixture.from_policy(policy)
+    ends = regret_needle(policy, np.array([0.0, 1.0]), spec)
+    vertices = []
+    for j in (0, 1):
+        Q = np.zeros(n + 1)
+        Q[j] = 1.0
+        vertices.append(regret_count_profile(w, CountProfile(Q), spec))
+    assert [x.hex() for x in ends.tolist()] == [x.hex() for x in vertices]
+    want = needle_recursion(policy.alphas, np.array([0.0, 1.0]), spec)
+    bound = n * EPS * np.maximum(np.abs(want), ubar)
+    assert np.all(np.abs(ends - want) <= bound)
+    assert abs(regret_indep(policy, 0.0, spec) - want[0]) <= bound[0]

@@ -34,7 +34,7 @@ README_STDOUT = {
     "solve --regime het --boxes 1:0.2,1:0.4": "1da2d79ab24a1fc707ffe9a1ab6e2e6413194d49e654304388d10044dfebf0fc",
     "sweep --regime indep --sweep n --from 1 --to 50 --ubar 1 --c 0.3": "45596402470eeea2d861a573d44e2e7f0596e675e1930a80a7b6826e062eb14c",
     "sweep --regime het --sweep delta --from 0 --to 0.5 --steps 30 --ubar 1 --ctotal 0.6": "475118c1adef4f93687f28cd52cff26ef43d9361cd70f264c510e6155dd577e3",
-    "verify --regime indep --ubar 1 --c 0.3 --n 4 --tol 1e-6": "70af1625db8db4d2822adcc93fe694c8c43a580b43176f8f26ba501445b5ff0a",
+    "verify --regime indep --ubar 1 --c 0.3 --n 4 --tol 1e-6": "fa663a6a3721527bddc09628dbca92cb515846ab86ce44121f440a76b8addc19",
     "verify --regime two-box --ubar 1 --c 0.2 --grid 200": "fd4e834f4ace90f6a919e7ebbb949a1a841d6e31616cfe990af6d4898eeb877a",
     "simulate --regime indep --ubar 1 --c 0.3 --n 5 --truth iid:0.3 --episodes 1000000 --seed 42": "990760b391ba5baf5bbff44b5ec163ed8d56f3e781e5d8b3e90034796710d043",
 }
@@ -53,7 +53,7 @@ CLI_STDOUT = {
     "sweep --regime corr --sweep n --from 1 --to 12 --ubar 1 --c 0.25": "3f0998a880cd7bd6a84ce32c728831eabad76cb5cb843aa642675e72fe725b37",
     "sweep --regime two-box --sweep ubar --from 0.5 --to 1.5 --steps 9 --c 0.2": "105fa344b4b396f8f57cb21f44167aeb90739c558e98d86023fae2cb7870d155",
     "verify --regime corr --ubar 1 --c 0.1 --n 6": "25f25e0a01bcadb0eb651e82afcb3d98e6285d565714c1ce604d64fb26400255",
-    "verify --regime corr-intra --ubar 1 --c 0.1 --n 6": "808ba82cb091c26eecad7c21773c8100fdbd0758d9035615e7c74de3f5ad3379",
+    "verify --regime corr-intra --ubar 1 --c 0.1 --n 6": "77df5f47b3a7866a9c6ccaaf8d0b16811f9c000fcf120e18bdcc92c63f256dff",
     "verify --regime two-box --ubar 1 --c 0.3 --grid 200": "17ed2f90da91951ecb8a6e32083135aaea204fedce1f80132ca616f523043cf4",
     # ubar/c = 8, the widest passing band, several blocks; and the quit
     # regime, whose worst pair comes from a row of ties
@@ -71,10 +71,10 @@ CLI_STDOUT = {
 # verify --policy-file, the claim file written as claim.json (the note prints
 # its basename): (regime, c, n, alpha[0] tampered to 0.2, exit code, digest)
 POLICY_FILE_STDOUT = [
-    ("indep", 0.3, 4, False, 0, "9dfe9d127e27e12edea1e5b7b5d047295aa46ae045c0985dd230648d09ce9727"),
-    ("indep", 0.3, 4, True, 3, "8abaca9b089b2ed2988d1438e3969cc9b8b7fb12fa68f0d653fe535dcbde7608"),
-    ("corr", 0.1, 6, False, 0, "1b22d44f415300d7c21936b1b0cccd0289eb7202a3b11102fc2fa5d617c888dd"),
-    ("corr-intra", 0.1, 6, False, 0, "b5c8259e6a89d00e26448185530b06a4f608d1eb436d8391cd2383440b8dd08c"),
+    ("indep", 0.3, 4, False, 0, "cee01a9486c7857cbacd102de75f7a7aba4c69a2262dbc5fa4ad1e294568dc70"),
+    ("indep", 0.3, 4, True, 3, "add6f5b95fd688c2972e4d63e523332ba3bb42dc215299bfbad9efaf23f10c96"),
+    ("corr", 0.1, 6, False, 0, "90228272e1cc51a933398c936ebfe34c3387f7393bf88d9d6a5cd8444f87485f"),
+    ("corr-intra", 0.1, 6, False, 0, "f233c159ba8558dbf6b2716b53f0adecc8ea2f91f43b8b3128c94563484cd17b"),
 ]
 
 DEMO_STDOUT = {

@@ -15,6 +15,7 @@ from robust_pandora.core import (
     NeedleP,
     StationaryPolicy,
     StoppingMixture,
+    _needle_ends,
     regret_count_profile,
     regret_needle,
 )
@@ -22,7 +23,6 @@ from robust_pandora.corr import single_treasure_equivalent, solve_corr_commitmen
 from robust_pandora.indep import solve_indep
 from robust_pandora.interim import solve_interim
 from robust_pandora.verify import (
-    _vertex_regrets,
     interim_grid_oracle,
     nature_best_response_indep,
     nature_best_response_needle,
@@ -258,8 +258,9 @@ class TestSaddleCheckCorr:
     @settings(max_examples=60, deadline=None)
     def test_two_vertices_are_the_whole_scan(self, n, ratio, kind, seed, mode):
         # the lemma bit for bit: for any stopping weights no vertex j >= 2
-        # beats vertex 1, so rows 0 and 1, each computed alone, give the
-        # maximum of all n + 1; and the check equals the one-profile loop
+        # beats vertex 1, so the needle's two ends, vertices 0 and 1 scored
+        # alone, give the maximum of all n + 1; and the check equals the
+        # one-profile loop
         spec = HomogeneousSpec(1.0, ratio, n)
         rng = np.random.default_rng(seed)
         if kind == "flat":
@@ -269,9 +270,9 @@ class TestSaddleCheckCorr:
         else:
             w = np.zeros(n + 1)
             w[{"first": 0, "last": n, "point": int(rng.integers(n + 1))}[kind]] = 1.0
-        values, two = corr_vertex_scan(w, spec), _vertex_regrets(w, spec)
-        assert two.max().hex() == values.max().hex()
-        assert [v.hex() for v in two.tolist()] == [v.hex() for v in values[:2].tolist()]
+        values, two = corr_vertex_scan(w, spec), _needle_ends(w, spec)
+        assert max(two).hex() == values.max().hex()
+        assert [float(v).hex() for v in two] == [v.hex() for v in values[:2].tolist()]
         assert np.all(values[2:] <= values[1])
         got, want = saddle_check_corr(spec, mode=mode), corr_profile_loop(spec, q_draws=0, mode=mode)
         assert (got.nature_gap.hex(), got.dm_gap.hex()) == (want.nature_gap.hex(), want.dm_gap.hex())
