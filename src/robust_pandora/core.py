@@ -383,7 +383,7 @@ def _peak_search(at, lo: float, hi: float, x: float, flat: float = 0.0):
     except at the start: a start whose value is 0 is kept when its slope is
     at most ``flat`` in size, and with ``flat`` infinite so is a start whose
     value is below the least normal float (``interim._HighBranch.maximize``
-    says why; the i.i.d. regret is positive at its best grid point).  The
+    says why; the i.i.d. regret is positive inside (0, 1)).  The
     search ends once a step rounds to ``x`` itself or the bracket closes to
     adjacent floats; past its bound it raises :class:`ConvergenceError`.
     """
@@ -468,13 +468,8 @@ def _needle_ends(w: np.ndarray, spec: HomogeneousSpec):
 # process on a 2-vCPU x86-64 VM, regret_count_profile against a Dirichlet
 # profile / its flattening: n = 1000 0.013-0.018 / 0.0002 s, 42 / 35 MB;
 # 5000 0.29-0.37 / 0.0003 s, 226 / 35 MB; a flattening is one row, so at
-# 1e7 boxes 0.50-0.66 s / 487 MB.  The same box cap bounds
-# nature_best_response_indep and interim_grid_oracle.  Wall time on the
-# same VM at n = 1000 / 5000 / 20 000: saddle_check_indep (c/ubar = 0.3, a
-# 2001-point scan of an O(n) polynomial) 0.007-0.008 / 0.04 / 0.28-0.29 s,
-# linear in n, so about 2.5 minutes at the spec cap of 10 000 000 boxes
-# (extrapolated, not run); interim_grid_oracle (2n rows of 2001 beliefs)
-# 0.02 s at n = 100 and 1.8 s at 5000.
+# 1e7 boxes 0.50-0.66 s / 487 MB.  interim_grid_oracle (2n rows of 2001
+# beliefs) shares the cap: 0.02 s at n = 100, 1.8 s at 5000.
 _MAX_COUNT_BOXES = 5000
 
 

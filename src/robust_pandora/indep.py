@@ -5,7 +5,9 @@ probability that makes searching a fair bet, ``p_hat = c / ubar``.  The DM
 in turn randomizes between opening one more box and quitting, with a search
 probability that shrinks as the menu grows: the model's basic choice-overload
 prediction.  The commitment plan and the no-commitment (intrapersonal)
-equilibrium coincide here, so one solver covers both.
+equilibrium coincide in value here, so one solver covers both.  At ``p_hat``
+every stopping mixture is a best response, so the minimax rules form a set;
+the rule returned is its dynamically consistent selection.
 """
 
 from __future__ import annotations

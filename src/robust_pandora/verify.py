@@ -7,10 +7,10 @@ For a fixed policy the regret is linear in Nature's belief, a functional
 of a binary belief's tails (``core._regret_terms``), so her best response
 over a convex family sits at an extreme point (the needle endpoints, count
 profiles 0 and 1, the worst of all count profiles), or, where it is a
-polynomial in one belief built in O(n), at the best point of a fixed
-2001-point grid, polished by the bracketed Newton search the interim solver
-uses.  Against a fixed belief the DM's best response is a backward
-induction or a scan of pure plans.
+polynomial in one belief built in O(n), at its one peak (by Descartes'
+rule of signs), bracketed by bisection and found by the interim solver's
+Newton search.  Against a fixed belief the DM's best response is a
+backward induction or a scan of pure plans.
 They report the two one-sided gaps:
 
 * ``nature_gap``: best belief deviation found, minus the claimed value
@@ -57,23 +57,22 @@ __all__ = [
     "interim_grid_oracle",
 ]
 
-# interim_grid_oracle's beliefs, and nature_best_response_indep's start grid in 1 - p
-_P_GRID = np.linspace(0.0, 1.0, 2001)
+_P_GRID = np.linspace(0.0, 1.0, 2001)  # interim_grid_oracle's beliefs
 
 
 def nature_best_response_indep(policy: StationaryPolicy, spec: HomogeneousSpec):
-    """Worst i.i.d. success probability against a fixed policy.
+    """Worst i.i.d. success probability against a fixed policy: ``(p_star, regret)``.
 
-    The regret is a polynomial of degree ``n`` in ``x = 1 - p``, whose
-    coefficients :func:`core._regret_indep_poly` builds in O(n), the same
-    ones :func:`core.regret_indep` evaluates.  Its best point among the 2001
-    of ``_P_GRID`` (``np.polyval``) starts :func:`core._peak_search` on the
-    two grid cells around it, with the value, slope and curvature from one
-    Horner pass over the coefficients.  Returns ``(p_star, regret)``.  More
-    than 5 000 boxes raise :class:`SizeError`: the scan takes O(2001 n) work.
+    The regret is a polynomial of degree ``n`` in ``x = 1 - p``, built in O(n)
+    by :func:`core._regret_indep_poly`; below the top its coefficients are the
+    non-negative ``v_i`` of ``core._regret_terms``, so by Descartes' rule of
+    signs it rises, then falls, on [0, 1].  A slope >= 0 at ``x = 1`` puts the
+    worst case at ``p = 0``, and ``v_0 + ... + v_{n-1}`` rounding to ``v_0`` at
+    ``p = 1``.  Otherwise a bisection on the slope's sign over the bit
+    patterns of [0, 1], probing ``1/n`` either side of ``1 - c/ubar`` first,
+    brackets the peak within a factor ``1 + 2/n`` for :func:`core._peak_search`
+    (from far right of the peak a Newton step moves ``x`` by only about ``x/n``).
     """
-    if spec.n > _MAX_COUNT_BOXES:
-        raise SizeError(f"i.i.d. regret polynomial limited to {_MAX_COUNT_BOXES} boxes, got {_shown(spec.n)}")
     coef = _regret_indep_poly(policy, spec)
     terms = coef.tolist()
 
@@ -85,9 +84,20 @@ def nature_best_response_indep(policy: StationaryPolicy, spec: HomogeneousSpec):
             value = value * x + a
         return value, slope, 2.0 * half_bend
 
-    best = int(np.argmax(np.polyval(coef, _P_GRID)))
-    lo, hi = _P_GRID[max(best - 1, 0)], _P_GRID[min(best + 1, _P_GRID.size - 1)]
-    x, worst = _peak_search(at, float(lo), float(hi), float(_P_GRID[best]))
+    value, slope, _ = at(1.0)
+    if slope >= 0.0:
+        return 0.0, value
+    if terms[-1] + float(coef[1:-1].sum()) == terms[-1]:
+        return 1.0, terms[-1]
+    lo, x, hi = np.array([0.0, 1.0 - spec.c / spec.ubar, 1.0]).view(np.int64).tolist()
+    width = (1 << 52) // spec.n
+    probes = [x + width, x - width]
+    while hi - lo > 2 * width:
+        bits = probes.pop() if probes else (lo + hi) // 2
+        if lo < bits < hi:
+            lo, hi = (bits, hi) if at(float(np.int64(bits).view(np.float64)))[1] >= 0.0 else (lo, bits)
+    lo, x, hi = np.array([lo, x, hi]).view(np.float64).tolist()
+    x, worst = _peak_search(at, lo, hi, x if lo < x < hi else hi)
     return 1.0 - x, worst
 
 
@@ -111,14 +121,11 @@ def _worst_end(policy: StationaryPolicy, spec: HomogeneousSpec):
 def saddle_check_indep(spec: HomogeneousSpec, tol: float = 1e-6, seed: int = 0) -> SaddleReport:
     """Check the independent-rewards solution without using its closed forms.
 
-    Nature's side is :func:`nature_best_response_indep`: the 2001 success
-    probabilities of ``_P_GRID``, the best one polished by a bracketed
-    Newton search on the regret polynomial, built in O(n); more than 5 000
-    boxes raise :class:`SizeError`.  The DM's side is exact: her
-    best response to the worst-case (threshold) belief, an O(n) backward
-    induction, must not beat the value.  ``seed`` is validated and ignored:
-    nothing is sampled, and it stays only so that callers passing it keep
-    working.
+    Nature's side is :func:`nature_best_response_indep`, the one peak of the
+    regret polynomial.  The DM's side is exact: her best response to the
+    worst-case (threshold) belief, an O(n) backward induction, must not beat
+    the value.  ``seed`` is validated and ignored: nothing is sampled, and it
+    stays only so that callers passing it keep working.
     """
     _require_count(seed, "seed", 0)
     tol = _require_tolerance(tol, "tol")

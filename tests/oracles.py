@@ -652,6 +652,36 @@ def polyval(coef, x):
     return out
 
 
+def indep_grid_search(policy, spec):
+    """``nature_best_response_indep`` by the grid-started search that the proof replaced.
+
+    The regret polynomial's best point in ``x = 1 - p`` among 2001 fixed
+    beliefs (``np.polyval``) starts the shared peak search on the two grid
+    cells around it, with the value, slope and curvature from one Horner
+    pass.  It assumes one peak there and certifies none; a policy that
+    almost surely opts out puts the peak near ``x = 0``, where it may raise
+    ``ConvergenceError``.  Returns ``(p_star, regret)``.
+    """
+    from robust_pandora.core import _peak_search, _regret_indep_poly
+
+    coef = _regret_indep_poly(policy, spec)
+    terms = coef.tolist()
+
+    def at(x):
+        value = slope = half_bend = 0.0
+        for a in terms:
+            half_bend = half_bend * x + slope
+            slope = slope * x + value
+            value = value * x + a
+        return value, slope, 2.0 * half_bend
+
+    grid = np.linspace(0.0, 1.0, 2001)
+    best = int(np.argmax(np.polyval(coef, grid)))
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+    x, worst = _peak_search(at, float(lo), float(hi), float(grid[best]))
+    return 1.0 - x, worst
+
+
 def indep_descent_loop(spec, tol=1e-6, dm_probes=10_000, seed=0):
     """``saddle_check_indep`` with a sampled DM side: random probes, then coordinate descent.
 

@@ -266,6 +266,32 @@ class TestVerify:
         assert code == 3
         assert doc["results"]["nature_gap"] == pytest.approx(0.04, abs=1e-12)
 
+    def test_near_certain_optout_policy_file_exit_3(self, capsys, tmp_path):
+        # the first box is opened with chance 1e-250, so the worst case is a
+        # certain reward, 0.45 above the claim, though the regret's peak lies
+        # near x = 1e-63: one JSON report, nothing on stderr
+        path = tmp_path / "policy.json"
+        path.write_text('{"alpha": [1, 1, 1, 1, 1e-250], "regret": 0.5}')
+        argv = ["verify", "--regime", "indep", "--ubar", "1", "--c", "0.05", "--n", "5", "--policy-file", str(path)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        results = json.loads(captured.out)["results"]
+        assert results["passed"] is False
+        assert results["nature_gap"] == pytest.approx(0.45, abs=1e-15)
+
+    def test_flat_peak_far_from_the_start_policy_file_passes(self, capsys, tmp_path):
+        # at c = 1e-100 the search starts at x = 1.0, a factor 3 right of the
+        # peak, with 200 boxes: Newton steps alone would need about 220
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps({"alpha": [0.5] + [1] * 198 + [0.5], "regret": 0.5}))
+        argv = ["verify", "--regime", "indep", "--ubar", "1", "--c", "1e-100", "--n", "200", "--policy-file", str(path)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        results = json.loads(captured.out)["results"]
+        assert results["passed"] is True and results["nature_gap"] == 0.0
+
     def test_honest_policy_file_passes(self, capsys, tmp_path):
         spec = HomogeneousSpec(1.0, 0.3, 3)
         sol = solve_indep(spec)
@@ -291,6 +317,13 @@ class TestVerify:
             code, doc = run_json(capsys, "verify", "--regime", regime, "--ubar", "1", "--c", "0.001", "--n", "5001")
             assert code == 0, regime
             assert doc["results"]["passed"] is True and doc["results"]["notes"] == []
+
+    def test_indep_past_the_count_profile_cap(self, capsys):
+        # the indep check is O(n) per evaluation of its unimodal regret: one
+        # box past the 5 000-box count-profile cap passes
+        code, doc = run_json(capsys, "verify", "--regime", "indep", "--ubar", "1", "--c", "0.001", "--n", "5001")
+        assert code == 0
+        assert doc["results"]["passed"] is True and doc["results"]["notes"] == []
 
     def test_csv_format_quotes_notes(self, capsys):
         import csv as csv_mod
@@ -462,8 +495,8 @@ class TestBadInputs:
             (*DELTA, "--steps", "1000000000"),
             ("sweep", "--from", "0", "--to", "1", "--regime", "indep", "--sweep", "q", *HOMOG[:4], "--n", "10000000"),
             (*SWEEP, "--regime", "two-box", "--sweep", "ubar", "--c", "0.2", "--steps", "10001"),
-            ("verify", "--regime", "indep", *HOMOG[:4], "--n", "5001"),
-            ("verify", "--regime", "indep", *HOMOG[:4], "--n", "5001", "--policy-file", "VALID"),
+            ("verify", "--regime", "indep", *HOMOG[:4], "--n", "10000001"),
+            ("verify", "--regime", "indep", *HOMOG[:4], "--n", "10000001", "--policy-file", "VALID"),
             ("verify", "--regime", "corr", *HOMOG[:4], "--n", "10000001"),
             ("solve", "--regime", "het"),
             ("solve", "--regime", "het", "--boxes", "1:0.2,1-0.4"),

@@ -72,7 +72,7 @@ CLI_STDOUT = {
 # its basename): (regime, c, n, alpha[0] tampered to 0.2, exit code, digest)
 POLICY_FILE_STDOUT = [
     ("indep", 0.3, 4, False, 0, "cee01a9486c7857cbacd102de75f7a7aba4c69a2262dbc5fa4ad1e294568dc70"),
-    ("indep", 0.3, 4, True, 3, "add6f5b95fd688c2972e4d63e523332ba3bb42dc215299bfbad9efaf23f10c96"),
+    ("indep", 0.3, 4, True, 3, "8abaca9b089b2ed2988d1438e3969cc9b8b7fb12fa68f0d653fe535dcbde7608"),
     ("corr", 0.1, 6, False, 0, "90228272e1cc51a933398c936ebfe34c3387f7393bf88d9d6a5cd8444f87485f"),
     ("corr-intra", 0.1, 6, False, 0, "f233c159ba8558dbf6b2716b53f0adecc8ea2f91f43b8b3128c94563484cd17b"),
 ]

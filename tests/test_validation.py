@@ -27,7 +27,6 @@ from robust_pandora import (
     interim_grid_oracle,
     interim_regret,
     interim_two_box_intrapersonal,
-    nature_best_response_indep,
     psi,
     regret_count_profile,
     regret_het,
@@ -176,16 +175,14 @@ BAD_CALLS = {
     "sweep-ubar-huge-int": lambda: cost_asymmetry_sweep(10**400, 0.6, [0.0]),
 }
 
-# one box over the 5 000-box cap of the interim grid oracle and the i.i.d.
-# regret polynomial
+# one box over the 5 000-box cap of the interim grid oracle, which prices
+# 2n plan rows at 2001 beliefs
 OVER_CAP = HomogeneousSpec(1.0, 0.3, 5001)
 
 OVERSIZED_CALLS = {
     "spec-n-huge-int": lambda: HomogeneousSpec(1.0, 0.3, 10**400),
     "exhaustive-n-huge-int": lambda: exhaustive_utility(0.3, 10**400, SPEC),
     "interim-grid-oracle-n": lambda: interim_grid_oracle(OVER_CAP),
-    "nature-indep-n": lambda: nature_best_response_indep(StationaryPolicy(np.ones(5001)), OVER_CAP),
-    "saddle-indep-n": lambda: saddle_check_indep(OVER_CAP),
 }
 
 

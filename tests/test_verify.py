@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,9 @@ from robust_pandora.core import (
     StationaryPolicy,
     StoppingMixture,
     _needle_ends,
+    _regret_indep_poly,
     regret_count_profile,
+    regret_indep,
     regret_needle,
 )
 from robust_pandora.corr import single_treasure_equivalent, solve_corr_commitment
@@ -34,12 +37,14 @@ from oracles import (
     corr_profile_loop,
     corr_vertex_scan,
     indep_descent_loop,
+    indep_grid_search,
     indep_pure_plan_min,
     indep_recursion,
     interim_alpha_grid_oracle,
 )
 
 SPEC = HomogeneousSpec(1.0, 0.3, 3)
+EPS = np.finfo(float).eps
 
 
 class TestNatureBestResponse:
@@ -81,6 +86,126 @@ class TestNatureBestResponse:
             p_star, worst = nature_best_response_indep(StationaryPolicy(np.array([a1, a2])), spec)
             assert p_star == pytest.approx(1 - x, abs=1e-12)
             assert worst == pytest.approx((1 - a2) * d + lin * x + quad * x * x, abs=1e-15)
+
+    def test_never_optout_rule_is_minimax(self):
+        # at c/ubar = 0.05 and n = 2 the rule that never opts out faces the
+        # same worst case as the solver's rule, which opts out with chance
+        # 0.0512: minimax regret does not pin the opt-out probability
+        spec = HomogeneousSpec(1.0, 0.05, 2)
+        _, worst = nature_best_response_indep(StationaryPolicy([161 / 190, 1.0]), spec)
+        assert worst.hex() == solve_indep(spec).regret.hex() == "0x1.7b645a1cac085p-4"
+
+    def test_near_certain_optout(self):
+        # the first box is opened with chance 1e-250: the peak lies near
+        # x = 1e-63, where the value is v_0 to the last bit and a Newton
+        # search shrinks x by a constant factor per step
+        spec = HomogeneousSpec(1.0, 0.05, 5)
+        assert nature_best_response_indep(StationaryPolicy([1.0, 1.0, 1.0, 1.0, 1e-250]), spec) == (1.0, 0.95)
+
+    @pytest.mark.parametrize(
+        "n, alphas, p_star, worst",
+        [
+            (200, [0.5] + [1.0] * 198 + [0.5], 0.668333273915663, 0.5),
+            (5, [0.0, 1.0, 1.0, 1.0, 1e-15], 0.9999999999999992, 0.999999999999999),
+        ],
+    )
+    def test_peak_far_left_of_the_start(self, n, alphas, p_star, worst):
+        # at c = 1e-100 the search starts at x = 1 - c/ubar = 1.0.  With n =
+        # 200 and mass at both ends the peak is at x near 1/3, where Newton
+        # steps from the right shrink x by about 1/n each (about n ln 3 of
+        # them); with n = 5 and the rare first opening it is near 7e-17
+        # (about 130 steps).  Both exceeded the Newton search's bound of 100
+        # steps before the bisection bracketed the peak.
+        got = nature_best_response_indep(StationaryPolicy(alphas), HomogeneousSpec(1.0, 1e-100, n))
+        assert got == (p_star, worst)
+
+    @given(
+        st.integers(1, 2000),
+        st.floats(-300.0, math.log10(0.99)).map(lambda e: 10.0**e),
+        st.sampled_from(["log", "ends", "rare-first", "edge", "padded"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(5, 0.05, "rare-first", 0)
+    @example(1, 0.3, "ends", 0)
+    @example(2000, 1e-6, "edge", 0)
+    @example(200, 1e-100, "padded", 0)
+    @example(5, 1e-300, "rare-first", 1)
+    @settings(max_examples=80, deadline=None)
+    def test_never_raises_and_beats_dense_grid(self, n, ratio, kind, seed):
+        # c/ubar log-uniform down to 1e-300, so the search may start at x =
+        # 1.0 far right of the peak; stage probabilities log-uniform in
+        # [1e-300, 1], exact 0s and 1s, a first opening that almost never
+        # happens ("edge" puts the interior terms' sum near the rounding of
+        # v_0), or 1s padded by two drawn ends: no policy makes the search
+        # raise, and none of 20 001 beliefs beats it by more than the
+        # rounding slack 4 n eps ubar
+        rng = np.random.default_rng(seed)
+        ubar = float(rng.uniform(0.5, 2.0))
+        spec = HomogeneousSpec(ubar, ubar * ratio, n)
+        alphas = 10 ** rng.uniform(-300.0, 0.0, n)
+        if kind == "ends":
+            u = rng.random(n)
+            alphas[u < 1 / 3] = 0.0
+            alphas[u > 2 / 3] = 1.0
+        elif kind == "padded":
+            alphas[1:-1] = 1.0
+            alphas[[0, -1]] = rng.choice([0.5, float(rng.random()), float(alphas[0])], 2)
+        elif kind != "log":
+            if rng.random() < 0.5:
+                alphas[:] = 1.0
+            alphas[-1] = 10 ** (rng.uniform(-300.0, -8.0) if kind == "rare-first" else rng.uniform(-19.0, -13.0))
+        policy = StationaryPolicy(alphas)
+        p_star, worst = nature_best_response_indep(policy, spec)
+        assert 0.0 <= p_star <= 1.0
+        dense = regret_indep(policy, np.linspace(0.0, 1.0, 20_001), spec).max()
+        assert worst >= dense - 4 * n * EPS * ubar
+
+    @given(
+        st.integers(1, 5000),
+        st.floats(0.5, 2.0),
+        st.floats(1e-6, 0.99),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(4101, 1.0, 2.256988330900035e-4, True, 0)
+    @example(1, 1.0, 0.3, True, 0)
+    @example(5000, 1.0, 0.3, False, 0)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_grid_search_oracle(self, n, ubar, ratio, solver, seed):
+        # the search from the threshold belief against the grid-started
+        # search it replaced, for solver and uniform random policies: within
+        # 16 eps |R| (over 3 000 seeded specs, -7.7..+3.0 eps); at the
+        # ubar 1, n = 4101 spec the peak is sharp and inside the grid's
+        # first cell
+        spec = HomogeneousSpec(ubar, ubar * ratio, n)
+        policy = solve_indep(spec).policy if solver else StationaryPolicy(np.random.default_rng(seed).random(n))
+        got, want = nature_best_response_indep(policy, spec)[1], indep_grid_search(policy, spec)[1]
+        assert abs(got - want) <= 16 * EPS * abs(want), (spec, got, want)
+
+    @given(
+        st.integers(1, 3000),
+        st.floats(1e-6, 0.99),
+        st.sampled_from(["random", "point", "subnormal"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(1, 0.3, "point", 0)
+    @example(3, 0.5, "subnormal", 0)
+    @settings(max_examples=100, deadline=None)
+    def test_coefficients_change_sign_at_most_once(self, n, ratio, kind, seed):
+        # the premise of the unimodal search: below the top every coefficient
+        # of the regret polynomial is a sum of products of non-negative floats,
+        # so none is negative and the sequence changes sign at most once
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            alphas = rng.random(n)
+        elif kind == "point":
+            alphas = (rng.random(n) < 0.7).astype(float)
+        else:
+            alphas = np.where(rng.random(n) < 0.5, 1.0, rng.random(n) * np.finfo(float).tiny)
+        coef = _regret_indep_poly(StationaryPolicy(alphas), HomogeneousSpec(1.0, ratio, n))
+        assert np.all(coef[1:] >= 0.0)
+        signs = np.sign(coef[coef != 0.0])
+        assert np.count_nonzero(signs[1:] != signs[:-1]) <= 1
 
 
 class TestSaddleCheckIndep:
