@@ -261,7 +261,7 @@ def _check_policy_file(args, spec) -> SaddleReport:
         belief = NeedleP(P_star)
     name = os.path.basename(args.policy_file)
     notes = (f"checked policy file {name}", "dm_gap not priced: a policy file is checked on Nature's side only")
-    return SaddleReport(worst - float(claimed), 0.0, belief, args.tol, notes)
+    return SaddleReport(worst - float(claimed), 0.0, belief, args.tol * spec.ubar, notes)
 
 
 def _cmd_verify(args):
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="numerically check a solution's saddle point")
     add_common(verify)
     verify.add_argument("--regime", required=True, choices=("indep", "corr", "corr-intra", "two-box"))
-    verify.add_argument("--tol", type=float, default=1e-6)
+    verify.add_argument("--tol", type=float, default=1e-6, help="gap tolerance in units of ubar")
     verify.add_argument("--grid", type=int, default=None, help="two-box reward pairs per axis (default 2001)")
     verify.add_argument("--policy-file", default=None, help="JSON file with 'alpha' and 'regret' to check")
     verify.set_defaults(func=_cmd_verify)

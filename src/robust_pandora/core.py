@@ -167,8 +167,9 @@ _MAX_SPEC_BOXES = 10_000_000
 class HomogeneousSpec:
     """Symmetric search problem: ``n`` boxes, high reward ``ubar``, cost ``c``.
 
-    Construction raises :class:`DomainError` when ``ubar`` is not a positive
-    number, the cost is not a number in the open interval ``(0, ubar)``, or
+    Construction raises :class:`DomainError` when ``ubar`` is not a number
+    in [2**-300, 2**300], about [4.9e-91, 2.0e90], the cost is not a number
+    in the open interval ``(0, ubar)``, or
     ``n`` is not a positive integer (a bool is not a number), and
     :class:`SizeError` above 10 000 000 boxes.  The cost bounds are strict:
     a free search or a search that can never pay for itself both degenerate
@@ -193,9 +194,15 @@ class HomogeneousSpec:
 
 
 def _check_box(ubar, c, where: str = "") -> None:
-    """Raise :class:`DomainError`, prefixed by ``where``, unless ``0 < c < ubar`` are finite numbers."""
-    if not _finite_real(ubar) or ubar <= 0.0:
-        raise DomainError(f"{where}high reward must be positive, got {_shown(ubar)}")
+    """Raise :class:`DomainError`, prefixed by ``where``, unless ``2**-300 <= ubar <= 2**300`` and ``0 < c < ubar``.
+
+    Within that range the simulator's sums of squared regrets, 2^40 episodes
+    of regrets up to 10^7 ubar, stay finite with room to spare.
+    """
+    if not _finite_real(ubar) or not 2.0**-300 <= float(ubar) <= 2.0**300:
+        raise DomainError(
+            f"{where}high reward must lie in [2**-300, 2**300], about [4.9e-91, 2.0e90], got {_shown(ubar)}"
+        )
     if not _finite_real(c) or c <= 0.0 or c >= ubar:
         raise DomainError(f"{where}search cost must lie in (0, {ubar}), got {_shown(c)}")
 
@@ -420,7 +427,7 @@ def regret_needle(policy: StationaryPolicy, P, spec: HomogeneousSpec):
     """
     w = _stopping_weights(_alphas_for(policy, spec))
     P = _probability_array(P, "P")
-    empty, treasure = _needle_ends(w, spec)
+    empty, treasure, _ = _needle_ends(w, spec)
     r = (1.0 - P) * empty + P * treasure
     return float(r) if r.ndim == 0 else r
 
@@ -457,9 +464,11 @@ def _regret_terms(w: np.ndarray, spec: HomogeneousSpec):
 
 
 def _needle_ends(w: np.ndarray, spec: HomogeneousSpec):
-    """Regrets of stopping weights ``w`` at count-profile vertices 0 and 1, :func:`regret_count_profile`'s bits."""
+    """Regrets ``(K, R_1)`` of stopping weights ``w`` at count-profile vertices 0 and 1, :func:`regret_count_profile`'s
+    bits, and vertex 1's tail row ``T[i] = (n - i) / n``, which a needle of mass ``P`` scales to ``P T``."""
     K, v = _regret_terms(w, spec)
-    return K, np.cumsum(v * _tail_table(spec.n, [1])[0])[-1]
+    row = _tail_table(spec.n, [1])[0]
+    return K, np.cumsum(v * row)[-1], row
 
 
 # The count-profile path holds a tail table of n + 1 floats per count that
@@ -485,40 +494,31 @@ def first_success_probabilities(Q) -> np.ndarray:
 
     is the chance that some box is full and the first ``i`` openings miss
     them all, of which every regret is a linear functional
-    (:func:`_regret_terms`).  ``Q`` may stack profiles along leading axes,
-    ``(..., n + 1) -> (..., n)``; each row is computed exactly as it would
-    be on its own.  Each row must hold at least 2 probabilities summing to 1
-    within 1e-12, as a :class:`CountProfile` does, or :class:`DomainError`
-    is raised; more table cells, ``n + 1`` per count that holds mass, than
-    5 000 x 5 001 raise :class:`SizeError`.
+    (:func:`_regret_terms`).  ``Q`` must be one vector of at least 2
+    probabilities summing to 1 within 1e-12, as a :class:`CountProfile`
+    holds, or :class:`DomainError` is raised; more table cells, ``n + 1``
+    per count that holds mass, than 5 000 x 5 001 raise :class:`SizeError`.
     """
-    Q = _probability_array(Q, "count profile Q")
-    if Q.ndim == 0 or Q.shape[-1] < 2 or np.any(np.abs(Q.sum(axis=-1) - 1.0) > 1e-12):
-        raise DomainError(f"count profile Q needs rows of at least 2 entries summing to 1, got shape {Q.shape}")
-    tails = _tails(Q)
-    return tails[..., :-1] - tails[..., 1:]
+    tails = _tails(_probability_vector(Q, "count profile Q", 2, 1e-12))
+    return tails[:-1] - tails[1:]
 
 
-def _tails(Q) -> np.ndarray:
-    """The tails ``T_i(Q)``, ``i = 0..n``, of profiles ``Q``, ``(..., n + 1) -> (..., n + 1)``.
+def _tails(Q: np.ndarray) -> np.ndarray:
+    """The tails ``T_i(Q)``, ``i = 0..n``, of the profile ``Q``, a vector of ``n + 1`` floats.
 
     The sum runs over ``j`` in increasing order, one table row per count
-    ``j >= 1`` that holds mass in some profile: a term ``T * 0.0`` adds
-    exactly nothing, so a profile of ``s`` such counts costs O(s n).
+    ``j >= 1`` that holds mass: a term ``T * 0.0`` adds exactly nothing, so
+    a profile of ``s`` such counts costs O(s n).
     """
-    Q = np.asarray(Q, dtype=float)
-    n = Q.shape[-1] - 1
-    held = np.flatnonzero(np.any(Q[..., 1:] != 0.0, axis=tuple(range(Q.ndim - 1)))) + 1
+    n = Q.size - 1
+    held = np.flatnonzero(Q[1:]) + 1
     cells = _MAX_COUNT_BOXES * (_MAX_COUNT_BOXES + 1)
     if held.size * (n + 1) > cells:
         raise SizeError(f"count-profile tables limited to {cells} cells, got {held.size} x {n + 1}")
     table = _tail_table(n, held)
-    if Q.ndim == 1:  # in place: a second table would double the peak
-        table *= Q[held, None]
-    else:
-        table = table * Q[..., held, None]
+    table *= Q[held, None]  # in place: a second table would double the peak
     # the rows of a C-contiguous array, added in order, vectorized across columns
-    return np.add.reduce(table, axis=-2, initial=0.0)
+    return np.add.reduce(table, axis=0, initial=0.0)
 
 
 def _tail_table(n: int, counts) -> np.ndarray:
@@ -541,22 +541,20 @@ def _tail_table(n: int, counts) -> np.ndarray:
 def _plan_regrets(tails: np.ndarray, spec: HomogeneousSpec) -> np.ndarray:
     """Conditional regret of each plan "stop after ``m`` failures", ``m = 0..n``; overwrites ``tails``.
 
-    ``tails`` holds the tails ``T_i`` of count profiles along leading axes,
-    ``(..., n + 1) -> (..., n + 1)``.  The plan opens box ``i + 1`` with a
-    full box unfound with chance ``T_i``; summing its waste by parts gives
+    ``tails`` holds the tails ``T_i``, ``i = 0..n``, of one count profile.
+    The plan opens box ``i + 1`` with a full box unfound with chance
+    ``T_i``; summing its waste by parts gives
     ``c sum_{1 <= i < m} T_i + ubar T_m + (1 - T_0) m c`` for ``m >= 1``
     (``1 - T_0`` is the mass on no full box) and ``(ubar - c) T_0`` for
-    ``m = 0``.  Every sum runs left to right, so a row's values do not
-    depend on the rows stacked with it.
+    ``m = 0``.  Every sum runs left to right.
     """
     out = np.zeros_like(tails)
-    np.cumsum(tails[..., 1:-1], axis=-1, out=out[..., 2:])
+    np.cumsum(tails[1:-1], out=out[2:])
     out *= spec.c
-    # the m c term of each row; where rest == 0 it adds +0.0 to non-negative entries
-    rest = 1.0 - tails[..., 0]
-    out += rest[..., None] * (np.arange(out.shape[-1]) * spec.c)
-    out[..., 0] = (spec.ubar - spec.c) * tails[..., 0]
-    out[..., 1:] += np.multiply(tails[..., 1:], spec.ubar, out=tails[..., 1:])
+    # the m c term; where 1 - T_0 == 0 it adds +0.0 to non-negative entries
+    out += (1.0 - tails[0]) * (np.arange(out.size) * spec.c)
+    out[0] = (spec.ubar - spec.c) * tails[0]
+    out[1:] += np.multiply(tails[1:], spec.ubar, out=tails[1:])
     return out
 
 

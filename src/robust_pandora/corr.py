@@ -17,8 +17,8 @@ every stage, and opts out at a smaller menu size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import ceil
 
 import numpy as np
 
@@ -105,12 +105,18 @@ def single_treasure_equivalent(Q: CountProfile) -> CountProfile:
 
 
 def optout_menu_size(spec: HomogeneousSpec) -> int:
-    """Smallest integer n with n >= (2 ubar - c) / c (boundary opts out)."""
+    """Smallest integer n with n >= (2 ubar - c) / c (boundary opts out).
+
+    Past float range (``c/ubar`` below about 1e-308) the ratio is taken exactly.
+    """
     t = (2.0 * spec.ubar - spec.c) / spec.c
+    if t == math.inf:  # ceil(a/b / (p/q)) in integers
+        (a, b), (p, q) = (2.0 * spec.ubar - spec.c).as_integer_ratio(), spec.c.as_integer_ratio()
+        return -(-a * q // (b * p))
     nearest = round(t)
     if abs(t - nearest) < 1e-9 * max(1.0, abs(t)):
         return int(nearest)
-    return int(ceil(t))
+    return math.ceil(t)
 
 
 def solve_corr_commitment(spec: HomogeneousSpec) -> CorrSolution:
@@ -128,12 +134,9 @@ def solve_corr_commitment(spec: HomogeneousSpec) -> CorrSolution:
     ubar, c, n = spec.ubar, spec.c, spec.n
     nbar = optout_menu_size(spec)
     ks = np.arange(1, n + 1, dtype=float)
-    regret_per_k = np.where(
-        ks < nbar,
-        (ubar - c) * c * ks / (ubar - c + (ks + 1) * c / 2.0),
-        ubar - c,
-    )
-    worst_P = np.where(ks < nbar, ks * c / (ubar + (ks - 1) * c / 2.0), 1.0)
+    searching = ks < min(nbar, n + 1)  # nbar may be past float range
+    regret_per_k = np.where(searching, (ubar - c) * c * ks / (ubar - c + (ks + 1) * c / 2.0), ubar - c)
+    worst_P = np.where(searching, ks * c / (ubar + (ks - 1) * c / 2.0), 1.0)
     alphas = np.ones(n)
     if n >= nbar:
         # stages below n are never reached; pin them for determinism

@@ -89,7 +89,9 @@ class HeterogeneousSpec:
     Boxes keep their input indices (0-based) everywhere in the public API;
     the ascending net-reward order used internally is exposed as ``order``.
     The outside option plays the role of a free, always-successful box with
-    net reward zero.
+    net reward zero.  Construction raises :class:`DomainError` unless every
+    box's high reward is a number in [2**-300, 2**300], about
+    [4.9e-91, 2.0e90], and its cost a number in ``(0, ubar_i)``.
     """
 
     boxes: tuple  # ((ubar_i, c_i), ...)
@@ -312,12 +314,11 @@ def psi(k: int, subset: Iterable[int], spec: HeterogeneousSpec) -> float:
     over menu members strictly later than ``k`` in the net-reward order.
     The top-ranked member gets the empty product, 1.
     """
-    k = _require_count(k, "box", 0)
-    members = frozenset(_require_count(i, "box", 0) for i in subset)
-    if k not in members:
+    k, mask = _require_count(k, "box", 0), _mask_of(subset, spec.n)
+    if not mask >> k & 1:
         raise DomainError(f"box {_shown(k)} is not in the subset")
     p_hats = spec.p_hats
-    ordered = [i for i in spec.order if i in members]
+    ordered = [i for i in spec.order if mask >> i & 1]
     pos = ordered.index(k)
     out = 1.0
     for j in ordered[pos + 1 :]:
@@ -368,7 +369,9 @@ def solve_het(spec: HeterogeneousSpec) -> HetSolution:
 
     after which the weights are ``a(i) = gamma_i / (1 + sum gamma)`` and the
     quit weight is the same normalization applied to 1.  Every weight is
-    strictly interior.
+    strictly interior.  A pseudo-index grows like ``ubar_i / c_i``; where one
+    overflows float range (a cost below about 1e-308 of a reward)
+    :class:`DomainError` is raised.
     """
     layers = _walk(spec, spec.p_hats)
     n = spec.n
@@ -393,13 +396,15 @@ def solve_het(spec: HeterogeneousSpec) -> HetSolution:
         c_gam = c + r_below.take(sub_rows) - _spread(p * psi, d)
 
         gam = np.empty_like(p)
-        for t in range(s):
-            p_psi_sub = p[:t] * psi_below[:t].take(sub_rows[t], axis=1)
-            b_lt = p[:t] * (psi[t] * (d[t] - d[:t]) - _spread(p_psi_sub, d))
-            numer = psi[t] * d[t] - _add_rows(p_psi_sub * d[:t])
-            gam[t] = _add_rows([numer, *(gam[:t] * b_lt)]) / c_gam[t]
-
-        total = 1.0 + _add_rows(gam)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            for t in range(s):
+                p_psi_sub = p[:t] * psi_below[:t].take(sub_rows[t], axis=1)
+                b_lt = p[:t] * (psi[t] * (d[t] - d[:t]) - _spread(p_psi_sub, d))
+                numer = psi[t] * d[t] - _add_rows(p_psi_sub * d[:t])
+                gam[t] = _add_rows([numer, *(gam[:t] * b_lt)]) / c_gam[t]
+            total = 1.0 + _add_rows(gam)
+        if not np.isfinite(total).all():
+            raise DomainError("pseudo-indices overflow float range: a cost is too small against the rewards")
         gammas.put(cells, gam)
         weights.put(cells, gam / total)
         optout.put(menu, 1.0 / total)
@@ -453,35 +458,43 @@ def regret_het(policy: SelectionPolicy, p, spec: HeterogeneousSpec) -> float:
 
 
 def _menu_regrets(policy, value_below, menu, cells, sub_rows, pr, d, c):
-    """Regret of each menu of a layer's slab, from the values of the layer below; overwrites ``pr``."""
+    """Regret of each menu of a layer's slab, from the values of the layer below."""
     s = pr.shape[0]
     w = policy.weights.take(cells)
-    # best: member t succeeds and every member above it fails;
+    q = 1.0 - pr
+    # best[t]: member t succeeds and every member above it fails, from the
+    # running product of q down the members
+    best = np.empty_like(pr)
+    best[s - 1] = 1.0
+    for t in range(s - 2, -1, -1):
+        np.multiply(best[t + 1], q[t + 1], out=best[t])
+    best *= pr
     # suffix_bd[t] and suffix_b[t] sum best d and best over members >= t
+    best_d = best * d
     suffix_bd = np.zeros((s + 1, pr.shape[1]))
     suffix_b = np.zeros_like(suffix_bd)
-    tail = 1.0
     for t in range(s - 1, -1, -1):
-        best = pr[t] * tail
-        tail = tail * (1.0 - pr[t])
-        np.add(suffix_bd[t + 1], best * d[t], out=suffix_bd[t])
-        np.add(suffix_b[t + 1], best, out=suffix_b[t])
+        np.add(suffix_bd[t + 1], best_d[t], out=suffix_bd[t])
+        np.add(suffix_b[t + 1], best[t], out=suffix_b[t])
     # step[t] = w[t] (missed[t] + cont[t]) for every member at once, in
-    # place over suffix_b[1:] and the slab's own pr table: missed is
-    # pr (suffix_bd[t+1] - d suffix_b[t+1]), and cont is
-    # (1 - pr) (c + value of the menu without member t)
+    # place over suffix_b[1:]: missed is pr (suffix_bd[t+1] - d suffix_b[t+1]),
+    # and cont is q (c + value of the menu without member t)
     step = suffix_b[1:]
     step *= d
     np.subtract(suffix_bd[1:], step, out=step)
     step *= pr
     cont = value_below.take(sub_rows)
     cont += c
-    cont *= np.subtract(1.0, pr, out=pr)
+    cont *= q
     step += cont
     step *= w
+    # a member never gone on adds +0.0, which changes no bit of a total that
+    # starts at optout * suffix_bd[0] >= +0.0 and so is never -0.0, and a NaN
+    # behind a zero weight never reaches the total
+    np.copyto(step, 0.0, where=w == 0.0)
     total = policy.optout.take(menu) * suffix_bd[0]
-    for t, gone_on in enumerate(w != 0.0):
-        total = np.where(gone_on, total + step[t], total)
+    for t in range(s):
+        total += step[t]
     return total
 
 

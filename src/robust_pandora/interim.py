@@ -199,8 +199,8 @@ def solve_interim(spec: HomogeneousSpec) -> InterimReport:
     Picks the largest ``m`` whose sure-search cost still falls short of the
     worst high-belief regret left after those ``m`` boxes (the shortfall
     shrinks as ``m`` grows, so a bisection finds it in O(log n)
-    maximizations; ``degenerate_tie`` flags a shortfall within 1e-12 of zero
-    on either side of the crossing), then solves for
+    maximizations; ``degenerate_tie`` flags a shortfall within 1e-12 ubar of
+    zero on either side of the crossing), then solves for
     the randomization weight at which the no-reward branch (regret
     ``(m + alpha) c``) equals the maximized high-belief branch.  That
     maximum is convex in ``alpha`` (a maximum of affine functions), so the
@@ -226,8 +226,8 @@ def solve_interim(spec: HomogeneousSpec) -> InterimReport:
         else:
             hi = mid
     m = max(lo, 0)
-    # a tie next to the crossing: the run of |g| < 1e-12 reaches lo or hi
-    degenerate = any(abs(g[cand]) < 1e-12 for cand in (lo, hi) if cand in g)
+    # a tie next to the crossing: the run of |g| < 1e-12 ubar reaches lo or hi
+    degenerate = any(abs(g[cand]) < 1e-12 * ubar for cand in (lo, hi) if cand in g)
 
     def residual_at(m: int, alpha: float):
         x_star, worst = branch.maximize(m, alpha)
@@ -251,7 +251,7 @@ def solve_interim(spec: HomogeneousSpec) -> InterimReport:
             break
         alpha = nxt
         res, x_star = residual_at(m, alpha)
-    if abs(res) > 1e-9:
+    if abs(res) > 1e-9 * ubar:  # the regret scales with (ubar, c)
         raise ConvergenceError(f"equalization residual {res:.3e} after Newton's method")
     policy = InterimPolicy(m, alpha, n)
     return InterimReport(

@@ -108,7 +108,10 @@ def solve_two_box(spec: HomogeneousSpec):
     q = 1 - r - s.  The boundary ubar = 4c belongs to the small regime.
     When two boxes reach the binary opt-out size (``optout_menu_size(spec)
     <= 2``, that is ubar <= 1.5c) the DM quits: alpha2_0 = 0 and regret
-    ubar - c, against Nature's certain pair {ubar, 0}.
+    ubar - c, against Nature's certain pair {ubar, 0}.  The large regime is
+    computed in units of ubar; below c/ubar of about 6e-33 ``v_hat`` rounds
+    to ``ubar - c`` or above, Nature's weight ``r`` to a negative number, and
+    :class:`DomainError` is raised.
     """
     _require_two_boxes(spec)
     ubar, c = spec.ubar, spec.c
@@ -123,19 +126,21 @@ def solve_two_box(spec: HomogeneousSpec):
         nature = TwoBoxNature(v_hat=ubar, q=1.0 - P, r=P, s=0.0)
         return policy, nature, regret
 
-    root = sqrt((2.0 * ubar + c) * c)
-    denom = ubar**2 + ubar * c + c**2 + c * root
-    alpha2_0 = ubar**2 / denom
-    v_hat = ubar * (1.0 - c / (c + root))
-    v_low = ubar * (1.0 - ubar / (2.0 * (ubar + c + root)))
-    regret = 2.0 * c * ubar**2 / denom
-    s = 4.0 * c**2 / (2.0 * (ubar - v_hat) * (v_hat + c) + c**2)
-    r = s * (ubar - c - v_hat) / c
-    q = 1.0 - r - s
+    # in units of ubar, where every term is at most about 4, and scaled back:
+    # the closed forms are homogeneous of degree 1 in (ubar, c)
+    u = c / ubar
+    root = sqrt((2.0 + u) * u)
+    denom = 1.0 + u + u**2 + u * root
+    v_hat = 1.0 - u / (u + root) if u else 1.0  # u is 0 where c/ubar underflows
+    if not v_hat < 1.0 - u:  # u below about 6e-33, 2^-107: 1 - u / (u + root) rounds to 1
+        raise DomainError(f"two-box closed form degenerates at c/ubar = {u:.3g}: v_hat rounds to ubar - c or above")
+    s = 4.0 * u**2 / (2.0 * (1.0 - v_hat) * (v_hat + u) + u**2)
+    r = s * (1.0 - u - v_hat) / u
+    v_low = ubar * (1.0 - 1.0 / (2.0 * (1.0 + u + root)))
     policy = TwoBoxContinuousPolicy(
-        regime="large", ubar=ubar, c=c, alpha2_0=alpha2_0, v_low=v_low, v_acc=ubar - c
+        regime="large", ubar=ubar, c=c, alpha2_0=1.0 / denom, v_low=v_low, v_acc=ubar - c
     )
-    return policy, TwoBoxNature(v_hat=v_hat, q=q, r=r, s=s), regret
+    return policy, TwoBoxNature(v_hat=ubar * v_hat, q=1.0 - r - s, r=r, s=s), ubar * (2.0 * u / denom)
 
 
 def _rewards(u, policy: TwoBoxContinuousPolicy) -> np.ndarray:
@@ -144,7 +149,8 @@ def _rewards(u, policy: TwoBoxContinuousPolicy) -> np.ndarray:
     if x.dtype.kind not in "iuf":
         raise DomainError(f"reward must be a number, got {_shown(u)}")
     x = x.astype(float)
-    outside = ~((-1e-12 <= x) & (x <= policy.ubar + 1e-12))
+    slack = 1e-12 * policy.ubar
+    outside = ~((-slack <= x) & (x <= policy.ubar + slack))
     if outside.any():
         raise DomainError(f"reward must lie in [0, {policy.ubar}], got {_shown(float(x[outside][0]))}")
     return x
@@ -258,6 +264,8 @@ def verify_two_box(
     indifference conditions pin r and s, and q must absorb the rest).  That
     closed form does not describe the small regime's binary worst case, so
     no such note is made there.  The report's ``worst_belief`` is ``nature``.
+    ``tolerance`` is in units of ubar: both gaps are held to
+    ``tolerance * ubar``, the report's ``tolerance``.
     """
     _require_two_boxes(spec)
     if (policy.ubar, policy.c) != (spec.ubar, spec.c):
@@ -310,4 +318,4 @@ def verify_two_box(
             "no-reward weight uses q = 1 - r - s; the standalone closed form "
             f"for q differs from it by {nature.q - q_closed_form:.6e} here",
         ) + notes
-    return SaddleReport(nature_gap, dm_gap, nature, tolerance, notes)
+    return SaddleReport(nature_gap, dm_gap, nature, tolerance * ubar, notes)

@@ -35,14 +35,15 @@ from .core import (
     SaddleReport,
     SizeError,
     StationaryPolicy,
+    _alphas_for,
+    _needle_ends,
     _peak_search,
     _plan_regrets,
     _regret_indep_poly,
     _require_count,
     _require_tolerance,
     _shown,
-    _tail_table,
-    regret_needle,
+    _stopping_weights,
 )
 from .corr import solve_corr_commitment, solve_corr_intrapersonal
 from .indep import solve_indep, weitzman_threshold
@@ -106,16 +107,15 @@ def nature_best_response_needle(policy: StationaryPolicy, spec: HomogeneousSpec)
 
     The regret is affine in ``P``, so an endpoint is a worst case; returns
     ``(P_star, regret)`` with ``P_star`` 1 only if the value there beats
-    the value at 0 by more than 1e-12 (a flat saddle line reports 0).
+    the value at 0 by more than 1e-12 ubar (a flat saddle line reports 0).
     """
-    values, P_star = _worst_end(policy, spec)
-    return float(P_star), float(values[P_star])
+    K, treasure, _ = _needle_ends(_stopping_weights(_alphas_for(policy, spec)), spec)
+    return _worse_end(K, treasure, spec)
 
 
-def _worst_end(policy: StationaryPolicy, spec: HomogeneousSpec):
-    """The regrets at ``P = 0`` and ``P = 1``, count-profile vertices 0 and 1, and the end reported as worst."""
-    values = regret_needle(policy, np.array([0.0, 1.0]), spec)
-    return values, int(values[1] > values[0] + 1e-12)
+def _worse_end(K, treasure, spec: HomogeneousSpec):
+    """``(P_star, regret)`` of the needle ends: 1 only if ``R_1`` beats ``K`` by over 1e-12 ubar, else 0."""
+    return (1.0, float(treasure)) if treasure > K + 1e-12 * spec.ubar else (0.0, float(K))
 
 
 def saddle_check_indep(spec: HomogeneousSpec, tol: float = 1e-6, seed: int = 0) -> SaddleReport:
@@ -124,8 +124,10 @@ def saddle_check_indep(spec: HomogeneousSpec, tol: float = 1e-6, seed: int = 0) 
     Nature's side is :func:`nature_best_response_indep`, the one peak of the
     regret polynomial.  The DM's side is exact: her best response to the
     worst-case (threshold) belief, an O(n) backward induction, must not beat
-    the value.  ``seed`` is validated and ignored: nothing is sampled, and it
-    stays only so that callers passing it keep working.
+    the value.  ``tol`` is in units of ubar: the regret scales with
+    ``(ubar, c)``, so both gaps are held to ``tol * ubar``, the report's
+    ``tolerance``.  ``seed`` is validated and ignored: nothing is sampled, and
+    it stays only so that callers passing it keep working.
     """
     _require_count(seed, "seed", 0)
     tol = _require_tolerance(tol, "tol")
@@ -140,7 +142,7 @@ def saddle_check_indep(spec: HomogeneousSpec, tol: float = 1e-6, seed: int = 0) 
     best = 0.0
     for k in range(1, spec.n + 1):
         best = min((1.0 - fail**k) * (ubar - c), fail * (c + best))
-    return SaddleReport(worst - sol.regret, sol.regret - best, IidBinary(p_star), tol)
+    return SaddleReport(worst - sol.regret, sol.regret - best, IidBinary(p_star), tol * ubar)
 
 
 def saddle_check_corr(
@@ -161,9 +163,10 @@ def saddle_check_corr(
     correctly rounded, monotone operation on non-negative numbers).  The
     DM's deviations are every pure stop-after-m plan against the worst
     belief in commitment mode, and every one-step stage deviation in
-    intrapersonal mode.  All of it is O(n).  ``seed`` is validated and
-    ignored: nothing is sampled, and it stays only so that callers passing
-    it keep working.
+    intrapersonal mode.  All of it is O(n).  ``tol`` is in units of ubar:
+    both gaps are held to ``tol * ubar``, the report's ``tolerance``.
+    ``seed`` is validated and ignored: nothing is sampled, and it stays only
+    so that callers passing it keep working.
     """
     _require_count(seed, "seed", 0)
     tol = _require_tolerance(tol, "tol")
@@ -175,20 +178,21 @@ def saddle_check_corr(
         raise DomainError(f"unknown mode {_shown(mode)}")
 
     n = spec.n
-    vertices, worst_P = _worst_end(sol.policy, spec)
-    nature_gap = vertices.max() - sol.regret
+    K, treasure, row = _needle_ends(_stopping_weights(sol.policy.alphas), spec)
+    worst_P, _ = _worse_end(K, treasure, spec)
+    nature_gap = np.maximum(K, treasure) - sol.regret  # a NaN end makes a NaN gap
 
     if mode == "commitment":
         # every pure stop-after-m plan against the worst needle [1 - P, P, 0, ...],
         # whose tails are P T[1, i]
-        dm_gap = sol.regret - _plan_regrets(sol.worst_case_P[-1] * _tail_table(n, [1])[0], spec).min()
+        dm_gap = sol.regret - _plan_regrets(sol.worst_case_P[-1] * row, spec).min()
     else:
         # at k boxes, stay out or open once and continue at k - 1 boxes
         P, regret = sol.worst_case_P, sol.regret_per_k
         open_once = (1.0 - P / np.arange(1, n + 1)) * (spec.c + np.append(0.0, regret[:-1]))
         dm_gap = (regret - np.minimum(P * (spec.ubar - spec.c), open_once)).max()
 
-    return SaddleReport(nature_gap, dm_gap, NeedleP(worst_P), tol)
+    return SaddleReport(nature_gap, dm_gap, NeedleP(worst_P), tol * spec.ubar)
 
 
 def interim_grid_oracle(spec: HomogeneousSpec):

@@ -571,7 +571,9 @@ def corr_profile_loop(spec, tol=1e-9, q_draws=1000, mode="commitment", seed=0):
             prev = float(sol.regret_per_k[k - 1])
 
     notes = () if flattening_ok else ("a correlated profile beat its single-treasure flattening",)
-    return SaddleReport(nature_gap=nature_gap, dm_gap=dm_gap, worst_belief=NeedleP(worst_P), tolerance=tol, notes=notes)
+    return SaddleReport(
+        nature_gap=nature_gap, dm_gap=dm_gap, worst_belief=NeedleP(worst_P), tolerance=tol * spec.ubar, notes=notes
+    )
 
 
 def stopping_weights_loop(alphas):
@@ -718,7 +720,7 @@ def indep_descent_loop(spec, tol=1e-6, dm_probes=10_000, seed=0):
         nature_gap=nature_gap,
         dm_gap=dm_gap,
         worst_belief=IidBinary(p_star),
-        tolerance=tol,
+        tolerance=tol * spec.ubar,
     )
 
 

@@ -547,3 +547,48 @@ class TestBadInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "robust-pandora: cost split 0.7 leaves a cost outside (0, 1.0)\n"
+
+
+# extreme and ordinary-but-large reward scales: each run exits 0 with a
+# report, or 2 with one line naming the problem; the verdicts are the
+# rescaled ones of ubar = 1 (every rule is held in units of ubar)
+MAGNITUDES = {
+    "two-box-ubar-past-range": ("solve --regime two-box --ubar 1e200 --c 1e199", 2, "high reward must lie in"),
+    "two-box-ubar-below-range": ("solve --regime two-box --ubar 1e-308 --c 1e-310", 2, "high reward must lie in"),
+    "two-box-v-hat-rounds": ("solve --regime two-box --ubar 1 --c 1e-40", 2, "two-box closed form degenerates"),
+    "corr-ubar-past-range": ("verify --regime corr --ubar 1e308 --c 1e307 --n 5", 2, "high reward must lie in"),
+    "indep-ubar-past-range": ("verify --regime indep --ubar 1e308 --c 1e307 --n 5", 2, "high reward must lie in"),
+    "simulate-ubar-past-range": (
+        "simulate --regime indep --ubar 1e200 --c 1e199 --n 5 --truth iid:0.3 --episodes 1000",
+        2,
+        "high reward must lie in",
+    ),
+    "het-pseudo-index-overflow": ("solve --regime het --boxes 1:1e-320,1:0.5", 2, "pseudo-indices overflow"),
+    "corr-optout-size-past-float-range": ("solve --regime corr --ubar 1 --c 1e-310 --n 5", 0, None),
+    "corr-verify-optout-size-past-float-range": ("verify --regime corr --ubar 1 --c 1e-310 --n 5", 0, None),
+    "interim-ubar-1e8": ("solve --regime interim --ubar 1e8 --c 2e7 --n 8", 0, None),
+    "corr-intra-ubar-1e7": ("verify --regime corr-intra --ubar 1e7 --c 5e5 --n 8", 0, None),
+    "two-box-ubar-1e8": ("verify --regime two-box --ubar 1e8 --c 2e7 --grid 200", 0, None),
+    "indep-ubar-1e10": ("verify --regime indep --ubar 1e10 --c 5e8 --n 8", 0, None),
+    "corr-ubar-1e10": ("verify --regime corr --ubar 1e10 --c 5e8 --n 8", 0, None),
+    "indep-top-of-range": ("verify --regime indep --ubar 1e90 --c 1e89 --n 5", 0, None),
+    "simulate-top-of-range": (
+        "simulate --regime indep --ubar 1e90 --c 1e89 --n 5 --truth iid:0.3 --episodes 1000",
+        0,
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("command, status, message", MAGNITUDES.values(), ids=MAGNITUDES.keys())
+def test_reward_magnitudes_pass_or_exit_2_with_one_line(capsys, command, status, message):
+    assert main(command.split()) == status
+    captured = capsys.readouterr()
+    if status:
+        assert captured.out == ""
+        assert captured.err.startswith(f"robust-pandora: {message}") and captured.err.count("\n") == 1
+    else:
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["results"].get("passed", True) is True
+        assert all(np.isfinite(v) for v in doc["results"].values() if isinstance(v, float))

@@ -501,13 +501,6 @@ class TestFirstSuccessProbabilities:
                 Q = np.zeros(n + 1)
                 Q[support] = rng.dirichlet(np.ones(support.size))
                 profiles.append(Q)
-            if n in (1, 2, 7, 60, 300):
-                # stacked rows, each with its own support
-                stack = np.zeros((3, 4, n + 1))
-                for row in stack.reshape(-1, n + 1):
-                    support = rng.choice(n + 1, size=rng.integers(1, min(5, n + 1) + 1), replace=False)
-                    row[support] = rng.dirichlet(np.ones(support.size))
-                profiles.append(stack)
             for Q in profiles:
                 got, want = first_success_probabilities(Q), first_success_cumsum(Q)
                 assert got.shape == want.shape
@@ -515,36 +508,22 @@ class TestFirstSuccessProbabilities:
 
     def test_plan_regrets_match_masked_sums(self):
         # plan regrets summed from the tails against the masked (n + 1, n)
-        # copy of q, one profile at a time and stacked: within n eps ubar / 4
-        # (0.167 n eps measured)
+        # copy of q: within n eps ubar / 4 (0.167 n eps measured)
         rng = np.random.default_rng(47)
         for n in [*range(1, 200), 300, 1000]:
             ubar = float(rng.uniform(0.5, 2.0))
             spec = HomogeneousSpec(ubar, 0.3 * ubar / n, n)
             profiles = [rng.dirichlet(np.ones(n + 1)), np.eye(n + 1)[0], np.eye(n + 1)[-1]]
-            if n in (1, 7, 60, 300):
-                profiles.append(rng.dirichlet(np.ones(n + 1), size=(3, 4)))
             for Q in profiles:
                 got, want = _plan_regrets(_tails(Q), spec), plan_regrets_masked(Q, spec)
                 assert got.shape == want.shape
                 assert np.all(np.abs(got - want) <= n * EPS * ubar / 4), n
 
-    def test_stacked_rows_equal_single_calls(self):
-        # leading axes: each row bit for bit what a call on that row alone gives
-        rng = np.random.default_rng(41)
-        for n in (1, 2, 7, 8, 9, 32, 60):
-            stack = rng.dirichlet(np.ones(n + 1), size=(3, 4))
-            stack[0, 0] = np.eye(n + 1)[-1]
-            # rows with different supports: their union gets table rows
-            stack[1, 1] = np.eye(n + 1)[1]
-            stack[2, 0] = np.eye(n + 1)[0]
-            stack[2, 1] = 0.0
-            stack[2, 1, [0, n]] = 0.25, 0.75
-            q = first_success_probabilities(stack)
-            assert q.shape == (3, 4, n)
-            for i in range(3):
-                for j in range(4):
-                    assert np.array_equal(q[i, j], first_success_probabilities(stack[i, j]))
+    def test_stacked_rows_raise_domain_error(self):
+        # one profile per call: a stack of profiles is refused, not scored row by row
+        for stack in (np.full((3, 4, 3), 1.0 / 3.0), np.eye(3), np.array([[0.5, 0.5]])):
+            with pytest.raises(DomainError, match="1-D vector"):
+                first_success_probabilities(stack)
 
     def test_memory_peak(self):
         # one table of n^2 floats at a time: 8 MB at n = 1000

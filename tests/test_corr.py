@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -69,6 +72,15 @@ class TestFlattening:
 
 
 class TestCommitment:
+    def test_optout_size_past_float_range_is_exact(self):
+        # 2 ubar / c past float range: the size is the exact ceiling, and the
+        # commitment plan below it searches, as it does at c = 1e-300
+        for ubar, c in ((1.0, 1e-310), (1e90, 1e-250), (3.0, 5e-324)):
+            spec = HomogeneousSpec(ubar, c, 5)
+            assert optout_menu_size(spec) == math.ceil(Fraction(2.0 * ubar - c) / Fraction(c))
+            sol = solve_corr_commitment(spec)
+            assert not sol.opts_out and np.all(np.isfinite(sol.regret_per_k)) and sol.policy.alphas[-1] > 0.0
+
     def test_three_box_values(self):
         sol = solve_corr_commitment(SPEC)
         assert sol.policy.alphas[-1] == pytest.approx(0.6, abs=1e-12)

@@ -230,8 +230,8 @@ class TestBitIdentity:
     @pytest.mark.parametrize("seed,n", SPECS)
     def test_edge_beliefs_and_unreached_menus_match_memo_recursion(self, seed, n):
         # beliefs with entries of exactly 0 and 1, under the solver's policy and
-        # under one whose zero weights leave menus without a rule: the w != 0
-        # guard keeps those menus' NaN out of the total
+        # under one whose zero weights leave menus without a rule: a zero
+        # weight keeps those menus' NaN out of the total
         rng = np.random.default_rng([113, seed, n])
         spec = (tied_het_spec if seed else random_het_spec)(rng, n)
         for policy in (solve_het(spec).policy, sparse_het_policy(rng, n)):

@@ -1,9 +1,12 @@
 """Bad arguments to the public API raise DomainError or SizeError, never a bare TypeError or a silent coercion."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from robust_pandora import (
     CountProfile,
@@ -27,6 +30,7 @@ from robust_pandora import (
     interim_grid_oracle,
     interim_regret,
     interim_two_box_intrapersonal,
+    naive_trajectory,
     psi,
     regret_count_profile,
     regret_het,
@@ -36,8 +40,11 @@ from robust_pandora import (
     saddle_check_indep,
     search_count_profile,
     simulate,
+    solve_corr_commitment,
+    solve_corr_intrapersonal,
     solve_het,
     solve_indep,
+    solve_interim,
     solve_two_box,
     verify_two_box,
 )
@@ -116,6 +123,8 @@ BAD_CALLS = {
     "subset-rule-weight-sum": lambda: SubsetRule({0: 0.5}, 0.2),
     "psi-member-float": lambda: psi(0, [0.0, 1.2], HET),
     "psi-k-bool": lambda: psi(True, [0, 1], HET),
+    "psi-box-outside-spec": lambda: psi(0, [0, 5], HET),
+    "psi-subset-not-iterable": lambda: psi(0, 0, HET),
     "selection-policy-n-float": lambda: SelectionPolicy(2.5, {}),
     "selection-policy-n-bool": lambda: SelectionPolicy(True, {}),
     "selection-policy-n-negative": lambda: SelectionPolicy(-1, {}),
@@ -173,6 +182,13 @@ BAD_CALLS = {
     "het-ubar-huge-int": lambda: HeterogeneousSpec(((10**400, 0.3),)),
     "iid-p-huge-int": lambda: IidBinary(10**400),
     "sweep-ubar-huge-int": lambda: cost_asymmetry_sweep(10**400, 0.6, [0.0]),
+    # rewards past 2**300 or below 2**-300, and closed forms that degenerate in floating point
+    "spec-ubar-above-range": lambda: HomogeneousSpec(1e200, 1e199, 2),
+    "spec-ubar-below-range": lambda: HomogeneousSpec(1e-308, 1e-310, 2),
+    "het-ubar-above-range": lambda: HeterogeneousSpec(((1e300, 1.0), (1.0, 0.5))),
+    "two-box-v-hat-rounds-to-ubar": lambda: solve_two_box(HomogeneousSpec(1.0, 1e-40, 2)),
+    "two-box-cost-near-least-float": lambda: solve_two_box(HomogeneousSpec(1.0, 1e-300, 2)),
+    "het-pseudo-index-overflow": lambda: solve_het(HeterogeneousSpec(((1.0, 1e-320), (1.0, 0.5)))),
 }
 
 # one box over the 5 000-box cap of the interim grid oracle, which prices
@@ -231,3 +247,51 @@ def test_bad_argument_raises_domain_error(call):
 def test_oversized_argument_raises_size_error(call):
     with pytest.raises(SizeError):
         call()
+
+
+def _corr_numbers(sol):
+    return np.r_[sol.regret_per_k, sol.worst_case_P, sol.policy.alphas]
+
+
+# each solver with the numbers it returns
+SOLVERS = {
+    "indep": (solve_indep, lambda sol: np.r_[sol.regret, sol.worst_case_p, sol.policy.alphas]),
+    "corr": (solve_corr_commitment, _corr_numbers),
+    "corr-intra": (solve_corr_intrapersonal, _corr_numbers),
+    "naive": (naive_trajectory, np.asarray),
+    "interim": (solve_interim, lambda sol: np.r_[sol.regret, sol.worst_p_high, sol.residual, sol.policy.alpha]),
+    "count": (lambda spec: search_count_profile(0.5, spec), lambda prof: prof.values),
+    "two-box": (
+        lambda spec: solve_two_box(HomogeneousSpec(spec.ubar, spec.c, 2)),
+        lambda out: np.r_[out[2], out[0].alpha2_0, out[0].v_low, out[0].v_acc, out[1].v_hat, out[1].q, out[1].r, out[1].s],
+    ),
+    "het": (
+        lambda spec: solve_het(HeterogeneousSpec(((spec.ubar, spec.c), (spec.ubar / 2, spec.c / 4), (spec.ubar / 3, spec.c)))),
+        lambda sol: np.r_[sol.regrets, sol.gammas.ravel(), sol.policy.weights.ravel(), sol.policy.optout[1:]],
+    ),
+}
+
+
+@given(st.floats(-300.0, 300.0), st.floats(-1074.0, 0.0), st.integers(1, 8))
+@example(0.0, math.log2(1e-40), 2)  # v_hat rounds to ubar
+@example(0.0, math.log2(1e-300), 2)
+@example(0.0, math.log2(1e-310), 5)  # opt-out menu size past float range
+@example(300.0, -0.1, 5)
+@example(-300.0, -1.0, 5)
+@example(0.0, -1074.0, 2)  # het pseudo-indices past float range
+@settings(max_examples=150, deadline=None)
+def test_every_solver_returns_finite_numbers_or_refuses(log2_ubar, log2_ratio, n):
+    # over the whole accepted reward range and c/ubar down to the least
+    # positive float, each solver returns finite numbers or raises
+    # DomainError or SizeError: no overflow, no 0/0, no traceback
+    ubar = 2.0**log2_ubar
+    try:
+        spec = HomogeneousSpec(ubar, 2.0**log2_ratio * ubar, n)
+    except DomainError:  # c rounds to 0 or to ubar
+        return
+    for name, (solve, numbers) in SOLVERS.items():
+        try:
+            out = solve(spec)
+        except (DomainError, SizeError):
+            continue
+        assert np.all(np.isfinite(numbers(out))), (name, spec)

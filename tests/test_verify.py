@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from robust_pandora.core import (
     _MAX_COUNT_BOXES,
+    ConvergenceError,
     CountProfile,
     DomainError,
     HomogeneousSpec,
@@ -17,14 +18,17 @@ from robust_pandora.core import (
     StationaryPolicy,
     StoppingMixture,
     _needle_ends,
+    _plan_regrets,
     _regret_indep_poly,
+    _tail_table,
     regret_count_profile,
     regret_indep,
     regret_needle,
 )
-from robust_pandora.corr import single_treasure_equivalent, solve_corr_commitment
+from robust_pandora.corr import single_treasure_equivalent, solve_corr_commitment, solve_corr_intrapersonal
 from robust_pandora.indep import solve_indep
 from robust_pandora.interim import solve_interim
+from robust_pandora.two_box import solve_two_box, verify_two_box
 from robust_pandora.verify import (
     interim_grid_oracle,
     nature_best_response_indep,
@@ -355,6 +359,29 @@ class TestSaddleCheckCorr:
         always = StationaryPolicy(np.ones(3))
         assert nature_best_response_needle(always, SPEC) == (0.0, pytest.approx(0.9, abs=1e-15))
 
+    @pytest.mark.parametrize("n", [1, 2, 8, 1000])
+    @pytest.mark.parametrize("mode", ["commitment", "intrapersonal"])
+    def test_one_needle_pass_has_regret_needle_bits(self, n, mode):
+        # the check reads the needle's ends and tail row from one pass; its
+        # gaps, its worst belief and nature_best_response_needle equal, by
+        # float.hex, what regret_needle at P = 0 and P = 1 and a freshly built
+        # needle row give
+        solver = solve_corr_commitment if mode == "commitment" else solve_corr_intrapersonal
+        for ubar, ratio in ((1.0, 0.1), (1.0, 0.3), (2.5, 0.01), (0.75, 0.0005)):
+            spec = HomogeneousSpec(ubar, ratio * ubar, n)
+            sol = solver(spec)
+            ends = regret_needle(sol.policy, np.array([0.0, 1.0]), spec)
+            P = int(ends[1] > ends[0] + 1e-12 * ubar)
+            got = nature_best_response_needle(sol.policy, spec)
+            assert [x.hex() for x in got] == [float(P).hex(), ends[P].hex()], (spec, mode)
+            report = saddle_check_corr(spec, mode=mode)
+            assert report.nature_gap.hex() == (ends.max() - sol.regret).hex(), (spec, mode)
+            assert report.worst_belief == NeedleP(P)
+            if mode == "commitment":
+                row = _tail_table(n, [1])[0]
+                want = sol.regret - _plan_regrets(sol.worst_case_P[-1] * row, spec).min()
+                assert report.dm_gap.hex() == want.hex(), (spec, mode)
+
     def test_rejects_unknown_mode(self):
         with pytest.raises(Exception):
             saddle_check_corr(SPEC, mode="bogus")
@@ -395,7 +422,7 @@ class TestSaddleCheckCorr:
         else:
             w = np.zeros(n + 1)
             w[{"first": 0, "last": n, "point": int(rng.integers(n + 1))}[kind]] = 1.0
-        values, two = corr_vertex_scan(w, spec), _needle_ends(w, spec)
+        values, two = corr_vertex_scan(w, spec), _needle_ends(w, spec)[:2]
         assert max(two).hex() == values.max().hex()
         assert [float(v).hex() for v in two] == [v.hex() for v in values[:2].tolist()]
         assert np.all(values[2:] <= values[1])
@@ -530,3 +557,44 @@ def test_dm_side_unbeaten_by_stage_vectors(n, ratio, data):
     alphas = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
     value = float(indep_recursion(np.array(alphas), spec.c / spec.ubar, spec))
     assert value >= best - 1e-15
+
+
+def _verdicts_and_regrets(spec):
+    """The saddle checks' verdicts, whether ``solve_interim`` succeeds, and each solver's regret at ``spec``."""
+    two = HomogeneousSpec(spec.ubar, spec.c, 2)
+    policy, nature, two_box_regret = solve_two_box(two)
+    verdicts = [
+        saddle_check_indep(spec).passed,
+        saddle_check_corr(spec).passed,
+        saddle_check_corr(spec, mode="intrapersonal").passed,
+        verify_two_box(policy, nature, two).passed,
+    ]
+    regrets = [solve_indep(spec).regret, solve_corr_commitment(spec).regret, solve_corr_intrapersonal(spec).regret]
+    try:
+        regrets.append(solve_interim(spec).regret)
+    except ConvergenceError:
+        regrets.append(None)
+    return verdicts, regrets + [two_box_regret]
+
+
+@given(st.integers(1, 12), st.floats(1e-3, 0.9), st.floats(math.log(1e-6), math.log(1e12)))
+@example(8, 0.05, math.log(1e8))  # interim's residual rule was absolute
+@example(8, 0.2, math.log(1e8))  # and so were the two-box and corr-intra gaps
+@example(8, 0.05, math.log(1e10))
+@example(8, 0.2, math.log(1e12))
+@settings(max_examples=60, deadline=None)
+def test_rescaled_spec_gets_the_same_verdicts(n, ratio, log_scale):
+    # the regret is homogeneous of degree 1 in (ubar, c) and every rule is
+    # held in units of ubar: (lam, lam c) gets the verdicts and the
+    # solve_interim outcome of (1, c), and regrets lam times as large within
+    # a few ulps; indep's 1 - (1 - c/ubar)^n loses about ubar/c ulps to
+    # cancellation
+    lam = math.exp(log_scale)
+    base, base_regrets = _verdicts_and_regrets(HomogeneousSpec(1.0, ratio, n))
+    scaled, scaled_regrets = _verdicts_and_regrets(HomogeneousSpec(lam, lam * ratio, n))
+    assert scaled == base
+    assert [r is None for r in scaled_regrets] == [r is None for r in base_regrets]
+    for i, (got, want) in enumerate(zip(scaled_regrets, base_regrets)):
+        if want is not None:
+            slack = (4.0 / ratio if i == 0 else 8.0) * EPS * lam * want
+            assert abs(got - lam * want) <= slack, (i, got, lam * want)
