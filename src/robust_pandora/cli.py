@@ -26,11 +26,12 @@ from .core import (
     SeedError,
     SizeError,
     StationaryPolicy,
+    _MAX_SPEC_BOXES,
     _require_tolerance,
 )
-from .corr import solve_corr_commitment, solve_corr_intrapersonal
+from .corr import _first_opening, solve_corr_commitment, solve_corr_intrapersonal
 from .het import HeterogeneousSpec, cost_asymmetry_sweep, solve_het
-from .indep import search_count_profile, solve_indep
+from .indep import _minimax_regret, search_count_profile, solve_indep
 from .interim import solve_interim
 from .simulate import simulate
 from .two_box import solve_two_box, verify_two_box
@@ -41,9 +42,9 @@ __all__ = ["main"]
 _SCHEMA = "1"
 
 # Rows of one sweep table.  Wall time of the whole process at 10 000 rows on
-# a 2-vCPU x86-64 VM (ubar 1, c 0.3): indep n-sweep 5.2 s (each row solves
-# its own n, so the work grows as rows^2), corr n-sweep 1.4 s, delta sweep
-# (c_total 0.6) 2.7 s, q-sweep 0.3 s, two-box ubar sweep 0.4 s.
+# a 2-vCPU x86-64 VM (ubar 1, c 0.3): indep n-sweep 0.25 s and corr n-sweep
+# 0.29 s (one solve at --to, then O(1) per row), delta sweep (c_total 0.6)
+# 1.9 s, q-sweep 0.3 s, two-box ubar sweep 0.5 s.
 _MAX_SWEEP_ROWS = 10_000
 
 
@@ -196,15 +197,18 @@ def _cmd_sweep(args):
             raise DomainError("n-sweeps support the indep and corr regimes")
         _require(args, "ubar", "c")
         columns = ["n", "alpha_n", "regret"] + (["worst_case_P", "optout"] if args.regime == "corr" else [])
-        rows = []
-        for n in range(int(args.from_), int(args.to) + 1):
+        ns = range(int(args.from_), int(args.to) + 1)
+        # refuse the first invalid row, --from or the first past the size cap; an empty sweep checks its costs
+        for n in (ns[0], min(ns[-1], _MAX_SPEC_BOXES + 1), ns[-1]) if ns else (1,):
             spec = HomogeneousSpec(args.ubar, args.c, n)
-            if args.regime == "indep":
-                sol = solve_indep(spec)
-                rows.append((n, sol.alphas[-1], sol.regret))
-            else:
-                sol = solve_corr_commitment(spec)
-                rows.append((n, sol.policy.alphas[-1], sol.regret, sol.worst_case_P[-1], sol.opts_out))
+        if args.regime == "indep":  # row k of the solve at --to is the k-box solve
+            alphas = solve_indep(spec).alphas
+            rows = [(k, alphas[k - 1], _minimax_regret(spec.ubar, spec.c, k)) for k in ns]
+        else:
+            sol = solve_corr_commitment(spec)
+            nbar = sol.optout_threshold
+            alpha_n = [_first_opening(spec.ubar, spec.c, k) if k < nbar else 0.0 for k in ns]
+            rows = [(k, a, sol.regret_per_k[k - 1], sol.worst_case_P[k - 1], k >= nbar) for k, a in zip(ns, alpha_n)]
     elif args.sweep == "q":
         if args.regime != "indep":
             raise DomainError("q-sweeps support the indep regime")
@@ -227,6 +231,7 @@ def _cmd_sweep(args):
         if args.regime != "two-box":
             raise DomainError("ubar-sweeps support the two-box regime")
         _require(args, "c")
+        HomogeneousSpec(args.from_, args.c, 2)  # the first row's spec, also when --steps 0 builds no row
         columns = ["ubar", "regime", "alpha2_0", "v_low", "v_hat", "regret"]
         rows = []
         for ubar in grid:

@@ -13,6 +13,20 @@ Without commitment the DM reneges: beliefs about the shrinking menu drift
 toward "no treasure" and the continuation play under-searches.  The
 sophisticated (intrapersonal) solution anticipates this, searches harder at
 every stage, and opts out at a smaller menu size.
+
+Where it opts out follows from a Riccati equation.  Let eps = c/ubar and
+k = s/eps.  As eps -> 0 the intrapersonal regret R_k / ubar tends to rho(s),
+with rho' = 1 - rho^2 / s and rho(0) = 0.  The substitution
+rho = s phi'/phi gives s phi'' + phi' - phi = 0, solved by
+phi = I_0(2 sqrt(s)), so
+
+    rho(s) = sqrt(s) I_1(2 sqrt(s)) / I_0(2 sqrt(s))
+
+(Abramowitz and Stegun, "Handbook of Mathematical Functions", 1964, 9.6).
+The DM refuses where rho reaches 1, that is at z = 2 sqrt(s) with
+z I_1(z) = 2 I_0(z): z* = 2.5843996, s* = z*^2/4.  The commitment plan
+opts out at about 2 ubar/c boxes, s = 2, so the refusal point is
+z*^2/8 = 0.8348902 of the commitment opt-out size.
 """
 
 from __future__ import annotations
@@ -119,6 +133,11 @@ def optout_menu_size(spec: HomogeneousSpec) -> int:
     return math.ceil(t)
 
 
+def _first_opening(ubar, c, k):
+    """First-opening probability of the commitment plan with ``k`` boxes, scalar or array."""
+    return (ubar - c) / (ubar - c + (k + 1) * c / 2.0)
+
+
 def solve_corr_commitment(spec: HomogeneousSpec) -> CorrSolution:
     """Ex-ante optimal plan against arbitrary correlation.
 
@@ -142,7 +161,7 @@ def solve_corr_commitment(spec: HomogeneousSpec) -> CorrSolution:
         # stages below n are never reached; pin them for determinism
         alphas[:] = 0.0
     else:
-        alphas[n - 1] = (ubar - c) / (ubar - c + (n + 1) * c / 2.0)
+        alphas[n - 1] = _first_opening(ubar, c, n)
     return CorrSolution(
         policy=StationaryPolicy(alphas),
         regret_per_k=regret_per_k,
@@ -210,5 +229,4 @@ def naive_trajectory(spec: HomogeneousSpec) -> np.ndarray:
         raise DomainError(
             f"menu of {spec.n} is at or beyond the opt-out size {nbar}; the naive plan never searches"
         )
-    ks = np.arange(spec.n, 0, -1, dtype=float)
-    return (spec.ubar - spec.c) / (spec.ubar - spec.c + (ks + 1) * spec.c / 2.0)
+    return _first_opening(spec.ubar, spec.c, np.arange(spec.n, 0, -1, dtype=float))

@@ -67,6 +67,11 @@ def _alpha_star(ks: np.ndarray, ubar: float, c: float) -> np.ndarray:
     return ks * ratio / ((ks - 1) * ratio + 1.0)
 
 
+def _minimax_regret(ubar: float, c: float, n: int) -> float:
+    # Python's scalar power: numpy's array power can differ from it in the last bit
+    return (1.0 - ((ubar - c) / ubar) ** n) * (ubar - c)
+
+
 def solve_indep(spec: HomogeneousSpec) -> IndepSolution:
     """Minimax-regret policy for independently distributed binary rewards.
 
@@ -80,10 +85,9 @@ def solve_indep(spec: HomogeneousSpec) -> IndepSolution:
     """
     ks = np.arange(1, spec.n + 1, dtype=float)
     alphas = _alpha_star(ks, spec.ubar, spec.c)
-    regret = (1.0 - ((spec.ubar - spec.c) / spec.ubar) ** spec.n) * (spec.ubar - spec.c)
     return IndepSolution(
         policy=StationaryPolicy(alphas),
-        regret=float(regret),
+        regret=_minimax_regret(spec.ubar, spec.c, spec.n),
         worst_case_p=weitzman_threshold(spec),
     )
 

@@ -520,6 +520,53 @@ def corr_vertex_scan(w, spec):
     return K * (1.0 - tails[:, 0]) + np.cumsum(v * tails, axis=1)[:, -1]
 
 
+def corr_commitment_hull(spec):
+    """The corr commitment game solved on the lower hull of its pure plans, without the solver.
+
+    By the hidden-treasure lemma Nature mixes "every box empty" with "one
+    treasure, uniformly placed", and the regret is linear in that mixture, so
+    the game is ``min_w max(K(w), R_1(w))`` over mixtures ``w`` of the plans
+    ``e_m``, "stop after m failures", m = 0..n.  Plan ``e_m`` has ``K = c m``
+    and, against a certain single treasure that it misses with probability
+    ``(n - m)/n`` or finds at opening ``j <= m`` for a loss of ``c (j - 1)``,
+
+        R_1(e_m) = (n - m)/n (ubar - c + c m) + c m (m - 1) / (2 n).
+
+    The value is the least ``max(x, y)`` over the lower convex hull of the
+    points ``(c m, R_1(e_m))``, built by Andrew's monotone chain in one pass
+    over m (the points come sorted by x): at a hull vertex, or where a hull
+    edge crosses ``x = y``.  Returns ``(value, optout_weight, hull)``, the
+    weight of ``e_0`` at that point and the m's of the hull's vertices.  As
+    the solver's boundary menu opts out, the weight is 1 when opting out is
+    within ``4 eps ubar`` of the value.
+    """
+    ubar, c, n = spec.ubar, spec.c, spec.n
+    m = np.arange(n + 1, dtype=float)
+    xs = (c * m).tolist()
+    ys = ((n - m) / n * (ubar - c + c * m) + c * m * (m - 1.0) / (2.0 * n)).tolist()
+    hull = []
+    for k in range(n + 1):
+        # pop the last vertex while it is not strictly below the chord to k
+        while len(hull) >= 2:
+            i, j = hull[-2], hull[-1]
+            if (xs[j] - xs[i]) * (ys[k] - ys[i]) - (ys[j] - ys[i]) * (xs[k] - xs[i]) > 0.0:
+                break
+            hull.pop()
+        hull.append(k)
+    value, weight = max(xs[0], ys[0]), 1.0
+    for i, j in zip(hull, hull[1:]):
+        above_i, above_j = ys[i] - xs[i], ys[j] - xs[j]
+        if above_i > 0.0 >= above_j:
+            t = above_i / (above_i - above_j)
+            if xs[i] + t * (xs[j] - xs[i]) < value:
+                value, weight = xs[i] + t * (xs[j] - xs[i]), (1.0 - t if i == 0 else 0.0)
+        if max(xs[j], ys[j]) < value:
+            value, weight = max(xs[j], ys[j]), 0.0
+    if ys[0] <= value + 4.0 * np.finfo(float).eps * ubar:
+        weight = 1.0
+    return value, weight, hull
+
+
 def corr_profile_loop(spec, tol=1e-9, q_draws=1000, mode="commitment", seed=0):
     """``saddle_check_corr`` scoring ``q_draws`` Dirichlet profiles and every vertex one at a time.
 

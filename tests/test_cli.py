@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from robust_pandora import cli
 from robust_pandora.cli import main
 from robust_pandora.core import HomogeneousSpec
+from robust_pandora.corr import optout_menu_size, solve_corr_commitment
 from robust_pandora.indep import expected_search_count, solve_indep
 
 
@@ -190,6 +192,63 @@ class TestSweep:
         optout_by_n = {int(l.split(",")[0]): l.split(",")[4] for l in lines[1:]}
         assert optout_by_n[6] == "false"
         assert optout_by_n[7] == "true"
+
+    @pytest.mark.parametrize("regime, solver", [("indep", "solve_indep"), ("corr", "solve_corr_commitment")])
+    def test_n_sweep_solves_once(self, capsys, monkeypatch, regime, solver):
+        calls = []
+        real = getattr(cli, solver)
+        monkeypatch.setattr(cli, solver, lambda spec: calls.append(spec.n) or real(spec))
+        code, _ = run(
+            capsys, "sweep", "--regime", regime, "--sweep", "n", "--from", "3", "--to", "40", "--ubar", "1", "--c", "0.1"
+        )
+        assert (code, calls) == (0, [40])
+
+    @pytest.mark.parametrize("regime", ["indep", "corr"])
+    def test_n_sweep_rows_equal_their_own_solves(self, capsys, monkeypatch, regime):
+        # row k of the one solve at --to against the k-box solve, by
+        # float.hex: ranges of 1, 7, 50 and 3 000 rows that start at 1, start
+        # mid-range and cross optout_menu_size, on a log grid of c/ubar
+        printed = []
+        real = cli._emit_table_csv
+        monkeypatch.setattr(cli, "_emit_table_csv", lambda columns, rows: printed.extend(rows) or real(columns, rows))
+        for ratio in np.geomspace(1e-4, 0.9, 5):
+            c = float(ratio)
+            nbar = optout_menu_size(HomogeneousSpec(1.0, c, 1))
+            solved = {}
+            for length in (1, 7, 50, 3000):
+                for first in sorted({1, max(nbar // 2, 1), max(nbar - length // 2, 1)}):
+                    last = first + length - 1
+                    printed.clear()
+                    code, _ = run(capsys, "sweep", "--regime", regime, "--sweep", "n", "--from", str(first),
+                                  "--to", str(last), "--ubar", "1", "--c", str(c))
+                    assert code == 0 and [row[0] for row in printed] == list(range(first, last + 1))
+                    for k, *values in printed:
+                        if k not in solved:
+                            spec = HomogeneousSpec(1.0, c, k)
+                            if regime == "indep":
+                                sol = solve_indep(spec)
+                                solved[k] = (sol.alphas[-1], sol.regret)
+                            else:
+                                sol = solve_corr_commitment(spec)
+                                solved[k] = (sol.policy.alphas[-1], sol.regret, sol.worst_case_P[-1], sol.opts_out)
+                        expected = solved[k]
+                        assert [float(v).hex() for v in values] == [float(v).hex() for v in expected], (c, k)
+
+    @pytest.mark.parametrize("regime", ["indep", "corr"])
+    @pytest.mark.parametrize(
+        "first, last, message",
+        [
+            ("0", "5", "box count must be a positive integer, got 0"),
+            ("-3", "2", "box count must be a positive integer, got -3"),
+            ("9999999", "10000003", "homogeneous specs limited to 10000000 boxes, got 10000001"),
+            ("10000002", "10000003", "homogeneous specs limited to 10000000 boxes, got 10000002"),
+        ],
+    )
+    def test_n_sweep_refuses_its_first_invalid_row(self, capsys, regime, first, last, message):
+        # the message of the row a row-by-row sweep reaches first
+        argv = ["sweep", "--regime", regime, "--sweep", "n", "--from", first, "--to", last, "--ubar", "1", "--c", "0.3"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"robust-pandora: {message}\n")
 
     def test_ubar_sweep_crosses_regime_boundary(self, capsys):
         code, out = run(
@@ -509,6 +568,10 @@ class TestBadInputs:
             ("simulate", "--regime", "indep", *HOMOG, "--truth", "iid=0.3"),
             ("simulate", "--regime", "indep", *HOMOG, "--truth", "iid:0.3", "--seed", str(2**64)),
             ("verify", "--regime", "indep", *HOMOG, "--grid", "2001"),
+            # empty sweeps check their costs too
+            ("sweep", "--regime", "indep", "--sweep", "n", "--from", "6", "--to", "5", "--ubar", "1", "--c", "2"),
+            ("sweep", "--regime", "corr", "--sweep", "n", "--from", "6", "--to", "5", "--ubar", "1", "--c", "-1"),
+            ("sweep", "--regime", "two-box", "--sweep", "ubar", "--from", "1", "--to", "2", "--steps", "0", "--c", "-5"),
         ],
     )
     def test_exit_2_with_one_line(self, capsys, tmp_path, argv):

@@ -28,7 +28,7 @@ from robust_pandora.corr import (
 from robust_pandora.indep import solve_indep
 from robust_pandora.interim import solve_interim
 
-from oracles import needle_recursion
+from oracles import corr_commitment_hull, needle_recursion
 
 SPEC = HomogeneousSpec(1.0, 0.25, 3)
 EPS = np.finfo(float).eps
@@ -110,6 +110,25 @@ class TestCommitment:
             grid = np.linspace(0.0, 1.0, 1001)
             vals = regret_needle(sol.policy, grid, HomogeneousSpec(1.0, 0.25, n))
             assert np.max(np.abs(vals - sol.regret)) <= 1e-12
+
+    def test_lower_hull_of_pure_plans_matches_solver(self):
+        # the game min_w max(K, R_1) on the lower hull of the points
+        # (c m, R_1(e_m)): value within 4 eps ubar (1.1 measured) and opt-out
+        # weight within 4 eps (0.5 measured) of the solver's, and plans 0 and
+        # n the only vertices, so "randomize on the first opening, then
+        # search everything" is derived rather than assumed; n up to 10^5 on
+        # a log grid of c/ubar, at and past the opt-out size, and at exact
+        # boundaries (c/ubar 0.25, 0.1, 2/3)
+        ratios = [*np.geomspace(1e-3, 0.9, 13), 0.25, 0.1, 2.0 / 3.0]
+        for ratio, ubar in [(float(r), u) for r in ratios for u in (1.0, 3.7)]:
+            nbar = optout_menu_size(HomogeneousSpec(ubar, ratio * ubar, 1))
+            for n in sorted({1, 2, 7, 50, 399, max(nbar - 1, 1), nbar, nbar + 1, 3 * nbar, 10**5}):
+                spec = HomogeneousSpec(ubar, ratio * ubar, n)
+                sol = solve_corr_commitment(spec)
+                value, weight, hull = corr_commitment_hull(spec)
+                assert abs(value - sol.regret) <= 4 * EPS * ubar, (ratio, ubar, n)
+                assert abs(weight - (1.0 - sol.policy.alphas[-1])) <= 4 * EPS, (ratio, ubar, n)
+                assert set(hull) <= {0, n}, (ratio, ubar, n)
 
     def test_exact_integer_boundary_snapped(self):
         # 2/0.25 - 1 computed in floats must still count as integral

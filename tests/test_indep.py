@@ -58,6 +58,30 @@ class TestSolveIndep:
         small = solve_indep(HomogeneousSpec(1.0, 0.3, 3))
         assert np.allclose(big.alphas[:3], small.alphas, atol=1e-15)
 
+    def test_last_stage_solves_natures_first_order_condition(self):
+        # the dynamically consistent selection, stage by stage: the stages at
+        # n - 1 are the first n - 1 stages at n, and the regret is affine in
+        # the last one, R = (1 - a) (ubar - c)(1 - x^n) + a x (c + R_{n-1}),
+        # x = 1 - p, so Nature's first-order condition at p_hat = c/ubar fixes
+        # it; within 8 eps (6 measured, at c/ubar 2.1e-4 and n = 30, where
+        # the same condition in exact rationals from the float stages gives
+        # the same gap) for n <= 30 on a log grid of c/ubar over 1e-4..0.9
+        for ratio in np.geomspace(1e-4, 0.9, 25):
+            ubar, c = 1.0, float(ratio)
+            x = 1.0 - c / ubar
+            for n in range(2, 31):
+                head = solve_indep(HomogeneousSpec(ubar, c, n - 1)).alphas
+                alphas = solve_indep(HomogeneousSpec(ubar, c, n)).alphas
+                assert np.array_equal(head, alphas[:-1]), (ratio, n)
+                R = dR = 0.0  # R_k at p_hat and its slope in p
+                for k, a in enumerate(head, start=1):
+                    R, dR = (
+                        (1.0 - a) * (ubar - c) * (1.0 - x**k) + a * x * (c + R),
+                        (1.0 - a) * (ubar - c) * k * x ** (k - 1) + a * (x * dR - (c + R)),
+                    )
+                opt_out, search = (ubar - c) * n * x ** (n - 1), x * dR - (c + R)
+                assert abs(opt_out / (opt_out - search) - alphas[-1]) <= 8 * np.finfo(float).eps, (ratio, n)
+
     def test_monotone_in_n(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
