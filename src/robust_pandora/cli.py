@@ -188,6 +188,9 @@ def _cmd_sweep(args):
         raise DomainError(f"--steps must be non-negative, got {args.steps}")
     if args.sweep == "n" and not (args.from_.is_integer() and args.to.is_integer()):
         raise DomainError(f"n-sweep bounds must be whole numbers, got --from {args.from_} --to {args.to}")
+    for flag, bound in (("--from", args.from_), ("--to", args.to)):
+        if not math.isfinite(bound):  # np.linspace would warn and hand on a NaN
+            raise DomainError(f"{flag} must be a finite number, got {bound}")
     rows = {"n": args.to - args.from_ + 1, "q": args.steps * (args.n or 0)}.get(args.sweep, args.steps)
     if rows > _MAX_SWEEP_ROWS:
         raise SizeError(f"sweep tables limited to {_MAX_SWEEP_ROWS} rows, got {rows:.0f}")

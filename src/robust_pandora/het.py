@@ -42,8 +42,12 @@ out.  A sum over members adds whole rows one at a time, left to right in
 ascending net-reward order as the scalar recursion does, so every entry
 is bit-identical to it.  ``np.sum`` or ``np.add.reduce`` along the member
 axis would not be: on a layer of one menu that axis is contiguous, and
-numpy adds it pairwise, which rounds differently.  No working table spans
-two member axes, so a layer needs O(s C) memory.
+numpy adds it pairwise, which rounds differently.
+
+The solver's one table over two member axes is its record of each layer's
+running sums, s (s + 1) / 2 rows of ``C`` floats, which the layer above
+reads at each sub-menu's row instead of adding those sums again: a layer
+costs O(s**2 C) time and memory, and the lattice O(n**2 2**n) time in all.
 """
 
 from __future__ import annotations
@@ -72,8 +76,9 @@ __all__ = [
 # Subset tables are exponential; refuse instances past this size.  Wall
 # time and peak RSS (ru_maxrss, interpreter included) of solve_het plus one
 # regret_het in a fresh process, on a 2-vCPU x86-64 VM (three runs each):
-# n = 16 0.08-0.09 s / 67-68 MB, n = 18 0.41-0.48 s / 178 MB, n = 20
-# 2.3-2.5 s / 654 MB, under 1 GiB.
+# n = 16 0.11-0.14 s / 67 MB, n = 18 0.55-0.63 s / 202 MB, n = 20
+# 3.4-3.5 s / 776 MB, under 1 GiB; the solver's running-sum records
+# account for about 105 MB of that peak.
 MAX_BOXES = 20
 
 # menus per slab in regret_het: a slab's working tables stay in cache, where
@@ -288,23 +293,17 @@ def _walk(spec: HeterogeneousSpec, probs):
     """
     _check_size(spec.n)
     n, perm = spec.n, np.asarray(spec.order)
-    p_all, d_all, c_all = (np.asarray(v, dtype=float)[perm] for v in (probs, spec.deltas, [c for _, c in spec.boxes]))
+    per_box = np.array([probs, spec.deltas, [c for _, c in spec.boxes]], dtype=float)[:, perm]
 
     def layer(members, sub_rows):
+        members = members.astype(np.intp)
         cells = perm.take(members)
-        menu = _add_rows(1 << box for box in cells)
+        # distinct powers of two: an integer sum in any order is exact
+        menu = (1 << cells).sum(axis=0)
         cells += menu * n
-        return menu, cells, sub_rows, p_all.take(members), d_all.take(members), c_all.take(members)
+        return (menu, cells, sub_rows, *per_box.take(members, axis=1))
 
     return (layer(*entry) for entry in _layers(n)[1:])
-
-
-def _spread(w, d):
-    """Row ``l`` is the sum over rows ``k > l`` of ``w[k] (d[k] - d[l])``, ``k`` ascending."""
-    out = np.zeros_like(w)
-    for k in range(1, w.shape[0]):
-        out[:k] += w[k] * (d[k] - d[:k])
-    return out
 
 
 def psi(k: int, subset: Iterable[int], spec: HeterogeneousSpec) -> float:
@@ -379,37 +378,71 @@ def solve_het(spec: HeterogeneousSpec) -> HetSolution:
     gammas = np.zeros((1 << n, n))
     optout = np.full(1 << n, np.nan)
     regrets = np.zeros(1 << n)
-    psi_below = np.ones((0, 1))
+    flat_weights, flat_gammas = weights.reshape(-1), gammas.reshape(-1)
     r_below = np.zeros(1)
 
     # row ``t`` of each table is member ``t`` in ascending net-reward order,
     # one column per menu; ``psi[t]`` is the chance that every member above
-    # ``t`` is empty at p_hat, and ``*_sub`` rows belong to the menu without
-    # member ``t``
+    # ``t`` is empty at p_hat, and ``w = p psi``.  B_0t and B_lt sum over the
+    # members below ``t`` of the menu without ``t``; they keep their ranks
+    # there, so these are that sub-menu's running sums stopped at member
+    # ``t - 1``.  Each layer records its running sums for the layer above in
+    # blocks, block ``k`` from row k (k + 1) / 2 on: its row 0 sums ``w d``
+    # over members 0..k, and its row l + 1 sums ``w (d - d[l])`` over
+    # members l+1..k; s (s + 1) / 2 rows in all
     for menu, cells, sub_rows, p, d, c in layers:
-        s = p.shape[0]
+        s, width = p.shape
         psi = np.empty_like(p)
         psi[s - 1] = 1.0
         for t in range(s - 2, -1, -1):
             psi[t] = psi[t + 1] * (1.0 - p[t + 1])
         r = _add_rows(p * d * psi)
-        c_gam = c + r_below.take(sub_rows) - _spread(p * psi, d)
+        w = p * psi
+        # block k is block k - 1 plus member k's terms, and row k starts at
+        # member k's own term (every term is >= +0.0, so starting at it
+        # instead of at 0.0 changes no bit)
+        rec = np.empty((s * (s + 1) // 2, width))
+        head = 0
+        for k in range(s):
+            block = rec[head : head + k + 1]
+            block[0] = d[k]
+            np.subtract(d[k], d[:k], out=block[1:])
+            block *= w[k]
+            if k:
+                block[:k] += rec[head - k : head]
+            head += k + 1
+        # C_t, whose sum over the members above t is the last block's row
+        # t + 1; the top member's sum is empty
+        c_gam = c + r_below.take(sub_rows)
+        c_gam[: s - 1] -= rec[head - s + 1 :]
 
-        gam = np.empty_like(p)
+        # gam starts as the numerators B_0t: member t >= 1 finds block t - 1
+        # of its sub-menu's records at flat index at[t - 1] of the layer
+        # below, and row j of that block j rows further on
+        gam = psi * d
+        if s > 1:
+            at = sub_rows[1:] + np.array([k * (k + 1) // 2 * width_below for k in range(s - 1)])[:, None]
+            gam[1:] -= rec_below.take(at)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-            for t in range(s):
-                p_psi_sub = p[:t] * psi_below[:t].take(sub_rows[t], axis=1)
-                b_lt = p[:t] * (psi[t] * (d[t] - d[:t]) - _spread(p_psi_sub, d))
-                numer = psi[t] * d[t] - _add_rows(p_psi_sub * d[:t])
-                gam[t] = _add_rows([numer, *(gam[:t] * b_lt)]) / c_gam[t]
+            for l in range(s - 1):
+                gam[l] /= c_gam[l]
+                # B_lt for every t > l, and gamma_l B_lt added to each later
+                # numerator, in ascending l as the recursion adds them
+                b = psi[l + 1 :] * (d[l + 1 :] - d[l])
+                if l + 2 < s:
+                    b[1:] -= rec_below[(l + 1) * width_below :].take(at[l + 1 :])
+                b *= p[l]
+                b *= gam[l]
+                gam[l + 1 :] += b
+            gam[s - 1] /= c_gam[s - 1]
             total = 1.0 + _add_rows(gam)
         if not np.isfinite(total).all():
             raise DomainError("pseudo-indices overflow float range: a cost is too small against the rewards")
-        gammas.put(cells, gam)
-        weights.put(cells, gam / total)
-        optout.put(menu, 1.0 / total)
-        regrets.put(menu, r)
-        psi_below, r_below = psi, r
+        flat_gammas[cells] = gam
+        flat_weights[cells] = gam / total
+        optout[menu] = 1.0 / total
+        regrets[menu] = r
+        r_below, rec_below, width_below = r, rec.reshape(-1), width
 
     return HetSolution(
         spec=spec,

@@ -552,6 +552,10 @@ class TestBadInputs:
             (*N_SWEEP, "--from", "1.7", "--to", "3.9"),
             (*N_SWEEP, "--from", "1", "--to", "10001"),
             (*DELTA, "--steps", "1000000000"),
+            # a non-finite grid bound is refused before np.linspace can warn
+            ("sweep", "--regime", "two-box", "--sweep", "ubar", "--from", "1", "--to", "inf", "--steps", "3", "--c", "0.2"),
+            ("sweep", "--regime", "het", "--sweep", "delta", "--from", "0", "--to", "inf", "--steps", "3", "--ubar", "1", "--ctotal", "0.6"),
+            ("sweep", "--regime", "indep", "--sweep", "q", "--from", "0", "--to", "inf", "--steps", "3", *HOMOG),
             ("sweep", "--from", "0", "--to", "1", "--regime", "indep", "--sweep", "q", *HOMOG[:4], "--n", "10000000"),
             (*SWEEP, "--regime", "two-box", "--sweep", "ubar", "--c", "0.2", "--steps", "10001"),
             ("verify", "--regime", "indep", *HOMOG[:4], "--n", "10000001"),
@@ -603,6 +607,17 @@ class TestBadInputs:
         assert captured.out == ""
         assert captured.err.startswith("robust-pandora: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "bounds,message",
+        [(("1", "inf"), "--to must be a finite number, got inf"), (("nan", "2"), "--from must be a finite number, got nan")],
+    )
+    def test_non_finite_grid_bound_message(self, capsys, bounds, message):
+        argv = ["sweep", "--regime", "two-box", "--sweep", "ubar", "--from", bounds[0], "--to", bounds[1], "--steps", "3"]
+        assert main([*argv, "--c", "0.2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"robust-pandora: {message}\n"
 
     def test_cost_split_message(self, capsys):
         argv = ["sweep", "--regime", "het", "--sweep", "delta", "--from", "0", "--to", "0.7", "--steps", "5"]

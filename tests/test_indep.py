@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,29 @@ class TestSolveIndep:
                     )
                 opt_out, search = (ubar - c) * n * x ** (n - 1), x * dR - (c + R)
                 assert abs(opt_out / (opt_out - search) - alphas[-1]) <= 8 * np.finfo(float).eps, (ratio, n)
+
+    def test_optout_passes_half_past_law_two(self):
+        # Law 2: alpha_k = k r^k / ((k - 1) r^k + 1), r = 1 - c/ubar, is below
+        # 1/2 exactly when (k + 1) r^k < 1.  With L = -log r, (k + 1) r^k rises
+        # from 1 at k = 0 to a peak at k = 1/L - 1 and then falls through 1
+        # once, at k*; for L >= 1 it falls from the start and k* = 0.  So the
+        # first menu size the solver opts out of more than half the time is
+        # floor(k*) + 1, on a log grid of c/ubar over 1e-5..0.9
+        for ratio in np.geomspace(1e-5, 0.9, 60):
+            ell = -math.log1p(-ratio)
+
+            def excess(k):  # log((k + 1) r^k)
+                return math.log1p(k) - ell * k
+
+            lo = hi = max(1.0 / ell - 1.0, 0.0)
+            while excess(hi) >= 0.0:
+                hi = 2.0 * hi + 1.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if excess(mid) > 0.0 else (lo, mid)
+            first = math.floor(hi) + 1
+            below = solve_indep(HomogeneousSpec(1.0, float(ratio), first)).alphas < 0.5
+            assert below[-1] and not below[:-1].any(), (ratio, hi)
 
     def test_monotone_in_n(self):
         rng = np.random.default_rng(41)

@@ -189,6 +189,10 @@ BAD_CALLS = {
     "two-box-v-hat-rounds-to-ubar": lambda: solve_two_box(HomogeneousSpec(1.0, 1e-40, 2)),
     "two-box-cost-near-least-float": lambda: solve_two_box(HomogeneousSpec(1.0, 1e-300, 2)),
     "het-pseudo-index-overflow": lambda: solve_het(HeterogeneousSpec(((1.0, 1e-320), (1.0, 0.5)))),
+    # the least net reward's pseudo-index overflows and the recursion carries
+    # it into every later member
+    "het-pseudo-index-overflow-carried-6": lambda: solve_het(HeterogeneousSpec(((0.6, 1e-320),) + ((1.0, 0.3),) * 5)),
+    "het-pseudo-index-overflow-carried-12": lambda: solve_het(HeterogeneousSpec(((0.6, 1e-320),) + ((1.0, 0.3),) * 11)),
 }
 
 # one box over the 5 000-box cap of the interim grid oracle, which prices
